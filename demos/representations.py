@@ -7,6 +7,7 @@ corepresentation residual, extracts the pair back, and shows the
 bit-exact save/load format.
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -21,7 +22,6 @@ from qazb import (
     save_representation,
     seeded_block_specs,
 )
-from qazb.corep import as_pair_on_h
 from qazb.opalg import operator_norm
 
 q = 0.5
@@ -44,16 +44,16 @@ print("corep residual:", res.residual, " (kernel part:", res.kernel_identity, ")
 # Decomposition: row sums of the position matrix elements give the
 # commuting family F_q(bt gamma); characters recover at.
 extracted, report = extract_pair(rep, seed=7)
-p0 = as_pair_on_h(pair)
-print("roundtrip |bt - bt'|:", operator_norm(extracted.b_t.entries - p0.b_t.entries))
-print("roundtrip |at - at'|:", operator_norm(extracted.a_t.entries - p0.a_t.entries))
+# The pair is a Q2Pair: bt is its Y and at its X.
+print("roundtrip |bt - bt'|:", operator_norm(extracted.Y.entries - pair.Y.entries))
+print("roundtrip |at - at'|:", operator_norm(extracted.X.entries - pair.X.entries))
 print("spectral family completeness:", report.completeness)
 
 # Portable persistence: JSON header plus a base64 block, bit-exact.
-with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as fh:
-    path = fh.name
-save_representation(rep, path)
-loaded = load_representation(path)
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "rep.json")
+    save_representation(rep, path)
+    loaded = load_representation(path)
 print("save/load bit-exact:", np.array_equal(loaded.U, rep.U))
 
 # Uniqueness at work: a different seed gives a different pair, whose

@@ -53,10 +53,10 @@ from .q2pair import (
     schrodinger_pair,
     seeded_block_specs,
     verify_q2,
+    weyl_residual,
     windowed_modulus_distance,
 )
 from .corep import (
-    PairOnH,
     Representation,
     build_rep,
     coproduct,
@@ -64,7 +64,6 @@ from .corep import (
     extract_pair,
     load_representation,
     save_representation,
-    weyl_residual,
 )
 
 __version__ = "0.1.0"
@@ -80,9 +79,8 @@ __all__ = [
     "gamma_distance",
     "Q2Pair", "exp_identity_residual", "interior_window",
     "random_regular_pair", "schrodinger_pair", "seeded_block_specs",
-    "verify_q2", "windowed_modulus_distance",
-    "PairOnH", "Representation", "build_rep", "coproduct", "corep_residual",
+    "verify_q2", "weyl_residual", "windowed_modulus_distance",
+    "Representation", "build_rep", "coproduct", "corep_residual",
     "extract_pair", "load_representation", "save_representation",
-    "weyl_residual",
     "__version__",
 ]

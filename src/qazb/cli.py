@@ -4,7 +4,8 @@ reports.
 Reports embed the full configuration and the library version, contain no
 timestamps, and are serialised with sorted keys, so identical configs
 produce byte-identical output.  Exit codes: 0 all checks passed, 1 a check
-failed, 2 invalid usage or I/O failure.
+failed, 2 invalid usage (including an empty --M-list and a roundtrip with
+no trials or no dimension) or I/O failure.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .q2pair import (
     seeded_block_specs,
     verify_q2,
 )
-from .corep import as_pair_on_h, build_rep, corep_residual, extract_pair
+from .corep import build_rep, corep_residual, extract_pair
 from .qexp import QExpParams, fq
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -136,7 +137,10 @@ def cmd_fq_table(config: RunConfig) -> int:
 
 
 def _parse_m_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+    m_list = [int(tok) for tok in text.split(",") if tok.strip()]
+    if not m_list:
+        raise ValueError("--M-list must name at least one grid order")
+    return m_list
 
 
 def cmd_exp_identity(config: RunConfig, m_list: list[int]) -> int:
@@ -220,6 +224,10 @@ def cmd_roundtrip(config: RunConfig, h_dim: int, trials: int) -> int:
     """Build representations from seeded pairs, extract, and compare."""
     from .opalg import operator_norm
 
+    if h_dim < 1:
+        raise ValueError(f"--h-dim must be >= 1, got {h_dim}")
+    if trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {trials}")
     g = grid(config.q, config.M)
     rows = []
     passed = True
@@ -229,9 +237,8 @@ def cmd_roundtrip(config: RunConfig, h_dim: int, trials: int) -> int:
         pair = random_regular_pair(specs, seed=seed, g=g)
         rep = build_rep(pair, g)
         extracted, report = extract_pair(rep, seed=seed)
-        p0 = as_pair_on_h(pair)
-        err_b = operator_norm(extracted.b_t.entries - p0.b_t.entries)
-        err_a = operator_norm(extracted.a_t.entries - p0.a_t.entries)
+        err_b = operator_norm(extracted.Y.entries - pair.Y.entries)
+        err_a = operator_norm(extracted.X.entries - pair.X.entries)
         rows.append({
             "seed": seed, "d": h_dim, "err_b": err_b, "err_a": err_a,
             "completeness": report.completeness, "degenerate": report.degenerate,

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import base64
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,13 +44,12 @@ from .errors import (
     KernelConditionError,
     ParameterError,
 )
-from .gamma import GammaGrid, GammaPoint
-from .opalg import NormalMatrix, chi_op, closure_sum, operator_norm, snap_spectrum
-from .q2pair import Q2Pair, interior_window, window_basis
-from .qexp import QExpParams, fq_lattice
+from .gamma import GammaGrid, GammaPoint, snap_spectrum
+from .opalg import NormalMatrix, closure_sum, operator_norm
+from .q2pair import Q2Pair, interior_window
+from .qexp import QExpParams, fq_lattice, invert_fq_family
 
 __all__ = [
-    "PairOnH",
     "Representation",
     "CorepReport",
     "ExtractionReport",
@@ -61,43 +59,17 @@ __all__ = [
     "corep_residual",
     "extract_pair",
     "g_family",
-    "weyl_residual",
     "save_representation",
     "load_representation",
 ]
 
 
-@dataclass(frozen=True)
-class PairOnH:
-    """A pair (bt, at) on the representation space H.
-
-    Satisfies (windowed, where applicable) chi(at, g) bt chi(at, g)* = g bt.
-    `window` confines residuals for pairs containing cyclic sub-grid blocks;
-    `provenance` records how the pair was produced.
-    """
-
-    b_t: NormalMatrix
-    a_t: NormalMatrix
-    provenance: tuple = ()
-    window: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.b_t.dim
-
-    def window_or_identity(self) -> np.ndarray:
-        if self.window is None:
-            return np.eye(self.dim, dtype=complex)
-        return self.window
-
-
-def as_pair_on_h(pair) -> PairOnH:
-    """Adapt a Q2Pair (Y, X) to the (bt, at) naming: bt = Y, at = X."""
-    if isinstance(pair, PairOnH):
-        return pair
-    if isinstance(pair, Q2Pair):
-        return PairOnH(b_t=pair.Y, a_t=pair.X, provenance=pair.provenance, window=pair.window)
-    raise DimensionError(f"expected PairOnH or Q2Pair, got {type(pair).__name__}")
+def as_pair_on_h(pair) -> Q2Pair:
+    """The generating pair (bt, at) of a representation is a Q2Pair with
+    bt = Y and at = X; anything else is rejected."""
+    if not isinstance(pair, Q2Pair):
+        raise DimensionError(f"expected a Q2Pair, got {type(pair).__name__}")
+    return pair
 
 
 @dataclass(frozen=True)
@@ -107,7 +79,7 @@ class Representation:
     U: np.ndarray
     grid: GammaGrid
     h_dim: int
-    pair: PairOnH | None = None
+    pair: Q2Pair | None = None
     unitarity_defect: float = 0.0
 
     @property
@@ -139,52 +111,22 @@ def coproduct(g: GammaGrid) -> tuple[np.ndarray, NormalMatrix]:
     return delta_a, delta_b
 
 
-def _lattice_points_of(
-    nm: NormalMatrix, g: GammaGrid, allow_zero: bool
-) -> tuple[np.ndarray, list[GammaPoint | None]]:
-    """Snap a matrix's spectrum to lattice points; None marks 0 entries.
-
-    Phases within 1e-8 of a grid angle are stored as exact fractions of a
-    turn, so that products with grid points hit the singular set of the
-    quantum exponential exactly rather than one ulp away from it.
-    """
-    from .gamma import TAU, rational_point
-
-    V, lam = nm.eig()
-    n, theta, zero, _ = snap_spectrum(lam, g.q, scale=nm.norm2)
-    pts: list[GammaPoint | None] = []
-    for i in range(lam.size):
-        if zero[i]:
-            if not allow_zero:
-                raise KernelConditionError("spectrum touches 0 where injectivity is required")
-            pts.append(None)
-            continue
-        j = round(theta[i] * g.M / TAU)
-        cand = rational_point(int(n[i]), j, g.M)
-        if abs(theta[i] - cand.theta) <= 1e-8 or abs(theta[i] - cand.theta - TAU) <= 1e-8:
-            pts.append(cand)
-        else:
-            pts.append(GammaPoint(int(n[i]), float(theta[i])))
-    return V, pts
-
-
-def _chi_point(alpha: GammaPoint, gp: GammaPoint) -> complex:
-    ang = gp.k * alpha.theta + alpha.k * gp.theta
-    return complex(math.cos(ang), math.sin(ang))
-
-
 def chi_kron(a_t: NormalMatrix, g: GammaGrid) -> np.ndarray:
     """chi(at (x) I, I (x) a) as a dense unitary on H (x) H_grid.
 
     Expanded over the eigenprojections of the grid operator a = F b F*:
     conjugating the block diagonal of chi(at, gamma_g) by I (x) F.
     """
-    Va, alphas = _lattice_points_of(a_t, g, allow_zero=False)
+    Va, lam = a_t.eig()
+    n_a, theta_a, zero, _ = snap_spectrum(lam, g.q, scale=a_t.norm2, M=g.M)
+    if np.any(zero):
+        raise KernelConditionError("spectrum touches 0 where injectivity is required")
+    gk, gtheta = g.lattice
+    vals = np.exp(1j * (np.outer(gk, theta_a) + np.outer(gtheta, n_a)))
     d, n = a_t.dim, g.size
     Z = np.zeros((d * n, d * n), dtype=complex)
-    for gi, gp in enumerate(g.points):
-        vals = np.array([_chi_point(al, gp) for al in alphas])
-        Z[gi::n, gi::n] = (Va * vals) @ Va.conj().T
+    for gi in range(n):
+        Z[gi::n, gi::n] = (Va * vals[gi]) @ Va.conj().T
     IF = np.kron(np.eye(d), g.fourier)
     return IF @ Z @ IF.conj().T
 
@@ -192,18 +134,13 @@ def chi_kron(a_t: NormalMatrix, g: GammaGrid) -> np.ndarray:
 def _fq_block_diag(b_t: NormalMatrix, g: GammaGrid, params: QExpParams) -> np.ndarray:
     """F_q(bt (x) b) as a dense matrix: block diagonal over the grid-leg
     position basis, block g equal to F_q(gamma_g * bt)."""
-    Vb, betas = _lattice_points_of(b_t, g, allow_zero=True)
+    Vb, lam = b_t.eig()
+    n_b, theta_b, zero, _ = snap_spectrum(lam, g.q, scale=b_t.norm2, M=g.M)
+    k, theta = g.times(n_b, theta_b)
+    zero = np.broadcast_to(zero, k.shape)
+    vals = fq_lattice(k.ravel(), theta.ravel(), params, zero=zero.ravel()).reshape(k.shape)
     d, n = b_t.dim, g.size
     W = np.zeros((d * n, d * n), dtype=complex)
-    ks, ths, zs = [], [], []
-    for gi, gp in enumerate(g.points):
-        for be in betas:
-            if be is None:
-                ks.append(0); ths.append(0.0); zs.append(True)
-            else:
-                pr = gp * be
-                ks.append(pr.k); ths.append(pr.theta); zs.append(False)
-    vals = fq_lattice(np.array(ks), np.array(ths), params, zero=np.array(zs)).reshape(n, d)
     for gi in range(n):
         W[gi::n, gi::n] = (Vb * vals[gi]) @ Vb.conj().T
     return W
@@ -214,8 +151,8 @@ def build_rep(pair, g: GammaGrid, params: QExpParams | None = None) -> Represent
     p = as_pair_on_h(pair)
     if params is None:
         params = QExpParams(g.q)
-    W = _fq_block_diag(p.b_t, g, params)
-    V = chi_kron(p.a_t, g)
+    W = _fq_block_diag(p.Y, g, params)
+    V = chi_kron(p.X, g)
     U = W @ V
     defect = operator_norm(U.conj().T @ U - np.eye(U.shape[0]))
     U.setflags(write=False)
@@ -233,8 +170,8 @@ class _LegOps:
         self.d = rep.h_dim
         self.n = self.g.size
         self.b, self.a = grid_operators(self.g)
-        self.V = chi_kron(rep.pair.a_t, self.g)
-        self.bt = rep.pair.b_t.entries
+        self.V = chi_kron(rep.pair.X, self.g)
+        self.bt = rep.pair.Y.entries
 
     def _on_leg12(self, A: np.ndarray, v: np.ndarray, adjoint=False) -> np.ndarray:
         d, n = self.d, self.n
@@ -299,8 +236,8 @@ def corep_residual(
         return np.einsum("lp,ikp->ikl", Pg, w)
 
     # kernel projector of bt on the H leg
-    Vb, betas = _lattice_points_of(rep.pair.b_t, g, allow_zero=True)
-    kermask = np.array([be is None for be in betas])
+    Vb, lam = rep.pair.Y.eig()
+    _, _, kermask, _ = snap_spectrum(lam, g.q, scale=rep.pair.Y.norm2)
     Pker = (Vb[:, kermask] @ Vb[:, kermask].conj().T) if np.any(kermask) else None
 
     rng = np.random.default_rng(seed)
@@ -359,7 +296,7 @@ def extract_pair(
     params: QExpParams | None = None,
     seed: int = 0,
     degeneracy_tol: float = 1e-7,
-) -> tuple[PairOnH, ExtractionReport]:
+) -> tuple[Q2Pair, ExtractionReport]:
     """Recover the generating pair from a representation.
 
     (1) row-sum the position matrix elements into the family G(g);
@@ -369,15 +306,13 @@ def extract_pair(
     (4) average G(g)* U_{g, g+d} into the spectral projections of at;
     (5) reassemble bt and at.
     """
-    from .qexp import invert_fq_family
-
     g = rep.grid
     if params is None:
         params = QExpParams(g.q)
     d, n = rep.h_dim, g.size
     M = g.M
     Ut = rep.U.reshape(d, n, d, n)
-    G = [Ut[:, gi, :, :].sum(axis=2) for gi in range(n)]
+    G = g_family(rep)
 
     eye = np.eye(d)
     gu = max(operator_norm(Gi @ Gi.conj().T - eye) for Gi in G)
@@ -433,30 +368,14 @@ def extract_pair(
         completeness=completeness,
         degenerate=degenerate,
     )
-    pair = PairOnH(
-        b_t=NormalMatrix(b_t),
-        a_t=NormalMatrix(a_t),
+    pair = Q2Pair(
+        Y=NormalMatrix(b_t),
+        X=NormalMatrix(a_t),
+        grid=g,
+        margin=-(-M // 4),
         provenance=(("extracted", seed),),
     )
     return pair, report
-
-
-def weyl_residual(pair, g: GammaGrid, window: np.ndarray | None = None) -> float:
-    """max over grid generators of ||chi(at,g) bt chi(at,g)* - g bt||_2.
-
-    Pairs on H are exact by construction unless they embed cyclic sub-grid
-    blocks; pass their interior window to confine the check accordingly.
-    """
-    p = as_pair_on_h(pair)
-    from .q2pair import grid_generators
-
-    W = window if window is not None else np.eye(p.dim, dtype=complex)
-    worst = 0.0
-    for _, gen in grid_generators(g):
-        C = chi_op(p.a_t, gen, g.q)
-        D = C @ p.b_t.entries @ C.conj().T - gen.value(g.q) * p.b_t.entries
-        worst = max(worst, operator_norm(W @ D @ W))
-    return worst
 
 
 FORMAT_VERSION = 1

@@ -25,6 +25,10 @@ the value q^{c(k)} * e^{2 pi i j / M} with c(k) the centred representative
 of k in [-M/2, M/2).  The grid pairing e^{2 pi i (j l + j' k) / M} agrees
 with chi on grid points because c(k) = k (mod M), and it is the kernel of
 the grid Fourier unitary F_M (normalised by 1/M).
+
+Both lattice decisions of the package live here: :func:`snap_spectrum`
+turns eigenvalues into lattice data (modulus index, phase, or zero), and
+:meth:`GammaGrid.times` multiplies lattice data by every grid point at once.
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParameterError
+from .errors import DimensionError, DomainError, ParameterError, SpectrumError
 
 TAU = 2.0 * math.pi
+ZERO_RTOL = 1e-9   # snapped values below ZERO_RTOL * scale are 0
 
 __all__ = [
     "GammaPoint",
@@ -46,6 +51,7 @@ __all__ = [
     "make_point",
     "zero_point",
     "snap_point",
+    "snap_spectrum",
     "rational_point",
     "chi",
     "grid",
@@ -160,6 +166,59 @@ def zero_point() -> GammaPoint:
     return GammaPoint(zero=True)
 
 
+def turn_angle(num, den):
+    """The exact angle 2 pi num / den of a fraction of a turn, 0 <= num <=
+    den, computed as :func:`rational_point` does (arrays allowed)."""
+    g = np.gcd(num, den)
+    return TAU * (num // g) / (den // g)
+
+
+def snap_spectrum(
+    lam: np.ndarray,
+    q: float,
+    rtol: float | None = None,
+    scale: float | None = None,
+    M: int | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Snap complex values to Gamma-bar: (n, theta, zero_mask, rel_dist).
+
+    n minimises the relative distance ||z| - q^n|/q^n (the log-rounding
+    neighbour test covers the geometric/arithmetic mismatch), theta is the
+    reduced argument, and values below ZERO_RTOL * scale count as 0.  With
+    the grid order `M`, a phase within 1e-8 of a multiple of 2 pi/M becomes
+    the exact grid angle, so singular-set membership is decided exactly.
+    With `rtol` set, any relative distance beyond it raises SpectrumError.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    r = np.abs(lam)
+    if scale is None:
+        scale = float(np.max(r)) if r.size else 0.0
+    zero = r <= ZERO_RTOL * scale
+    n = np.zeros(lam.shape, dtype=int)
+    rel = np.zeros(lam.shape, dtype=float)
+    nz = ~zero
+    if np.any(nz):
+        n0 = np.round(np.log(r[nz]) / math.log(q)).astype(int)
+        cand = np.stack([n0 - 1, n0, n0 + 1])
+        rels = np.abs(r[nz] - q ** cand.astype(float)) / q ** cand.astype(float)
+        pick = np.argmin(rels, axis=0)
+        n[nz] = cand[pick, np.arange(cand.shape[1])]
+        rel[nz] = rels[pick, np.arange(cand.shape[1])]
+    if rtol is not None and np.any(rel > rtol):
+        raise SpectrumError(
+            f"spectrum lies off the modulus lattice: max relative distance "
+            f"{float(np.max(rel)):.3e} > rtol={rtol}"
+        )
+    theta = np.where(nz, np.angle(lam), 0.0)
+    theta = np.where(theta < 0.0, theta + TAU, theta)   # reduce_angle on [-pi, pi]
+    theta[theta == TAU] = 0.0
+    if M is not None:
+        j = np.rint(theta * M / TAU).astype(int)
+        on_grid = nz & (np.abs(theta - turn_angle(j, M)) <= 1e-8)
+        theta = np.where(on_grid, turn_angle(j % M, M), theta)
+    return n, theta, zero, rel
+
+
 def snap_point(z: complex, q: float, rtol: float = 1e-9) -> GammaPoint:
     """Snap a raw complex number to the nearest Gamma-bar point.
 
@@ -168,22 +227,11 @@ def snap_point(z: complex, q: float, rtol: float = 1e-9) -> GammaPoint:
     silently accepting spectra outside the lattice.
     """
     _check_q(q)
-    z = complex(z)
-    if z == 0:
-        return zero_point()
-    r = abs(z)
-    n = round(math.log(r) / math.log(q))
-    # log rounding is geometric; check the neighbours for the best relative fit
-    best_n, best_rel = None, math.inf
-    for m in (n - 1, n, n + 1):
-        rel = abs(r - q**m) / q**m
-        if rel < best_rel:
-            best_n, best_rel = m, rel
-    if best_rel > rtol:
-        raise DomainError(
-            f"|z| = {r} is not within rtol={rtol} of the modulus lattice q^Z (q={q})"
-        )
-    return GammaPoint(best_n, reduce_angle(math.atan2(z.imag, z.real)))
+    try:
+        n, theta, zero, _ = snap_spectrum([z], q, rtol=rtol)
+    except SpectrumError as exc:
+        raise DomainError(f"{z} is off the modulus lattice q^Z (q={q}): {exc}") from None
+    return zero_point() if zero[0] else GammaPoint(int(n[0]), float(theta[0]))
 
 
 def chi(g1: GammaPoint, g2: GammaPoint) -> complex:
@@ -247,6 +295,40 @@ class GammaGrid:
     def points(self) -> tuple[GammaPoint, ...]:
         """All grid points in flat (k-major) order."""
         return tuple(self.point(k, j) for k in range(self.M) for j in range(self.M))
+
+    @cached_property
+    def lattice(self) -> tuple[np.ndarray, np.ndarray]:
+        """(k, theta) of the grid points as arrays, flat order; the angles
+        are bit-equal to those of :attr:`points`."""
+        j = np.tile(np.arange(self.M), self.M)
+        return np.repeat(self.c, self.M), turn_angle(j, self.M)
+
+    def times(self, k, theta, frac=None) -> tuple[np.ndarray, np.ndarray]:
+        """Array form of ``beta * self.point(k', j)``: the lattice data
+        (k, theta) of every grid point (rows, flat order) times every
+        beta = q^k e^{i theta} (the trailing axes, shaped like `k`).
+
+        Phases that are exact fractions of a turn multiply exactly, as in
+        :meth:`GammaPoint.__mul__`, with which the result is bit-equal.
+        `frac` = (num, den) gives them, den = 0 marking a free angle; by
+        default a phase is the fraction j/M when it equals a grid angle,
+        which is how :func:`snap_spectrum` leaves the phases it snapped.
+        """
+        M = self.M
+        k = np.asarray(k)
+        theta = np.asarray(theta, dtype=float)
+        if frac is None:
+            j = np.rint(theta * M / TAU).astype(int) % M
+            frac = (j, np.where(theta == turn_angle(j, M), M, 0))
+        num, den = (np.asarray(a) for a in frac)
+        col = (-1,) + (1,) * k.ndim
+        gk, gtheta = (a.reshape(col) for a in self.lattice)
+        gj = np.tile(np.arange(M), M).reshape(col)
+        d = np.where(den > 0, den, M)
+        lcm = np.lcm(d, M)
+        exact = turn_angle((num * (lcm // d) + gj * (lcm // M)) % lcm, lcm)
+        free = np.remainder(theta + gtheta, TAU)   # reduce_angle on [0, 4 pi)
+        return gk + k, np.where(den > 0, exact, free)
 
     @cached_property
     def values(self) -> np.ndarray:

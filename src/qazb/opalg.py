@@ -11,20 +11,20 @@ completes but the matrix is flagged degraded, and callers treat the flag
 as a failed check.
 
 Eigenvalue moduli are snapped to the lattice q^Z for function evaluation
-(the lattice circles are full, so phases are never snapped); diagnostics
-such as :func:`gamma_distance` always report the unsnapped values.
+by :func:`qazb.gamma.snap_spectrum` (the lattice circles are full, so
+phases are not snapped here); diagnostics such as :func:`gamma_distance`
+always report the unsnapped values.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, DomainError, KernelConditionError, SpectrumError
-from .gamma import GammaPoint, reduce_angle
+from .errors import DimensionError, DomainError, KernelConditionError
+from .gamma import GammaPoint, snap_spectrum
 
 __all__ = [
     "NormalMatrix",
@@ -215,42 +215,3 @@ def gamma_distance(T, q: float) -> float:
         return 0.0
     _, _, zero, rel = snap_spectrum(lam, q, scale=nm.norm2)
     return float(np.mean(np.where(zero, 0.0, rel)))
-
-
-def snap_spectrum(
-    lam: np.ndarray,
-    q: float,
-    rtol: float | None = None,
-    scale: float | None = None,
-    zero_rtol: float = 1e-9,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Snap complex values to the lattice: (n, theta, zero_mask, rel_dist).
-
-    n minimises the relative distance ||z| - q^n|/q^n (the log-rounding
-    neighbour test covers the geometric/arithmetic mismatch), theta is the
-    reduced argument, and values below zero_rtol * scale count as 0.
-    With `rtol` set, any relative distance beyond it raises SpectrumError.
-    """
-    lam = np.asarray(lam, dtype=complex)
-    r = np.abs(lam)
-    if scale is None:
-        scale = float(np.max(r)) if r.size else 0.0
-    zero = r <= zero_rtol * scale
-    n = np.zeros(lam.shape, dtype=int)
-    rel = np.zeros(lam.shape, dtype=float)
-    nz = ~zero
-    if np.any(nz):
-        n0 = np.round(np.log(r[nz]) / math.log(q)).astype(int)
-        cand = np.stack([n0 - 1, n0, n0 + 1])
-        rels = np.abs(r[nz] - q ** cand.astype(float)) / q ** cand.astype(float)
-        pick = np.argmin(rels, axis=0)
-        n[nz] = cand[pick, np.arange(cand.shape[1])]
-        rel[nz] = rels[pick, np.arange(cand.shape[1])]
-    if rtol is not None and np.any(rel > rtol):
-        raise SpectrumError(
-            f"spectrum lies off the modulus lattice: max relative distance "
-            f"{float(np.max(rel)):.3e} > rtol={rtol}"
-        )
-    theta = np.where(nz, np.angle(lam), 0.0)
-    theta = np.array([reduce_angle(t) for t in theta])
-    return n, theta, zero, rel

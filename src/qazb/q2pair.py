@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .gamma import GammaGrid, GammaPoint, centered_index
-from .opalg import NormalMatrix, chi_op, closure_sum, operator_norm, snap_spectrum
+from .gamma import GammaGrid, GammaPoint, centered_index, snap_spectrum
+from .opalg import NormalMatrix, chi_op, closure_sum, operator_norm
 from .qexp import QExpParams, fq_on_operator
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "grid_generators",
     "schrodinger_pair",
     "verify_q2",
+    "weyl_residual",
     "exp_identity_residual",
     "windowed_modulus_distance",
     "random_regular_pair",
@@ -100,6 +101,7 @@ def window_basis(P: np.ndarray) -> np.ndarray:
 class Q2Pair:
     """A model pair (Y, X) with its grid, window margin and projector.
 
+    It is also the generating pair (bt, at) = (Y, X) of a representation.
     `window` confines residual checks to the subspace where the cyclic
     model represents the continuum; None means no confinement (exact
     pairs).  `provenance` records the block construction when generated.
@@ -150,10 +152,9 @@ def schrodinger_pair(g: GammaGrid, margin: int | None = None) -> Q2Pair:
     )
 
 
-def weyl_conjugation_residual(
-    pair: Q2Pair, point: GammaPoint, window: np.ndarray | None = None
-) -> float:
-    """|| W (chi(X,gamma) Y chi(X,gamma)* - gamma Y) W ||_2."""
+def weyl_residual(pair: Q2Pair, point: GammaPoint, window: np.ndarray | None = None) -> float:
+    """|| W (chi(X,gamma) Y chi(X,gamma)* - gamma Y) W ||_2, with W the
+    pair's window unless `window` is given."""
     q = pair.grid.q
     C = chi_op(pair.X, point, q)
     D = C @ pair.Y.entries @ C.conj().T - point.value(q) * pair.Y.entries
@@ -202,8 +203,7 @@ def verify_q2(pair: Q2Pair, tol: float = 1e-10, snap_rtol: float = 1e-9) -> Q2Re
     (multiplicativity of chi extends the check to the whole group).
     """
     q = pair.grid.q
-    _, _, _, rel_x = snap_spectrum(pair.X.eig()[1], q, scale=pair.X.norm2)
-    _, _, zx, _ = snap_spectrum(pair.X.eig()[1], q, scale=pair.X.norm2)
+    _, _, zx, rel_x = snap_spectrum(pair.X.eig()[1], q, scale=pair.X.norm2)
     _, _, _, rel_y = snap_spectrum(pair.Y.eig()[1], q, scale=pair.Y.norm2)
     sx = float(np.max(rel_x, initial=0.0))
     sy = float(np.max(rel_y, initial=0.0))
@@ -212,7 +212,7 @@ def verify_q2(pair: Q2Pair, tol: float = 1e-10, snap_rtol: float = 1e-9) -> Q2Re
     weyl = {}
     ok = True
     for name, gen in grid_generators(pair.grid):
-        r = weyl_conjugation_residual(pair, gen)
+        r = weyl_residual(pair, gen)
         weyl[name] = r
         ok = ok and (r <= tol)
 
@@ -260,8 +260,8 @@ def exp_identity_residual(pair: Q2Pair, params: QExpParams | None = None) -> Exp
     if params is None:
         params = QExpParams(pair.grid.q)
     S = closure_sum(pair.X, pair.Y)
-    FX = fq_on_operator(pair.X, params)
-    FY = fq_on_operator(pair.Y, params)
+    FX = fq_on_operator(pair.X, params, pair.grid.M)
+    FY = fq_on_operator(pair.Y, params, pair.grid.M)
     W = pair.window_or_identity()
     Se = S.entries
     scale = operator_norm(Se @ W)

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguityError, DomainError
-from .gamma import GammaGrid, GammaPoint, reduce_angle, zero_point
+from .gamma import GammaGrid, GammaPoint, snap_spectrum, zero_point
+from .opalg import NormalMatrix
 
 __all__ = [
     "QExpParams",
@@ -159,8 +160,6 @@ def fq_complex(z: np.ndarray | complex, p: QExpParams, rtol: float | None = None
     raise; with rtol=None values are snapped to the nearest modulus
     unconditionally (phases are never snapped: the circles are full).
     """
-    from .opalg import snap_spectrum  # local import to avoid a cycle
-
     scalar = np.isscalar(z)
     arr = np.atleast_1d(np.asarray(z, dtype=complex))
     n, theta, zero, _ = snap_spectrum(arr, p.q, rtol=rtol)
@@ -172,33 +171,24 @@ def fq_family(beta: GammaPoint, g: GammaGrid, p: QExpParams) -> np.ndarray:
     """The unit-modulus family gamma -> F_q(beta * gamma) over all grid
     points, in flat order.  This is the forward map inverted by
     :func:`invert_fq_family`."""
-    M = g.M
     if beta.zero:
-        return np.ones(M * M, dtype=complex)
-    n = np.empty(M * M, dtype=int)
-    theta = np.empty(M * M, dtype=float)
-    for k in range(M):
-        for j in range(M):
-            prod = beta * g.point(k, j)
-            n[k * M + j] = prod.k
-            theta[k * M + j] = prod.theta
+        return np.ones(g.size, dtype=complex)
+    n, theta = g.times(beta.k, beta.theta, beta.frac or (0, 0))
     return fq_lattice(n, theta, p)
 
 
-def fq_on_operator(T, p: QExpParams, snap_rtol: float | None = None) -> np.ndarray:
+def fq_on_operator(T, p: QExpParams, M: int | None = None) -> np.ndarray:
     """Spectral functional calculus: V diag(F_q(lambda_i)) V*.
 
-    `T` is a NormalMatrix (or array accepted by it); eigenvalue moduli are
-    snapped to the lattice for evaluation while diagnostics keep the raw
-    values.  The result is unitary up to ~10x the relative normality
-    defect of T.
+    `T` is a NormalMatrix (or array accepted by it); eigenvalues are
+    snapped to the lattice for evaluation, their phases to the grid of
+    order `M` when given, while diagnostics keep the raw values.  The
+    result is unitary up to ~10x the relative normality defect of T.
     """
-    from .opalg import NormalMatrix, snap_spectrum
-
     if not isinstance(T, NormalMatrix):
         T = NormalMatrix(T)
     V, lam = T.eig()
-    n, theta, zero, _ = snap_spectrum(lam, p.q, rtol=snap_rtol, scale=T.norm2)
+    n, theta, zero, _ = snap_spectrum(lam, p.q, scale=T.norm2, M=M)
     vals = fq_lattice(n, theta, p, zero=zero)
     return (V * vals) @ V.conj().T
 

@@ -26,7 +26,7 @@ from qazb.q2pair import (
     verify_q2,
     windowed_modulus_distance,
 )
-from qazb.corep import as_pair_on_h, build_rep, corep_residual, extract_pair
+from qazb.corep import build_rep, corep_residual, extract_pair
 from qazb.qexp import QExpParams, candidate_separation, fq, fq_family, invert_fq_family
 from qazb.cli import main as cli_main
 
@@ -161,20 +161,19 @@ def test_criterion_7_round_trip_and_uniqueness():
             pair = random_regular_pair(seeded_block_specs(seed, d, g), seed=seed, g=g)
             rep = build_rep(pair, g)
             ext, report = extract_pair(rep, seed=seed)
-            p0 = as_pair_on_h(pair)
-            assert operator_norm(ext.b_t.entries - p0.b_t.entries) < 1e-8
-            assert operator_norm(ext.a_t.entries - p0.a_t.entries) < 1e-8
+            assert operator_norm(ext.Y.entries - pair.Y.entries) < 1e-8
+            assert operator_norm(ext.X.entries - pair.X.entries) < 1e-8
             assert not report.degenerate
             reps.setdefault(d, []).append(rep.U)
-            pairs.setdefault(d, []).append(p0)
+            pairs.setdefault(d, []).append(pair)
         # uniqueness witness: distinct pairs produce separated representations
         for d, us in reps.items():
             ps = pairs[d]
             for i in range(len(us)):
                 for j in range(i + 1, len(us)):
                     distinct = (
-                        operator_norm(ps[i].b_t.entries - ps[j].b_t.entries)
-                        + operator_norm(ps[i].a_t.entries - ps[j].a_t.entries)
+                        operator_norm(ps[i].Y.entries - ps[j].Y.entries)
+                        + operator_norm(ps[i].X.entries - ps[j].X.entries)
                     ) > 1e-12
                     if distinct:
                         assert operator_norm(us[i] - us[j]) > 1e-6

@@ -55,8 +55,22 @@ def test_corep_command(tmp_path):
     assert run(["-M", "4", "--samples", "8", "--out", str(out), "corep", "--M-list", "4"]) == 0
 
 
-def test_invalid_q_is_usage_error(tmp_path):
-    assert run(["--q", "1.5", "--out", str(tmp_path / "x.json"), "fq-table"]) == 2
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["--q", "1.5", "fq-table"], id="q"),
+        pytest.param(["exp-identity", "--M-list", ""], id="exp-identity-empty-M-list"),
+        pytest.param(["corep", "--M-list", ""], id="corep-empty-M-list"),
+        pytest.param(["roundtrip", "--trials", "0"], id="roundtrip-no-trials"),
+        pytest.param(["roundtrip", "--h-dim", "0"], id="roundtrip-h-dim-0"),
+        pytest.param(["roundtrip", "--h-dim", "-3"], id="roundtrip-h-dim-negative"),
+    ],
+)
+def test_invalid_q_is_usage_error(tmp_path, capsys, args):
+    out = tmp_path / "x.json"
+    assert run(["--out", str(out)] + args) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_csv_format(tmp_path):

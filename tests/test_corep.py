@@ -7,10 +7,15 @@ from qazb.corpus import load_pinned
 from qazb.errors import ExtractionError, ParameterError
 from qazb.gamma import grid
 from qazb.opalg import NormalMatrix, operator_norm
-from qazb.q2pair import random_regular_pair, schrodinger_pair, seeded_block_specs
+from qazb.q2pair import (
+    Q2Pair,
+    grid_generators,
+    random_regular_pair,
+    schrodinger_pair,
+    seeded_block_specs,
+    weyl_residual,
+)
 from qazb.corep import (
-    PairOnH,
-    as_pair_on_h,
     build_rep,
     chi_kron,
     coproduct,
@@ -20,14 +25,13 @@ from qazb.corep import (
     grid_operators,
     load_representation,
     save_representation,
-    weyl_residual,
 )
 
 
 def test_grid_operator_convention():
     # chi(a, gen) b chi(a, gen)* = gen * b on the interior window
     from qazb.opalg import chi_op
-    from qazb.q2pair import grid_generators, interior_window
+    from qazb.q2pair import interior_window
 
     g = grid(0.5, 8)
     b, a = grid_operators(g)
@@ -144,8 +148,8 @@ def test_extract_trivial_block_exact():
     pair = random_regular_pair([("trivial", gamma0)], seed=0, g=g)
     rep = build_rep(pair, g)
     ext, report = extract_pair(rep)
-    assert operator_norm(ext.b_t.entries - np.zeros((1, 1))) < 1e-10
-    assert abs(ext.a_t.entries[0, 0] - gamma0.value(0.5)) < 1e-10
+    assert operator_norm(ext.Y.entries - np.zeros((1, 1))) < 1e-10
+    assert abs(ext.X.entries[0, 0] - gamma0.value(0.5)) < 1e-10
     assert report.completeness < 1e-9
     assert not report.degenerate
 
@@ -156,9 +160,8 @@ def test_roundtrip_seed7():
     pair = random_regular_pair(specs, seed=7, g=g)
     rep = build_rep(pair, g)
     ext, report = extract_pair(rep, seed=7)
-    p0 = as_pair_on_h(pair)
-    assert operator_norm(ext.b_t.entries - p0.b_t.entries) < 1e-8
-    assert operator_norm(ext.a_t.entries - p0.a_t.entries) < 1e-8
+    assert operator_norm(ext.Y.entries - pair.Y.entries) < 1e-8
+    assert operator_norm(ext.X.entries - pair.X.entries) < 1e-8
     assert report.g_unitarity < 1e-9
     assert report.g_commutation < 1e-9
     assert report.completeness < 1e-9
@@ -166,26 +169,27 @@ def test_roundtrip_seed7():
 
 def test_weyl_residual_zero_pair():
     g = grid(0.5, 8)
-    pair = PairOnH(
-        b_t=NormalMatrix(np.zeros((2, 2))),
-        a_t=NormalMatrix(np.diag([0.5, 1.0 + 0j])),
+    pair = Q2Pair(
+        Y=NormalMatrix(np.zeros((2, 2))),
+        X=NormalMatrix(np.diag([0.5, 1.0 + 0j])),
+        grid=g,
+        margin=2,
     )
-    assert weyl_residual(pair, g) == 0.0
+    assert max(weyl_residual(pair, gen) for _, gen in grid_generators(g)) == 0.0
 
 
 def test_weyl_residual_detects_corruption():
     g = grid(0.5, 8)
     gamma0 = g.point(1, 0)
     pair = random_regular_pair([("trivial", gamma0)], seed=0, g=g)
-    p = as_pair_on_h(pair)
-    corrupted = PairOnH(
-        b_t=NormalMatrix(p.b_t.entries + np.eye(1)),
-        a_t=p.a_t,
+    corrupted = Q2Pair(
+        Y=NormalMatrix(pair.Y.entries + np.eye(1)),
+        X=pair.X,
+        grid=g,
+        margin=pair.margin,
     )
-    from qazb.q2pair import grid_generators
-
     lower = max(abs(gen.value(0.5) - 1.0) for _, gen in grid_generators(g))
-    assert weyl_residual(corrupted, g) >= 0.99 * lower
+    assert max(weyl_residual(corrupted, gen) for _, gen in grid_generators(g)) >= 0.99 * lower
 
 
 def test_save_load_bit_exact(tmp_path):
@@ -222,5 +226,19 @@ def test_corep_residual_needs_pair(tmp_path):
 def test_chi_kron_unitary():
     g = grid(0.5, 4)
     pair = random_regular_pair([("trivial", g.point(2, 1))], seed=0, g=g)
-    V = chi_kron(as_pair_on_h(pair).a_t, g)
+    V = chi_kron(pair.X, g)
     assert operator_norm(V @ V.conj().T - np.eye(16)) < 1e-12
+
+
+def test_chi_kron_position_blocks_match_chi():
+    from qazb.gamma import chi
+
+    g = grid(0.5, 4)
+    alphas = [g.point(2, 1), g.point(3, 2), g.point(1, 3)]
+    pair = random_regular_pair([("trivial", a) for a in alphas], seed=0, g=g)
+    d, n = len(alphas), g.size
+    IF = np.kron(np.eye(d), g.fourier)
+    Z = IF.conj().T @ chi_kron(pair.X, g) @ IF
+    for gi, gp in enumerate(g.points):
+        want = np.diag([chi(a, gp) for a in alphas])
+        assert np.abs(Z[gi::n, gi::n] - want).max() < 1e-13

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from qazb.errors import DimensionError, DomainError, ParameterError
-from qazb.gamma import GammaPoint, chi, fourier_apply, grid, make_point, snap_point, zero_point
+from qazb.gamma import (
+    GammaPoint,
+    chi,
+    fourier_apply,
+    grid,
+    make_point,
+    rational_point,
+    snap_point,
+    snap_spectrum,
+    zero_point,
+)
 
 
 def test_make_point_examples():
@@ -220,3 +230,35 @@ def test_snap_point_roundtrip_and_rejection():
 
 def test_grid_metadata():
     assert grid(0.5, 8).metadata() == {"q": 0.5, "M": 8}
+
+
+@pytest.mark.parametrize("M", [4, 6, 8])
+def test_grid_product_is_bit_equal_to_point_products(M):
+    g = grid(0.5, M)
+    for beta in list(g.points) + [rational_point(2, 1, 3), make_point(1, 0.3)]:
+        k, theta = g.times(beta.k, beta.theta, beta.frac or (0, 0))
+        ref = [beta * p for p in g.points]
+        assert np.array_equal(k, [p.k for p in ref])
+        assert np.array_equal(theta, [p.theta for p in ref])
+    # snapped spectra carry no fractions: grid angles are recognised as j/M
+    k, theta = g.times([p.k for p in g.points], [p.theta for p in g.points])
+    for i, beta in enumerate(g.points):
+        ref = [p * beta for p in g.points]
+        assert np.array_equal(k[:, i], [p.k for p in ref])
+        assert np.array_equal(theta[:, i], [p.theta for p in ref])
+
+
+@pytest.mark.parametrize("M", [4, 6, 8])
+def test_snap_spectrum_returns_exact_grid_angles(M):
+    from qazb.q2pair import schrodinger_pair
+
+    g = grid(0.5, M)
+    want = [(p.k, p.theta) for p in g.points]
+    n, theta, zero, _ = snap_spectrum(g.values, 0.5, M=M)
+    assert not zero.any()
+    assert list(zip(n.tolist(), theta.tolist())) == want
+    # the Fourier-conjugate spectrum misses the grid angles by a few ulps unsnapped
+    lam = schrodinger_pair(g).Y.eig()[1]
+    n, theta, _, _ = snap_spectrum(lam, 0.5, M=M)
+    assert sorted(zip(n.tolist(), theta.tolist())) == sorted(want)
+    assert np.count_nonzero(theta == math.pi) == M

@@ -20,7 +20,7 @@ from qazb.q2pair import (
     schrodinger_pair,
     seeded_block_specs,
     verify_q2,
-    weyl_conjugation_residual,
+    weyl_residual,
     windowed_modulus_distance,
 )
 
@@ -121,7 +121,7 @@ def test_generator_sufficiency_on_composites():
         s = int(rng.integers(-2, 3))
         t = int(rng.integers(0, 8))
         gamma = make_point(s, 2 * math.pi * t / 8)
-        worst = max(worst, weyl_conjugation_residual(pair, gamma))
+        worst = max(worst, weyl_residual(pair, gamma))
     assert worst < 1e-10
 
 
@@ -136,8 +136,8 @@ def test_unitary_invariance_of_residuals():
     r1 = exp_identity_residual(conj)
     assert abs(r0.residual - r1.residual) < 1e-11
     for (_, gen) in grid_generators(g):
-        a = weyl_conjugation_residual(pair, gen)
-        b = weyl_conjugation_residual(conj, gen)
+        a = weyl_residual(pair, gen)
+        b = weyl_residual(conj, gen)
         assert abs(a - b) < 1e-11
 
 
