@@ -124,7 +124,14 @@ class GammaPoint:
             return rational_point(-self.k, -num % den, den)
         return GammaPoint(-self.k, reduce_angle(-self.theta))
 
-    def __mul__(self, other: "GammaPoint") -> "GammaPoint":
+    def __mul__(self, other: "GammaPoint | GammaGrid"):
+        """The lattice product beta * gamma.  Times a :class:`GammaGrid` it
+        is the product with every grid point, as the (k, theta) arrays of
+        :meth:`GammaGrid.times`; the zero point has no such form."""
+        if isinstance(other, GammaGrid):
+            if self.zero:
+                raise DomainError("the zero point times a grid has no lattice data")
+            return other.times(self.k, self.theta, self.frac or (0, 0))
         if self.zero or other.zero:
             return GammaPoint(zero=True)
         if self.frac is not None and other.frac is not None:

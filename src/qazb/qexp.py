@@ -173,7 +173,7 @@ def fq_family(beta: GammaPoint, g: GammaGrid, p: QExpParams) -> np.ndarray:
     :func:`invert_fq_family`."""
     if beta.zero:
         return np.ones(g.size, dtype=complex)
-    n, theta = g.times(beta.k, beta.theta, beta.frac or (0, 0))
+    n, theta = beta * g
     return fq_lattice(n, theta, p)
 
 

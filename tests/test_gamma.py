@@ -236,7 +236,7 @@ def test_grid_metadata():
 def test_grid_product_is_bit_equal_to_point_products(M):
     g = grid(0.5, M)
     for beta in list(g.points) + [rational_point(2, 1, 3), make_point(1, 0.3)]:
-        k, theta = g.times(beta.k, beta.theta, beta.frac or (0, 0))
+        k, theta = beta * g
         ref = [beta * p for p in g.points]
         assert np.array_equal(k, [p.k for p in ref])
         assert np.array_equal(theta, [p.theta for p in ref])
@@ -246,6 +246,11 @@ def test_grid_product_is_bit_equal_to_point_products(M):
         ref = [p * beta for p in g.points]
         assert np.array_equal(k[:, i], [p.k for p in ref])
         assert np.array_equal(theta[:, i], [p.theta for p in ref])
+
+
+def test_zero_point_times_a_grid_is_a_domain_error():
+    with pytest.raises(DomainError):
+        zero_point() * grid(0.5, 4)
 
 
 @pytest.mark.parametrize("M", [4, 6, 8])
