@@ -23,7 +23,7 @@ from . import __version__
 from .corpus import load_pinned
 from .errors import QazbError
 from .gamma import grid, make_point, zero_point
-from .opalg import NormalMatrix
+from .opalg import NormalMatrix, operator_norm
 from .q2pair import (
     Q2Pair,
     exp_identity_residual,
@@ -222,8 +222,6 @@ def cmd_corep(config: RunConfig, m_list: list[int]) -> int:
 
 def cmd_roundtrip(config: RunConfig, h_dim: int, trials: int) -> int:
     """Build representations from seeded pairs, extract, and compare."""
-    from .opalg import operator_norm
-
     if h_dim < 1:
         raise ValueError(f"--h-dim must be >= 1, got {h_dim}")
     if trials < 1:

@@ -40,12 +40,12 @@ import numpy as np
 
 from .errors import (
     DimensionError,
+    DomainError,
     ExtractionError,
-    KernelConditionError,
     ParameterError,
 )
-from .gamma import GammaGrid, GammaPoint, snap_spectrum
-from .opalg import NormalMatrix, closure_sum, operator_norm
+from .gamma import GammaGrid, GammaPoint
+from .opalg import NormalMatrix, chi_values, closure_sum, lattice_calculus, operator_norm
 from .q2pair import Q2Pair, interior_window
 from .qexp import QExpParams, fq_lattice, invert_fq_family
 
@@ -115,45 +115,35 @@ def chi_kron(a_t: NormalMatrix, g: GammaGrid) -> np.ndarray:
     """chi(at (x) I, I (x) a) as a dense unitary on H (x) H_grid.
 
     Expanded over the eigenprojections of the grid operator a = F b F*:
-    conjugating the block diagonal of chi(at, gamma_g) by I (x) F.
+    the blocks chi(at, gamma_g), one per grid position g, conjugated by
+    I (x) F in one contraction.
     """
-    Va, lam = a_t.eig()
-    n_a, theta_a, zero, _ = snap_spectrum(lam, g.q, scale=a_t.norm2, M=g.M)
-    if np.any(zero):
-        raise KernelConditionError("spectrum touches 0 where injectivity is required")
-    gk, gtheta = g.lattice
-    vals = np.exp(1j * (np.outer(gk, theta_a) + np.outer(gtheta, n_a)))
+    B = lattice_calculus(a_t, chi_values(*g.lattice), g.q, M=g.M)
+    F = g.fourier
     d, n = a_t.dim, g.size
-    Z = np.zeros((d * n, d * n), dtype=complex)
-    for gi in range(n):
-        Z[gi::n, gi::n] = (Va * vals[gi]) @ Va.conj().T
-    IF = np.kron(np.eye(d), g.fourier)
-    return IF @ Z @ IF.conj().T
-
-
-def _fq_block_diag(b_t: NormalMatrix, g: GammaGrid, params: QExpParams) -> np.ndarray:
-    """F_q(bt (x) b) as a dense matrix: block diagonal over the grid-leg
-    position basis, block g equal to F_q(gamma_g * bt)."""
-    Vb, lam = b_t.eig()
-    n_b, theta_b, zero, _ = snap_spectrum(lam, g.q, scale=b_t.norm2, M=g.M)
-    k, theta = g.times(n_b, theta_b)
-    zero = np.broadcast_to(zero, k.shape)
-    vals = fq_lattice(k.ravel(), theta.ravel(), params, zero=zero.ravel()).reshape(k.shape)
-    d, n = b_t.dim, g.size
-    W = np.zeros((d * n, d * n), dtype=complex)
-    for gi in range(n):
-        W[gi::n, gi::n] = (Vb * vals[gi]) @ Vb.conj().T
-    return W
+    return np.einsum("ga,ahk,ba->hgkb", F, B, F.conj(), optimize=True).reshape(d * n, d * n)
 
 
 def build_rep(pair, g: GammaGrid, params: QExpParams | None = None) -> Representation:
-    """Assemble U = F_q(bt (x) b) chi(at (x) I, I (x) a) for a pair on H."""
+    """Assemble U = F_q(bt (x) b) chi(at (x) I, I (x) a) for a pair on H.
+
+    F_q(bt (x) b) is block diagonal over the grid-leg position basis, with
+    block g equal to F_q(gamma_g * bt); U is its (n, d, d) blocks times
+    the matching block rows of chi.
+    """
     p = as_pair_on_h(pair)
     if params is None:
         params = QExpParams(g.q)
-    W = _fq_block_diag(p.Y, g, params)
-    V = chi_kron(p.X, g)
-    U = W @ V
+
+    def fq_grid(n, theta, zero):
+        k, theta = g.times(n, theta)
+        zero = np.broadcast_to(zero, k.shape)
+        return fq_lattice(k.ravel(), theta.ravel(), params, zero=zero.ravel()).reshape(k.shape)
+
+    W = lattice_calculus(p.Y, fq_grid, g.q, M=g.M)
+    d, n = p.dim, g.size
+    V = chi_kron(p.X, g).reshape(d, n, d * n).transpose(1, 0, 2)
+    U = (W @ V).transpose(1, 0, 2).reshape(d * n, d * n)
     defect = operator_norm(U.conj().T @ U - np.eye(U.shape[0]))
     U.setflags(write=False)
     return Representation(U=U, grid=g, h_dim=p.dim, pair=p, unitarity_defect=defect)
@@ -235,10 +225,7 @@ def corep_residual(
         w = np.einsum("kp,ipl->ikl", Pg, w)
         return np.einsum("lp,ikp->ikl", Pg, w)
 
-    # kernel projector of bt on the H leg
-    Vb, lam = rep.pair.Y.eig()
-    _, _, kermask, _ = snap_spectrum(lam, g.q, scale=rep.pair.Y.norm2)
-    Pker = (Vb[:, kermask] @ Vb[:, kermask].conj().T) if np.any(kermask) else None
+    Pker = lattice_calculus(rep.pair.Y, lambda n, theta, zero: zero, g.q)   # onto ker(bt)
 
     rng = np.random.default_rng(seed)
     comm = 0.0
@@ -257,12 +244,11 @@ def corep_residual(
         c = project(ops.q_apply(sv) - ops.s_apply(qv))
         comms.append(float(np.linalg.norm(c)))
         sscale = max(sscale, float(np.linalg.norm(sv)))
-        if Pker is not None:
-            w = np.einsum("ij,jkl->ikl", Pker, v)
-            nw = np.linalg.norm(w)
-            if nw > 1e-12:
-                w /= nw
-                kern = max(kern, float(np.linalg.norm(ops.q_apply(w) - w)))
+        w = np.einsum("ij,jkl->ikl", Pker, v)
+        nw = np.linalg.norm(w)
+        if nw > 1e-12:
+            w /= nw
+            kern = max(kern, float(np.linalg.norm(ops.q_apply(w) - w)))
     if comms and sscale > 1e-300:
         comm = max(comms) / sscale
     residual = max(comm, kern)
@@ -280,6 +266,9 @@ def g_family(rep: Representation) -> list[np.ndarray]:
     return [Ut[:, gi, :, :].sum(axis=2) for gi in range(n)]
 
 
+DEGENERACY_TOL = 1e-7   # relative off-diagonal mass flagging a degenerate family
+
+
 @dataclass(frozen=True)
 class ExtractionReport:
     """Diagnostics of the decomposition algorithm."""
@@ -295,7 +284,6 @@ def extract_pair(
     rep: Representation,
     params: QExpParams | None = None,
     seed: int = 0,
-    degeneracy_tol: float = 1e-7,
 ) -> tuple[Q2Pair, ExtractionReport]:
     """Recover the generating pair from a representation.
 
@@ -331,7 +319,7 @@ def extract_pair(
     for gi in range(0, n, max(1, n // 8)):
         C = Vhat.conj().T @ G[gi] @ Vhat
         off = max(off, operator_norm(C - np.diag(np.diag(C))))
-    degenerate = off > degeneracy_tol * max(gu, 1.0)
+    degenerate = off > DEGENERACY_TOL * max(gu, 1.0)
 
     betas: list[GammaPoint] = []
     inv_res = 0.0
@@ -358,7 +346,7 @@ def extract_pair(
             E += G[gi].conj().T @ Ut[:, gi, :, tgt[gi]]
         E /= n
         Esum += E
-        a_t += g.points[di].value(g.q) * E
+        a_t += g.values[di] * E
     completeness = operator_norm(Esum - eye)
 
     report = ExtractionReport(
@@ -403,8 +391,18 @@ def load_representation(path: str) -> Representation:
     if payload.get("format_version") != FORMAT_VERSION:
         raise ParameterError(f"unsupported format version {payload.get('format_version')}")
     g = GammaGrid(payload["q"], payload["M"])
-    shape = tuple(payload["u_shape"])
-    U = np.frombuffer(base64.b64decode(payload["u_data_b64"]), dtype=complex).reshape(shape).copy()
-    defect = operator_norm(U.conj().T @ U - np.eye(shape[0]))
+    d = payload["d"]
+    if type(d) is not int or d < 1:
+        raise DomainError(f"d must be a positive integer, got {d!r}")
+    dim = d * g.size
+    if payload["u_shape"] != [dim, dim]:
+        raise DimensionError(f"u_shape {payload['u_shape']} is not [d*M^2, d*M^2] = [{dim}, {dim}]")
+    raw = base64.b64decode(payload["u_data_b64"])
+    if len(raw) != 16 * dim * dim:
+        raise DimensionError(f"expected {dim * dim} complex entries, got {len(raw) / 16:g}")
+    U = np.frombuffer(raw, dtype=complex).reshape(dim, dim).copy()
+    if not np.all(np.isfinite(U.view(float))):
+        raise DomainError("representation entries must be finite")
+    defect = operator_norm(U.conj().T @ U - np.eye(dim))
     U.setflags(write=False)
-    return Representation(U=U, grid=g, h_dim=payload["d"], pair=None, unitarity_defect=defect)
+    return Representation(U=U, grid=g, h_dim=d, pair=None, unitarity_defect=defect)

@@ -142,12 +142,6 @@ class GammaPoint:
             return rational_point(self.k + other.k, num, den)
         return GammaPoint(self.k + other.k, reduce_angle(self.theta + other.theta))
 
-    def scale_modulus(self, dk: int) -> "GammaPoint":
-        """Multiply by q^dk (lattice translation of the modulus index)."""
-        if self.zero:
-            return self
-        return GammaPoint(self.k + dk, self.theta, frac=self.frac)
-
 
 def make_point(k: int, theta: float) -> GammaPoint:
     """Lattice point q^k * e^{i theta} with the angle reduced to [0, 2 pi)."""

@@ -5,15 +5,17 @@ versions are exactly normal, so every matrix carries a normality defect
 ||T T* - T* T||_2.  Functional calculus goes through the complex Schur
 form: the unitary Schur factor is accepted as an eigenvector basis and
 the strictly upper-triangular part is discarded.  For defects below the
-threshold (1e-6 * ||T||^2 by default, the commutator scale) this agrees
-with the spectral theorem to roundoff; above it the computation still
-completes but the matrix is flagged degraded, and callers treat the flag
-as a failed check.
+threshold 1e-6 * ||T||^2 (the commutator scale) this agrees with the
+spectral theorem to roundoff; above it the computation still completes
+but the matrix is flagged degraded, and callers treat the flag as a
+failed check.
 
-Eigenvalue moduli are snapped to the lattice q^Z for function evaluation
-by :func:`qazb.gamma.snap_spectrum` (the lattice circles are full, so
-phases are not snapped here); diagnostics such as :func:`gamma_distance`
-always report the unsnapped values.
+Every function of a normal matrix on the lattice goes through one
+routine, :func:`lattice_calculus`: Schur basis V, eigenvalues snapped to
+lattice data (n, theta, zero) by :func:`qazb.gamma.snap_spectrum`, values
+f(n, theta, zero), and V diag(f) V*.  A leading axis of f gives a stack of
+such matrices in one batched product.  Diagnostics such as
+:func:`gamma_distance` always report the unsnapped values.
 """
 
 from __future__ import annotations
@@ -31,8 +33,10 @@ __all__ = [
     "eig_normal",
     "apply_fn",
     "chi_op",
+    "chi_values",
     "closure_sum",
     "gamma_distance",
+    "lattice_calculus",
     "snap_spectrum",
 ]
 
@@ -54,7 +58,7 @@ class NormalMatrix:
     lock), so concurrent readers are safe.
     """
 
-    def __init__(self, entries, defect_rtol: float = DEFAULT_DEFECT_RTOL):
+    def __init__(self, entries):
         m = np.array(entries, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {m.shape}")
@@ -62,7 +66,6 @@ class NormalMatrix:
             raise DomainError("matrix entries must be finite")
         m.setflags(write=False)
         self._m = m
-        self._defect_rtol = float(defect_rtol)
         self._lock = threading.Lock()
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
         self._schur_offdiag: float | None = None
@@ -97,7 +100,7 @@ class NormalMatrix:
 
     @property
     def defect_threshold(self) -> float:
-        return self._defect_rtol * self.norm2 ** 2
+        return DEFAULT_DEFECT_RTOL * self.norm2 ** 2
 
     @property
     def degraded(self) -> bool:
@@ -111,12 +114,9 @@ class NormalMatrix:
                 if self._eig is None:
                     if self.dim == 0:
                         self._eig = (np.zeros((0, 0), complex), np.zeros(0, complex))
-                        self._schur_offdiag = 0.0
                     else:
                         S, V = scipy.linalg.schur(self._m, output="complex")
                         lam = np.diag(S).copy()
-                        off = S - np.diag(lam)
-                        self._schur_offdiag = operator_norm(off)
                         lam.setflags(write=False)
                         V = np.ascontiguousarray(V)
                         V.setflags(write=False)
@@ -125,8 +125,11 @@ class NormalMatrix:
 
     @property
     def schur_offdiag(self) -> float:
-        """Norm of the discarded strictly-off-diagonal Schur block."""
-        self.eig()
+        """Norm of the discarded strictly-off-diagonal Schur block, computed
+        on first read as ||T V - V diag(lam)||_2 (equal, V being unitary)."""
+        if self._schur_offdiag is None:
+            V, lam = self.eig()
+            self._schur_offdiag = operator_norm(self._m @ V - V * lam)
         return self._schur_offdiag
 
     def __repr__(self) -> str:
@@ -149,22 +152,56 @@ def eig_normal(T) -> tuple[np.ndarray, np.ndarray, float]:
     return V, lam, max(nm.normality_defect, nm.schur_offdiag)
 
 
+def lattice_calculus(T, f, q: float, M: int | None = None, rtol: float | None = None) -> np.ndarray:
+    """V f(n, theta, zero) V* for a normal matrix T = V diag(lam) V*.
+
+    The eigenvalues are snapped by :func:`snap_spectrum` (scale ||T||,
+    grid order `M`, admissible relative distance `rtol`) to modulus
+    indices n, phases theta and the zero mask.  `f` maps these arrays to
+    values of shape (..., dim); leading axes give a stack of matrices.
+    """
+    nm = _as_normal(T)
+    V, lam = nm.eig()
+    n, theta, zero, _ = snap_spectrum(lam, q, rtol=rtol, scale=nm.norm2, M=M)
+    vals = np.asarray(f(n, theta, zero), dtype=complex)
+    if vals.shape[-1:] != lam.shape:
+        raise DimensionError("f must map the lattice data to values on its last axis")
+    return (V * vals[..., None, :]) @ V.conj().T
+
+
 def apply_fn(T, f, q: float | None = None, snap_rtol: float | None = None) -> np.ndarray:
     """Spectral functional calculus V f(lam) V* for a scalar function f.
 
     `f` receives the eigenvalue array (complex).  When `q` is given the
-    eigenvalue moduli are snapped to the lattice first; `snap_rtol` then
-    bounds the admissible relative distance (SpectrumError beyond it).
+    eigenvalues are snapped by :func:`lattice_calculus` first; `snap_rtol`
+    then bounds the admissible relative distance (SpectrumError beyond it).
     """
-    nm = _as_normal(T)
-    V, lam = nm.eig()
-    if q is not None:
-        n, theta, zero, _ = snap_spectrum(lam, q, rtol=snap_rtol, scale=nm.norm2)
-        lam = np.where(zero, 0.0, q ** n.astype(float) * np.exp(1j * theta))
-    vals = np.asarray(f(lam), dtype=complex)
-    if vals.shape != lam.shape:
-        raise DimensionError("f must map the eigenvalue array elementwise")
-    return (V * vals) @ V.conj().T
+    def values(lam):
+        vals = np.asarray(f(lam), dtype=complex)
+        if vals.shape != lam.shape:
+            raise DimensionError("f must map the eigenvalue array elementwise")
+        return vals
+
+    if q is None:
+        V, lam = _as_normal(T).eig()
+        return (V * values(lam)) @ V.conj().T
+    return lattice_calculus(T, lambda n, theta, zero: values(
+        np.where(zero, 0.0, q ** n.astype(float) * np.exp(1j * theta))), q, rtol=snap_rtol)
+
+
+def chi_values(k, theta):
+    """The :func:`lattice_calculus` map of chi(., gamma'), gamma' = q^k
+    e^{i theta}: x -> e^{i (k arg x + log_q|x| theta)}, with x != 0.
+    Arrays (k, theta) give a leading axis."""
+    k = np.asarray(k)[..., None]
+    theta = np.asarray(theta, dtype=float)[..., None]
+
+    def f(n, th, zero):
+        if np.any(zero):
+            raise KernelConditionError("chi(X, gamma) requires ker X = {0}; spectrum touches 0")
+        return np.exp(1j * (k * th + n * theta))
+
+    return f
 
 
 def chi_op(X, point: GammaPoint, q: float, snap_rtol: float | None = None) -> np.ndarray:
@@ -177,16 +214,7 @@ def chi_op(X, point: GammaPoint, q: float, snap_rtol: float | None = None) -> np
     """
     if point.zero:
         raise DomainError("chi_op is defined for nonzero lattice points only")
-    nm = _as_normal(X)
-    V, lam = nm.eig()
-    n, theta, zero, _ = snap_spectrum(lam, q, rtol=snap_rtol, scale=nm.norm2)
-    if np.any(zero):
-        raise KernelConditionError(
-            "chi(X, gamma) requires ker X = {0}; spectrum touches 0"
-        )
-    ang = point.k * theta + n * point.theta
-    vals = np.exp(1j * ang)
-    return (V * vals) @ V.conj().T
+    return lattice_calculus(X, chi_values(point.k, point.theta), q, rtol=snap_rtol)
 
 
 def closure_sum(X, Y) -> NormalMatrix:

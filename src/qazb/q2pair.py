@@ -37,6 +37,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import DimensionError, ParameterError
 from .gamma import GammaGrid, GammaPoint, centered_index, snap_spectrum
@@ -68,26 +69,17 @@ def interior_mask(M: int, margin: int) -> np.ndarray:
     return (c >= -M // 2 + margin) & (c <= M // 2 - 1 - margin)
 
 
-def interior_window(
-    g: GammaGrid,
-    margin: int,
-    position: bool = True,
-    fourier: bool = True,
-) -> np.ndarray:
-    """Orthogonal projector onto grid vectors interior in the requested
-    domains.  The position mask restricts the modulus axis directly; the
-    Fourier mask is the same restriction conjugated by F_M, which acts on
-    the phase axis only, so the two factors commute."""
+def interior_window(g: GammaGrid, margin: int) -> np.ndarray:
+    """Orthogonal projector onto grid vectors interior in both the position
+    and the Fourier domain.  The position mask restricts the modulus axis
+    directly; the Fourier mask is the same restriction conjugated by F_M,
+    which acts on the phase axis only, so the two factors commute."""
     M = g.M
     if margin < 0:
         raise ParameterError(f"margin must be nonnegative, got {margin}")
     d = np.repeat(interior_mask(M, margin), M).astype(float)
-    P = np.eye(g.size, dtype=complex)
-    if fourier:
-        F = g.fourier
-        P = F.conj().T @ (d[:, None] * F)
-    if position:
-        P = d[:, None] * P
+    F = g.fourier
+    P = d[:, None] * (F.conj().T @ (d[:, None] * F))
     return (P + P.conj().T) / 2.0
 
 
@@ -310,17 +302,6 @@ def windowed_modulus_distance(pair: Q2Pair, S: NormalMatrix | None = None) -> fl
     return float(np.mean(np.where(zero, 0.0, rel)))
 
 
-def _blockdiag(mats: list[np.ndarray]) -> np.ndarray:
-    n = sum(m.shape[0] for m in mats)
-    out = np.zeros((n, n), dtype=complex)
-    at = 0
-    for m in mats:
-        d = m.shape[0]
-        out[at:at + d, at:at + d] = m
-        at += d
-    return out
-
-
 def random_regular_pair(blocks, seed: int, g: GammaGrid) -> Q2Pair:
     """Direct sum of elementary regular blocks on a small Hilbert space.
 
@@ -361,11 +342,11 @@ def random_regular_pair(blocks, seed: int, g: GammaGrid) -> Q2Pair:
         else:
             raise ParameterError(f"unknown block kind {kind!r}")
     return Q2Pair(
-        Y=NormalMatrix(_blockdiag(ys)),
-        X=NormalMatrix(_blockdiag(xs)),
+        Y=NormalMatrix(block_diag(*ys)),
+        X=NormalMatrix(block_diag(*xs)),
         grid=g,
         margin=-(-g.M // 4),
-        window=_blockdiag(ws),
+        window=block_diag(*ws),
         provenance=tuple(prov),
     )
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import AmbiguityError, DomainError
 from .gamma import GammaGrid, GammaPoint, snap_spectrum, zero_point
-from .opalg import NormalMatrix
+from .opalg import lattice_calculus
 
 __all__ = [
     "QExpParams",
@@ -180,17 +180,13 @@ def fq_family(beta: GammaPoint, g: GammaGrid, p: QExpParams) -> np.ndarray:
 def fq_on_operator(T, p: QExpParams, M: int | None = None) -> np.ndarray:
     """Spectral functional calculus: V diag(F_q(lambda_i)) V*.
 
-    `T` is a NormalMatrix (or array accepted by it); eigenvalues are
-    snapped to the lattice for evaluation, their phases to the grid of
-    order `M` when given, while diagnostics keep the raw values.  The
-    result is unitary up to ~10x the relative normality defect of T.
+    `T` is a NormalMatrix (or array accepted by it); through
+    :func:`qazb.opalg.lattice_calculus` its eigenvalues are snapped to the
+    lattice for evaluation, their phases to the grid of order `M` when
+    given, while diagnostics keep the raw values.  The result is unitary
+    up to ~10x the relative normality defect of T.
     """
-    if not isinstance(T, NormalMatrix):
-        T = NormalMatrix(T)
-    V, lam = T.eig()
-    n, theta, zero, _ = snap_spectrum(lam, p.q, scale=T.norm2, M=M)
-    vals = fq_lattice(n, theta, p, zero=zero)
-    return (V * vals) @ V.conj().T
+    return lattice_calculus(T, lambda n, theta, zero: fq_lattice(n, theta, p, zero=zero), p.q, M=M)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qazb.corpus import load_pinned
-from qazb.errors import ExtractionError, ParameterError
+from qazb.errors import DimensionError, DomainError, ExtractionError, ParameterError
 from qazb.gamma import grid
 from qazb.opalg import NormalMatrix, operator_norm
 from qazb.q2pair import (
@@ -230,11 +230,16 @@ def test_chi_kron_unitary():
     assert operator_norm(V @ V.conj().T - np.eye(16)) < 1e-12
 
 
-def test_chi_kron_position_blocks_match_chi():
+@pytest.mark.parametrize(
+    "M, idx",
+    [(4, [(2, 1), (3, 2), (1, 3)]), (6, [(5, 0), (0, 3), (2, 5), (4, 1)])],
+    ids=["M4", "M6"],
+)
+def test_chi_kron_position_blocks_match_chi(M, idx):
     from qazb.gamma import chi
 
-    g = grid(0.5, 4)
-    alphas = [g.point(2, 1), g.point(3, 2), g.point(1, 3)]
+    g = grid(0.5, M)
+    alphas = [g.point(k, j) for k, j in idx]
     pair = random_regular_pair([("trivial", a) for a in alphas], seed=0, g=g)
     d, n = len(alphas), g.size
     IF = np.kron(np.eye(d), g.fourier)
@@ -242,3 +247,70 @@ def test_chi_kron_position_blocks_match_chi():
     for gi, gp in enumerate(g.points):
         want = np.diag([chi(a, gp) for a in alphas])
         assert np.abs(Z[gi::n, gi::n] - want).max() < 1e-13
+
+
+def dense_reference_u(pair, g):
+    """U = W (IF Z IF*) with W and Z block diagonal over grid positions,
+    materialised densely slot by slot: the reference for build_rep."""
+    from qazb.gamma import snap_spectrum
+    from qazb.qexp import QExpParams, fq_lattice
+
+    d, n = pair.dim, g.size
+    Vb, lam = pair.Y.eig()
+    nb, tb, zb, _ = snap_spectrum(lam, g.q, scale=pair.Y.norm2, M=g.M)
+    k, theta = g.times(nb, tb)
+    fqv = fq_lattice(k.ravel(), theta.ravel(), QExpParams(g.q),
+                     zero=np.broadcast_to(zb, k.shape).ravel()).reshape(k.shape)
+    Va, lam = pair.X.eig()
+    na, ta, _, _ = snap_spectrum(lam, g.q, scale=pair.X.norm2, M=g.M)
+    gk, gtheta = g.lattice
+    chiv = np.exp(1j * (np.outer(gk, ta) + np.outer(gtheta, na)))
+    W = np.zeros((d * n, d * n), dtype=complex)
+    Z = np.zeros((d * n, d * n), dtype=complex)
+    for gi in range(n):
+        W[gi::n, gi::n] = (Vb * fqv[gi]) @ Vb.conj().T
+        Z[gi::n, gi::n] = (Va * chiv[gi]) @ Va.conj().T
+    IF = np.kron(np.eye(d), g.fourier)
+    return W @ (IF @ Z @ IF.conj().T)
+
+
+@pytest.mark.parametrize("case", ["schrodinger-4", "schrodinger-6", "seeded-d8-8"])
+def test_build_rep_matches_dense_reference(case):
+    kind, *rest = case.split("-")
+    if kind == "schrodinger":
+        g = grid(0.5, int(rest[0]))
+        pair = schrodinger_pair(g)
+    else:
+        g = grid(0.5, 8)
+        pair = random_regular_pair(seeded_block_specs(5, 8, g), seed=5, g=g)
+    U = build_rep(pair, g).U
+    assert np.abs(U - dense_reference_u(pair, g)).max() < 1e-13
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("d", 2, DimensionError),
+        ("d", 0, DomainError),
+        ("u_shape", [8, 32], DimensionError),
+        ("u_data_b64", "nan", DomainError),
+        ("u_data_b64", "short", DimensionError),
+    ],
+)
+def test_load_rejects_tampered_file(tmp_path, field, value, error):
+    import base64
+    import json
+
+    g = grid(0.5, 4)
+    pair = random_regular_pair([("trivial", g.point(1, 1))], seed=0, g=g)
+    path = tmp_path / "rep.json"
+    save_representation(build_rep(pair, g), str(path))
+    payload = json.loads(path.read_text())
+    if field == "u_data_b64":
+        U = np.frombuffer(base64.b64decode(payload[field]), dtype=complex).copy()
+        U = U[:-1] if value == "short" else np.where(np.arange(U.size) == 3, np.nan, U)
+        value = base64.b64encode(U.tobytes()).decode("ascii")
+    payload[field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(error):
+        load_representation(str(path))

@@ -10,13 +10,15 @@ from qazb.opalg import (
     NormalMatrix,
     apply_fn,
     chi_op,
+    chi_values,
     closure_sum,
     eig_normal,
     gamma_distance,
+    lattice_calculus,
     operator_norm,
     snap_spectrum,
 )
-from qazb.qexp import QExpParams, fq_complex
+from qazb.qexp import QExpParams, fq_complex, fq_lattice
 
 
 def random_normal_matrix(dim, seed):
@@ -53,6 +55,16 @@ def test_eig_normal_sum_truncation_signature():
     Y = g.fourier.conj().T @ X @ g.fourier
     _, _, defect = eig_normal(X + Y)
     assert defect == pytest.approx(pinned["sum_defect_absolute_m8"], rel=1e-10)
+
+
+def test_schur_offdiag_matches_scipy_schur():
+    import scipy.linalg
+
+    rng = np.random.default_rng(11)
+    A = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    S, _ = scipy.linalg.schur(A, output="complex")
+    want = np.linalg.norm(np.triu(S, 1), 2)
+    assert NormalMatrix(A).schur_offdiag == pytest.approx(want, rel=1e-12)
 
 
 def test_eig_normal_rejects_non_finite():
@@ -92,6 +104,32 @@ def test_apply_fn_homomorphism():
 def test_apply_fn_snap_strictness():
     with pytest.raises(SpectrumError):
         apply_fn(np.diag([1.1 + 0j, 0.5]), lambda z: z, q=0.5, snap_rtol=1e-9)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_lattice_calculus_matches_explicit_spectral_sum(stacked):
+    # T = Q diag(q^n e^{i theta}) Q* with distinct lattice eigenvalues (one
+    # zero in the unstacked case); the reference is Q diag(f) Q* on the
+    # exact lattice data
+    q, dim = 0.5, 9
+    rng = np.random.default_rng(21)
+    n = np.arange(-4, 5)
+    theta = rng.uniform(0.1, 6.2, dim)
+    zero = np.arange(dim) == 0 if not stacked else np.zeros(dim, dtype=bool)
+    lam = np.where(zero, 0.0, q ** n.astype(float) * np.exp(1j * theta))
+    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    Qu, _ = np.linalg.qr(A)
+    T = Qu @ np.diag(lam) @ Qu.conj().T
+    if stacked:
+        f = chi_values(np.array([1, -2, 3]), np.array([0.3, 2.0, 5.1]))
+    else:
+        p = QExpParams(q)
+        f = lambda n, theta, zero: fq_lattice(n, theta, p, zero=zero)
+    got = lattice_calculus(T, f, q)
+    vals = np.asarray(f(n, theta, zero))
+    want = np.stack([(Qu * v) @ Qu.conj().T for v in vals.reshape(-1, dim)])
+    assert got.shape == vals.shape[:-1] + (dim, dim)
+    assert np.abs(got.reshape(want.shape) - want).max() < 1e-12
 
 
 def test_chi_op_at_identity():
