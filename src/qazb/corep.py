@@ -28,13 +28,22 @@ the product Q = U_12 U_13 (V_12 V_13)* equals, in the continuum,
 F_q applied to the closure of S' = bt (x) a (x) b + bt (x) b (x) I, so Q
 commutes with S' on the interior window and acts as the identity on
 ker(bt) (x) grid legs, where S' vanishes and F_q(0) = 1.
+
+U = W V is kept as its two block factors: W = F_q(bt (x) b) is block
+diagonal over grid positions, and V = (I (x) F) Z (I (x) F*) conjugates
+the block-diagonal Z = blocks chi(at, gamma_a) by the grid Fourier
+unitary F.  The residual applies U and V through these factors, and the
+unitarity defect of a built U is certified from the factors' defects; the
+dense U is materialised only when it is read.
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,19 +81,48 @@ def as_pair_on_h(pair) -> Q2Pair:
     return pair
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory of the machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 @dataclass(frozen=True)
 class Representation:
-    """A unitary on H (x) H_grid, flat index h * M^2 + g (H-major)."""
+    """A unitary U on H (x) H_grid, flat index h * M^2 + g (H-major).
 
-    U: np.ndarray
+    A built representation holds U = W V as its factors' (n, d, d) block
+    stacks, n = M^2: `fq_blocks` F_q(gamma_g * bt) of the block-diagonal
+    W, one per grid position g, and `chi_blocks` chi(at, gamma_a) of
+    V = (I (x) F) Z (I (x) F*), one per Fourier slot a.  The dense `U` is
+    built from them on first read (refused with ParameterError when its
+    16 (d M^2)^2 bytes exceed physical memory); a loaded representation
+    holds only its dense U.
+    """
+
     grid: GammaGrid
     h_dim: int
     pair: Q2Pair | None = None
     unitarity_defect: float = 0.0
+    fq_blocks: np.ndarray | None = None
+    chi_blocks: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
-        return self.U.shape[0]
+        return self.h_dim * self.grid.size
+
+    @cached_property
+    def U(self) -> np.ndarray:
+        need, have = 16 * self.dim ** 2, _physical_memory()
+        if need > have:
+            raise ParameterError(
+                f"dense U of dimension {self.dim} needs {need} bytes, "
+                f"more than the {have} bytes of physical memory"
+            )
+        d, n = self.h_dim, self.grid.size
+        V = _conjugate_by_fourier(self.chi_blocks, self.grid).reshape(d, n, d * n).transpose(1, 0, 2)
+        U = (self.fq_blocks @ V).transpose(1, 0, 2).reshape(d * n, d * n)
+        U.setflags(write=False)
+        return U
 
 
 def grid_operators(g: GammaGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -111,6 +149,19 @@ def coproduct(g: GammaGrid) -> tuple[np.ndarray, NormalMatrix]:
     return delta_a, delta_b
 
 
+def _conjugate_by_fourier(B: np.ndarray, g: GammaGrid) -> np.ndarray:
+    """(I (x) F) blockdiag(B) (I (x) F*) as a dense matrix on H (x) H_grid,
+    for blocks B (n, d, d) indexed by the Fourier slot; one contraction."""
+    F = g.fourier
+    n, d, _ = B.shape
+    return np.einsum("ga,ahk,ba->hgkb", F, B, F.conj(), optimize=True).reshape(d * n, d * n)
+
+
+def _chi_blocks(a_t: NormalMatrix, g: GammaGrid) -> np.ndarray:
+    """The blocks chi(at, gamma_g), one per grid point g, as an (n, d, d) stack."""
+    return lattice_calculus(a_t, chi_values(*g.lattice), g.q, M=g.M)
+
+
 def chi_kron(a_t: NormalMatrix, g: GammaGrid) -> np.ndarray:
     """chi(at (x) I, I (x) a) as a dense unitary on H (x) H_grid.
 
@@ -118,18 +169,25 @@ def chi_kron(a_t: NormalMatrix, g: GammaGrid) -> np.ndarray:
     the blocks chi(at, gamma_g), one per grid position g, conjugated by
     I (x) F in one contraction.
     """
-    B = lattice_calculus(a_t, chi_values(*g.lattice), g.q, M=g.M)
-    F = g.fourier
-    d, n = a_t.dim, g.size
-    return np.einsum("ga,ahk,ba->hgkb", F, B, F.conj(), optimize=True).reshape(d * n, d * n)
+    return _conjugate_by_fourier(_chi_blocks(a_t, g), g)
+
+
+def _block_defect(blocks: np.ndarray) -> float:
+    """max ||B* B - 1||_2 over a stack of square blocks, or of one matrix."""
+    gram = blocks.conj().swapaxes(-1, -2) @ blocks - np.eye(blocks.shape[-1])
+    return float(np.max(np.linalg.norm(gram, 2, axis=(-2, -1))))
 
 
 def build_rep(pair, g: GammaGrid, params: QExpParams | None = None) -> Representation:
-    """Assemble U = F_q(bt (x) b) chi(at (x) I, I (x) a) for a pair on H.
+    """Factor U = F_q(bt (x) b) chi(at (x) I, I (x) a) for a pair on H.
 
     F_q(bt (x) b) is block diagonal over the grid-leg position basis, with
-    block g equal to F_q(gamma_g * bt); U is its (n, d, d) blocks times
-    the matching block rows of chi.
+    block g equal to F_q(gamma_g * bt); chi is the blocks chi(at, gamma_a)
+    conjugated by I (x) F.  Both (n, d, d) stacks are kept on the
+    representation.  The unitarity defect is certified from the factors:
+    if A* A - 1 and B* B - 1 have norms a and b, then (AB)* AB - 1 has norm
+    at most (1 + a)(1 + b) - 1, applied to the factors W, I (x) F, Z and
+    I (x) F* of U (||F F* - 1|| = ||F* F - 1||).
     """
     p = as_pair_on_h(pair)
     if params is None:
@@ -141,52 +199,78 @@ def build_rep(pair, g: GammaGrid, params: QExpParams | None = None) -> Represent
         return fq_lattice(k.ravel(), theta.ravel(), params, zero=zero.ravel()).reshape(k.shape)
 
     W = lattice_calculus(p.Y, fq_grid, g.q, M=g.M)
-    d, n = p.dim, g.size
-    V = chi_kron(p.X, g).reshape(d, n, d * n).transpose(1, 0, 2)
-    U = (W @ V).transpose(1, 0, 2).reshape(d * n, d * n)
-    defect = operator_norm(U.conj().T @ U - np.eye(U.shape[0]))
-    U.setflags(write=False)
-    return Representation(U=U, grid=g, h_dim=p.dim, pair=p, unitarity_defect=defect)
+    B = _chi_blocks(p.X, g)
+    defect_f = _block_defect(g.fourier)
+    defect = 0.0
+    for delta in (_block_defect(W), defect_f, defect_f, _block_defect(B)):
+        defect += delta + defect * delta
+    for blocks in (W, B):
+        blocks.setflags(write=False)
+    return Representation(grid=g, h_dim=p.dim, pair=p, unitarity_defect=defect,
+                          fq_blocks=W, chi_blocks=B)
+
+
+def _on_h(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A d x d matrix A on the H leg of a (d, ...) tensor."""
+    return (A @ v.reshape(A.shape[1], -1)).reshape(v.shape)
 
 
 class _LegOps:
-    """Matrix-free actions on H (x) grid (x) grid tensors (d, n, n)."""
+    """Actions on H (x) grid (x) grid tensors (d, n, n) through the block
+    factors of U = W V, V = (I (x) F) Z (I (x) F*).
+
+    A leg application is a grid-axis multiply by F*, a batched (n, d, d)
+    block product with Z (or Z*), a multiply by F and, for U, a block
+    product with W: O(d n^2 + n d^2) per vector of H (x) grid, where the
+    dense U and V cost O(d^2 n^2).
+    """
 
     def __init__(self, rep: Representation):
         if rep.pair is None:
             raise ExtractionError("corep residual needs the generating pair; extract it first")
-        self.rep = rep
         self.g = rep.grid
         self.d = rep.h_dim
         self.n = self.g.size
-        self.b, self.a = grid_operators(self.g)
-        self.V = chi_kron(rep.pair.X, self.g)
+        self.F = self.g.fourier
+        self.Fh = self.F.conj()   # F* (F is symmetric)
+        self.W = rep.fq_blocks
+        self.Z = rep.chi_blocks
+        self.Zh = self.Z.conj().transpose(0, 2, 1)
+        self.bvals = self.g.values
+        self.a = grid_operators(self.g)[1]
         self.bt = rep.pair.Y.entries
 
-    def _on_leg12(self, A: np.ndarray, v: np.ndarray, adjoint=False) -> np.ndarray:
+    def _leg(self, v: np.ndarray, leg: int, Z: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
+        """W (I (x) F) blockdiag(Z) (I (x) F*) on H and grid leg `leg` (1 or 2)."""
         d, n = self.d, self.n
-        m = A.conj().T if adjoint else A
-        return (m @ v.reshape(d * n, n)).reshape(d, n, n)
+        order = (1, 0, 2) if leg == 1 else (2, 0, 1)
+        x = v.transpose(order).reshape(n, d * n)   # the acted grid leg first
+        x = (Z @ (self.Fh @ x).reshape(n, d, n)).reshape(n, d * n)
+        x = (self.F @ x).reshape(n, d, n)
+        if W is not None:
+            x = W @ x
+        return x.transpose(np.argsort(order))
 
-    def _on_leg13(self, A: np.ndarray, v: np.ndarray, adjoint=False) -> np.ndarray:
-        w = v.transpose(0, 2, 1).copy()
-        w = self._on_leg12(A, w, adjoint)
-        return w.transpose(0, 2, 1)
+    def u12(self, v: np.ndarray) -> np.ndarray:
+        return self._leg(v, 1, self.Z, self.W)
+
+    def u13(self, v: np.ndarray) -> np.ndarray:
+        return self._leg(v, 2, self.Z, self.W)
+
+    def vh12(self, v: np.ndarray) -> np.ndarray:
+        return self._leg(v, 1, self.Zh)
+
+    def vh13(self, v: np.ndarray) -> np.ndarray:
+        return self._leg(v, 2, self.Zh)
 
     def q_apply(self, v: np.ndarray) -> np.ndarray:
         """Q = U_12 U_13 (V_12 V_13)* applied to a (d, n, n) tensor."""
-        w = self._on_leg12(self.V, v, adjoint=True)
-        w = self._on_leg13(self.V, w, adjoint=True)
-        w = self._on_leg13(self.rep.U, w)
-        return self._on_leg12(self.rep.U, w)
+        return self.u12(self.u13(self.vh13(self.vh12(v))))
 
     def s_apply(self, v: np.ndarray) -> np.ndarray:
         """S' = bt (x) a (x) b + bt (x) b (x) I applied to a tensor."""
-        w1 = np.einsum("ij,jkl->ikl", self.bt, v)
-        x = np.einsum("kp,ipl->ikl", self.a, w1)
-        x = x * np.diag(self.b)[None, None, :]
-        y = np.einsum("kp,ipl->ikl", self.b, w1)
-        return x + y
+        w = _on_h(self.bt, v)
+        return (self.a @ w) * self.bvals + self.bvals[:, None] * w
 
 
 @dataclass(frozen=True)
@@ -221,9 +305,7 @@ def corep_residual(
     Ph = rep.pair.window_or_identity()
 
     def project(v):
-        w = np.einsum("ij,jkl->ikl", Ph, v)
-        w = np.einsum("kp,ipl->ikl", Pg, w)
-        return np.einsum("lp,ikp->ikl", Pg, w)
+        return (Pg @ _on_h(Ph, v)) @ Pg.T
 
     Pker = lattice_calculus(rep.pair.Y, lambda n, theta, zero: zero, g.q)   # onto ker(bt)
 
@@ -244,7 +326,7 @@ def corep_residual(
         c = project(ops.q_apply(sv) - ops.s_apply(qv))
         comms.append(float(np.linalg.norm(c)))
         sscale = max(sscale, float(np.linalg.norm(sv)))
-        w = np.einsum("ij,jkl->ikl", Pker, v)
+        w = _on_h(Pker, v)
         nw = np.linalg.norm(w)
         if nw > 1e-12:
             w /= nw
@@ -367,6 +449,7 @@ def extract_pair(
 
 
 FORMAT_VERSION = 1
+LOAD_UNITARITY_TOL = 1e-10   # largest ||U* U - 1||_2 a loaded representation may have
 
 
 def save_representation(rep: Representation, path: str) -> None:
@@ -404,5 +487,9 @@ def load_representation(path: str) -> Representation:
     if not np.all(np.isfinite(U.view(float))):
         raise DomainError("representation entries must be finite")
     defect = operator_norm(U.conj().T @ U - np.eye(dim))
+    if defect > LOAD_UNITARITY_TOL:
+        raise DomainError(f"unitarity defect {defect:.3e} exceeds {LOAD_UNITARITY_TOL:g}")
     U.setflags(write=False)
-    return Representation(U=U, grid=g, h_dim=d, pair=None, unitarity_defect=defect)
+    rep = Representation(grid=g, h_dim=d, unitarity_defect=defect)
+    vars(rep)["U"] = U   # the cached dense U is all a loaded representation has
+    return rep

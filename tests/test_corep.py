@@ -274,17 +274,88 @@ def dense_reference_u(pair, g):
     return W @ (IF @ Z @ IF.conj().T)
 
 
-@pytest.mark.parametrize("case", ["schrodinger-4", "schrodinger-6", "seeded-d8-8"])
-def test_build_rep_matches_dense_reference(case):
+CASES = ["schrodinger-4", "schrodinger-6", "seeded-d8-8"]
+
+
+def case_pair(case):
+    """The grid and pair of a CASES id: the Schrodinger pair at M, or a
+    seeded d = 8 pair at M = 8."""
     kind, *rest = case.split("-")
     if kind == "schrodinger":
         g = grid(0.5, int(rest[0]))
-        pair = schrodinger_pair(g)
-    else:
-        g = grid(0.5, 8)
-        pair = random_regular_pair(seeded_block_specs(5, 8, g), seed=5, g=g)
+        return g, schrodinger_pair(g)
+    g = grid(0.5, 8)
+    return g, random_regular_pair(seeded_block_specs(5, 8, g), seed=5, g=g)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_build_rep_matches_dense_reference(case):
+    g, pair = case_pair(case)
     U = build_rep(pair, g).U
     assert np.abs(U - dense_reference_u(pair, g)).max() < 1e-13
+
+
+def dense_leg(A, v, leg, adjoint=False):
+    """A (or A*) on H (x) grid leg `leg` of a (d, n, n) tensor, as a dense
+    (d n) x (d n) product: the reference for the block leg operators."""
+    d, n, _ = v.shape
+    m = A.conj().T if adjoint else A
+    w = v if leg == 1 else v.transpose(0, 2, 1)
+    w = (m @ w.reshape(d * n, n)).reshape(d, n, n)
+    return w if leg == 1 else w.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_leg_operators_match_dense_route(case):
+    from qazb.corep import _LegOps
+
+    g, pair = case_pair(case)
+    rep = build_rep(pair, g)
+    ops = _LegOps(rep)
+    U, V = rep.U, chi_kron(pair.X, g)
+    d, n = pair.dim, g.size
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+    vh = dense_leg(V, dense_leg(V, v, 1, adjoint=True), 2, adjoint=True)
+    checks = [
+        (ops.u12(v), dense_leg(U, v, 1)),
+        (ops.u13(v), dense_leg(U, v, 2)),
+        (ops.vh12(v), dense_leg(V, v, 1, adjoint=True)),
+        (ops.vh13(v), dense_leg(V, v, 2, adjoint=True)),
+        (ops.q_apply(v), dense_leg(U, dense_leg(U, vh, 2), 1)),
+    ]
+    for got, want in checks:
+        assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_unitarity_certificate_bounds_dense_defect(case):
+    g, pair = case_pair(case)
+    rep = build_rep(pair, g)
+    dense = operator_norm(rep.U.conj().T @ rep.U - np.eye(rep.dim))
+    assert rep.unitarity_defect < 1e-12
+    assert dense < 1e-12
+    assert dense <= 2 * rep.unitarity_defect
+
+
+def test_residual_leaves_u_unmaterialised():
+    g = grid(0.5, 6)
+    rep = build_rep(schrodinger_pair(g, margin=2), g)
+    corep_residual(rep, samples=4, seed=1, margin=2)
+    assert "U" not in vars(rep)
+
+
+def test_dense_u_refused_beyond_physical_memory(monkeypatch):
+    import qazb.corep
+    from qazb.cli import main
+
+    monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 1024)
+    g = grid(0.5, 4)
+    rep = build_rep(schrodinger_pair(g), g)
+    with pytest.raises(ParameterError, match=f"needs {16 * 256 ** 2} bytes.* 1024 bytes"):
+        rep.U
+    assert "U" not in vars(rep)
+    assert main(["-M", "4", "roundtrip", "--h-dim", "1"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -295,6 +366,7 @@ def test_build_rep_matches_dense_reference(case):
         ("u_shape", [8, 32], DimensionError),
         ("u_data_b64", "nan", DomainError),
         ("u_data_b64", "short", DimensionError),
+        ("u_data_b64", "scale", DomainError),
     ],
 )
 def test_load_rejects_tampered_file(tmp_path, field, value, error):
@@ -308,7 +380,12 @@ def test_load_rejects_tampered_file(tmp_path, field, value, error):
     payload = json.loads(path.read_text())
     if field == "u_data_b64":
         U = np.frombuffer(base64.b64decode(payload[field]), dtype=complex).copy()
-        U = U[:-1] if value == "short" else np.where(np.arange(U.size) == 3, np.nan, U)
+        if value == "short":
+            U = U[:-1]
+        elif value == "nan":
+            U[3] = np.nan
+        else:   # one finite entry scaled: no longer unitary
+            U[np.argmax(np.abs(U))] *= 1.001
         value = base64.b64encode(U.tobytes()).decode("ascii")
     payload[field] = value
     path.write_text(json.dumps(payload))
