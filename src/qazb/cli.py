@@ -4,8 +4,9 @@ reports.
 Reports embed the full configuration and the library version, contain no
 timestamps, and are serialised with sorted keys, so identical configs
 produce byte-identical output.  Exit codes: 0 all checks passed, 1 a check
-failed, 2 invalid usage (including an empty --M-list and a roundtrip with
-no trials or no dimension) or I/O failure.
+failed, 2 invalid usage (including an empty --M-list, a margin that leaves
+no interior window, and a roundtrip with no trials or no dimension) or I/O
+failure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from .gamma import grid, make_point, zero_point
 from .opalg import NormalMatrix, operator_norm
 from .q2pair import (
     Q2Pair,
+    default_margin,
     exp_identity_residual,
+    interior_window,
     random_regular_pair,
     schrodinger_pair,
     seeded_block_specs,
@@ -50,10 +53,12 @@ class RunConfig:
     format: str = "json"
 
     def resolved_margin(self, M: int | None = None) -> int:
-        if self.margin is not None:
-            return self.margin
+        """The window margin at grid order M; an empty window is refused."""
         m = self.M if M is None else M
-        return -(-m // 4)
+        margin = default_margin(m) if self.margin is None else self.margin
+        if 2 * margin >= m:
+            raise ValueError(f"margin {margin} leaves no interior window at M={m} (needs 2*margin < M)")
+        return margin
 
     def validate(self) -> None:
         if not (0.0 < self.q < 1.0):
@@ -167,15 +172,15 @@ def cmd_exp_identity(config: RunConfig, m_list: list[int]) -> int:
         passed = passed and rep.passed and ident.residual_swapped > ident.residual
     # Y = 0 control on the largest grid
     g = grid(config.q, m_list[-1])
+    margin = config.resolved_margin(m_list[-1])
     zero_pair = Q2Pair(
         Y=NormalMatrix(np.zeros((g.size, g.size))),
         X=NormalMatrix(np.diag(g.values)),
-        grid=g, margin=config.resolved_margin(m_list[-1]),
-        window=schrodinger_pair(g).window,
+        grid=g, window=interior_window(g, margin),
     )
     control = exp_identity_residual(zero_pair)
     rows.append({
-        "q": config.q, "M": m_list[-1], "margin": config.resolved_margin(m_list[-1]),
+        "q": config.q, "M": m_list[-1], "margin": margin,
         "weyl_residual": 0.0, "exp_residual": control.residual,
         "exp_residual_swapped": control.residual_swapped,
         "sum_defect": control.sum_defect, "gamma_distance": control.gamma_distance,
@@ -254,9 +259,9 @@ def cmd_verify_pair(config: RunConfig, which: str) -> int:
     if which == "schrodinger":
         pair = base
     elif which == "xx":
-        pair = Q2Pair(Y=base.X, X=base.X, grid=g, margin=base.margin, window=base.window)
+        pair = Q2Pair(Y=base.X, X=base.X, grid=g, window=base.window)
     elif which == "swapped":
-        pair = Q2Pair(Y=base.X, X=base.Y, grid=g, margin=base.margin, window=base.window)
+        pair = Q2Pair(Y=base.X, X=base.Y, grid=g, window=base.window)
     else:
         raise ValueError(f"unknown pair selector {which!r}")
     report = verify_q2(pair, tol=config.tol)

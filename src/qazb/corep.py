@@ -55,7 +55,7 @@ from .errors import (
 )
 from .gamma import GammaGrid, GammaPoint
 from .opalg import NormalMatrix, chi_values, closure_sum, lattice_calculus, operator_norm
-from .q2pair import Q2Pair, interior_window
+from .q2pair import Q2Pair, default_margin, interior_window
 from .qexp import QExpParams, fq_lattice, invert_fq_family
 
 __all__ = [
@@ -178,7 +178,7 @@ def _block_defect(blocks: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(gram, 2, axis=(-2, -1))))
 
 
-def build_rep(pair, g: GammaGrid, params: QExpParams | None = None) -> Representation:
+def build_rep(pair, g: GammaGrid) -> Representation:
     """Factor U = F_q(bt (x) b) chi(at (x) I, I (x) a) for a pair on H.
 
     F_q(bt (x) b) is block diagonal over the grid-leg position basis, with
@@ -190,8 +190,7 @@ def build_rep(pair, g: GammaGrid, params: QExpParams | None = None) -> Represent
     I (x) F* of U (||F F* - 1|| = ||F* F - 1||).
     """
     p = as_pair_on_h(pair)
-    if params is None:
-        params = QExpParams(g.q)
+    params = QExpParams(g.q)
 
     def fq_grid(n, theta, zero):
         k, theta = g.times(n, theta)
@@ -211,8 +210,8 @@ def build_rep(pair, g: GammaGrid, params: QExpParams | None = None) -> Represent
 
 
 def _on_h(A: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """A d x d matrix A on the H leg of a (d, ...) tensor."""
-    return (A @ v.reshape(A.shape[1], -1)).reshape(v.shape)
+    """A matrix A on the H leg of a (d, ...) tensor."""
+    return (A @ v.reshape(A.shape[1], -1)).reshape(A.shape[:1] + v.shape[1:])
 
 
 class _LegOps:
@@ -287,7 +286,6 @@ def corep_residual(
     rep: Representation,
     samples: int = 32,
     seed: int = 1,
-    params: QExpParams | None = None,
     margin: int | None = None,
 ) -> CorepReport:
     """Matrix-free corepresentation residual over seeded window vectors.
@@ -295,17 +293,19 @@ def corep_residual(
     Q = U_12 U_13 (V_12 V_13)* must be F_q of the closure of S'
     (= bt (x) Delta b re-expressed legwise), which is witnessed by the
     commutator [Q, S'] on interior vectors, plus Q = 1 on ker(bt) legs.
+    The window is the pair's basis on H times the grid window basis (at
+    `default_margin(M)` unless `margin` is given) on both grid legs.
     Never materialises d * M^4 matrices.
     """
     ops = _LegOps(rep)
     g, d, n = ops.g, ops.d, ops.n
     if margin is None:
-        margin = -(-g.M // 4)
-    Pg = interior_window(g, margin)
-    Ph = rep.pair.window_or_identity()
+        margin = default_margin(g.M)
+    Bg = interior_window(g, margin)
+    Bh = rep.pair.window_or_identity()
 
-    def project(v):
-        return (Pg @ _on_h(Ph, v)) @ Pg.T
+    def coords(v):   # coordinates in the window basis Bh (x) Bg (x) Bg
+        return (Bg.conj().T @ _on_h(Bh.conj().T, v)) @ Bg.conj()
 
     Pker = lattice_calculus(rep.pair.Y, lambda n, theta, zero: zero, g.q)   # onto ker(bt)
 
@@ -316,14 +316,14 @@ def corep_residual(
     comms = []
     for _ in range(samples):
         v = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
-        v = project(v)
+        v = _on_h(Bh, (Bg @ coords(v)) @ Bg.T)   # onto the window
         nv = np.linalg.norm(v)
         if nv < 1e-12:
             continue
         v /= nv
         sv = ops.s_apply(v)
         qv = ops.q_apply(v)
-        c = project(ops.q_apply(sv) - ops.s_apply(qv))
+        c = coords(ops.q_apply(sv) - ops.s_apply(qv))
         comms.append(float(np.linalg.norm(c)))
         sscale = max(sscale, float(np.linalg.norm(sv)))
         w = _on_h(Pker, v)
@@ -362,11 +362,7 @@ class ExtractionReport:
     degenerate: bool            # joint diagonalisation hit a degeneracy
 
 
-def extract_pair(
-    rep: Representation,
-    params: QExpParams | None = None,
-    seed: int = 0,
-) -> tuple[Q2Pair, ExtractionReport]:
+def extract_pair(rep: Representation, seed: int = 0) -> tuple[Q2Pair, ExtractionReport]:
     """Recover the generating pair from a representation.
 
     (1) row-sum the position matrix elements into the family G(g);
@@ -377,8 +373,7 @@ def extract_pair(
     (5) reassemble bt and at.
     """
     g = rep.grid
-    if params is None:
-        params = QExpParams(g.q)
+    params = QExpParams(g.q)
     d, n = rep.h_dim, g.size
     M = g.M
     Ut = rep.U.reshape(d, n, d, n)
@@ -442,7 +437,6 @@ def extract_pair(
         Y=NormalMatrix(b_t),
         X=NormalMatrix(a_t),
         grid=g,
-        margin=-(-M // 4),
         provenance=(("extracted", seed),),
     )
     return pair, report

@@ -204,7 +204,7 @@ def chi_values(k, theta):
     return f
 
 
-def chi_op(X, point: GammaPoint, q: float, snap_rtol: float | None = None) -> np.ndarray:
+def chi_op(X, point: GammaPoint, q: float) -> np.ndarray:
     """Operator bicharacter chi(X, gamma'): functional calculus of
     x -> e^{i (l' arg x + log_q|x| * theta')}.
 
@@ -214,7 +214,7 @@ def chi_op(X, point: GammaPoint, q: float, snap_rtol: float | None = None) -> np
     """
     if point.zero:
         raise DomainError("chi_op is defined for nonzero lattice points only")
-    return lattice_calculus(X, chi_values(point.k, point.theta), q, rtol=snap_rtol)
+    return lattice_calculus(X, chi_values(point.k, point.theta), q)
 
 
 def closure_sum(X, Y) -> NormalMatrix:

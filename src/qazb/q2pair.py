@@ -9,12 +9,11 @@ the rigorous form of XY = q^2 YX, XY* = Y*X.  The model pair lives on the
 grid: X multiplies by the grid values (exactly diagonal) and Y = F* X F is
 its Fourier conjugate.  On the cyclic grid the relation holds exactly off
 the wrap subspace, where the centred modulus exponent jumps by -+M; all
-residuals are therefore measured through interior window projectors:
-
-* position window: flat indices whose modulus index is at least `margin`
-  away from the wrap boundary;
-* Fourier window: the same mask conjugated by F (it acts on the phase
-  axis, so the two windows commute and their product is a projector).
+residuals are therefore measured on the interior window: grid vectors
+whose modulus index and Fourier modulus index (which pairs with the phase
+axis) both stay `margin` away from the wrap.  It is carried as its
+closed-form orthonormal basis B (see `interior_window`), and a windowed
+norm is that of B* A B.
 
 Finite dimensions admit no exact pair with Y != 0 (the relation would force
 spec(Y) = q spec(Y)), so the wrap violation is irreducible; all continuum
@@ -33,14 +32,13 @@ is the order sensitivity the identity asserts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import block_diag
 
-from .errors import DimensionError, ParameterError
-from .gamma import GammaGrid, GammaPoint, centered_index, snap_spectrum
+from .errors import DimensionError, DomainError, ParameterError
+from .gamma import GammaGrid, GammaPoint, snap_spectrum
 from .opalg import NormalMatrix, chi_op, closure_sum, operator_norm
 from .qexp import QExpParams, fq_on_operator
 
@@ -48,8 +46,8 @@ __all__ = [
     "Q2Pair",
     "Q2Report",
     "ExpIdentityReport",
+    "default_margin",
     "interior_window",
-    "window_basis",
     "grid_generators",
     "schrodinger_pair",
     "verify_q2",
@@ -61,50 +59,56 @@ __all__ = [
     "conjugate_pair",
 ]
 
+SPECTRUM_RTOL = 1e-9   # largest relative lattice distance of a pair's spectra
+WINDOW_ORTHO_TOL = 1e-10   # largest ||B* B - 1||_F of a window basis
 
-def interior_mask(M: int, margin: int) -> np.ndarray:
-    """Modulus indices with centred exponent at least `margin` away from
-    the wrap boundary: -M/2 + margin <= c(k) <= M/2 - 1 - margin."""
-    c = np.array([centered_index(k, M) for k in range(M)])
-    return (c >= -M // 2 + margin) & (c <= M // 2 - 1 - margin)
+
+def default_margin(M: int) -> int:
+    """The window margin ceil(M/4), which balances window size against
+    wrap suppression."""
+    return -(-M // 4)
 
 
 def interior_window(g: GammaGrid, margin: int) -> np.ndarray:
-    """Orthogonal projector onto grid vectors interior in both the position
-    and the Fourier domain.  The position mask restricts the modulus axis
-    directly; the Fourier mask is the same restriction conjugated by F_M,
-    which acts on the phase axis only, so the two factors commute."""
+    """Orthonormal basis (n x r columns) of the grid vectors interior in
+    both the position and the Fourier domain: e_k (x) phi_l for modulus
+    indices k and Fourier modulus indices l whose centred exponent lies in
+    [-M/2 + margin, M/2 - 1 - margin], with phi_l[j] = e^{-2 pi i l j/M} /
+    sqrt(M) the phase-axis mode that F_M maps to Fourier modulus index l."""
     M = g.M
     if margin < 0:
         raise ParameterError(f"margin must be nonnegative, got {margin}")
-    d = np.repeat(interior_mask(M, margin), M).astype(float)
-    F = g.fourier
-    P = d[:, None] * (F.conj().T @ (d[:, None] * F))
-    return (P + P.conj().T) / 2.0
-
-
-def window_basis(P: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (columns) of the range of a projector."""
-    w, V = np.linalg.eigh((P + P.conj().T) / 2.0)
-    return V[:, w > 0.5]
+    inner = np.flatnonzero((g.c >= -M // 2 + margin) & (g.c <= M // 2 - 1 - margin))
+    modes = np.exp(-2j * np.pi * (np.outer(np.arange(M), inner) % M) / M) / np.sqrt(M)
+    return np.kron(np.eye(M)[:, inner], modes)
 
 
 @dataclass(frozen=True)
 class Q2Pair:
-    """A model pair (Y, X) with its grid, window margin and projector.
+    """A model pair (Y, X) with its grid and window basis.
 
     It is also the generating pair (bt, at) = (Y, X) of a representation.
-    `window` confines residual checks to the subspace where the cyclic
-    model represents the continuum; None means no confinement (exact
-    pairs).  `provenance` records the block construction when generated.
+    `window` is an orthonormal basis (dim x r columns) of the subspace
+    where the cyclic model represents the continuum, and residual checks
+    are confined to it; None means no confinement (exact pairs).
+    `provenance` records the block construction when generated.
     """
 
     Y: NormalMatrix
     X: NormalMatrix
     grid: GammaGrid
-    margin: int
     window: np.ndarray | None = None
     provenance: tuple = ()
+
+    def __post_init__(self):
+        B = self.window
+        if B is None:
+            return
+        if np.ndim(B) != 2 or B.shape[0] != self.dim:
+            raise DimensionError(f"window basis shape {np.shape(B)} needs {self.dim} rows")
+        defect = np.linalg.norm(B.conj().T @ B - np.eye(B.shape[1]))
+        if defect > WINDOW_ORTHO_TOL:
+            raise DomainError(f"window columns are not orthonormal: ||B* B - 1||_F = {defect:.3e}")
 
     @property
     def dim(self) -> int:
@@ -125,33 +129,30 @@ def grid_generators(g: GammaGrid) -> list[tuple[str, GammaPoint]]:
 def schrodinger_pair(g: GammaGrid, margin: int | None = None) -> Q2Pair:
     """The grid Schrodinger pair: X = diag(grid values), Y = F* X F.
 
-    Both are exactly normal; default margin M/4 balances window size
-    against wrap suppression.
+    Both are exactly normal; the margin defaults to `default_margin(M)`.
     """
     if margin is None:
-        margin = -(-g.M // 4)
+        margin = default_margin(g.M)
     X = np.diag(g.values)
     F = g.fourier
     Y = F.conj().T @ X @ F
-    W = interior_window(g, margin)
     return Q2Pair(
         Y=NormalMatrix(Y),
         X=NormalMatrix(X),
         grid=g,
-        margin=margin,
-        window=W,
+        window=interior_window(g, margin),
         provenance=(("schrodinger", g.M),),
     )
 
 
-def weyl_residual(pair: Q2Pair, point: GammaPoint, window: np.ndarray | None = None) -> float:
-    """|| W (chi(X,gamma) Y chi(X,gamma)* - gamma Y) W ||_2, with W the
-    pair's window unless `window` is given."""
+def weyl_residual(pair: Q2Pair, point: GammaPoint) -> float:
+    """|| B* (chi(X,gamma) Y chi(X,gamma)* - gamma Y) B ||_2, with B the
+    pair's window basis."""
     q = pair.grid.q
     C = chi_op(pair.X, point, q)
     D = C @ pair.Y.entries @ C.conj().T - point.value(q) * pair.Y.entries
-    W = window if window is not None else pair.window_or_identity()
-    return operator_norm(W @ D @ W)
+    B = pair.window_or_identity()
+    return operator_norm(B.conj().T @ D @ B)
 
 
 @dataclass(frozen=True)
@@ -186,11 +187,11 @@ class Q2Report:
         return out
 
 
-def verify_q2(pair: Q2Pair, tol: float = 1e-10, snap_rtol: float = 1e-9) -> Q2Report:
+def verify_q2(pair: Q2Pair, tol: float = 1e-10) -> Q2Report:
     """Check the pair axioms; failures are report entries, never raises.
 
     (a) normality defects below threshold, (b) spectra on the modulus
-    lattice within snap_rtol, (c) numerically trivial kernel of X,
+    lattice within SPECTRUM_RTOL, (c) numerically trivial kernel of X,
     (d) windowed conjugation residual below tol for both grid generators
     (multiplicativity of chi extends the check to the whole group).
     """
@@ -214,7 +215,7 @@ def verify_q2(pair: Q2Pair, tol: float = 1e-10, snap_rtol: float = 1e-9) -> Q2Re
         normality_pass=not (pair.X.degraded or pair.Y.degraded),
         spectrum_dist_x=sx,
         spectrum_dist_y=sy,
-        spectrum_pass=max(sx, sy) <= snap_rtol,
+        spectrum_pass=max(sx, sy) <= SPECTRUM_RTOL,
         kernel_min=kmin,
         kernel_pass=not bool(np.any(zx)),
         weyl_residuals=weyl,
@@ -234,39 +235,39 @@ class ExpIdentityReport:
     degraded: bool             # the raw sum exceeded its defect threshold
 
 
-def exp_identity_residual(pair: Q2Pair, params: QExpParams | None = None) -> ExpIdentityReport:
+def exp_identity_residual(pair: Q2Pair) -> ExpIdentityReport:
     """Windowed witness of F_q(X -+. Y) = F_q(Y) F_q(X).
 
     The reported residual is the commutation form
 
-        || W (U S - S U) W ||_2 / || S W ||_2,
+        || B* (U S - S U) B ||_2 / || S B ||_2,
         U = F_q(Y) F_q(X),  S = X + Y:
 
     in the continuum U is a function of the normal closure of S and the
     commutator vanishes; on the grid it decays like q^(M/2) on the window
     while the swapped product stays at O(1).  The spectral-difference form
-    || (F_q(S) - F_q(Y) F_q(X)) W || is deliberately not used: S has
+    || (F_q(S) - F_q(Y) F_q(X)) B || is deliberately not used: S has
     wrap-borne defect of order ||S||^2, so no spectral calculus of the raw
     sum is meaningful (its defect and windowed defect are reported).
     """
-    if params is None:
-        params = QExpParams(pair.grid.q)
+    params = QExpParams(pair.grid.q)
     S = closure_sum(pair.X, pair.Y)
     FX = fq_on_operator(pair.X, params, pair.grid.M)
     FY = fq_on_operator(pair.Y, params, pair.grid.M)
-    W = pair.window_or_identity()
+    B = pair.window_or_identity()
+    Bh = B.conj().T
     Se = S.entries
-    scale = operator_norm(Se @ W)
+    scale = operator_norm(Se @ B)
 
     def witness(U: np.ndarray) -> float:
         if scale < 1e-300:
             return 0.0
         C = U @ Se - Se @ U
-        return operator_norm(W @ C @ W) / scale
+        return operator_norm(Bh @ C @ B) / scale
 
     r = witness(FY @ FX)
     rs = witness(FX @ FY)
-    wd = 0.0 if S.norm2 == 0 else operator_norm(W @ (Se @ Se.conj().T - Se.conj().T @ Se) @ W) / S.norm2 ** 2
+    wd = 0.0 if S.norm2 == 0 else operator_norm(Bh @ (Se @ Se.conj().T - Se.conj().T @ Se) @ B) / S.norm2 ** 2
     return ExpIdentityReport(
         residual=r,
         residual_swapped=rs,
@@ -288,10 +289,7 @@ def windowed_modulus_distance(pair: Q2Pair, S: NormalMatrix | None = None) -> fl
     """
     if S is None:
         S = closure_sum(pair.X, pair.Y)
-    if pair.window is None:
-        B = np.eye(pair.dim, dtype=complex)
-    else:
-        B = window_basis(pair.window)
+    B = pair.window_or_identity()
     if B.shape[1] == 0:
         return 0.0
     Se = S.entries
@@ -309,9 +307,10 @@ def random_regular_pair(blocks, seed: int, g: GammaGrid) -> Q2Pair:
     pair (0, gamma0) (gamma0 drawn from the grid when None, seeded), and
     ("schrodinger", P) embeds the P-point sub-grid pair (dimension P^2,
     P must divide M so its spectra stay grid-supported).  The direct sum
-    satisfies the pair axioms blockwise; the window is assembled blockwise
-    too (sub-grid blocks get their own interior window, which is empty for
-    P = 2: a 2-point modulus axis has no wrap-free interior).
+    satisfies the pair axioms blockwise; the window basis is assembled
+    blockwise too (sub-grid blocks get their own interior window at the
+    default margin, which is empty for P = 2: a 2-point modulus axis has no
+    wrap-free interior, and the block contributes rows but no columns).
     """
     rng = np.random.default_rng(seed)
     ys, xs, ws, prov = [], [], [], []
@@ -334,10 +333,10 @@ def random_regular_pair(blocks, seed: int, g: GammaGrid) -> Q2Pair:
             if P < 2 or P % 2 or g.M % P:
                 raise ParameterError(f"sub-grid order {P} must be even and divide M={g.M}")
             sub = GammaGrid(g.q, P)
-            sp = schrodinger_pair(sub, margin=max(1, P // 4))
+            sp = schrodinger_pair(sub)
             ys.append(sp.Y.entries)
             xs.append(sp.X.entries)
-            ws.append(sp.window_or_identity())
+            ws.append(sp.window)
             prov.append(("schrodinger", P))
         else:
             raise ParameterError(f"unknown block kind {kind!r}")
@@ -345,7 +344,6 @@ def random_regular_pair(blocks, seed: int, g: GammaGrid) -> Q2Pair:
         Y=NormalMatrix(block_diag(*ys)),
         X=NormalMatrix(block_diag(*xs)),
         grid=g,
-        margin=-(-g.M // 4),
         window=block_diag(*ws),
         provenance=tuple(prov),
     )
@@ -370,15 +368,14 @@ def seeded_block_specs(seed: int, dim: int, g: GammaGrid) -> list[tuple]:
 
 
 def conjugate_pair(pair: Q2Pair, U: np.ndarray) -> Q2Pair:
-    """Conjugate both members (and the window) by a fixed unitary."""
+    """Conjugate both members by a fixed unitary, and map the window basis
+    by it."""
     if U.shape != (pair.dim, pair.dim):
         raise DimensionError(f"unitary shape {U.shape} does not match pair dimension {pair.dim}")
-    W = None if pair.window is None else U @ pair.window @ U.conj().T
     return Q2Pair(
         Y=NormalMatrix(U @ pair.Y.entries @ U.conj().T),
         X=NormalMatrix(U @ pair.X.entries @ U.conj().T),
         grid=pair.grid,
-        margin=pair.margin,
-        window=W,
+        window=None if pair.window is None else U @ pair.window,
         provenance=pair.provenance + (("conjugated", None),),
     )

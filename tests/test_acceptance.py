@@ -119,7 +119,7 @@ def test_criterion_4_exponential_identity():
         base = schrodinger_pair(g)
         control = exp_identity_residual(
             Q2Pair(Y=NormalMatrix(np.zeros((256, 256))), X=base.X, grid=g,
-                   margin=base.margin, window=base.window)
+                   window=base.window)
         )
         assert control.residual < 1e-12
 

@@ -64,6 +64,10 @@ def test_corep_command(tmp_path):
         pytest.param(["roundtrip", "--trials", "0"], id="roundtrip-no-trials"),
         pytest.param(["roundtrip", "--h-dim", "0"], id="roundtrip-h-dim-0"),
         pytest.param(["roundtrip", "--h-dim", "-3"], id="roundtrip-h-dim-negative"),
+        pytest.param(["--margin", "2", "corep", "--M-list", "4"], id="corep-empty-window"),
+        pytest.param(["-M", "4", "--margin", "2", "verify-pair"], id="verify-pair-empty-window"),
+        pytest.param(["-M", "2", "verify-pair"], id="verify-pair-M2-default-margin"),
+        pytest.param(["--margin", "4", "exp-identity", "--M-list", "8"], id="exp-identity-empty-window"),
     ],
 )
 def test_invalid_q_is_usage_error(tmp_path, capsys, args):

@@ -35,11 +35,11 @@ def test_grid_operator_convention():
 
     g = grid(0.5, 8)
     b, a = grid_operators(g)
-    W = interior_window(g, 2)
+    B = interior_window(g, 2)
     for _, gen in grid_generators(g):
         C = chi_op(a, gen, 0.5)
         D = C @ b @ C.conj().T - gen.value(0.5) * b
-        assert operator_norm(W @ D @ W) < 1e-10
+        assert operator_norm(B.conj().T @ D @ B) < 1e-10
 
 
 def test_coproduct_spectrum_of_delta_a():
@@ -173,7 +173,6 @@ def test_weyl_residual_zero_pair():
         Y=NormalMatrix(np.zeros((2, 2))),
         X=NormalMatrix(np.diag([0.5, 1.0 + 0j])),
         grid=g,
-        margin=2,
     )
     assert max(weyl_residual(pair, gen) for _, gen in grid_generators(g)) == 0.0
 
@@ -186,7 +185,6 @@ def test_weyl_residual_detects_corruption():
         Y=NormalMatrix(pair.Y.entries + np.eye(1)),
         X=pair.X,
         grid=g,
-        margin=pair.margin,
     )
     lower = max(abs(gen.value(0.5) - 1.0) for _, gen in grid_generators(g))
     assert max(weyl_residual(corrupted, gen) for _, gen in grid_generators(g)) >= 0.99 * lower

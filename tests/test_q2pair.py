@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qazb.corpus import load_pinned
-from qazb.errors import ParameterError
+from qazb.errors import DimensionError, DomainError, ParameterError
 from qazb.gamma import grid, make_point
 from qazb.opalg import NormalMatrix, chi_op, operator_norm
 from qazb.q2pair import (
@@ -49,44 +49,93 @@ def test_schrodinger_verifies_at_m8():
     assert report.kernel_pass and report.spectrum_pass and report.normality_pass
 
 
-def test_interior_window_is_projector():
+def dense_window(g, margin):
+    """The window as the dense projector D (F* D F), D the position mask."""
+    M = g.M
+    mask = np.array([-M // 2 + margin <= (k + M // 2) % M - M // 2 <= M // 2 - 1 - margin
+                     for k in range(M)])
+    D = np.diag(np.repeat(mask, M).astype(float))
+    return D @ (g.fourier.conj().T @ D @ g.fourier)
+
+
+@pytest.mark.parametrize(
+    "M,margin",
+    [(M, margin) for M in (4, 8, 12, 20) for margin in range(M // 2 + 1)],
+    ids=lambda v: str(v),
+)
+def test_interior_window_matches_dense_projector(M, margin):
+    g = grid(0.5, M)
+    B = interior_window(g, margin)
+    r = max(M - 2 * margin, 0) ** 2
+    assert B.shape == (M * M, r)
+    assert np.abs(B.conj().T @ B - np.eye(r)).max(initial=0.0) < 1e-13
+    assert np.abs(B @ B.conj().T - dense_window(g, margin)).max() < 1e-13
+
+
+def test_windowed_norm_equals_projector_sandwich():
     g = grid(0.5, 8)
-    P = interior_window(g, 2)
-    assert operator_norm(P @ P - P) < 1e-12
-    assert operator_norm(P - P.conj().T) < 1e-13
+    B = interior_window(g, 2)
+    P = dense_window(g, 2)
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    assert operator_norm(B.conj().T @ A @ B) == pytest.approx(operator_norm(P @ A @ P), rel=1e-12)
+
+
+def test_windowed_modulus_distance_with_empty_block():
+    # a P = 2 sub-grid block adds rows but no columns to the window basis
+    g = grid(0.5, 8)
+    pair = random_regular_pair([("schrodinger", 4), ("schrodinger", 2)], seed=0, g=g)
+    assert pair.window.shape == (20, 4)
+    alone = windowed_modulus_distance(schrodinger_pair(grid(0.5, 4)))
+    assert alone > 0.0
+    assert windowed_modulus_distance(pair) == pytest.approx(alone, rel=1e-12)
+
+
+def test_window_needs_dim_rows():
+    g = grid(0.5, 4)
+    base = schrodinger_pair(g)
+    with pytest.raises(DimensionError):
+        Q2Pair(Y=base.Y, X=base.X, grid=g, window=base.window[:-1])
+
+
+def test_window_projector_is_rejected():
+    g = grid(0.5, 4)
+    base = schrodinger_pair(g)
+    with pytest.raises(DomainError):
+        Q2Pair(Y=base.Y, X=base.X, grid=g, window=dense_window(g, 1))
 
 
 def test_pair_with_itself_fails_weyl():
     g = grid(0.5, 8)
     base = schrodinger_pair(g, margin=2)
-    pair = Q2Pair(Y=base.X, X=base.X, grid=g, margin=2, window=base.window)
+    pair = Q2Pair(Y=base.X, X=base.X, grid=g, window=base.window)
     report = verify_q2(pair, tol=1e-10)
     assert not report.passed and not report.weyl_pass
-    # scaling a nonzero operator changes it: residual is |1 - gamma| ||WXW||
+    # scaling a nonzero operator changes it: residual is |1 - gamma| ||B*XB||
     q_gen = g.point(1, 0)
-    lower = abs(1 - q_gen.value(0.5)) * operator_norm(base.window @ base.X.entries @ base.window)
+    B = base.window
+    lower = abs(1 - q_gen.value(0.5)) * operator_norm(B.conj().T @ base.X.entries @ B)
     assert report.weyl_residuals["q"] >= 0.99 * lower
 
 
 def test_swapped_roles_match_inverse_relation():
     g = grid(0.5, 8)
     base = schrodinger_pair(g, margin=2)
-    swapped = Q2Pair(Y=base.X, X=base.Y, grid=g, margin=2, window=base.window)
+    swapped = Q2Pair(Y=base.X, X=base.Y, grid=g, window=base.window)
     assert not verify_q2(swapped, tol=1e-10).weyl_pass
     # conjugating by chi(Y, gamma) translates the spectrum the other way
     q_gen = g.point(1, 0)
     C = chi_op(base.Y, q_gen, 0.5)
-    W = base.window
+    B = base.window
     D_inv = C @ base.X.entries @ C.conj().T - base.X.entries / q_gen.value(0.5)
-    assert operator_norm(W @ D_inv @ W) < 1e-10
+    assert operator_norm(B.conj().T @ D_inv @ B) < 1e-10
 
 
 def test_exp_identity_zero_control():
     g = grid(0.5, 8)
     base = schrodinger_pair(g)
     zero_pair = Q2Pair(
-        Y=NormalMatrix(np.zeros((64, 64))), X=base.X, grid=g,
-        margin=base.margin, window=base.window,
+        Y=NormalMatrix(np.zeros((64, 64))), X=base.X, grid=g, window=base.window,
     )
     report = exp_identity_residual(zero_pair)
     assert report.residual < 1e-12

@@ -7,8 +7,9 @@ at the blessed configuration q = 0.5 and freezes the results into
 envelopes (x1.5 safety factor) and monotonicity witnesses.
 
 Each constant is cross-checked by a second computation route where one
-exists (FFT versus dense Fourier for the grid unitary, eigh versus schur
-for self-adjoint spectra); a disagreement aborts the run.
+exists (FFT versus dense Fourier for the grid unitary, the closed-form
+window basis versus the dense window projector D (F* D F), eigh versus
+schur for self-adjoint spectra); a disagreement aborts the run.
 
 Usage: python3 tools/make_pinned.py [out_json]
 """
@@ -25,7 +26,9 @@ from qazb.corep import build_rep, corep_residual
 from qazb.gamma import grid
 from qazb.opalg import NormalMatrix, operator_norm
 from qazb.q2pair import (
+    default_margin,
     exp_identity_residual,
+    interior_window,
     schrodinger_pair,
     verify_q2,
 )
@@ -42,6 +45,17 @@ def check_fourier_routes(g) -> None:
         raise RuntimeError(f"fourier route disagreement {d} at M={g.M}")
 
 
+def check_window_routes(g, margin: int) -> None:
+    M = g.M
+    inner = (g.c >= -M // 2 + margin) & (g.c <= M // 2 - 1 - margin)
+    D = np.diag(np.repeat(inner, M).astype(float))
+    P = D @ (g.fourier.conj().T @ D @ g.fourier)
+    B = interior_window(g, margin)
+    d = np.abs(B @ B.conj().T - P).max()
+    if d > 1e-13:
+        raise RuntimeError(f"window route disagreement {d} at M={M}, margin={margin}")
+
+
 def main(out_path: str) -> None:
     pinned = {"q": Q}
 
@@ -49,6 +63,7 @@ def main(out_path: str) -> None:
     for M in (8, 12, 16):
         g = grid(Q, M)
         check_fourier_routes(g)
+        check_window_routes(g, default_margin(M))
         pair = schrodinger_pair(g)
         report = verify_q2(pair)
         if not report.passed:
@@ -76,7 +91,8 @@ def main(out_path: str) -> None:
     corep_res, corep_unit = {}, {}
     for M in (4, 6):
         g = grid(Q, M)
-        margin = -(-M // 4)
+        margin = default_margin(M)
+        check_window_routes(g, margin)
         pair = schrodinger_pair(g, margin=margin)
         rep = build_rep(pair, g)
         r = corep_residual(rep, samples=32, seed=1, margin=margin)
