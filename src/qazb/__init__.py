@@ -38,6 +38,7 @@ from .qexp import (
     invert_fq_family,
 )
 from .opalg import (
+    Eigensystem,
     NormalMatrix,
     apply_fn,
     chi_op,
@@ -75,7 +76,7 @@ __all__ = [
     "rational_point", "snap_point", "zero_point",
     "QExpParams", "candidate_separation", "fq", "fq_complex", "fq_family",
     "fq_on_operator", "invert_fq_family",
-    "NormalMatrix", "apply_fn", "chi_op", "closure_sum", "eig_normal",
+    "Eigensystem", "NormalMatrix", "apply_fn", "chi_op", "closure_sum", "eig_normal",
     "gamma_distance",
     "Q2Pair", "exp_identity_residual", "interior_window",
     "random_regular_pair", "schrodinger_pair", "seeded_block_specs",

@@ -24,12 +24,11 @@ from . import __version__
 from .corpus import load_pinned
 from .errors import QazbError
 from .gamma import grid, make_point, zero_point
-from .opalg import NormalMatrix, operator_norm
+from .opalg import Eigensystem, NormalMatrix, operator_norm
 from .q2pair import (
     Q2Pair,
     default_margin,
     exp_identity_residual,
-    interior_window,
     random_regular_pair,
     schrodinger_pair,
     seeded_block_specs,
@@ -170,13 +169,10 @@ def cmd_exp_identity(config: RunConfig, m_list: list[int]) -> int:
         })
         residuals.append(ident.residual)
         passed = passed and rep.passed and ident.residual_swapped > ident.residual
-    # Y = 0 control on the largest grid
-    g = grid(config.q, m_list[-1])
-    margin = config.resolved_margin(m_list[-1])
+    # Y = 0 control on the largest grid: the last Schrodinger X and its window
     zero_pair = Q2Pair(
-        Y=NormalMatrix(np.zeros((g.size, g.size))),
-        X=NormalMatrix(np.diag(g.values)),
-        grid=g, window=interior_window(g, margin),
+        Y=NormalMatrix(np.zeros((g.size, g.size)), Eigensystem.zero_operator(g.size)),
+        X=pair.X, grid=g, window=pair.window,
     )
     control = exp_identity_residual(zero_pair)
     rows.append({

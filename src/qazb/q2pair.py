@@ -15,6 +15,15 @@ axis) both stay `margin` away from the wrap.  It is carried as its
 closed-form orthonormal basis B (see `interior_window`), and a windowed
 norm is that of B* A B.
 
+The model pair is diagonal in closed form: X has eigenbasis 1 and Y has
+eigenbasis F*, both with the grid values and their exact lattice data
+(k, j).  The pair constructions here (`schrodinger_pair`, the blocks of
+`random_regular_pair`, `conjugate_pair`) supply that eigensystem to their
+:class:`~qazb.opalg.NormalMatrix` members, which certify it on first read
+(||T V - V diag(lam)||_F / max|lam| and ||V* V - 1||_F, see
+:mod:`qazb.opalg`), so no Schur form or floating-point snap enters their
+functional calculus.  Matrices built otherwise keep the Schur route.
+
 Finite dimensions admit no exact pair with Y != 0 (the relation would force
 spec(Y) = q spec(Y)), so the wrap violation is irreducible; all continuum
 statements are recovered as windowed residuals decaying in M.
@@ -39,7 +48,7 @@ from scipy.linalg import block_diag
 
 from .errors import DimensionError, DomainError, ParameterError
 from .gamma import GammaGrid, GammaPoint, snap_spectrum
-from .opalg import NormalMatrix, chi_op, closure_sum, operator_norm
+from .opalg import SPECTRUM_RTOL, Eigensystem, NormalMatrix, chi_op, closure_sum, operator_norm
 from .qexp import QExpParams, fq_on_operator
 
 __all__ = [
@@ -59,7 +68,6 @@ __all__ = [
     "conjugate_pair",
 ]
 
-SPECTRUM_RTOL = 1e-9   # largest relative lattice distance of a pair's spectra
 WINDOW_ORTHO_TOL = 1e-10   # largest ||B* B - 1||_F of a window basis
 
 
@@ -129,16 +137,18 @@ def grid_generators(g: GammaGrid) -> list[tuple[str, GammaPoint]]:
 def schrodinger_pair(g: GammaGrid, margin: int | None = None) -> Q2Pair:
     """The grid Schrodinger pair: X = diag(grid values), Y = F* X F.
 
-    Both are exactly normal; the margin defaults to `default_margin(M)`.
+    Both are exactly normal and carry their eigensystems: the grid values
+    and lattice data with basis 1 for X and F* for Y.  The margin defaults
+    to `default_margin(M)`.
     """
     if margin is None:
         margin = default_margin(g.M)
     X = np.diag(g.values)
-    F = g.fourier
-    Y = F.conj().T @ X @ F
+    Fh = g.fourier.conj().T
+    Y = Fh @ X @ g.fourier
     return Q2Pair(
-        Y=NormalMatrix(Y),
-        X=NormalMatrix(X),
+        Y=NormalMatrix(Y, Eigensystem(Fh, g.values, *g.lattice)),
+        X=NormalMatrix(X, Eigensystem(np.eye(g.size), g.values, *g.lattice)),
         grid=g,
         window=interior_window(g, margin),
         provenance=(("schrodinger", g.M),),
@@ -165,9 +175,9 @@ class Q2Report:
     spectrum_dist_x: float
     spectrum_dist_y: float
     spectrum_pass: bool
-    kernel_min: float
+    kernel_min: float | None   # None: X has no certified eigensystem
     kernel_pass: bool
-    weyl_residuals: dict[str, float] = field(default_factory=dict)
+    weyl_residuals: dict[str, float | None] = field(default_factory=dict)   # None: not computed
     weyl_pass: bool = False
 
     @property
@@ -191,21 +201,34 @@ def verify_q2(pair: Q2Pair, tol: float = 1e-10) -> Q2Report:
     """Check the pair axioms; failures are report entries, never raises.
 
     (a) normality defects below threshold, (b) spectra on the modulus
-    lattice within SPECTRUM_RTOL, (c) numerically trivial kernel of X,
-    (d) windowed conjugation residual below tol for both grid generators
-    (multiplicativity of chi extends the check to the whole group).
+    lattice within SPECTRUM_RTOL (for a supplied eigensystem, the larger
+    of its lattice distance and its certificate, so the check measures the
+    stored matrix), (c) numerically trivial kernel of X, (d) windowed
+    conjugation residual below tol for both grid generators
+    (multiplicativity of chi extends the check to the whole group).  A
+    supplied eigensystem that fails its certificate or its lattice data
+    fails (b) with distance inf.  When X has no certified lattice data or
+    (c) fails, chi(X, .) is undefined: the values not computed are None,
+    and their checks fail.
     """
     q = pair.grid.q
-    _, _, zx, rel_x = snap_spectrum(pair.X.eig()[1], q, scale=pair.X.norm2)
-    _, _, _, rel_y = snap_spectrum(pair.Y.eig()[1], q, scale=pair.Y.norm2)
-    sx = float(np.max(rel_x, initial=0.0))
-    sy = float(np.max(rel_y, initial=0.0))
-    kmin = float(np.min(np.abs(pair.X.eig()[1]), initial=np.inf))
+
+    def spectrum(T: NormalMatrix):
+        try:
+            _, _, zero, rel = T.lattice(q)
+        except DomainError:
+            return None, np.inf
+        return zero, max(float(np.max(rel, initial=0.0)), T.eig_certificate or 0.0)
+
+    zx, sx = spectrum(pair.X)
+    _, sy = spectrum(pair.Y)
+    kmin = None if zx is None else float(np.min(np.abs(pair.X.eig()[1]), initial=np.inf))
+    kernel_pass = zx is not None and not bool(np.any(zx))
 
     weyl = {}
-    ok = True
+    ok = kernel_pass
     for name, gen in grid_generators(pair.grid):
-        r = weyl_residual(pair, gen)
+        r = weyl_residual(pair, gen) if kernel_pass else None
         weyl[name] = r
         ok = ok and (r <= tol)
 
@@ -217,7 +240,7 @@ def verify_q2(pair: Q2Pair, tol: float = 1e-10) -> Q2Report:
         spectrum_dist_y=sy,
         spectrum_pass=max(sx, sy) <= SPECTRUM_RTOL,
         kernel_min=kmin,
-        kernel_pass=not bool(np.any(zx)),
+        kernel_pass=kernel_pass,
         weyl_residuals=weyl,
         weyl_pass=ok,
     )
@@ -307,13 +330,14 @@ def random_regular_pair(blocks, seed: int, g: GammaGrid) -> Q2Pair:
     pair (0, gamma0) (gamma0 drawn from the grid when None, seeded), and
     ("schrodinger", P) embeds the P-point sub-grid pair (dimension P^2,
     P must divide M so its spectra stay grid-supported).  The direct sum
-    satisfies the pair axioms blockwise; the window basis is assembled
-    blockwise too (sub-grid blocks get their own interior window at the
-    default margin, which is empty for P = 2: a 2-point modulus axis has no
-    wrap-free interior, and the block contributes rows but no columns).
+    satisfies the pair axioms blockwise; the window basis and the
+    eigensystems are assembled blockwise too (sub-grid blocks get their
+    own interior window at the default margin, which is empty for P = 2: a
+    2-point modulus axis has no wrap-free interior, and the block
+    contributes rows but no columns).
     """
     rng = np.random.default_rng(seed)
-    ys, xs, ws, prov = [], [], [], []
+    ys, xs, ws, prov = [], [], [], []   # ys, xs: (entries, eigensystem) per block
     for spec in blocks:
         kind = spec[0]
         if kind == "trivial":
@@ -324,8 +348,9 @@ def random_regular_pair(blocks, seed: int, g: GammaGrid) -> Q2Pair:
                 point = g.point(k, j)
             if point.zero:
                 raise ParameterError("trivial block requires a nonzero lattice point")
-            ys.append(np.zeros((1, 1), dtype=complex))
-            xs.append(np.array([[point.value(g.q)]], dtype=complex))
+            value = point.value(g.q)
+            ys.append((np.zeros((1, 1)), Eigensystem.zero_operator(1)))
+            xs.append(([[value]], Eigensystem(np.eye(1), [value], [point.k], [point.theta])))
             ws.append(np.eye(1, dtype=complex))
             prov.append(("trivial", point.k, point.theta))
         elif kind == "schrodinger":
@@ -334,15 +359,20 @@ def random_regular_pair(blocks, seed: int, g: GammaGrid) -> Q2Pair:
                 raise ParameterError(f"sub-grid order {P} must be even and divide M={g.M}")
             sub = GammaGrid(g.q, P)
             sp = schrodinger_pair(sub)
-            ys.append(sp.Y.entries)
-            xs.append(sp.X.entries)
+            ys.append((sp.Y.entries, sp.Y.eigensystem))
+            xs.append((sp.X.entries, sp.X.eigensystem))
             ws.append(sp.window)
             prov.append(("schrodinger", P))
         else:
             raise ParameterError(f"unknown block kind {kind!r}")
+
+    def direct_sum(members):
+        entries, systems = zip(*members)
+        return NormalMatrix(block_diag(*entries), Eigensystem.direct_sum(systems))
+
     return Q2Pair(
-        Y=NormalMatrix(block_diag(*ys)),
-        X=NormalMatrix(block_diag(*xs)),
+        Y=direct_sum(ys),
+        X=direct_sum(xs),
         grid=g,
         window=block_diag(*ws),
         provenance=tuple(prov),
@@ -369,12 +399,18 @@ def seeded_block_specs(seed: int, dim: int, g: GammaGrid) -> list[tuple]:
 
 def conjugate_pair(pair: Q2Pair, U: np.ndarray) -> Q2Pair:
     """Conjugate both members by a fixed unitary, and map the window basis
-    by it."""
+    and the supplied eigenbases by it (a non-unitary U fails their
+    certificate with DomainError)."""
     if U.shape != (pair.dim, pair.dim):
         raise DimensionError(f"unitary shape {U.shape} does not match pair dimension {pair.dim}")
+
+    def conjugate(T: NormalMatrix) -> NormalMatrix:
+        es = T.eigensystem
+        return NormalMatrix(U @ T.entries @ U.conj().T, None if es is None else es.conjugated(U))
+
     return Q2Pair(
-        Y=NormalMatrix(U @ pair.Y.entries @ U.conj().T),
-        X=NormalMatrix(U @ pair.X.entries @ U.conj().T),
+        Y=conjugate(pair.Y),
+        X=conjugate(pair.X),
         grid=pair.grid,
         window=None if pair.window is None else U @ pair.window,
         provenance=pair.provenance + (("conjugated", None),),

@@ -105,7 +105,7 @@ def test_criterion_3_fourier_and_weyl():
         assert max(report.weyl_residuals.values()) < 1e-10
 
 
-def test_criterion_4_exponential_identity():
+def test_criterion_4_exponential_identity(tmp_path):
     with Budget("4 exp-identity", 120.0):
         residuals = {}
         for M in (8, 12, 16):
@@ -122,6 +122,12 @@ def test_criterion_4_exponential_identity():
                    window=base.window)
         )
         assert control.residual < 1e-12
+        # the sweep reaches M=32, where the smallest |x| = 2^-16 lies under
+        # ZERO_RTOL * ||X||: the strict-decrease gate covers the new orders
+        out = tmp_path / "exp.json"
+        assert cli_main(["--out", str(out), "exp-identity", "--M-list", "24,28,32"]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        assert [r["M"] for r in rows[:3]] == [24, 28, 32]
 
 
 def test_criterion_5_spectrum_claim():

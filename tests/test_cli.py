@@ -42,6 +42,17 @@ def test_verify_pair_exit_codes(tmp_path):
     assert weyl_rows and not any(r["pass"] for r in weyl_rows)
 
 
+@pytest.mark.parametrize("M", [24, 28, 32])
+def test_verify_pair_at_large_orders(tmp_path, M):
+    # the Schrodinger pair carries its exact spectrum, so spectrum_lattice is
+    # its certificate, relative to ||T||, which the dynamic range q^(+-M/2)
+    # does not push over its limit
+    out = tmp_path / "r.json"
+    assert run(["-M", str(M), "--out", str(out), "verify-pair"]) == 0
+    rows = {r["condition"]: r for r in json.loads(out.read_text())["rows"]}
+    assert rows["spectrum_lattice"]["value"] < 1e-13
+
+
 def test_roundtrip_command(tmp_path):
     out = tmp_path / "r.json"
     assert run(["--seed", "7", "--out", str(out), "roundtrip", "--h-dim", "4"]) == 0

@@ -8,7 +8,8 @@ envelopes (x1.5 safety factor) and monotonicity witnesses.
 
 Each constant is cross-checked by a second computation route where one
 exists (FFT versus dense Fourier for the grid unitary, the closed-form
-window basis versus the dense window projector D (F* D F), eigh versus
+window basis versus the dense window projector D (F* D F), the supplied
+eigensystems of the Schrodinger pair versus their Schur forms, eigh versus
 schur for self-adjoint spectra); a disagreement aborts the run.
 
 Usage: python3 tools/make_pinned.py [out_json]
@@ -32,7 +33,7 @@ from qazb.q2pair import (
     schrodinger_pair,
     verify_q2,
 )
-from qazb.qexp import QExpParams, candidate_separation
+from qazb.qexp import QExpParams, candidate_separation, fq_on_operator
 
 Q = 0.5
 
@@ -56,6 +57,16 @@ def check_window_routes(g, margin: int) -> None:
         raise RuntimeError(f"window route disagreement {d} at M={M}, margin={margin}")
 
 
+def check_eigensystem_routes(pair) -> None:
+    g = pair.grid
+    params = QExpParams(g.q)
+    for T in (pair.X, pair.Y):
+        exact = fq_on_operator(T, params, g.M)
+        d = operator_norm(exact - fq_on_operator(NormalMatrix(T.entries), params, g.M))
+        if d > 1e-12:
+            raise RuntimeError(f"eigensystem route disagreement {d} at M={g.M}")
+
+
 def main(out_path: str) -> None:
     pinned = {"q": Q}
 
@@ -65,6 +76,7 @@ def main(out_path: str) -> None:
         check_fourier_routes(g)
         check_window_routes(g, default_margin(M))
         pair = schrodinger_pair(g)
+        check_eigensystem_routes(pair)
         report = verify_q2(pair)
         if not report.passed:
             raise RuntimeError(f"schrodinger pair failed verification at M={M}")
