@@ -9,15 +9,29 @@ versions are exactly normal, so every matrix carries a normality defect
   :class:`Eigensystem` -- a unitary V, the eigenvalues lam and their exact
   lattice data (modulus index n, phase theta as a grid angle, zero mask).
   It is certified, not trusted: on first read the matrix computes
-  ||T V - V diag(lam)||_F / max|lam| and ||V* V - 1||_F (one matmul each,
-  Frobenius norms bounding the 2-norms) and raises DomainError when
-  either exceeds SPECTRUM_RTOL.  No Schur form, snap or SVD is taken.
-  The certificate is a backward error: (V, lam) is the exact eigensystem
-  of a matrix within r ||T||_2 of T.  It is relative to the norm, not to
-  each eigenvalue: an eigenpair is resolved only to SPECTRUM_RTOL ||T||,
-  so eigenpairs with |lam| below that are not certified at all and errors
-  in small ones can pass (on the q = 1/2 grid, a swap of the two basis
-  vectors of smallest modulus and adjacent phases passes from M = 30 on).
+  r = ||T V - V diag(lam)||_F / max|lam| and eps = ||V* V - 1||_F (one
+  matmul each, none for an identity basis; Frobenius norms bounding the
+  2-norms) and raises DomainError when either exceeds SPECTRUM_RTOL.
+  No Schur form, snap or SVD is taken.  The certificate is a backward error: (V, lam) is the
+  exact eigensystem of a matrix within r ||T||_2 of T.  It is relative to
+  the norm, not to each eigenvalue: an eigenpair is resolved only to
+  SPECTRUM_RTOL ||T||, so eigenpairs with |lam| below that are not
+  certified at all and errors in small ones can pass (on the q = 1/2
+  grid, a swap of the two basis vectors of smallest modulus and adjacent
+  phases passes from M = 30 on).
+  The certificate also bounds the normality defect, which is then
+  reported without a commutator or an SVD.  With s = max|lam| and
+  u = (2 eps + r) / sqrt(1 - eps):
+
+      ||T T* - T* T||_2 <= s^2 (4 u + u^2).
+
+  Take the polar factorisation V = W H (W unitary, ||H - 1|| <= eps) and
+  the exactly normal N = W diag(lam) W*.  Then (T - N) V = R +
+  W (H L - L H), L = diag(lam), R = T V - V L, and ||V^-1|| <=
+  1 / sqrt(1 - eps), so E = T - N has ||E|| <= s u.  Expanding
+  T T* - T* T with N N* = N* N leaves 4 ||N|| ||E|| + ||E||^2.
+  A supplied eigensystem that fails its certificate keeps the dense
+  commutator norm as its defect.
 * computed: the complex Schur form, whose unitary factor is accepted as
   an eigenvector basis and whose strictly upper-triangular part is
   discarded.  For defects below the threshold 1e-6 * ||T||^2 (the
@@ -26,16 +40,20 @@ versions are exactly normal, so every matrix carries a normality defect
   degraded, and callers treat the flag as a failed check.
 
 Every function of a normal matrix on the lattice goes through one
-routine, :func:`lattice_calculus`: basis V, lattice data (n, theta, zero)
-from :meth:`NormalMatrix.lattice` (the supplied data, or the eigenvalues
-snapped by :func:`qazb.gamma.snap_spectrum`), values f(n, theta, zero),
-and V diag(f) V*.  A leading axis of f gives a stack of such matrices in
-one batched product.  Diagnostics such as :func:`gamma_distance` always
-report the unsnapped values.
+lattice-data step: basis V, lattice data (n, theta, zero) from
+:meth:`NormalMatrix.lattice` (the supplied data, or the eigenvalues
+snapped by :func:`qazb.gamma.snap_spectrum`) and values f(n, theta,
+zero).  :func:`lattice_calculus` forms V diag(f) V* (a leading axis of f
+gives a stack of such matrices in one batched product);
+:func:`lattice_apply` applies it to the columns of an n x r block B as
+V (f * (V* B)), in O(n^2 r) and without forming the n x n matrix.
+Diagnostics such as :func:`gamma_distance` always report the unsnapped
+values.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +71,7 @@ __all__ = [
     "chi_values",
     "closure_sum",
     "gamma_distance",
+    "lattice_apply",
     "lattice_calculus",
     "snap_spectrum",
 ]
@@ -97,6 +116,11 @@ class Eigensystem:
             raise DimensionError(f"eigensystem of {d} eigenvalues needs a {d} x {d} basis and "
                                  f"{d} lattice entries, got V {self.V.shape}")
 
+    @functools.cached_property
+    def identity_basis(self) -> bool:
+        """V is exactly the identity: T is diagonal in the standard basis."""
+        return np.count_nonzero(self.V) == len(self.lam) and bool(np.all(self.V.diagonal() == 1))
+
     @classmethod
     def zero_operator(cls, dim: int) -> "Eigensystem":
         """The eigensystem of the zero matrix: V = 1, every eigenvalue 0."""
@@ -134,6 +158,7 @@ class NormalMatrix:
         self._eig: tuple[np.ndarray, np.ndarray] | None = None
         self._supplied = eigensystem
         self._certificate: float | None = None
+        self._ortho: float | None = None   # ||V* V - 1||_F of the certificate
         self._schur_offdiag: float | None = None
         if eigensystem is not None:
             if len(eigensystem.lam) != self.dim:
@@ -170,10 +195,24 @@ class NormalMatrix:
 
     @property
     def normality_defect(self) -> float:
-        """||T T* - T* T||_2 (absolute)."""
+        """||T T* - T* T||_2 (absolute).  For a supplied eigensystem that
+        passes its certificate it is the certified upper bound s^2 (4u + u^2)
+        (see the module docstring), with no commutator or SVD; otherwise the
+        dense commutator norm."""
         if not hasattr(self, "_defect"):
-            t = self._m
-            self._defect = operator_norm(t @ t.conj().T - t.conj().T @ t)
+            r = None
+            if self._supplied is not None:
+                try:
+                    r = self.eig_certificate
+                except DomainError:
+                    pass
+            if r is not None:
+                s, eps = self.norm2, self._ortho
+                u = (2.0 * eps + r) / np.sqrt(1.0 - eps)
+                self._defect = s * s * (4.0 * u + u * u)
+            else:
+                t = self._m
+                self._defect = operator_norm(t @ t.conj().T - t.conj().T @ t)
         return self._defect
 
     @property
@@ -207,15 +246,19 @@ class NormalMatrix:
     def _certify(self) -> float:
         V, lam = self._eig
         scale = float(np.max(np.abs(lam), initial=0.0))
-        res = float(np.linalg.norm(self._m @ V - V * lam))
+        if self._supplied.identity_basis:   # T V = T and V* V = 1 exactly
+            res, ortho = float(np.linalg.norm(self._m - np.diag(lam))), 0.0
+        else:
+            res = float(np.linalg.norm(self._m @ V - V * lam))
+            ortho = float(np.linalg.norm(V.conj().T @ V - np.eye(self.dim)))
         r = res / scale if scale > 0.0 else (0.0 if res == 0.0 else np.inf)
-        ortho = float(np.linalg.norm(V.conj().T @ V - np.eye(self.dim)))
         if r > SPECTRUM_RTOL or ortho > SPECTRUM_RTOL:
             raise DomainError(
                 f"supplied eigensystem does not describe the matrix: relative residual "
                 f"||T V - V diag(lam)||_F = {r:.3e}, ||V* V - 1||_F = {ortho:.3e} "
                 f"(limit {SPECTRUM_RTOL:g})"
             )
+        self._ortho = ortho
         return r
 
     @property
@@ -283,6 +326,17 @@ def eig_normal(T) -> tuple[np.ndarray, np.ndarray, float]:
     return V, lam, max(nm.normality_defect, nm.schur_offdiag)
 
 
+def _lattice_values(T, f, q: float, M: int | None, rtol: float | None):
+    """The basis V of T and the values f(n, theta, zero) on its lattice data."""
+    nm = _as_normal(T)
+    V, lam = nm.eig()
+    n, theta, zero, _ = nm.lattice(q, M=M, rtol=rtol)
+    vals = np.asarray(f(n, theta, zero), dtype=complex)
+    if vals.shape[-1:] != lam.shape:
+        raise DimensionError("f must map the lattice data to values on its last axis")
+    return V, vals
+
+
 def lattice_calculus(T, f, q: float, M: int | None = None, rtol: float | None = None) -> np.ndarray:
     """V f(n, theta, zero) V* for a normal matrix T = V diag(lam) V*.
 
@@ -292,13 +346,28 @@ def lattice_calculus(T, f, q: float, M: int | None = None, rtol: float | None = 
     these arrays to values of shape (..., dim); leading axes give a stack
     of matrices.
     """
-    nm = _as_normal(T)
-    V, lam = nm.eig()
-    n, theta, zero, _ = nm.lattice(q, M=M, rtol=rtol)
-    vals = np.asarray(f(n, theta, zero), dtype=complex)
-    if vals.shape[-1:] != lam.shape:
-        raise DimensionError("f must map the lattice data to values on its last axis")
+    V, vals = _lattice_values(T, f, q, M, rtol)
     return (V * vals[..., None, :]) @ V.conj().T
+
+
+def lattice_apply(T, f, B: np.ndarray, q: float, M: int | None = None,
+                  adjoint: bool = False) -> np.ndarray:
+    """f(T) B = V (f(n, theta, zero) * (V* B)) for the columns of B, with
+    f(T)* B (the values conjugated) when `adjoint`.
+
+    Same lattice data and `f` as :func:`lattice_calculus`, without a
+    leading axis; the n x n matrix f(T) is never formed, and a supplied
+    identity basis is not multiplied by.
+    """
+    nm = _as_normal(T)
+    V, vals = _lattice_values(nm, f, q, M, None)
+    if vals.ndim != 1:
+        raise DimensionError("lattice_apply takes one function, not a stack")
+    if adjoint:
+        vals = vals.conj()
+    if nm.eigensystem is not None and nm.eigensystem.identity_basis:
+        return vals[:, None] * B
+    return V @ (vals[:, None] * (V.conj().T @ B))
 
 
 def apply_fn(T, f, q: float | None = None, snap_rtol: float | None = None) -> np.ndarray:
@@ -337,17 +406,24 @@ def chi_values(k, theta):
     return f
 
 
-def chi_op(X, point: GammaPoint, q: float) -> np.ndarray:
+def chi_op(X, point: GammaPoint, q: float, columns: np.ndarray | None = None,
+           adjoint: bool = False) -> np.ndarray:
     """Operator bicharacter chi(X, gamma'): functional calculus of
     x -> e^{i (l' arg x + log_q|x| * theta')}.
 
     Requires ker X = {0}; the modulus indices log_q|x| are integers after
     snapping, which makes the result exactly multiplicative in gamma'.
-    chi(X, q) is the unitary phase (polar) factor of X.
+    chi(X, q) is the unitary phase (polar) factor of X.  With `columns`
+    the result is chi(X, gamma') B (chi(X, gamma')* B when `adjoint`),
+    computed by :func:`lattice_apply`.
     """
     if point.zero:
         raise DomainError("chi_op is defined for nonzero lattice points only")
-    return lattice_calculus(X, chi_values(point.k, point.theta), q)
+    f = chi_values(point.k, point.theta)
+    if columns is not None:
+        return lattice_apply(X, f, columns, q, adjoint=adjoint)
+    C = lattice_calculus(X, f, q)
+    return C.conj().T if adjoint else C
 
 
 def closure_sum(X, Y) -> NormalMatrix:
@@ -356,10 +432,13 @@ def closure_sum(X, Y) -> NormalMatrix:
     In the finite model this is the plain matrix sum standing in for the
     closure of the densely defined sum; no exact normality is claimed,
     the defect and lattice-distance reports quantify the truncation.
+    When Y is zero the sum is X itself, with its eigensystem and caches.
     """
     Xm, Ym = _as_normal(X), _as_normal(Y)
     if Xm.dim != Ym.dim:
         raise DimensionError(f"dimension mismatch: {Xm.dim} vs {Ym.dim}")
+    if not np.any(Ym.entries):
+        return Xm
     return NormalMatrix(Xm.entries + Ym.entries)
 
 

@@ -13,7 +13,11 @@ residuals are therefore measured on the interior window: grid vectors
 whose modulus index and Fourier modulus index (which pairs with the phase
 axis) both stay `margin` away from the wrap.  It is carried as its
 closed-form orthonormal basis B (see `interior_window`), and a windowed
-norm is that of B* A B.
+norm is that of B* A B.  Every witness computes it as B* (A B): the
+operator A (a commutator, a conjugate, a product of functions of X and
+Y) is applied to the r window columns factor by factor, functions of X
+and Y through :func:`~qazb.opalg.lattice_apply`, and A itself is never
+formed.  The norms taken are of n x r or r x r matrices.
 
 The model pair is diagonal in closed form: X has eigenbasis 1 and Y has
 eigenbasis F*, both with the grid values and their exact lattice data
@@ -22,7 +26,9 @@ eigenbasis F*, both with the grid values and their exact lattice data
 :class:`~qazb.opalg.NormalMatrix` members, which certify it on first read
 (||T V - V diag(lam)||_F / max|lam| and ||V* V - 1||_F, see
 :mod:`qazb.opalg`), so no Schur form or floating-point snap enters their
-functional calculus.  Matrices built otherwise keep the Schur route.
+functional calculus, and their normality defect is the certified bound
+of :mod:`qazb.opalg` rather than a dense commutator norm.  Matrices built
+otherwise keep the Schur route.
 
 Finite dimensions admit no exact pair with Y != 0 (the relation would force
 spec(Y) = q spec(Y)), so the wrap violation is irreducible; all continuum
@@ -143,12 +149,10 @@ def schrodinger_pair(g: GammaGrid, margin: int | None = None) -> Q2Pair:
     """
     if margin is None:
         margin = default_margin(g.M)
-    X = np.diag(g.values)
     Fh = g.fourier.conj().T
-    Y = Fh @ X @ g.fourier
     return Q2Pair(
-        Y=NormalMatrix(Y, Eigensystem(Fh, g.values, *g.lattice)),
-        X=NormalMatrix(X, Eigensystem(np.eye(g.size), g.values, *g.lattice)),
+        Y=NormalMatrix((Fh * g.values) @ g.fourier, Eigensystem(Fh, g.values, *g.lattice)),
+        X=NormalMatrix(np.diag(g.values), Eigensystem(np.eye(g.size), g.values, *g.lattice)),
         grid=g,
         window=interior_window(g, margin),
         provenance=(("schrodinger", g.M),),
@@ -157,12 +161,12 @@ def schrodinger_pair(g: GammaGrid, margin: int | None = None) -> Q2Pair:
 
 def weyl_residual(pair: Q2Pair, point: GammaPoint) -> float:
     """|| B* (chi(X,gamma) Y chi(X,gamma)* - gamma Y) B ||_2, with B the
-    pair's window basis."""
+    pair's window basis, from the n x r block C Y (C* B) - gamma Y B."""
     q = pair.grid.q
-    C = chi_op(pair.X, point, q)
-    D = C @ pair.Y.entries @ C.conj().T - point.value(q) * pair.Y.entries
+    Y = pair.Y.entries
     B = pair.window_or_identity()
-    return operator_norm(B.conj().T @ D @ B)
+    CYCB = chi_op(pair.X, point, q, columns=Y @ chi_op(pair.X, point, q, columns=B, adjoint=True))
+    return operator_norm(B.conj().T @ (CYCB - point.value(q) * (Y @ B)))
 
 
 @dataclass(frozen=True)
@@ -272,27 +276,38 @@ def exp_identity_residual(pair: Q2Pair) -> ExpIdentityReport:
     || (F_q(S) - F_q(Y) F_q(X)) B || is deliberately not used: S has
     wrap-borne defect of order ||S||^2, so no spectral calculus of the raw
     sum is meaningful (its defect and windowed defect are reported).
+
+    Each product is applied to the block [B, S B] factor by factor, so the
+    commutator enters as U (S B) - S (U B); the windowed defect is
+    (S* B)* (S* B) - (S B)* (S B).
     """
     params = QExpParams(pair.grid.q)
+    M = pair.grid.M
     S = closure_sum(pair.X, pair.Y)
-    FX = fq_on_operator(pair.X, params, pair.grid.M)
-    FY = fq_on_operator(pair.Y, params, pair.grid.M)
     B = pair.window_or_identity()
     Bh = B.conj().T
     Se = S.entries
-    scale = operator_norm(Se @ B)
+    SB, SsB = Se @ B, Se.conj().T @ B
+    scale = operator_norm(SB)
+    cols = np.hstack([B, SB])
+    r = B.shape[1]
 
-    def witness(U: np.ndarray) -> float:
+    def fx(A: np.ndarray) -> np.ndarray:
+        return fq_on_operator(pair.X, params, M, columns=A)
+
+    def fy(A: np.ndarray) -> np.ndarray:
+        return fq_on_operator(pair.Y, params, M, columns=A)
+
+    def witness(U_cols: np.ndarray) -> float:   # U applied to [B, S B]
         if scale < 1e-300:
             return 0.0
-        C = U @ Se - Se @ U
-        return operator_norm(Bh @ C @ B) / scale
+        return operator_norm(Bh @ (U_cols[:, r:] - Se @ U_cols[:, :r])) / scale
 
-    r = witness(FY @ FX)
-    rs = witness(FX @ FY)
-    wd = 0.0 if S.norm2 == 0 else operator_norm(Bh @ (Se @ Se.conj().T - Se.conj().T @ Se) @ B) / S.norm2 ** 2
+    res = witness(fy(fx(cols)))
+    rs = witness(fx(fy(cols)))
+    wd = 0.0 if S.norm2 == 0 else operator_norm(SsB.conj().T @ SsB - SB.conj().T @ SB) / S.norm2 ** 2
     return ExpIdentityReport(
-        residual=r,
+        residual=res,
         residual_swapped=rs,
         sum_defect=S.relative_defect,
         sum_defect_windowed=wd,
@@ -308,15 +323,16 @@ def windowed_modulus_distance(pair: Q2Pair, S: NormalMatrix | None = None) -> fl
     content is the spectrum of S*S, which is self-adjoint, so the windowed
     compression is free of the spectral pollution that invalidates raw
     finite-section eigenvalues of the non-normal S.  Returns the mean
-    relative distance of sqrt(eig(B* S*S B)) to q^Z (B spans the window).
+    relative distance of sqrt(eig(B* S*S B)) to q^Z (B spans the window),
+    with B* S*S B formed as (S B)* (S B).
     """
     if S is None:
         S = closure_sum(pair.X, pair.Y)
     B = pair.window_or_identity()
     if B.shape[1] == 0:
         return 0.0
-    Se = S.entries
-    G = B.conj().T @ (Se.conj().T @ Se) @ B
+    SB = S.entries @ B
+    G = SB.conj().T @ SB
     mu = np.clip(np.linalg.eigvalsh((G + G.conj().T) / 2.0), 0.0, None)
     moduli = np.sqrt(mu)
     _, _, zero, rel = snap_spectrum(moduli.astype(complex), pair.grid.q, scale=float(np.max(moduli, initial=0.0)))

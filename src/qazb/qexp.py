@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import AmbiguityError, DomainError
 from .gamma import GammaGrid, GammaPoint, snap_spectrum, zero_point
-from .opalg import lattice_calculus
+from .opalg import lattice_apply, lattice_calculus
 
 __all__ = [
     "QExpParams",
@@ -177,16 +177,22 @@ def fq_family(beta: GammaPoint, g: GammaGrid, p: QExpParams) -> np.ndarray:
     return fq_lattice(n, theta, p)
 
 
-def fq_on_operator(T, p: QExpParams, M: int | None = None) -> np.ndarray:
+def fq_on_operator(T, p: QExpParams, M: int | None = None,
+                   columns: np.ndarray | None = None) -> np.ndarray:
     """Spectral functional calculus: V diag(F_q(lambda_i)) V*.
 
     `T` is a NormalMatrix (or array accepted by it); through
     :func:`qazb.opalg.lattice_calculus` its eigenvalues are snapped to the
     lattice for evaluation, their phases to the grid of order `M` when
     given, while diagnostics keep the raw values.  The result is unitary
-    up to ~10x the relative normality defect of T.
+    up to ~10x the relative normality defect of T.  With `columns` the
+    result is F_q(T) B, computed by :func:`qazb.opalg.lattice_apply`
+    without forming F_q(T).
     """
-    return lattice_calculus(T, lambda n, theta, zero: fq_lattice(n, theta, p, zero=zero), p.q, M=M)
+    f = lambda n, theta, zero: fq_lattice(n, theta, p, zero=zero)
+    if columns is not None:
+        return lattice_apply(T, f, columns, p.q, M=M)
+    return lattice_calculus(T, f, p.q, M=M)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from qazb.corpus import load_pinned
 from qazb.errors import DimensionError, DomainError, KernelConditionError, SpectrumError
 from qazb.gamma import grid, make_point
 from qazb.opalg import (
+    Eigensystem,
     NormalMatrix,
     apply_fn,
     chi_op,
@@ -14,6 +15,7 @@ from qazb.opalg import (
     closure_sum,
     eig_normal,
     gamma_distance,
+    lattice_apply,
     lattice_calculus,
     operator_norm,
     snap_spectrum,
@@ -132,6 +134,37 @@ def test_lattice_calculus_matches_explicit_spectral_sum(stacked):
     assert np.abs(got.reshape(want.shape) - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("basis", ["schur", "supplied", "identity"])
+@pytest.mark.parametrize("adjoint", [False, True])
+def test_lattice_apply_matches_lattice_calculus_on_columns(basis, adjoint):
+    q, dim = 0.5, 9
+    rng = np.random.default_rng(4)
+    n = np.arange(-4, 5)
+    theta = rng.uniform(0.1, 6.2, dim)
+    lam = q ** n.astype(float) * np.exp(1j * theta)
+    Qu = np.eye(dim) if basis == "identity" else np.linalg.qr(
+        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    T = Qu @ np.diag(lam) @ Qu.conj().T
+    if basis != "schur":
+        T = NormalMatrix(T, Eigensystem(Qu, lam, n, theta))
+    p = QExpParams(q)
+    f = lambda n, theta, zero: fq_lattice(n, theta, p, zero=zero)
+    B = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
+    F = lattice_calculus(T, f, q)
+    want = (F.conj().T if adjoint else F) @ B
+    got = lattice_apply(T, f, B, q, adjoint=adjoint)
+    assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
+    C = chi_op(T, make_point(1, 0.7), q, columns=B, adjoint=adjoint)
+    D = chi_op(T, make_point(1, 0.7), q)
+    assert np.abs(C - (D.conj().T if adjoint else D) @ B).max() < 1e-13
+
+
+def test_lattice_apply_takes_one_function():
+    f = chi_values(np.array([1, 2]), np.array([0.3, 0.4]))
+    with pytest.raises(DimensionError):
+        lattice_apply(np.diag([1.0 + 0j, 0.5]), f, np.eye(2), 0.5)
+
+
 def test_chi_op_at_identity():
     g = grid(0.5, 4)
     X = np.diag(g.values)
@@ -184,6 +217,7 @@ def test_closure_sum_zero_and_mismatch():
     S = closure_sum(X, np.zeros((16, 16)))
     assert np.array_equal(S.entries, X.entries)
     assert S.normality_defect == X.normality_defect
+    assert S is X   # the zero summand leaves X, its eigensystem and caches
     with pytest.raises(DimensionError):
         closure_sum(X, np.zeros((4, 4)))
 

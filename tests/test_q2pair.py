@@ -305,6 +305,17 @@ def test_permuted_basis_is_refused():
         wrong.eig()
 
 
+def test_identity_basis_with_wrong_eigenvalues_is_refused():
+    # the identity basis skips the certificate's products, not its check
+    g = grid(0.5, 4)
+    k, theta = g.lattice
+    es = Eigensystem(np.eye(g.size), g.values[::-1], k[::-1], theta[::-1])
+    assert es.identity_basis
+    wrong = NormalMatrix(np.diag(g.values), es)
+    with pytest.raises(DomainError, match="does not describe"):
+        wrong.eig()
+
+
 def test_non_unitary_conjugation_is_refused():
     g = grid(0.5, 4)
     base = schrodinger_pair(g)
@@ -367,3 +378,164 @@ def test_tiny_eigenvalue_fails_the_kernel_check_without_raising():
     assert rows["kernel"]["pass"] is False
     assert rows["weyl_q"] == {"condition": "weyl_q", "value": None, "pass": False}
     assert rows["weyl_omega"]["value"] is None
+
+
+def _mean_lattice_distance(mu, q) -> float:
+    """The modulus distance of `windowed_modulus_distance` for the
+    eigenvalues mu of a windowed S*S."""
+    from qazb.gamma import snap_spectrum
+
+    moduli = np.sqrt(np.clip(mu, 0.0, None))
+    _, _, zero, rel = snap_spectrum(moduli.astype(complex), q, scale=float(np.max(moduli, initial=0.0)))
+    return float(np.mean(np.where(zero, 0.0, rel)))
+
+
+def dense_witnesses(pair: Q2Pair) -> dict:
+    """The witnesses by their n x n formulas: chi(X, gamma), F_q(X), F_q(Y),
+    both products, the commutators and S*S formed densely, then compressed
+    to B* A B.  The reference for the window-column route.  Also the modulus
+    distance from the singular values of S B, a route independent of both."""
+    g = pair.grid
+    q, P = g.q, QExpParams(g.q)
+    B = pair.window_or_identity()
+    Bh = B.conj().T
+    Y = pair.Y.entries
+    out = {}
+    for name, gen in grid_generators(g):
+        C = chi_op(pair.X, gen, q)
+        out[f"weyl_{name}"] = operator_norm(Bh @ (C @ Y @ C.conj().T - gen.value(q) * Y) @ B)
+    S = pair.X.entries + Y
+    FX, FY = fq_on_operator(pair.X, P, g.M), fq_on_operator(pair.Y, P, g.M)
+    scale = operator_norm(S @ B)
+    out["residual"] = operator_norm(Bh @ (FY @ FX @ S - S @ FY @ FX) @ B) / scale
+    out["residual_swapped"] = operator_norm(Bh @ (FX @ FY @ S - S @ FX @ FY) @ B) / scale
+    s2 = operator_norm(S) ** 2
+    comm = S @ S.conj().T - S.conj().T @ S
+    out["sum_defect"] = operator_norm(comm) / s2
+    out["sum_defect_windowed"] = operator_norm(Bh @ comm @ B) / s2
+    G = Bh @ (S.conj().T @ S) @ B
+    out["gamma_distance"] = _mean_lattice_distance(np.linalg.eigvalsh((G + G.conj().T) / 2.0), q)
+    sigma = np.linalg.svd(S @ B, compute_uv=False)
+    out["gamma_distance_svd"] = _mean_lattice_distance(sigma ** 2, q)
+    out["mean_inverse_modulus"] = float(np.mean(1.0 / sigma)) if sigma.size else 0.0
+    return out
+
+
+def _oracle_case(case):
+    kind, M = case.split("-")
+    g = grid(0.5, int(M))
+    if kind == "seeded":
+        return random_regular_pair(seeded_block_specs(5, 8, g), seed=5, g=g)
+    pair = schrodinger_pair(g)
+    if kind == "conjugated":
+        rng = np.random.default_rng(int(M))
+        A = rng.standard_normal((g.size, g.size)) + 1j * rng.standard_normal((g.size, g.size))
+        pair = conjugate_pair(pair, np.linalg.qr(A)[0])
+    return pair
+
+
+def _close(got: float, want: float) -> bool:
+    """1e-12 relative on a field that carries a model quantity; 1e-13
+    absolute on one at roundoff (these fields are relative to ||S B|| or
+    ||S||^2 already, so that is their own scale)."""
+    return abs(got - want) <= (1e-12 * want if want > 1e-10 else 1e-13)
+
+
+def _check_against_dense(pair: Q2Pair) -> None:
+    want = dense_witnesses(pair)
+    ident = exp_identity_residual(pair)
+    for field in ("residual", "residual_swapped", "sum_defect", "sum_defect_windowed"):
+        assert _close(getattr(ident, field), want[field]), field
+    # the Weyl residuals are absolute: roundoff on the scale ||Y||
+    for name, gen in grid_generators(pair.grid):
+        assert abs(weyl_residual(pair, gen) - want[f"weyl_{name}"]) < 1e-13 * pair.Y.norm2
+    assert ident.gamma_distance == windowed_modulus_distance(pair)
+    _check_gamma_distance(pair, ident.gamma_distance, want)
+
+
+def _check_gamma_distance(pair: Q2Pair, got: float, want: dict) -> None:
+    # The modulus distance is a mean of relative window moduli sigma_i.  A
+    # rounding of S (u ||S||) moves it by up to `cond` = u ||S|| mean(1/sigma_i)
+    # at first order, 3e-14 at M = 16.  The dense route also forms S*S before
+    # compressing it and lands up to 23 cond away from the singular values of
+    # S B (2.5e-11 relative, conjugated pair at M = 16); the column route
+    # forms (S B)* (S B) and stays within 1.3 cond of them.  So it is checked
+    # against the singular values to 1e-12 relative plus 4 cond, and against
+    # the dense route to that plus the dense route's own distance from them.
+    dense, svd = want["gamma_distance"], want["gamma_distance_svd"]
+    cond = 2.0 ** -53 * operator_norm(pair.X.entries + pair.Y.entries) * want["mean_inverse_modulus"]
+    assert abs(got - svd) <= 1e-12 * svd + 4 * cond
+    assert abs(got - dense) <= 1e-12 * dense + 4 * cond + abs(dense - svd)
+
+
+ORACLE_CASES = [f"{kind}-{M}" for kind in ("schrodinger", "conjugated") for M in (4, 8, 12, 16)] + ["seeded-8"]
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_window_column_witnesses_match_dense_formulas(case):
+    _check_against_dense(_oracle_case(case))
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_zero_control_matches_dense_formulas(case):
+    # Y = 0: F_q(Y) = 1, so every field of the control row sits at roundoff
+    pair = _oracle_case(case)
+    zero_pair = Q2Pair(Y=NormalMatrix(np.zeros((pair.dim, pair.dim)), Eigensystem.zero_operator(pair.dim)),
+                       X=pair.X, grid=pair.grid, window=pair.window)
+    want = dense_witnesses(zero_pair)
+    ident = exp_identity_residual(zero_pair)
+    for field in ("residual", "residual_swapped", "sum_defect_windowed"):
+        assert abs(getattr(ident, field) - want[field]) < 1e-13, field
+    _check_gamma_distance(zero_pair, ident.gamma_distance, want)
+    # the sum is X, whose defect is now its certified bound (4u relative)
+    assert want["sum_defect"] <= ident.sum_defect < 1e-12
+
+
+def test_zero_control_takes_no_square_norm(monkeypatch):
+    # closure_sum(X, 0) is X, whose norm and defect come from its eigensystem:
+    # the control row takes every norm on an n x r or r x r matrix, and a
+    # Schrodinger sweep step keeps only the two raw norms of S as n x n ones
+    import qazb.opalg
+    import qazb.q2pair
+
+    shapes = []
+
+    def recording(a):
+        shapes.append(a.shape)
+        return operator_norm(a)
+
+    monkeypatch.setattr(qazb.opalg, "operator_norm", recording)
+    monkeypatch.setattr(qazb.q2pair, "operator_norm", recording)
+    g = grid(0.5, 8)
+    pair = schrodinger_pair(g)
+    verify_q2(pair)
+    exp_identity_residual(pair)
+    assert sum(s == (g.size, g.size) for s in shapes) == 2
+    shapes.clear()
+    zero_pair = Q2Pair(Y=NormalMatrix(np.zeros((g.size, g.size)), Eigensystem.zero_operator(g.size)),
+                       X=pair.X, grid=g, window=pair.window)
+    assert exp_identity_residual(zero_pair).residual < 1e-12
+    assert shapes and (g.size, g.size) not in shapes
+
+
+def _dense_defect(T: NormalMatrix) -> float:
+    return _schur_copy(T).normality_defect
+
+
+@pytest.mark.parametrize("case", ["schrodinger-8", "schrodinger-16", "schrodinger-24", "conjugated-8"])
+def test_certified_defect_bounds_dense_defect(case):
+    pair = _oracle_case(case)
+    for T in (pair.X, pair.Y):
+        assert T.eigensystem is not None
+        bound = T.normality_defect
+        assert _dense_defect(T) <= bound < T.defect_threshold
+
+
+def test_failed_certificate_keeps_a_finite_dense_defect():
+    g = grid(0.5, 4)
+    base = schrodinger_pair(g)
+    U = np.eye(g.size) + 1e-3 * np.ones((g.size, g.size))
+    conj = conjugate_pair(Q2Pair(Y=base.Y, X=base.X, grid=g), U)
+    rows = {r["condition"]: r for r in verify_q2(conj).rows()}
+    assert np.isfinite(rows["normality"]["value"])
+    assert conj.X.normality_defect == _dense_defect(conj.X)

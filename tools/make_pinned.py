@@ -9,8 +9,10 @@ envelopes (x1.5 safety factor) and monotonicity witnesses.
 Each constant is cross-checked by a second computation route where one
 exists (FFT versus dense Fourier for the grid unitary, the closed-form
 window basis versus the dense window projector D (F* D F), the supplied
-eigensystems of the Schrodinger pair versus their Schur forms, eigh versus
-schur for self-adjoint spectra); a disagreement aborts the run.
+eigensystems of the Schrodinger pair versus their Schur forms, the
+window-column witnesses versus their n x n formulas, eigh versus schur
+for self-adjoint spectra); a disagreement aborts the run before anything
+is written.
 
 Usage: python3 tools/make_pinned.py [out_json]
 """
@@ -24,14 +26,16 @@ import numpy as np
 warnings.filterwarnings("ignore")
 
 from qazb.corep import build_rep, corep_residual
-from qazb.gamma import grid
-from qazb.opalg import NormalMatrix, operator_norm
+from qazb.gamma import grid, snap_spectrum
+from qazb.opalg import NormalMatrix, chi_op, operator_norm
 from qazb.q2pair import (
     default_margin,
     exp_identity_residual,
+    grid_generators,
     interior_window,
     schrodinger_pair,
     verify_q2,
+    weyl_residual,
 )
 from qazb.qexp import QExpParams, candidate_separation, fq_on_operator
 
@@ -67,6 +71,41 @@ def check_eigensystem_routes(pair) -> None:
             raise RuntimeError(f"eigensystem route disagreement {d} at M={g.M}")
 
 
+def check_window_column_routes(pair) -> None:
+    """Each witness against its n x n formula (A formed, then B* A B), to
+    1e-12 relative, or absolute on the scale of a field at roundoff (||Y||
+    for the Weyl residuals; the other fields are relative already).  The
+    modulus distance is checked against the singular values of S B, as the
+    dense route forms S*S first and is itself 4e-12 off at M = 16."""
+    g = pair.grid
+    params = QExpParams(g.q)
+    B = pair.window
+    Bh = B.conj().T
+    Y = pair.Y.entries
+    S = pair.X.entries + Y
+    FX, FY = fq_on_operator(pair.X, params, g.M), fq_on_operator(pair.Y, params, g.M)
+    comm = S @ S.conj().T - S.conj().T @ S
+    sigma = np.linalg.svd(S @ B, compute_uv=False)
+    _, _, zero, rel = snap_spectrum(sigma.astype(complex), g.q, scale=float(sigma.max()))
+    ident = exp_identity_residual(pair)
+    checks = [
+        ("residual", ident.residual, operator_norm(Bh @ (FY @ FX @ S - S @ FY @ FX) @ B) / sigma[0]),
+        ("residual_swapped", ident.residual_swapped,
+         operator_norm(Bh @ (FX @ FY @ S - S @ FX @ FY) @ B) / sigma[0]),
+        ("sum_defect", ident.sum_defect, operator_norm(comm) / operator_norm(S) ** 2),
+        ("sum_defect_windowed", ident.sum_defect_windowed, operator_norm(Bh @ comm @ B) / operator_norm(S) ** 2),
+        ("gamma_distance", ident.gamma_distance, float(np.mean(np.where(zero, 0.0, rel)))),
+    ]
+    for name, gen in grid_generators(g):
+        C = chi_op(pair.X, gen, g.q)
+        dense = operator_norm(Bh @ (C @ Y @ C.conj().T - gen.value(g.q) * Y) @ B)
+        checks.append((f"weyl_{name}", weyl_residual(pair, gen) / pair.Y.norm2, dense / pair.Y.norm2))
+    for name, got, want in checks:
+        d = abs(got - want) / (want if want > 1e-10 else 1.0)
+        if d > 1e-12:
+            raise RuntimeError(f"window-column route disagreement {d} on {name} at M={g.M}")
+
+
 def main(out_path: str) -> None:
     pinned = {"q": Q}
 
@@ -77,6 +116,7 @@ def main(out_path: str) -> None:
         check_window_routes(g, default_margin(M))
         pair = schrodinger_pair(g)
         check_eigensystem_routes(pair)
+        check_window_column_routes(pair)
         report = verify_q2(pair)
         if not report.passed:
             raise RuntimeError(f"schrodinger pair failed verification at M={M}")
