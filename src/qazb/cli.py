@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import __version__
+from . import __version__, blas
 from .corpus import load_pinned
 from .errors import QazbError
 from .gamma import grid, make_point, zero_point
@@ -156,9 +156,10 @@ def cmd_exp_identity(config: RunConfig, m_list: list[int]) -> int:
     for M in m_list:
         g = grid(config.q, M)
         margin = config.resolved_margin(M)
-        pair = schrodinger_pair(g, margin=margin)
-        rep = verify_q2(pair, tol=config.tol)
-        ident = exp_identity_residual(pair)
+        with blas.for_dim(g.size):
+            pair = schrodinger_pair(g, margin=margin)
+            rep = verify_q2(pair, tol=config.tol)
+            ident = exp_identity_residual(pair)
         rows.append({
             "q": config.q, "M": M, "margin": margin,
             "weyl_residual": max(rep.weyl_residuals.values()),
@@ -170,11 +171,12 @@ def cmd_exp_identity(config: RunConfig, m_list: list[int]) -> int:
         residuals.append(ident.residual)
         passed = passed and rep.passed and ident.residual_swapped > ident.residual
     # Y = 0 control on the largest grid: the last Schrodinger X and its window
-    zero_pair = Q2Pair(
-        Y=NormalMatrix(np.zeros((g.size, g.size)), Eigensystem.zero_operator(g.size)),
-        X=pair.X, grid=g, window=pair.window,
-    )
-    control = exp_identity_residual(zero_pair)
+    with blas.for_dim(g.size):
+        zero_pair = Q2Pair(
+            Y=NormalMatrix(np.zeros((g.size, g.size)), Eigensystem.zero_operator(g.size)),
+            X=pair.X, grid=g, window=pair.window,
+        )
+        control = exp_identity_residual(zero_pair)
     rows.append({
         "q": config.q, "M": m_list[-1], "margin": margin,
         "weyl_residual": 0.0, "exp_residual": control.residual,
@@ -251,16 +253,17 @@ def cmd_verify_pair(config: RunConfig, which: str) -> int:
     failure modes (the conjugation condition fails, by scaling or by the
     inverse relation)."""
     g = grid(config.q, config.M)
-    base = schrodinger_pair(g, margin=config.resolved_margin())
-    if which == "schrodinger":
-        pair = base
-    elif which == "xx":
-        pair = Q2Pair(Y=base.X, X=base.X, grid=g, window=base.window)
-    elif which == "swapped":
-        pair = Q2Pair(Y=base.X, X=base.Y, grid=g, window=base.window)
-    else:
-        raise ValueError(f"unknown pair selector {which!r}")
-    report = verify_q2(pair, tol=config.tol)
+    with blas.for_dim(g.size):
+        base = schrodinger_pair(g, margin=config.resolved_margin())
+        if which == "schrodinger":
+            pair = base
+        elif which == "xx":
+            pair = Q2Pair(Y=base.X, X=base.X, grid=g, window=base.window)
+        elif which == "swapped":
+            pair = Q2Pair(Y=base.X, X=base.Y, grid=g, window=base.window)
+        else:
+            raise ValueError(f"unknown pair selector {which!r}")
+        report = verify_q2(pair, tol=config.tol)
     return emit_report("verify-pair", config, report.rows(), report.passed)
 
 
