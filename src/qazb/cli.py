@@ -4,9 +4,9 @@ reports.
 Reports embed the full configuration and the library version, contain no
 timestamps, and are serialised with sorted keys, so identical configs
 produce byte-identical output.  Exit codes: 0 all checks passed, 1 a check
-failed, 2 invalid usage (including an empty --M-list, a margin that leaves
-no interior window, and a roundtrip with no trials or no dimension) or I/O
-failure.
+failed, 2 invalid usage (including an --M-list that is empty, not integers
+or not strictly increasing, a margin that leaves no interior window, and a
+roundtrip with no trials or no dimension) or I/O failure.
 """
 
 from __future__ import annotations
@@ -141,9 +141,17 @@ def cmd_fq_table(config: RunConfig) -> int:
 
 
 def _parse_m_list(text: str) -> list[int]:
-    m_list = [int(tok) for tok in text.split(",") if tok.strip()]
+    """Grid orders from a comma list; the sweeps gate a strict decrease
+    over them, so they must be integers in strictly increasing order."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    try:
+        m_list = [int(tok) for tok in tokens]
+    except ValueError:
+        raise ValueError(f"--M-list must be comma-separated integers, got {text!r}") from None
     if not m_list:
         raise ValueError("--M-list must name at least one grid order")
+    if any(b <= a for a, b in zip(m_list, m_list[1:])):
+        raise ValueError(f"--M-list must be strictly increasing, got {text!r}")
     return m_list
 
 

@@ -29,12 +29,16 @@ F_q applied to the closure of S' = bt (x) a (x) b + bt (x) b (x) I, so Q
 commutes with S' on the interior window and acts as the identity on
 ker(bt) (x) grid legs, where S' vanishes and F_q(0) = 1.
 
-U = W V is kept as its two block factors: W = F_q(bt (x) b) is block
+U = W V is kept through its two block factors: W = F_q(bt (x) b) is block
 diagonal over grid positions, and V = (I (x) F) Z (I (x) F*) conjugates
 the block-diagonal Z = blocks chi(at, gamma_a) by the grid Fourier
-unitary F.  The residual applies U and V through these factors, and the
-unitarity defect of a built U is certified from the factors' defects; the
-dense U is materialised only when it is read.
+unitary F.  Both are diagonal in eigen-coordinates: Z_a = V_a diag(z_a)
+V_a* and W_g = V_b diag(w_g) V_b*, with V_a, V_b the eigenbases of at and
+bt and z, w the chi and F_q values on their lattice data.  The residual
+applies U and V in these coordinates, as matrix products on one axis
+(F on a grid leg, a change of eigenbasis on H) and multiplies by the
+values, and the unitarity defect of a built U is certified from the
+factors' defects; the dense U is materialised only when it is read.
 """
 
 from __future__ import annotations
@@ -54,7 +58,15 @@ from .errors import (
     ParameterError,
 )
 from .gamma import GammaGrid, GammaPoint
-from .opalg import NormalMatrix, chi_values, closure_sum, lattice_calculus, operator_norm
+from .opalg import (
+    NormalMatrix,
+    chi_values,
+    closure_sum,
+    eigen_stack,
+    lattice_calculus,
+    lattice_values,
+    operator_norm,
+)
 from .q2pair import Q2Pair, default_margin, interior_window
 from .qexp import QExpParams, fq_lattice, invert_fq_family
 
@@ -90,21 +102,22 @@ def _physical_memory() -> int:
 class Representation:
     """A unitary U on H (x) H_grid, flat index h * M^2 + g (H-major).
 
-    A built representation holds U = W V as its factors' (n, d, d) block
-    stacks, n = M^2: `fq_blocks` F_q(gamma_g * bt) of the block-diagonal
-    W, one per grid position g, and `chi_blocks` chi(at, gamma_a) of
-    V = (I (x) F) Z (I (x) F*), one per Fourier slot a.  The dense `U` is
-    built from them on first read (refused with ParameterError when its
-    16 (d M^2)^2 bytes exceed physical memory); a loaded representation
-    holds only its dense U.
+    A built representation holds U = W V through the eigenvalues of its
+    factors' blocks on the eigenbases V_b of bt and V_a of at, n = M^2:
+    `fq_values` w (n, d) of the block-diagonal W, W_g = F_q(gamma_g * bt)
+    = V_b diag(w_g) V_b* per grid position g, and `chi_values` z (n, d) of
+    V = (I (x) F) Z (I (x) F*), Z_a = chi(at, gamma_a) = V_a diag(z_a) V_a*
+    per Fourier slot a.  The dense `U` is built from them on first read
+    (refused with ParameterError when its 16 (d M^2)^2 bytes exceed
+    physical memory); a loaded representation holds only its dense U.
     """
 
     grid: GammaGrid
     h_dim: int
     pair: Q2Pair | None = None
     unitarity_defect: float = 0.0
-    fq_blocks: np.ndarray | None = None
-    chi_blocks: np.ndarray | None = None
+    fq_values: np.ndarray | None = None
+    chi_values: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -119,8 +132,9 @@ class Representation:
                 f"more than the {have} bytes of physical memory"
             )
         d, n = self.h_dim, self.grid.size
-        V = _conjugate_by_fourier(self.chi_blocks, self.grid).reshape(d, n, d * n).transpose(1, 0, 2)
-        U = (self.fq_blocks @ V).transpose(1, 0, 2).reshape(d * n, d * n)
+        W, B = _blocks(self.pair, self.fq_values, self.chi_values)
+        V = _conjugate_by_fourier(B, self.grid).reshape(d, n, d * n).transpose(1, 0, 2)
+        U = (W @ V).transpose(1, 0, 2).reshape(d * n, d * n)
         U.setflags(write=False)
         return U
 
@@ -157,11 +171,6 @@ def _conjugate_by_fourier(B: np.ndarray, g: GammaGrid) -> np.ndarray:
     return np.einsum("ga,ahk,ba->hgkb", F, B, F.conj(), optimize=True).reshape(d * n, d * n)
 
 
-def _chi_blocks(a_t: NormalMatrix, g: GammaGrid) -> np.ndarray:
-    """The blocks chi(at, gamma_g), one per grid point g, as an (n, d, d) stack."""
-    return lattice_calculus(a_t, chi_values(*g.lattice), g.q, M=g.M)
-
-
 def chi_kron(a_t: NormalMatrix, g: GammaGrid) -> np.ndarray:
     """chi(at (x) I, I (x) a) as a dense unitary on H (x) H_grid.
 
@@ -169,7 +178,13 @@ def chi_kron(a_t: NormalMatrix, g: GammaGrid) -> np.ndarray:
     the blocks chi(at, gamma_g), one per grid position g, conjugated by
     I (x) F in one contraction.
     """
-    return _conjugate_by_fourier(_chi_blocks(a_t, g), g)
+    return _conjugate_by_fourier(lattice_calculus(a_t, chi_values(*g.lattice), g.q, M=g.M), g)
+
+
+def _blocks(pair: Q2Pair, w: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, d, d) stacks of W_g = V_b diag(w_g) V_b* and Z_a = V_a
+    diag(z_a) V_a*, as :func:`~qazb.opalg.lattice_calculus` forms them."""
+    return eigen_stack(pair.Y.eig()[0], w), eigen_stack(pair.X.eig()[0], z)
 
 
 def _block_defect(blocks: np.ndarray) -> float:
@@ -183,8 +198,9 @@ def build_rep(pair, g: GammaGrid) -> Representation:
 
     F_q(bt (x) b) is block diagonal over the grid-leg position basis, with
     block g equal to F_q(gamma_g * bt); chi is the blocks chi(at, gamma_a)
-    conjugated by I (x) F.  Both (n, d, d) stacks are kept on the
-    representation.  The unitarity defect is certified from the factors:
+    conjugated by I (x) F.  The blocks' eigenvalues, computed once on the
+    lattice data of bt and at, are kept on the representation.  The
+    unitarity defect is certified from the factors:
     if A* A - 1 and B* B - 1 have norms a and b, then (AB)* AB - 1 has norm
     at most (1 + a)(1 + b) - 1, applied to the factors W, I (x) F, Z and
     I (x) F* of U (||F F* - 1|| = ||F* F - 1||).
@@ -197,16 +213,17 @@ def build_rep(pair, g: GammaGrid) -> Representation:
         zero = np.broadcast_to(zero, k.shape)
         return fq_lattice(k.ravel(), theta.ravel(), params, zero=zero.ravel()).reshape(k.shape)
 
-    W = lattice_calculus(p.Y, fq_grid, g.q, M=g.M)
-    B = _chi_blocks(p.X, g)
+    w = lattice_values(p.Y, fq_grid, g.q, M=g.M)[1]
+    z = lattice_values(p.X, chi_values(*g.lattice), g.q, M=g.M)[1]
+    W, B = _blocks(p, w, z)
     defect_f = _block_defect(g.fourier)
     defect = 0.0
     for delta in (_block_defect(W), defect_f, defect_f, _block_defect(B)):
         defect += delta + defect * delta
-    for blocks in (W, B):
-        blocks.setflags(write=False)
+    for vals in (w, z):
+        vals.setflags(write=False)
     return Representation(grid=g, h_dim=p.dim, pair=p, unitarity_defect=defect,
-                          fq_blocks=W, chi_blocks=B)
+                          fq_values=w, chi_values=z)
 
 
 def _on_h(A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -214,14 +231,34 @@ def _on_h(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (A @ v.reshape(A.shape[1], -1)).reshape(A.shape[:1] + v.shape[1:])
 
 
-class _LegOps:
-    """Actions on H (x) grid (x) grid tensors (d, n, n) through the block
-    factors of U = W V, V = (I (x) F) Z (I (x) F*).
+def _basis(T: NormalMatrix) -> np.ndarray | None:
+    """The eigenbasis of T, or None for a supplied identity basis (never
+    multiplied by, as in :func:`~qazb.opalg.eigen_apply`)."""
+    es = T.eigensystem
+    return None if es is not None and es.identity_basis else T.eig()[0]
 
-    A leg application is a grid-axis multiply by F*, a batched (n, d, d)
-    block product with Z (or Z*), a multiply by F and, for U, a block
-    product with W: O(d n^2 + n d^2) per vector of H (x) grid, where the
-    dense U and V cost O(d^2 n^2).
+
+def _change(src: np.ndarray | None, dst: np.ndarray | None) -> np.ndarray | None:
+    """dst* src: coordinates in the basis src to coordinates in dst (None
+    for the identity basis, and for no change)."""
+    if dst is None:
+        return src
+    if src is None:
+        return dst.conj().T
+    return dst.conj().T @ src
+
+
+class _LegOps:
+    """Actions on H (x) grid (x) grid tensors (d, n, n) in eigen-coordinates.
+
+    With Z_a = V_a diag(z_a) V_a* and W_g = V_b diag(w_g) V_b*, every leg
+    of U = W V, V = (I (x) F) Z (I (x) F*), is a chain of two kinds of
+    steps: a matrix product on one axis (F or F* on a grid leg, a change
+    between the standard basis and the eigenbases V_a, V_b on H) and an
+    elementwise multiply by the values z, z-bar or w on H and one grid
+    leg.  F commutes with every change of basis on H, so a leg changes
+    basis only where the next multiply needs it.  Nothing is transposed,
+    and an identity basis is never multiplied by.
     """
 
     def __init__(self, rep: Representation):
@@ -232,39 +269,76 @@ class _LegOps:
         self.n = self.g.size
         self.F = self.g.fourier
         self.Fh = self.F.conj()   # F* (F is symmetric)
-        self.W = rep.fq_blocks
-        self.Z = rep.chi_blocks
-        self.Zh = self.Z.conj().transpose(0, 2, 1)
+        Va, Vb = _basis(rep.pair.X), _basis(rep.pair.Y)
+        # changes of coordinates on H: standard (std), eigenbasis of at (a) and of bt (b)
+        self.std_a, self.a_std = _change(None, Va), _change(Va, None)
+        self.a_b, self.b_a = _change(Va, Vb), _change(Vb, Va)
+        self.b_std = _change(Vb, None)
+        z, w = rep.chi_values.T, rep.fq_values.T   # (d, n)
+        # the values on H and grid leg 1 or 2 of a (d, n, n) tensor
+        self.z = {1: z[:, :, None], 2: z[:, None, :]}
+        self.zc = {1: z.conj()[:, :, None], 2: z.conj()[:, None, :]}
+        self.w = {1: w[:, :, None], 2: w[:, None, :]}
         self.bvals = self.g.values
         self.a = grid_operators(self.g)[1]
         self.bt = rep.pair.Y.entries
 
-    def _leg(self, v: np.ndarray, leg: int, Z: np.ndarray, W: np.ndarray | None = None) -> np.ndarray:
-        """W (I (x) F) blockdiag(Z) (I (x) F*) on H and grid leg `leg` (1 or 2)."""
-        d, n = self.d, self.n
-        order = (1, 0, 2) if leg == 1 else (2, 0, 1)
-        x = v.transpose(order).reshape(n, d * n)   # the acted grid leg first
-        x = (Z @ (self.Fh @ x).reshape(n, d, n)).reshape(n, d * n)
-        x = (self.F @ x).reshape(n, d, n)
-        if W is not None:
-            x = W @ x
-        return x.transpose(np.argsort(order))
+    def _on_grid(self, F: np.ndarray, v: np.ndarray, leg: int) -> np.ndarray:
+        """F on grid leg `leg` (1 or 2) of a tensor (F symmetric); a new array."""
+        if leg == 1:
+            return np.matmul(F, v)
+        return (v.reshape(-1, self.n) @ F).reshape(v.shape)
+
+    @staticmethod
+    def _h(T: np.ndarray | None, v: np.ndarray) -> np.ndarray:
+        """A change of basis T on H (None: none, and `v` itself)."""
+        return v if T is None else _on_h(T, v)
+
+    def _literal_leg(self, v: np.ndarray, leg: int, u: bool) -> np.ndarray:
+        """The literal leg W F Z F* (U, when `u`) or F Z* F* (V*) on H and
+        grid leg `leg`."""
+        x = self._h(self.std_a, self._on_grid(self.Fh, v, leg))
+        if not u:
+            x *= self.zc[leg]
+            return self._on_grid(self.F, self._h(self.a_std, x), leg)
+        x *= self.z[leg]
+        x = self._h(self.a_b, self._on_grid(self.F, x, leg))
+        x *= self.w[leg]
+        return self._h(self.b_std, x)
 
     def u12(self, v: np.ndarray) -> np.ndarray:
-        return self._leg(v, 1, self.Z, self.W)
+        return self._literal_leg(v, 1, True)
 
     def u13(self, v: np.ndarray) -> np.ndarray:
-        return self._leg(v, 2, self.Z, self.W)
+        return self._literal_leg(v, 2, True)
 
     def vh12(self, v: np.ndarray) -> np.ndarray:
-        return self._leg(v, 1, self.Zh)
+        return self._literal_leg(v, 1, False)
 
     def vh13(self, v: np.ndarray) -> np.ndarray:
-        return self._leg(v, 2, self.Zh)
+        return self._literal_leg(v, 2, False)
 
     def q_apply(self, v: np.ndarray) -> np.ndarray:
-        """Q = U_12 U_13 (V_12 V_13)* applied to a (d, n, n) tensor."""
-        return self.u12(self.u13(self.vh13(self.vh12(v))))
+        """Q = U_12 U_13 (V_12 V_13)* applied to a (d, n, n) tensor.
+
+        Evaluated as W_1 F_1 Z_1 . W_2 F_2 Z_2 Z_2* F_2* . Z_1* F_1*: the
+        literal chain u12 u13 vh13 vh12 with its two adjacent F* F
+        products removed (F_1 commutes with everything acting on H (x)
+        leg 2); Z_2 Z_2* stays, as two multiplies.  Every multiply acts in
+        place on the array its preceding product made.
+        """
+        x = self._h(self.std_a, self._on_grid(self.Fh, v, 1))
+        x *= self.zc[1]                                     # Z_1* F_1*
+        x = self._on_grid(self.Fh, x, 2)
+        x *= self.zc[2]
+        x *= self.z[2]                                      # Z_2 Z_2* F_2*
+        x = self._h(self.a_b, self._on_grid(self.F, x, 2))
+        x *= self.w[2]                                      # W_2 F_2
+        x = self._h(self.b_a, x)
+        x *= self.z[1]                                      # Z_1
+        x = self._h(self.a_b, self._on_grid(self.F, x, 1))
+        x *= self.w[1]                                      # W_1 F_1
+        return self._h(self.b_std, x)
 
     def s_apply(self, v: np.ndarray) -> np.ndarray:
         """S' = bt (x) a (x) b + bt (x) b (x) I applied to a tensor."""
@@ -307,7 +381,14 @@ def corep_residual(
     def coords(v):   # coordinates in the window basis Bh (x) Bg (x) Bg
         return (Bg.conj().T @ _on_h(Bh.conj().T, v)) @ Bg.conj()
 
-    Pker = lattice_calculus(rep.pair.Y, lambda n, theta, zero: zero, g.q)   # onto ker(bt)
+    zero = rep.pair.Y.lattice(g.q)[2]   # ker(bt): onto it by V_b diag(zero) V_b*
+    if zero.all():
+        kernel = np.copy
+    elif zero.any():
+        Pker = lattice_calculus(rep.pair.Y, lambda n, theta, zero: zero, g.q)
+        kernel = lambda v: _on_h(Pker, v)
+    else:
+        kernel = None
 
     rng = np.random.default_rng(seed)
     comm = 0.0
@@ -326,7 +407,9 @@ def corep_residual(
         c = coords(ops.q_apply(sv) - ops.s_apply(qv))
         comms.append(float(np.linalg.norm(c)))
         sscale = max(sscale, float(np.linalg.norm(sv)))
-        w = _on_h(Pker, v)
+        if kernel is None:
+            continue
+        w = kernel(v)
         nw = np.linalg.norm(w)
         if nw > 1e-12:
             w /= nw

@@ -43,10 +43,12 @@ Every function of a normal matrix on the lattice goes through one
 lattice-data step: basis V, lattice data (n, theta, zero) from
 :meth:`NormalMatrix.lattice` (the supplied data, or the eigenvalues
 snapped by :func:`qazb.gamma.snap_spectrum`) and values f(n, theta,
-zero).  :func:`lattice_calculus` forms V diag(f) V* (a leading axis of f
-gives a stack of such matrices in one batched product);
-:func:`lattice_apply` applies it to the columns of an n x r block B as
-V (f * (V* B)), in O(n^2 r) and without forming the n x n matrix.
+zero).  :func:`lattice_values` returns V and the values f;
+:func:`lattice_calculus` forms V diag(f) V* (a leading axis of f gives a
+stack of such matrices in one batched product); :func:`lattice_apply`
+applies it to the columns of an n x r block B as V (f * (V* B)), in
+O(n^2 r) and without forming the n x n matrix, and :func:`eigen_apply`
+does the same for values computed once and applied many times.
 Diagnostics such as :func:`gamma_distance` always report the unsnapped
 values.
 """
@@ -70,9 +72,12 @@ __all__ = [
     "chi_op",
     "chi_values",
     "closure_sum",
+    "eigen_apply",
+    "eigen_stack",
     "gamma_distance",
     "lattice_apply",
     "lattice_calculus",
+    "lattice_values",
     "snap_spectrum",
 ]
 
@@ -326,8 +331,9 @@ def eig_normal(T) -> tuple[np.ndarray, np.ndarray, float]:
     return V, lam, max(nm.normality_defect, nm.schur_offdiag)
 
 
-def _lattice_values(T, f, q: float, M: int | None, rtol: float | None):
-    """The basis V of T and the values f(n, theta, zero) on its lattice data."""
+def lattice_values(T, f, q: float, M: int | None = None, rtol: float | None = None):
+    """The basis V of T and the values f(n, theta, zero) on its lattice
+    data (see :func:`lattice_calculus`), values on the last axis."""
     nm = _as_normal(T)
     V, lam = nm.eig()
     n, theta, zero, _ = nm.lattice(q, M=M, rtol=rtol)
@@ -346,8 +352,29 @@ def lattice_calculus(T, f, q: float, M: int | None = None, rtol: float | None = 
     these arrays to values of shape (..., dim); leading axes give a stack
     of matrices.
     """
-    V, vals = _lattice_values(T, f, q, M, rtol)
+    return eigen_stack(*lattice_values(T, f, q, M, rtol))
+
+
+def eigen_stack(V: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """V diag(vals) V*, one matrix per leading index of `vals` (one batched
+    product): :func:`lattice_calculus` on values from :func:`lattice_values`."""
     return (V * vals[..., None, :]) @ V.conj().T
+
+
+def eigen_apply(T, vals: np.ndarray, B: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """V (vals * (V* B)) for the columns of B, with V the eigenbasis of T
+    and `vals` one value per eigenvector (conjugated when `adjoint`), as
+    from :func:`lattice_values`; a supplied identity basis is not
+    multiplied by."""
+    nm = _as_normal(T)
+    if vals.ndim != 1:
+        raise DimensionError("eigen_apply takes one function, not a stack")
+    if adjoint:
+        vals = vals.conj()
+    if nm.eigensystem is not None and nm.eigensystem.identity_basis:
+        return vals[:, None] * B
+    V = nm.eig()[0]
+    return V @ (vals[:, None] * (V.conj().T @ B))
 
 
 def lattice_apply(T, f, B: np.ndarray, q: float, M: int | None = None,
@@ -357,17 +384,10 @@ def lattice_apply(T, f, B: np.ndarray, q: float, M: int | None = None,
 
     Same lattice data and `f` as :func:`lattice_calculus`, without a
     leading axis; the n x n matrix f(T) is never formed, and a supplied
-    identity basis is not multiplied by.
+    identity basis is not multiplied by (:func:`eigen_apply`).
     """
     nm = _as_normal(T)
-    V, vals = _lattice_values(nm, f, q, M, None)
-    if vals.ndim != 1:
-        raise DimensionError("lattice_apply takes one function, not a stack")
-    if adjoint:
-        vals = vals.conj()
-    if nm.eigensystem is not None and nm.eigensystem.identity_basis:
-        return vals[:, None] * B
-    return V @ (vals[:, None] * (V.conj().T @ B))
+    return eigen_apply(nm, lattice_values(nm, f, q, M)[1], B, adjoint)
 
 
 def apply_fn(T, f, q: float | None = None, snap_rtol: float | None = None) -> np.ndarray:

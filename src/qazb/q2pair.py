@@ -16,7 +16,7 @@ closed-form orthonormal basis B (see `interior_window`), and a windowed
 norm is that of B* A B.  Every witness computes it as B* (A B): the
 operator A (a commutator, a conjugate, a product of functions of X and
 Y) is applied to the r window columns factor by factor, functions of X
-and Y through :func:`~qazb.opalg.lattice_apply`, and A itself is never
+and Y through :func:`~qazb.opalg.eigen_apply`, and A itself is never
 formed.  The norms taken are of n x r or r x r matrices.
 
 The model pair is diagonal in closed form: X has eigenbasis 1 and Y has
@@ -54,8 +54,8 @@ from scipy.linalg import block_diag
 
 from .errors import DimensionError, DomainError, ParameterError
 from .gamma import GammaGrid, GammaPoint, snap_spectrum
-from .opalg import SPECTRUM_RTOL, Eigensystem, NormalMatrix, chi_op, closure_sum, operator_norm
-from .qexp import QExpParams, fq_on_operator
+from .opalg import SPECTRUM_RTOL, Eigensystem, NormalMatrix, chi_op, closure_sum, eigen_apply, operator_norm
+from .qexp import QExpParams, fq_eigenvalues
 
 __all__ = [
     "Q2Pair",
@@ -278,7 +278,8 @@ def exp_identity_residual(pair: Q2Pair) -> ExpIdentityReport:
     sum is meaningful (its defect and windowed defect are reported).
 
     Each product is applied to the block [B, S B] factor by factor, so the
-    commutator enters as U (S B) - S (U B); the windowed defect is
+    commutator enters as U (S B) - S (U B); the F_q values of X and of Y
+    are computed once and serve both orders.  The windowed defect is
     (S* B)* (S* B) - (S B)* (S B).
     """
     params = QExpParams(pair.grid.q)
@@ -292,11 +293,13 @@ def exp_identity_residual(pair: Q2Pair) -> ExpIdentityReport:
     cols = np.hstack([B, SB])
     r = B.shape[1]
 
+    fq_x, fq_y = fq_eigenvalues(pair.X, params, M), fq_eigenvalues(pair.Y, params, M)
+
     def fx(A: np.ndarray) -> np.ndarray:
-        return fq_on_operator(pair.X, params, M, columns=A)
+        return eigen_apply(pair.X, fq_x, A)
 
     def fy(A: np.ndarray) -> np.ndarray:
-        return fq_on_operator(pair.Y, params, M, columns=A)
+        return eigen_apply(pair.Y, fq_y, A)
 
     def witness(U_cols: np.ndarray) -> float:   # U applied to [B, S B]
         if scale < 1e-300:

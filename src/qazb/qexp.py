@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import AmbiguityError, DomainError
 from .gamma import GammaGrid, GammaPoint, snap_spectrum, zero_point
-from .opalg import lattice_apply, lattice_calculus
+from .opalg import lattice_calculus, lattice_values
 
 __all__ = [
     "QExpParams",
@@ -43,6 +43,7 @@ __all__ = [
     "fq_complex",
     "fq_family",
     "fq_on_operator",
+    "fq_eigenvalues",
     "invert_fq_family",
     "InversionResult",
     "candidate_separation",
@@ -177,22 +178,29 @@ def fq_family(beta: GammaPoint, g: GammaGrid, p: QExpParams) -> np.ndarray:
     return fq_lattice(n, theta, p)
 
 
-def fq_on_operator(T, p: QExpParams, M: int | None = None,
-                   columns: np.ndarray | None = None) -> np.ndarray:
+def _fq_of_lattice(p: QExpParams):
+    """The lattice-calculus map (n, theta, zero) -> F_q(q^n e^{i theta}) (1 on zero)."""
+    return lambda n, theta, zero: fq_lattice(n, theta, p, zero=zero)
+
+
+def fq_on_operator(T, p: QExpParams, M: int | None = None) -> np.ndarray:
     """Spectral functional calculus: V diag(F_q(lambda_i)) V*.
 
     `T` is a NormalMatrix (or array accepted by it); through
     :func:`qazb.opalg.lattice_calculus` its eigenvalues are snapped to the
     lattice for evaluation, their phases to the grid of order `M` when
     given, while diagnostics keep the raw values.  The result is unitary
-    up to ~10x the relative normality defect of T.  With `columns` the
-    result is F_q(T) B, computed by :func:`qazb.opalg.lattice_apply`
-    without forming F_q(T).
+    up to ~10x the relative normality defect of T.
     """
-    f = lambda n, theta, zero: fq_lattice(n, theta, p, zero=zero)
-    if columns is not None:
-        return lattice_apply(T, f, columns, p.q, M=M)
-    return lattice_calculus(T, f, p.q, M=M)
+    return lattice_calculus(T, _fq_of_lattice(p), p.q, M=M)
+
+
+def fq_eigenvalues(T, p: QExpParams, M: int | None = None) -> np.ndarray:
+    """F_q of the eigenvalues of T on their lattice data, in the order of
+    its eigenbasis: the values of :func:`fq_on_operator`, computed once
+    for any number of :func:`qazb.opalg.eigen_apply` calls (F_q(T) B
+    without forming F_q(T))."""
+    return lattice_values(T, _fq_of_lattice(p), p.q, M=M)[1]
 
 
 @dataclass(frozen=True)

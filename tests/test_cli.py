@@ -67,24 +67,28 @@ def test_corep_command(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args, names",
     [
-        pytest.param(["--q", "1.5", "fq-table"], id="q"),
-        pytest.param(["exp-identity", "--M-list", ""], id="exp-identity-empty-M-list"),
-        pytest.param(["corep", "--M-list", ""], id="corep-empty-M-list"),
-        pytest.param(["roundtrip", "--trials", "0"], id="roundtrip-no-trials"),
-        pytest.param(["roundtrip", "--h-dim", "0"], id="roundtrip-h-dim-0"),
-        pytest.param(["roundtrip", "--h-dim", "-3"], id="roundtrip-h-dim-negative"),
-        pytest.param(["--margin", "2", "corep", "--M-list", "4"], id="corep-empty-window"),
-        pytest.param(["-M", "4", "--margin", "2", "verify-pair"], id="verify-pair-empty-window"),
-        pytest.param(["-M", "2", "verify-pair"], id="verify-pair-M2-default-margin"),
-        pytest.param(["--margin", "4", "exp-identity", "--M-list", "8"], id="exp-identity-empty-window"),
+        pytest.param(["--q", "1.5", "fq-table"], "--q", id="q"),
+        pytest.param(["exp-identity", "--M-list", ""], "--M-list", id="exp-identity-empty-M-list"),
+        pytest.param(["corep", "--M-list", ""], "--M-list", id="corep-empty-M-list"),
+        pytest.param(["corep", "--M-list", "4,4"], "--M-list", id="corep-M-list-repeated"),
+        pytest.param(["corep", "--M-list", "6,4"], "--M-list", id="corep-M-list-decreasing"),
+        pytest.param(["exp-identity", "--M-list", "8,x"], "--M-list", id="exp-identity-M-list-not-integer"),
+        pytest.param(["roundtrip", "--trials", "0"], "--trials", id="roundtrip-no-trials"),
+        pytest.param(["roundtrip", "--h-dim", "0"], "--h-dim", id="roundtrip-h-dim-0"),
+        pytest.param(["roundtrip", "--h-dim", "-3"], "--h-dim", id="roundtrip-h-dim-negative"),
+        pytest.param(["--margin", "2", "corep", "--M-list", "4"], "margin", id="corep-empty-window"),
+        pytest.param(["-M", "4", "--margin", "2", "verify-pair"], "margin", id="verify-pair-empty-window"),
+        pytest.param(["-M", "2", "verify-pair"], "margin", id="verify-pair-M2-default-margin"),
+        pytest.param(["--margin", "4", "exp-identity", "--M-list", "8"], "margin", id="exp-identity-empty-window"),
     ],
 )
-def test_invalid_q_is_usage_error(tmp_path, capsys, args):
+def test_invalid_q_is_usage_error(tmp_path, capsys, args, names):
     out = tmp_path / "x.json"
     assert run(["--out", str(out)] + args) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and names in err
     assert not out.exists()
 
 

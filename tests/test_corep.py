@@ -9,6 +9,7 @@ from qazb.gamma import grid
 from qazb.opalg import NormalMatrix, operator_norm
 from qazb.q2pair import (
     Q2Pair,
+    conjugate_pair,
     grid_generators,
     random_regular_pair,
     schrodinger_pair,
@@ -272,16 +273,22 @@ def dense_reference_u(pair, g):
     return W @ (IF @ Z @ IF.conj().T)
 
 
-CASES = ["schrodinger-4", "schrodinger-6", "seeded-d8-8"]
+CASES = ["schrodinger-4", "schrodinger-6", "seeded-d8-8", "conjugated-4"]
 
 
 def case_pair(case):
-    """The grid and pair of a CASES id: the Schrodinger pair at M, or a
-    seeded d = 8 pair at M = 8."""
+    """The grid and pair of a CASES id: the Schrodinger pair at M, a
+    seeded d = 8 pair at M = 8, or the Schrodinger pair at M = 4
+    conjugated by a seeded unitary (so that at has no identity basis)."""
     kind, *rest = case.split("-")
     if kind == "schrodinger":
         g = grid(0.5, int(rest[0]))
         return g, schrodinger_pair(g)
+    if kind == "conjugated":
+        g = grid(0.5, int(rest[0]))
+        rng = np.random.default_rng(8)
+        A = rng.standard_normal((g.size, g.size)) + 1j * rng.standard_normal((g.size, g.size))
+        return g, conjugate_pair(schrodinger_pair(g), np.linalg.qr(A)[0])
     g = grid(0.5, 8)
     return g, random_regular_pair(seeded_block_specs(5, 8, g), seed=5, g=g)
 
@@ -324,6 +331,36 @@ def test_leg_operators_match_dense_route(case):
     ]
     for got, want in checks:
         assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(want)
+
+
+def literal_q(ops, v):
+    """Q as the literal chain of the four legs: the oracle of the fused Q."""
+    return ops.u12(ops.u13(ops.vh13(ops.vh12(v))))
+
+
+@pytest.mark.parametrize(
+    "case", ["classical", "seeded-d8-8", "conjugated-4", "schrodinger-4", "schrodinger-6"]
+)
+def test_residual_through_fused_q_matches_literal_legs(case, monkeypatch):
+    from qazb.corep import _LegOps
+
+    if case == "classical":   # bt = 0: every sample lies in ker(bt)
+        g = grid(0.5, 4)
+        pair = random_regular_pair([("trivial", g.point(1, 0))], seed=1, g=g)
+    else:
+        g, pair = case_pair(case)
+    rep = build_rep(pair, g)
+    fused = corep_residual(rep, samples=8, seed=2)
+    monkeypatch.setattr(_LegOps, "q_apply", literal_q)
+    literal = corep_residual(rep, samples=8, seed=2)
+    assert fused.samples == literal.samples
+    for field in ("residual", "commutation", "kernel_identity"):
+        got, want = getattr(fused, field), getattr(literal, field)
+        assert abs(got - want) <= max(1e-13 * abs(want), 1e-14), field
+    if case in ("classical", "seeded-d8-8"):
+        assert literal.kernel_identity > 0.0
+    else:
+        assert literal.commutation > 1e-4
 
 
 @pytest.mark.parametrize("case", CASES)
