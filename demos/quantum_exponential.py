@@ -12,7 +12,7 @@ import numpy as np
 from qazb import QExpParams, fq, fq_family, grid, invert_fq_family, make_point, zero_point
 from qazb.qexp import candidate_separation
 
-params = QExpParams(q=0.5)   # tol and max_terms default to 1e-13 / 512
+params = QExpParams(q=0.5)   # tol defaults to 1e-13; at most qexp.MAX_TERMS = 512 factors
 
 # Special values are exact, not approximate: F_q(0) = 1, F_q = -1 on the
 # singular set, F_q = 1 on real positive lattice points.

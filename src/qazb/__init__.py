@@ -15,7 +15,6 @@ from .errors import (
     KernelConditionError,
     ParameterError,
     QazbError,
-    SpectrumError,
 )
 from .gamma import (
     GammaGrid,
@@ -25,14 +24,12 @@ from .gamma import (
     grid,
     make_point,
     rational_point,
-    snap_point,
     zero_point,
 )
 from .qexp import (
     QExpParams,
     candidate_separation,
     fq,
-    fq_complex,
     fq_family,
     fq_on_operator,
     invert_fq_family,
@@ -40,10 +37,8 @@ from .qexp import (
 from .opalg import (
     Eigensystem,
     NormalMatrix,
-    apply_fn,
     chi_op,
     closure_sum,
-    eig_normal,
     gamma_distance,
 )
 from .q2pair import (
@@ -60,7 +55,6 @@ from .q2pair import (
 from .corep import (
     Representation,
     build_rep,
-    coproduct,
     corep_residual,
     extract_pair,
     load_representation,
@@ -71,17 +65,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguityError", "DimensionError", "DomainError", "ExtractionError",
-    "KernelConditionError", "ParameterError", "QazbError", "SpectrumError",
+    "KernelConditionError", "ParameterError", "QazbError",
     "GammaGrid", "GammaPoint", "chi", "fourier_apply", "grid", "make_point",
-    "rational_point", "snap_point", "zero_point",
-    "QExpParams", "candidate_separation", "fq", "fq_complex", "fq_family",
+    "rational_point", "zero_point",
+    "QExpParams", "candidate_separation", "fq", "fq_family",
     "fq_on_operator", "invert_fq_family",
-    "Eigensystem", "NormalMatrix", "apply_fn", "chi_op", "closure_sum", "eig_normal",
-    "gamma_distance",
+    "Eigensystem", "NormalMatrix", "chi_op", "closure_sum", "gamma_distance",
     "Q2Pair", "exp_identity_residual", "interior_window",
     "random_regular_pair", "schrodinger_pair", "seeded_block_specs",
     "verify_q2", "weyl_residual", "windowed_modulus_distance",
-    "Representation", "build_rep", "coproduct", "corep_residual",
+    "Representation", "build_rep", "corep_residual",
     "extract_pair", "load_representation", "save_representation",
     "__version__",
 ]

@@ -66,8 +66,8 @@ class RunConfig:
             raise ValueError(f"--grid-size must be even and >= 2, got {self.M}")
         if self.margin is not None and self.margin < 0:
             raise ValueError(f"--margin must be nonnegative, got {self.margin}")
-        if self.tol <= 0:
-            raise ValueError(f"--tol must be positive, got {self.tol}")
+        if not (0.0 < self.tol < np.inf):   # also refuses nan
+            raise ValueError(f"--tol must be finite and positive, got {self.tol}")
         if self.samples < 1:
             raise ValueError(f"--samples must be >= 1, got {self.samples}")
         if self.format not in ("json", "csv"):

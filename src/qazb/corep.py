@@ -61,7 +61,6 @@ from .gamma import GammaGrid, GammaPoint
 from .opalg import (
     NormalMatrix,
     chi_values,
-    closure_sum,
     eigen_stack,
     lattice_calculus,
     lattice_values,
@@ -75,7 +74,6 @@ __all__ = [
     "CorepReport",
     "ExtractionReport",
     "grid_operators",
-    "coproduct",
     "build_rep",
     "corep_residual",
     "extract_pair",
@@ -146,23 +144,6 @@ def grid_operators(g: GammaGrid) -> tuple[np.ndarray, np.ndarray]:
     return b, F @ b @ F.conj().T
 
 
-def coproduct(g: GammaGrid) -> tuple[np.ndarray, NormalMatrix]:
-    """Comultiplication on the generators: (a (x) a, a (x) b + b (x) I).
-
-    Dense on H_grid (x) H_grid; guarded to M <= 8 (the second leg is an
-    M^4-dimensional matrix).  The first component is exactly normal (a
-    Kronecker product of normals); the second is a closure_sum with the
-    usual defect report.
-    """
-    if g.M > 8:
-        raise ParameterError(f"dense coproduct is limited to M <= 8, got M={g.M}")
-    b, a = grid_operators(g)
-    delta_a = np.kron(a, a)
-    eye = np.eye(g.size, dtype=complex)
-    delta_b = closure_sum(np.kron(a, b), np.kron(b, eye))
-    return delta_a, delta_b
-
-
 def _conjugate_by_fourier(B: np.ndarray, g: GammaGrid) -> np.ndarray:
     """(I (x) F) blockdiag(B) (I (x) F*) as a dense matrix on H (x) H_grid,
     for blocks B (n, d, d) indexed by the Fourier slot; one contraction."""
@@ -231,13 +212,6 @@ def _on_h(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (A @ v.reshape(A.shape[1], -1)).reshape(A.shape[:1] + v.shape[1:])
 
 
-def _basis(T: NormalMatrix) -> np.ndarray | None:
-    """The eigenbasis of T, or None for a supplied identity basis (never
-    multiplied by, as in :func:`~qazb.opalg.eigen_apply`)."""
-    es = T.eigensystem
-    return None if es is not None and es.identity_basis else T.eig()[0]
-
-
 def _change(src: np.ndarray | None, dst: np.ndarray | None) -> np.ndarray | None:
     """dst* src: coordinates in the basis src to coordinates in dst (None
     for the identity basis, and for no change)."""
@@ -269,7 +243,7 @@ class _LegOps:
         self.n = self.g.size
         self.F = self.g.fourier
         self.Fh = self.F.conj()   # F* (F is symmetric)
-        Va, Vb = _basis(rep.pair.X), _basis(rep.pair.Y)
+        Va, Vb = rep.pair.X.basis, rep.pair.Y.basis
         # changes of coordinates on H: standard (std), eigenbasis of at (a) and of bt (b)
         self.std_a, self.a_std = _change(None, Va), _change(Va, None)
         self.a_b, self.b_a = _change(Va, Vb), _change(Vb, Va)

@@ -17,10 +17,6 @@ class DimensionError(QazbError, ValueError):
     """Operand shapes are incompatible."""
 
 
-class SpectrumError(QazbError, ValueError):
-    """An operator's spectrum lies too far from the modulus lattice."""
-
-
 class KernelConditionError(QazbError, ValueError):
     """An operator required to be injective has (numerical) kernel."""
 

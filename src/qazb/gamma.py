@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ParameterError, SpectrumError
+from .errors import DimensionError, DomainError, ParameterError
 
 TAU = 2.0 * math.pi
 ZERO_RTOL = 1e-9   # snapped values below ZERO_RTOL * scale are 0
@@ -50,7 +50,6 @@ __all__ = [
     "GammaGrid",
     "make_point",
     "zero_point",
-    "snap_point",
     "snap_spectrum",
     "rational_point",
     "chi",
@@ -76,11 +75,11 @@ class GammaPoint:
     """A point of Gamma-bar: zero, or q^k * e^{i theta} with theta in [0, 2 pi).
 
     Instances are immutable; construct through :func:`make_point`,
-    :func:`zero_point`, :func:`snap_point` or :func:`rational_point`, which
-    canonicalise the angle.  Grid points additionally carry their angle as
-    an exact fraction of a turn (`frac`), so that group products of grid
-    points land on the singular set exactly instead of one ulp away from
-    it; `frac` is bookkeeping and does not enter equality.
+    :func:`zero_point` or :func:`rational_point`, which canonicalise the
+    angle.  Grid points additionally carry their angle as an exact
+    fraction of a turn (`frac`), so that group products of grid points
+    land on the singular set exactly instead of one ulp away from it;
+    `frac` is bookkeeping and does not enter equality.
     """
 
     k: int = 0
@@ -177,7 +176,6 @@ def turn_angle(num, den):
 def snap_spectrum(
     lam: np.ndarray,
     q: float,
-    rtol: float | None = None,
     scale: float | None = None,
     M: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -188,7 +186,8 @@ def snap_spectrum(
     reduced argument, and values below ZERO_RTOL * scale count as 0.  With
     the grid order `M`, a phase within 1e-8 of a multiple of 2 pi/M becomes
     the exact grid angle, so singular-set membership is decided exactly.
-    With `rtol` set, any relative distance beyond it raises SpectrumError.
+    Values off the modulus lattice are snapped all the same; `rel_dist`
+    reports how far each was moved.
     """
     lam = np.asarray(lam, dtype=complex)
     r = np.abs(lam)
@@ -205,11 +204,6 @@ def snap_spectrum(
         pick = np.argmin(rels, axis=0)
         n[nz] = cand[pick, np.arange(cand.shape[1])]
         rel[nz] = rels[pick, np.arange(cand.shape[1])]
-    if rtol is not None and np.any(rel > rtol):
-        raise SpectrumError(
-            f"spectrum lies off the modulus lattice: max relative distance "
-            f"{float(np.max(rel)):.3e} > rtol={rtol}"
-        )
     theta = np.where(nz, np.angle(lam), 0.0)
     theta = np.where(theta < 0.0, theta + TAU, theta)   # reduce_angle on [-pi, pi]
     theta[theta == TAU] = 0.0
@@ -218,21 +212,6 @@ def snap_spectrum(
         on_grid = nz & (np.abs(theta - turn_angle(j, M)) <= 1e-8)
         theta = np.where(on_grid, turn_angle(j % M, M), theta)
     return n, theta, zero, rel
-
-
-def snap_point(z: complex, q: float, rtol: float = 1e-9) -> GammaPoint:
-    """Snap a raw complex number to the nearest Gamma-bar point.
-
-    The modulus must match some q^n within relative tolerance `rtol`;
-    otherwise the value is off-lattice and an error is raised rather than
-    silently accepting spectra outside the lattice.
-    """
-    _check_q(q)
-    try:
-        n, theta, zero, _ = snap_spectrum([z], q, rtol=rtol)
-    except SpectrumError as exc:
-        raise DomainError(f"{z} is off the modulus lattice q^Z (q={q}): {exc}") from None
-    return zero_point() if zero[0] else GammaPoint(int(n[0]), float(theta[0]))
 
 
 def chi(g1: GammaPoint, g2: GammaPoint) -> complex:
@@ -245,11 +224,6 @@ def chi(g1: GammaPoint, g2: GammaPoint) -> complex:
         raise DomainError("chi is defined on nonzero lattice points only")
     ang = reduce_angle(g2.k * g1.theta + g1.k * g2.theta)
     return complex(math.cos(ang), math.sin(ang))
-
-
-def _check_q(q: float) -> None:
-    if not (0.0 < q < 1.0):
-        raise ParameterError(f"q must lie in (0, 1), got {q}")
 
 
 def centered_index(k: int, M: int) -> int:
@@ -267,7 +241,8 @@ class GammaGrid:
     """
 
     def __init__(self, q: float, M: int):
-        _check_q(q)
+        if not (0.0 < q < 1.0):
+            raise ParameterError(f"q must lie in (0, 1), got {q}")
         if M < 2 or M % 2 != 0:
             raise ParameterError(f"grid order M must be even and >= 2, got {M}")
         if not (0.1 <= q <= 0.9) :
@@ -381,10 +356,6 @@ class GammaGrid:
 
     def index_pairs(self) -> list[tuple[int, int]]:
         return [(k, j) for k in range(self.M) for j in range(self.M)]
-
-    def metadata(self) -> dict:
-        """Serializable description used in reports."""
-        return {"q": self.q, "M": self.M}
 
     def __repr__(self) -> str:
         return f"GammaGrid(q={self.q}, M={self.M})"

@@ -45,12 +45,12 @@ lattice-data step: basis V, lattice data (n, theta, zero) from
 snapped by :func:`qazb.gamma.snap_spectrum`) and values f(n, theta,
 zero).  :func:`lattice_values` returns V and the values f;
 :func:`lattice_calculus` forms V diag(f) V* (a leading axis of f gives a
-stack of such matrices in one batched product); :func:`lattice_apply`
-applies it to the columns of an n x r block B as V (f * (V* B)), in
-O(n^2 r) and without forming the n x n matrix, and :func:`eigen_apply`
-does the same for values computed once and applied many times.
-Diagnostics such as :func:`gamma_distance` always report the unsnapped
-values.
+stack of such matrices in one batched product); :func:`eigen_apply`
+applies values to the columns of an n x r block B as V (f * (V* B)), in
+O(n^2 r) and without forming the n x n matrix, so values computed once
+serve any number of applications.  A supplied identity basis is never
+multiplied by: :attr:`NormalMatrix.basis` is None for it.  Diagnostics
+such as :func:`gamma_distance` always report the unsnapped values.
 """
 
 from __future__ import annotations
@@ -61,21 +61,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, DomainError, KernelConditionError, SpectrumError
+from .errors import DimensionError, DomainError, KernelConditionError
 from .gamma import GammaPoint, snap_spectrum
 
 __all__ = [
     "Eigensystem",
     "NormalMatrix",
-    "eig_normal",
-    "apply_fn",
     "chi_op",
     "chi_values",
     "closure_sum",
     "eigen_apply",
     "eigen_stack",
     "gamma_distance",
-    "lattice_apply",
     "lattice_calculus",
     "lattice_values",
     "snap_spectrum",
@@ -164,7 +161,6 @@ class NormalMatrix:
         self._supplied = eigensystem
         self._certificate: float | None = None
         self._ortho: float | None = None   # ||V* V - 1||_F of the certificate
-        self._schur_offdiag: float | None = None
         if eigensystem is not None:
             if len(eigensystem.lam) != self.dim:
                 raise DimensionError(f"eigensystem of {len(eigensystem.lam)} eigenvalues "
@@ -271,11 +267,11 @@ class NormalMatrix:
         """||T V - V diag(lam)||_F / max|lam| of a supplied eigensystem (at
         most SPECTRUM_RTOL once read; relative to the norm, so it does not
         resolve eigenpairs with |lam| < SPECTRUM_RTOL max|lam|); None for a
-        Schur form, whose discarded part is :attr:`schur_offdiag`."""
+        Schur form."""
         self.eig()
         return self._certificate
 
-    def lattice(self, q: float, M: int | None = None, rtol: float | None = None):
+    def lattice(self, q: float, M: int | None = None):
         """Lattice data (n, theta, zero, rel) of the eigenvalues.
 
         A supplied eigensystem gives its exact data, with rel the relative
@@ -283,13 +279,11 @@ class NormalMatrix:
         mask); beyond SPECTRUM_RTOL the data do not describe lam at this q
         and DomainError is raised.  Otherwise the Schur eigenvalues are
         snapped by :func:`snap_spectrum` (scale ||T||, grid order `M`).
-        With `rtol` set, any relative distance beyond it raises
-        SpectrumError.
         """
         lam = self.eig()[1]
         es = self._supplied
         if es is None:
-            return snap_spectrum(lam, q, rtol=rtol, scale=self.norm2, M=M)
+            return snap_spectrum(lam, q, scale=self.norm2, M=M)
         scale = self.norm2
         mod = q ** np.where(es.zero, 0, es.n).astype(float)
         rel = np.where(es.zero, np.abs(lam) / (scale if scale > 0.0 else 1.0),
@@ -297,19 +291,14 @@ class NormalMatrix:
         worst = float(np.max(rel, initial=0.0))
         if worst > SPECTRUM_RTOL:
             raise DomainError(f"supplied lattice data are {worst:.3e} away from the eigenvalues at q={q}")
-        if rtol is not None and worst > rtol:
-            raise SpectrumError(f"spectrum lies off the modulus lattice: max relative distance "
-                                f"{worst:.3e} > rtol={rtol}")
         return es.n, es.theta, es.zero, rel
 
     @property
-    def schur_offdiag(self) -> float:
-        """Norm of the discarded strictly-off-diagonal Schur block, computed
-        on first read as ||T V - V diag(lam)||_2 (equal, V being unitary)."""
-        if self._schur_offdiag is None:
-            V, lam = self.eig()
-            self._schur_offdiag = operator_norm(self._m @ V - V * lam)
-        return self._schur_offdiag
+    def basis(self) -> np.ndarray | None:
+        """The eigenbasis V of :meth:`eig`, or None when it is a supplied
+        identity basis: T is then diagonal, and V is never multiplied by."""
+        V = self.eig()[0]
+        return None if self._supplied is not None and self._supplied.identity_basis else V
 
     def __repr__(self) -> str:
         return f"NormalMatrix(dim={self.dim}, defect={self.normality_defect:.3e})"
@@ -319,40 +308,28 @@ def _as_normal(T) -> NormalMatrix:
     return T if isinstance(T, NormalMatrix) else NormalMatrix(T)
 
 
-def eig_normal(T) -> tuple[np.ndarray, np.ndarray, float]:
-    """Unitary triangularisation of a square matrix.
-
-    Returns (V, lam, defect): the Schur factor, the Schur diagonal taken as
-    eigenvalues, and the defect reported as the larger of the commutator
-    norm and the discarded off-diagonal norm.
-    """
-    nm = _as_normal(T)
-    V, lam = nm.eig()
-    return V, lam, max(nm.normality_defect, nm.schur_offdiag)
-
-
-def lattice_values(T, f, q: float, M: int | None = None, rtol: float | None = None):
+def lattice_values(T, f, q: float, M: int | None = None):
     """The basis V of T and the values f(n, theta, zero) on its lattice
     data (see :func:`lattice_calculus`), values on the last axis."""
     nm = _as_normal(T)
     V, lam = nm.eig()
-    n, theta, zero, _ = nm.lattice(q, M=M, rtol=rtol)
+    n, theta, zero, _ = nm.lattice(q, M=M)
     vals = np.asarray(f(n, theta, zero), dtype=complex)
     if vals.shape[-1:] != lam.shape:
         raise DimensionError("f must map the lattice data to values on its last axis")
     return V, vals
 
 
-def lattice_calculus(T, f, q: float, M: int | None = None, rtol: float | None = None) -> np.ndarray:
+def lattice_calculus(T, f, q: float, M: int | None = None) -> np.ndarray:
     """V f(n, theta, zero) V* for a normal matrix T = V diag(lam) V*.
 
     The lattice data (modulus indices n, phases theta, zero mask) are
-    :meth:`NormalMatrix.lattice` (grid order `M`, admissible relative
-    distance `rtol`): exact when supplied, snapped otherwise.  `f` maps
+    :meth:`NormalMatrix.lattice` (grid order `M`): exact when supplied,
+    snapped otherwise.  `f` maps
     these arrays to values of shape (..., dim); leading axes give a stack
     of matrices.
     """
-    return eigen_stack(*lattice_values(T, f, q, M, rtol))
+    return eigen_stack(*lattice_values(T, f, q, M))
 
 
 def eigen_stack(V: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -365,50 +342,15 @@ def eigen_apply(T, vals: np.ndarray, B: np.ndarray, adjoint: bool = False) -> np
     """V (vals * (V* B)) for the columns of B, with V the eigenbasis of T
     and `vals` one value per eigenvector (conjugated when `adjoint`), as
     from :func:`lattice_values`; a supplied identity basis is not
-    multiplied by."""
-    nm = _as_normal(T)
+    multiplied by (:attr:`NormalMatrix.basis`)."""
     if vals.ndim != 1:
         raise DimensionError("eigen_apply takes one function, not a stack")
     if adjoint:
         vals = vals.conj()
-    if nm.eigensystem is not None and nm.eigensystem.identity_basis:
+    V = _as_normal(T).basis
+    if V is None:
         return vals[:, None] * B
-    V = nm.eig()[0]
     return V @ (vals[:, None] * (V.conj().T @ B))
-
-
-def lattice_apply(T, f, B: np.ndarray, q: float, M: int | None = None,
-                  adjoint: bool = False) -> np.ndarray:
-    """f(T) B = V (f(n, theta, zero) * (V* B)) for the columns of B, with
-    f(T)* B (the values conjugated) when `adjoint`.
-
-    Same lattice data and `f` as :func:`lattice_calculus`, without a
-    leading axis; the n x n matrix f(T) is never formed, and a supplied
-    identity basis is not multiplied by (:func:`eigen_apply`).
-    """
-    nm = _as_normal(T)
-    return eigen_apply(nm, lattice_values(nm, f, q, M)[1], B, adjoint)
-
-
-def apply_fn(T, f, q: float | None = None, snap_rtol: float | None = None) -> np.ndarray:
-    """Spectral functional calculus V f(lam) V* for a scalar function f.
-
-    `f` receives the eigenvalue array (complex).  When `q` is given the
-    eigenvalues are taken from their lattice data by
-    :func:`lattice_calculus`; `snap_rtol` then bounds the admissible
-    relative distance (SpectrumError beyond it).
-    """
-    def values(lam):
-        vals = np.asarray(f(lam), dtype=complex)
-        if vals.shape != lam.shape:
-            raise DimensionError("f must map the eigenvalue array elementwise")
-        return vals
-
-    if q is None:
-        V, lam = _as_normal(T).eig()
-        return (V * values(lam)) @ V.conj().T
-    return lattice_calculus(T, lambda n, theta, zero: values(
-        np.where(zero, 0.0, q ** n.astype(float) * np.exp(1j * theta))), q, rtol=snap_rtol)
 
 
 def chi_values(k, theta):
@@ -435,13 +377,14 @@ def chi_op(X, point: GammaPoint, q: float, columns: np.ndarray | None = None,
     snapping, which makes the result exactly multiplicative in gamma'.
     chi(X, q) is the unitary phase (polar) factor of X.  With `columns`
     the result is chi(X, gamma') B (chi(X, gamma')* B when `adjoint`),
-    computed by :func:`lattice_apply`.
+    computed by :func:`eigen_apply` without forming chi(X, gamma').
     """
     if point.zero:
         raise DomainError("chi_op is defined for nonzero lattice points only")
     f = chi_values(point.k, point.theta)
     if columns is not None:
-        return lattice_apply(X, f, columns, q, adjoint=adjoint)
+        X = _as_normal(X)
+        return eigen_apply(X, lattice_values(X, f, q)[1], columns, adjoint)
     C = lattice_calculus(X, f, q)
     return C.conj().T if adjoint else C
 

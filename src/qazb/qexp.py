@@ -6,8 +6,8 @@ For 0 < q < 1 the function is defined on Gamma-bar by the infinite product
 
 with F_q(0) = 1 and the convention F_q(gamma) = -1 on the singular set
 {-1, -q^-2, -q^-4, ...} where a factor degenerates to 0/0.  Every factor is
-a ratio of conjugates, so |F_q| = 1 identically, and F_q is real-positive
-lattice points' fixed point: F_q(q^k) = 1 exactly.
+a ratio of conjugates, so |F_q| = 1 identically, and F_q = 1 exactly at
+the real positive lattice points q^k.
 
 Truncation is certified per argument: with K chosen so that
 q^{2K} |gamma| <= 1/2, the discarded tail is bounded by
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbiguityError, DomainError
-from .gamma import GammaGrid, GammaPoint, snap_spectrum, zero_point
+from .gamma import GammaGrid, GammaPoint, zero_point
 from .opalg import lattice_calculus, lattice_values
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "ConditioningWarning",
     "fq",
     "fq_lattice",
-    "fq_complex",
     "fq_family",
     "fq_on_operator",
     "fq_eigenvalues",
@@ -50,18 +49,20 @@ __all__ = [
 ]
 
 
+MAX_TERMS = 512   # hard cap on the number of product factors
+
+
 class ConditioningWarning(UserWarning):
     """A product factor came close to its pole; accuracy is degraded."""
 
 
 @dataclass(frozen=True)
 class QExpParams:
-    """Evaluation parameters: deformation q, relative truncation tolerance,
-    and a hard cap on the number of product factors."""
+    """Evaluation parameters: deformation q and relative truncation
+    tolerance."""
 
     q: float
     tol: float = 1e-13
-    max_terms: int = 512
 
     def __post_init__(self):
         if not (0.0 < self.q < 1.0):
@@ -80,13 +81,13 @@ def _truncation_length(n: np.ndarray, sin_theta: np.ndarray, p: QExpParams) -> i
     with np.errstate(divide="ignore"):
         kt = np.ceil(np.log(p.tol * (1.0 - q * q) / np.maximum(gap, 1e-300)) / (2.0 * lnq))
     K = int(max(1, np.max(np.maximum(k0, kt), initial=1)))
-    if K > p.max_terms:
+    if K > MAX_TERMS:
         warnings.warn(
-            f"truncation capped at max_terms={p.max_terms} (certified length {K})",
+            f"truncation capped at {MAX_TERMS} factors (certified length {K})",
             ConditioningWarning,
             stacklevel=3,
         )
-        K = p.max_terms
+        K = MAX_TERMS
     return K
 
 
@@ -152,20 +153,6 @@ def fq(point: GammaPoint, p: QExpParams) -> complex:
     if point.is_singular:
         return -1 + 0j
     return complex(fq_lattice(np.array([point.k]), np.array([point.theta]), p)[0])
-
-
-def fq_complex(z: np.ndarray | complex, p: QExpParams, rtol: float | None = None) -> np.ndarray | complex:
-    """F_q of raw complex values whose moduli are snapped to the lattice.
-
-    With `rtol` set, moduli further than that relative distance from q^Z
-    raise; with rtol=None values are snapped to the nearest modulus
-    unconditionally (phases are never snapped: the circles are full).
-    """
-    scalar = np.isscalar(z)
-    arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    n, theta, zero, _ = snap_spectrum(arr, p.q, rtol=rtol)
-    vals = fq_lattice(n, theta, p, zero=zero)
-    return complex(vals[0]) if scalar else vals
 
 
 def fq_family(beta: GammaPoint, g: GammaGrid, p: QExpParams) -> np.ndarray:

@@ -19,7 +19,6 @@ from qazb.q2pair import (
 from qazb.corep import (
     build_rep,
     chi_kron,
-    coproduct,
     corep_residual,
     extract_pair,
     g_family,
@@ -47,14 +46,13 @@ def test_coproduct_spectrum_of_delta_a():
     from conftest import multiset_close
 
     g = grid(0.5, 4)
-    delta_a, _ = coproduct(g)
+    delta_a, _ = dense_coproduct(g)
     want = np.array([x * y for x in g.values for y in g.values])
     assert multiset_close(np.linalg.eigvals(delta_a), want, tol=1e-10)
 
 
 def test_coproduct_coassociative_on_a():
     g = grid(0.5, 2)
-    _, _ = coproduct(g)
     b, a = grid_operators(g)
     lhs = np.kron(np.kron(a, a), a)
     rhs = np.kron(a, np.kron(a, a))
@@ -82,13 +80,8 @@ def test_coproduct_coassociative_on_b():
 
 def test_coproduct_defect_reported():
     g = grid(0.5, 4)
-    _, delta_b = coproduct(g)
-    assert delta_b.normality_defect > 0
-
-
-def test_coproduct_size_guard():
-    with pytest.raises(ParameterError):
-        coproduct(grid(0.5, 10))
+    _, delta_b = dense_coproduct(g)
+    assert NormalMatrix(delta_b).normality_defect > 0
 
 
 def test_build_classical_representation():
@@ -273,6 +266,13 @@ def dense_reference_u(pair, g):
     return W @ (IF @ Z @ IF.conj().T)
 
 
+def dense_coproduct(g):
+    """Delta(a) = a (x) a and Delta(b) = a (x) b + b (x) I as dense
+    M^4-dimensional matrices: the reference for the grid legs of S'."""
+    b, a = grid_operators(g)
+    return np.kron(a, a), np.kron(a, b) + np.kron(b, np.eye(g.size))
+
+
 CASES = ["schrodinger-4", "schrodinger-6", "seeded-d8-8", "conjugated-4"]
 
 
@@ -331,6 +331,22 @@ def test_leg_operators_match_dense_route(case):
     ]
     for got, want in checks:
         assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("case", ["schrodinger-4", "schrodinger-6", "conjugated-4"])
+def test_s_apply_matches_dense_coproduct(case):
+    # S' = bt (x) Delta(b), with Delta(b) dense on grid (x) grid
+    from qazb.corep import _LegOps
+
+    g, pair = case_pair(case)
+    ops = _LegOps(build_rep(pair, g))
+    d, n = pair.dim, g.size
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+    _, delta_b = dense_coproduct(g)
+    want = (pair.Y.entries @ v.reshape(d, n * n)) @ delta_b.T
+    got = ops.s_apply(v).reshape(d, n * n)
+    assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(want)
 
 
 def literal_q(ops, v):

@@ -13,7 +13,6 @@ from qazb.gamma import (
     grid,
     make_point,
     rational_point,
-    snap_point,
     snap_spectrum,
     zero_point,
 )
@@ -220,16 +219,14 @@ def test_fourier_dimension_mismatch():
 
 
 def test_snap_point_roundtrip_and_rejection():
+    # a lattice value snaps back to its point, 0 to the zero mask, and an
+    # off-lattice modulus reports its relative distance
     q = 0.5
     p = make_point(-3, 2.0)
-    assert snap_point(p.value(q), q) == GammaPoint(-3, p.theta)
-    assert snap_point(0j, q).zero
-    with pytest.raises(DomainError):
-        snap_point(1.1 + 0j, q)
-
-
-def test_grid_metadata():
-    assert grid(0.5, 8).metadata() == {"q": 0.5, "M": 8}
+    n, theta, zero, rel = snap_spectrum([p.value(q), 0j, 1.1 + 0j], q)
+    assert GammaPoint(int(n[0]), float(theta[0])) == GammaPoint(-3, p.theta)
+    assert list(zero) == [False, True, False]
+    assert rel[2] == pytest.approx(0.1, rel=1e-12)
 
 
 @pytest.mark.parametrize("M", [4, 6, 8])

@@ -4,23 +4,22 @@ import numpy as np
 import pytest
 
 from qazb.corpus import load_pinned
-from qazb.errors import DimensionError, DomainError, KernelConditionError, SpectrumError
+from qazb.errors import DimensionError, DomainError, KernelConditionError
 from qazb.gamma import grid, make_point
 from qazb.opalg import (
     Eigensystem,
     NormalMatrix,
-    apply_fn,
     chi_op,
     chi_values,
     closure_sum,
-    eig_normal,
+    eigen_apply,
     gamma_distance,
-    lattice_apply,
     lattice_calculus,
+    lattice_values,
     operator_norm,
     snap_spectrum,
 )
-from qazb.qexp import QExpParams, fq_complex, fq_lattice
+from qazb.qexp import QExpParams, fq_lattice, fq_on_operator
 
 
 def random_normal_matrix(dim, seed):
@@ -32,10 +31,27 @@ def random_normal_matrix(dim, seed):
     return Qu @ np.diag(d) @ Qu.conj().T, d
 
 
+def random_lattice_matrix(dim, seed, q=0.5):
+    """Unitary conjugate of a random diagonal with distinct lattice
+    eigenvalues q^n e^{i theta}, n = -dim/2, ..., dim/2 - 1."""
+    rng = np.random.default_rng(seed)
+    n = np.arange(dim) - dim // 2
+    lam = q ** n.astype(float) * np.exp(1j * rng.uniform(0.1, 6.2, dim))
+    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    Qu, _ = np.linalg.qr(A)
+    return Qu @ np.diag(lam) @ Qu.conj().T
+
+
+def lattice_z(q):
+    """The lattice_calculus map of the identity function z -> z."""
+    return lambda n, theta, zero: np.where(zero, 0.0, q ** n.astype(float) * np.exp(1j * theta))
+
+
 def test_eig_normal_diagonal_input():
     d = np.array([1.0 + 0j, -2.0, 3j])
-    V, lam, defect = eig_normal(np.diag(d))
-    assert defect < 1e-14
+    nm = NormalMatrix(np.diag(d))
+    V, lam = nm.eig()
+    assert nm.normality_defect < 1e-14
     assert np.allclose(V.conj().T @ V, np.eye(3), atol=1e-13)
     assert np.allclose(np.sort_complex(lam), np.sort_complex(d), atol=1e-14)
 
@@ -45,7 +61,7 @@ def test_eig_normal_similarity_invariance():
     rng = np.random.default_rng(0)
     d = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     A = g.fourier.conj().T @ np.diag(d) @ g.fourier
-    _, lam, _ = eig_normal(A)
+    _, lam = NormalMatrix(A).eig()
     assert np.abs(np.sort_complex(lam) - np.sort_complex(d)).max() < 1e-11
 
 
@@ -55,23 +71,13 @@ def test_eig_normal_sum_truncation_signature():
     g = grid(0.5, 8)
     X = np.diag(g.values)
     Y = g.fourier.conj().T @ X @ g.fourier
-    _, _, defect = eig_normal(X + Y)
+    defect = NormalMatrix(X + Y).normality_defect
     assert defect == pytest.approx(pinned["sum_defect_absolute_m8"], rel=1e-10)
-
-
-def test_schur_offdiag_matches_scipy_schur():
-    import scipy.linalg
-
-    rng = np.random.default_rng(11)
-    A = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    S, _ = scipy.linalg.schur(A, output="complex")
-    want = np.linalg.norm(np.triu(S, 1), 2)
-    assert NormalMatrix(A).schur_offdiag == pytest.approx(want, rel=1e-12)
 
 
 def test_eig_normal_rejects_non_finite():
     with pytest.raises(DomainError):
-        eig_normal(np.array([[np.nan, 0], [0, 1]], dtype=complex))
+        NormalMatrix(np.array([[np.nan, 0], [0, 1]], dtype=complex)).eig()
 
 
 def test_normal_matrix_reconstruction():
@@ -83,29 +89,27 @@ def test_normal_matrix_reconstruction():
 
 
 def test_apply_fn_identity_and_constant():
-    T, _ = random_normal_matrix(8, 4)
-    assert operator_norm(apply_fn(T, lambda z: z) - T) < 1e-11 * operator_norm(T)
-    assert np.allclose(apply_fn(T, lambda z: np.ones_like(z)), np.eye(8), atol=1e-12)
+    q = 0.5
+    T = random_lattice_matrix(8, 4, q)
+    assert operator_norm(lattice_calculus(T, lattice_z(q), q) - T) < 1e-11 * operator_norm(T)
+    ones = lambda n, theta, zero: np.ones(n.shape)
+    assert np.allclose(lattice_calculus(T, ones, q), np.eye(8), atol=1e-12)
 
 
 def test_apply_fn_quantum_exponential_special_values():
-    p = QExpParams(0.5)
-    out = apply_fn(np.diag([0.0 + 0j, -1.0]), lambda z: fq_complex(z, p))
+    # F_q(0) = 1 and F_q(-1) = -1 (the singular set) through the operator calculus
+    out = fq_on_operator(np.diag([0.0 + 0j, -1.0]), QExpParams(0.5))
     assert np.allclose(out, np.diag([1.0, -1.0]), atol=1e-12)
 
 
 def test_apply_fn_homomorphism():
-    T, _ = random_normal_matrix(10, 6)
-    f = lambda z: z**2
-    g = lambda z: np.exp(1j * np.angle(z))
-    lhs = apply_fn(T, lambda z: f(z) * g(z))
-    rhs = apply_fn(T, f) @ apply_fn(T, g)
+    q = 0.5
+    T = random_lattice_matrix(10, 6, q)
+    f = lambda n, theta, zero: lattice_z(q)(n, theta, zero) ** 2
+    g = lambda n, theta, zero: np.exp(1j * theta)
+    lhs = lattice_calculus(T, lambda *data: f(*data) * g(*data), q)
+    rhs = lattice_calculus(T, f, q) @ lattice_calculus(T, g, q)
     assert operator_norm(lhs - rhs) < 1e-10 * max(1.0, operator_norm(T) ** 2)
-
-
-def test_apply_fn_snap_strictness():
-    with pytest.raises(SpectrumError):
-        apply_fn(np.diag([1.1 + 0j, 0.5]), lambda z: z, q=0.5, snap_rtol=1e-9)
 
 
 @pytest.mark.parametrize("stacked", [False, True])
@@ -152,7 +156,7 @@ def test_lattice_apply_matches_lattice_calculus_on_columns(basis, adjoint):
     B = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
     F = lattice_calculus(T, f, q)
     want = (F.conj().T if adjoint else F) @ B
-    got = lattice_apply(T, f, B, q, adjoint=adjoint)
+    got = eigen_apply(T, lattice_values(T, f, q)[1], B, adjoint)
     assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
     C = chi_op(T, make_point(1, 0.7), q, columns=B, adjoint=adjoint)
     D = chi_op(T, make_point(1, 0.7), q)
@@ -161,8 +165,9 @@ def test_lattice_apply_matches_lattice_calculus_on_columns(basis, adjoint):
 
 def test_lattice_apply_takes_one_function():
     f = chi_values(np.array([1, 2]), np.array([0.3, 0.4]))
+    T = NormalMatrix(np.diag([1.0 + 0j, 0.5]))
     with pytest.raises(DimensionError):
-        lattice_apply(np.diag([1.0 + 0j, 0.5]), f, np.eye(2), 0.5)
+        eigen_apply(T, lattice_values(T, f, 0.5)[1], np.eye(2))
 
 
 def test_chi_op_at_identity():
@@ -233,7 +238,7 @@ def test_degraded_flag_and_completion():
     J = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # maximally non-normal
     nm = NormalMatrix(J)
     assert nm.degraded
-    out = apply_fn(nm, lambda z: np.ones_like(z))            # still completes
+    out = lattice_calculus(nm, lambda n, theta, zero: np.ones(n.shape), 0.5)   # still completes
     assert out.shape == (2, 2)
 
 
