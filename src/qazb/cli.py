@@ -4,9 +4,10 @@ reports.
 Reports embed the full configuration and the library version, contain no
 timestamps, and are serialised with sorted keys, so identical configs
 produce byte-identical output.  Exit codes: 0 all checks passed, 1 a check
-failed, 2 invalid usage (including an --M-list that is empty, not integers
-or not strictly increasing, a margin that leaves no interior window, and a
-roundtrip with no trials or no dimension) or I/O failure.
+failed, 2 invalid usage (including a --tol outside (0, 1), an --M-list
+that is empty, not integers or not strictly increasing, a margin that
+leaves no interior window, and a roundtrip with no trials or no
+dimension) or I/O failure.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ class RunConfig:
             raise ValueError(f"--grid-size must be even and >= 2, got {self.M}")
         if self.margin is not None and self.margin < 0:
             raise ValueError(f"--margin must be nonnegative, got {self.margin}")
-        if not (0.0 < self.tol < np.inf):   # also refuses nan
-            raise ValueError(f"--tol must be finite and positive, got {self.tol}")
+        if not (0.0 < self.tol < 1.0):   # also refuses nan; a relative residual >= 1 passes vacuously
+            raise ValueError(f"--tol must lie in (0, 1), got {self.tol}")
         if self.samples < 1:
             raise ValueError(f"--samples must be >= 1, got {self.samples}")
         if self.format not in ("json", "csv"):
@@ -285,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="grid order per axis (even)")
     parser.add_argument("--margin", type=int, default=None,
                         help="interior window margin (default: ceil(M/4))")
-    parser.add_argument("--tol", type=float, default=1e-10, help="verification tolerance")
+    parser.add_argument("--tol", type=float, default=1e-10, help="relative verification tolerance, in (0, 1)")
     parser.add_argument("--seed", type=int, default=1, help="seed for sampled residuals")
     parser.add_argument("--samples", type=int, default=32, help="sampled vectors per residual")
     parser.add_argument("--out", default=None, dest="out_path", help="report file (default stdout)")

@@ -43,6 +43,21 @@ eigenbasis is an O(1) perturbation even on interior vectors.  The windowed
 commutator instead touches the wrap only through exponentially small tails
 and decays like q^(M/2); the swapped-order product fails it at O(1), which
 is the order sensitivity the identity asserts.
+
+The raw norms of the sum, ||S|| and ||S S* - S* S|| (S = X + Y), are exact
+and cheap in the mixed basis P = 1 (x) phi of grid vectors e_k (x) phi_m,
+the full basis whose interior columns form the window.  There X lowers m
+by one and Y raises k by one, so Sigma = P* S P has two nonzeros per
+column and maps the class s = (k - m) mod M to the class s + 1 through an
+M x M block B_s.  ||S|| is max_s ||B_s||, and the commutator is block
+diagonal with the Hermitian blocks B_{s-1} B_{s-1}* - B_s* B_s: one
+batched SVD and one batched eigvalsh of M blocks of M x M instead of two
+n x n SVDs.  The blocks are read off the stored S, and the rest E of
+Sigma is measured; the route is taken only when ||E||_F <= SPECTRUM_RTOL
+||S||_F, under which ||S|| is within ||E|| of max_s ||B_s|| and the
+commutator norm within 4 max_s ||B_s|| ||E|| + ||E||^2 of the blocks'.
+A sum that fails (conjugated pairs, direct sums) keeps the dense norms
+of :class:`~qazb.opalg.NormalMatrix`.
 """
 
 from __future__ import annotations
@@ -54,7 +69,7 @@ from scipy.linalg import block_diag
 
 from .errors import DimensionError, DomainError, ParameterError
 from .gamma import GammaGrid, GammaPoint, snap_spectrum
-from .opalg import SPECTRUM_RTOL, Eigensystem, NormalMatrix, chi_op, closure_sum, eigen_apply, operator_norm
+from .opalg import DEFAULT_DEFECT_RTOL, SPECTRUM_RTOL, Eigensystem, NormalMatrix, chi_op, closure_sum, eigen_apply, operator_norm
 from .qexp import QExpParams, fq_eigenvalues
 
 __all__ = [
@@ -93,8 +108,54 @@ def interior_window(g: GammaGrid, margin: int) -> np.ndarray:
     if margin < 0:
         raise ParameterError(f"margin must be nonnegative, got {margin}")
     inner = np.flatnonzero((g.c >= -M // 2 + margin) & (g.c <= M // 2 - 1 - margin))
-    modes = np.exp(-2j * np.pi * (np.outer(np.arange(M), inner) % M) / M) / np.sqrt(M)
-    return np.kron(np.eye(M)[:, inner], modes)
+    return np.kron(np.eye(M)[:, inner], _phase_modes(M, inner))
+
+
+def _phase_modes(M: int, l: np.ndarray) -> np.ndarray:
+    """The columns phi_l, phi_l[j] = e^{-2 pi i l j/M} / sqrt(M) (M x len(l))."""
+    return np.exp(-2j * np.pi * (np.outer(np.arange(M), l) % M) / M) / np.sqrt(M)
+
+
+def _class_block_norms(S: np.ndarray, M: int) -> tuple[float, float] | None:
+    """(||S||_2, ||S S* - S* S||_2) of an n x n matrix, n = M^2, from its
+    class blocks B_s in the mixed basis (see the module docstring), or None
+    when the rest E of P* S P exceeds SPECTRUM_RTOL ||S||_F.
+
+    P keeps the modulus axis, so only the M x M blocks S_{k'k} with k' = k
+    (X: e_k (x) phi_m -> x_k e_k (x) phi_{m-1}, x_k = q^c(k)) and k' = k + 1
+    (Y: -> x_m e_{k+1} (x) phi_m) hold the pattern; each is transformed by
+    two M x M products with phi.  ||E||_F is summed directly, from the
+    other blocks and the off-pattern entries of these two, not as a
+    difference of squares, which would leave rounding of order
+    sqrt(eps) ||S||_F.
+    """
+    n = M * M
+    if S.shape != (n, n):
+        return None
+    k = np.arange(M)
+    up = (k + 1) % M
+    S4 = S.reshape(M, M, M, M)                 # [k', j', k, j]
+    Sr = S.view(float).reshape(M, M, M, 2 * M)
+    block_sq = np.einsum("ajbk,ajbk->ab", Sr, Sr)   # ||S_{k'k}||_F^2
+    total_sq = float(block_sq.sum())
+    block_sq[k, k] = block_sq[up, k] = 0.0
+
+    phi = _phase_modes(M, k)
+    phi_h = phi.conj().T
+    D, L = phi_h @ S4[k, :, k, :] @ phi, phi_h @ S4[up, :, k, :] @ phi   # per k: phi* S_{k'k} phi
+    s, kk = k[:, None], k[None, :]
+    m = (kk - s) % M                           # entry k of class s is e_k (x) phi_m[s, k]
+    B = np.zeros((M, M, M), complex)           # B[s]: class s -> class s + 1, entries indexed by k
+    B[s, kk, kk] = D[kk, (m - 1) % M, m]       # X
+    B[s, up[kk], kk] = L[kk, m, m]             # Y
+    D[:, (k - 1) % M, k] = L[:, k, k] = 0.0   # what is left of them is off the pattern
+    off_sq = float(block_sq.sum()) + np.vdot(D, D).real + np.vdot(L, L).real
+    if off_sq > SPECTRUM_RTOL ** 2 * total_sq:
+        return None
+    Bp = B[k - 1]
+    comm = Bp @ Bp.conj().transpose(0, 2, 1) - B.conj().transpose(0, 2, 1) @ B
+    norm = float(np.linalg.svd(B, compute_uv=False).max(initial=0.0))
+    return norm, float(np.abs(np.linalg.eigvalsh(comm)).max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -280,7 +341,10 @@ def exp_identity_residual(pair: Q2Pair) -> ExpIdentityReport:
     Each product is applied to the block [B, S B] factor by factor, so the
     commutator enters as U (S B) - S (U B); the F_q values of X and of Y
     are computed once and serve both orders.  The windowed defect is
-    (S* B)* (S* B) - (S B)* (S B).
+    (S* B)* (S* B) - (S B)* (S B), and the modulus distance comes from the
+    same S B.  ||S|| and the raw defect are taken from the class blocks of
+    `_class_block_norms` when S passes their certificate; otherwise (and
+    for a sum with its own eigensystem, the Y = 0 control) from S itself.
     """
     params = QExpParams(pair.grid.q)
     M = pair.grid.M
@@ -308,14 +372,16 @@ def exp_identity_residual(pair: Q2Pair) -> ExpIdentityReport:
 
     res = witness(fy(fx(cols)))
     rs = witness(fx(fy(cols)))
-    wd = 0.0 if S.norm2 == 0 else operator_norm(SsB.conj().T @ SsB - SB.conj().T @ SB) / S.norm2 ** 2
+    norms = _class_block_norms(Se, M) if S.eigensystem is None else None
+    s, defect = (S.norm2, S.normality_defect) if norms is None else norms
+    wd = 0.0 if s == 0 else operator_norm(SsB.conj().T @ SsB - SB.conj().T @ SB) / s ** 2
     return ExpIdentityReport(
         residual=res,
         residual_swapped=rs,
-        sum_defect=S.relative_defect,
+        sum_defect=0.0 if s == 0.0 else defect / (s * s),
         sum_defect_windowed=wd,
-        gamma_distance=windowed_modulus_distance(pair, S),
-        degraded=S.degraded,
+        gamma_distance=_modulus_distance(SB, pair.grid.q),
+        degraded=defect > DEFAULT_DEFECT_RTOL * s ** 2,
     )
 
 
@@ -331,14 +397,17 @@ def windowed_modulus_distance(pair: Q2Pair, S: NormalMatrix | None = None) -> fl
     """
     if S is None:
         S = closure_sum(pair.X, pair.Y)
-    B = pair.window_or_identity()
-    if B.shape[1] == 0:
+    return _modulus_distance(S.entries @ pair.window_or_identity(), pair.grid.q)
+
+
+def _modulus_distance(SB: np.ndarray, q: float) -> float:
+    """The distance of `windowed_modulus_distance` from the n x r block S B."""
+    if SB.shape[1] == 0:
         return 0.0
-    SB = S.entries @ B
     G = SB.conj().T @ SB
     mu = np.clip(np.linalg.eigvalsh((G + G.conj().T) / 2.0), 0.0, None)
     moduli = np.sqrt(mu)
-    _, _, zero, rel = snap_spectrum(moduli.astype(complex), pair.grid.q, scale=float(np.max(moduli, initial=0.0)))
+    _, _, zero, rel = snap_spectrum(moduli.astype(complex), q, scale=float(np.max(moduli, initial=0.0)))
     return float(np.mean(np.where(zero, 0.0, rel)))
 
 

@@ -72,6 +72,8 @@ def test_corep_command(tmp_path):
         pytest.param(["--q", "1.5", "fq-table"], "--q", id="q"),
         pytest.param(["--tol", "nan", "verify-pair"], "--tol", id="tol-nan"),
         pytest.param(["--tol", "inf", "verify-pair"], "--tol", id="tol-inf"),
+        pytest.param(["--tol", "1", "verify-pair"], "--tol", id="tol-one"),
+        pytest.param(["--tol", "10", "verify-pair", "--pair", "swapped"], "--tol", id="tol-ten"),
         pytest.param(["exp-identity", "--M-list", ""], "--M-list", id="exp-identity-empty-M-list"),
         pytest.param(["corep", "--M-list", ""], "--M-list", id="corep-empty-M-list"),
         pytest.param(["corep", "--M-list", "4,4"], "--M-list", id="corep-M-list-repeated"),

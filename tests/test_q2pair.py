@@ -9,10 +9,11 @@ import pytest
 from qazb.corpus import load_pinned
 from qazb.errors import DimensionError, DomainError, ParameterError
 from qazb.gamma import grid, make_point
-from qazb.opalg import SPECTRUM_RTOL, Eigensystem, NormalMatrix, chi_op, lattice_calculus, operator_norm
+from qazb.opalg import SPECTRUM_RTOL, Eigensystem, NormalMatrix, chi_op, closure_sum, lattice_calculus, operator_norm
 from qazb.qexp import QExpParams, fq_on_operator
 from qazb.q2pair import (
     Q2Pair,
+    _class_block_norms,
     conjugate_pair,
     exp_identity_residual,
     grid_generators,
@@ -493,8 +494,9 @@ def test_zero_control_matches_dense_formulas(case):
 
 def test_zero_control_takes_no_square_norm(monkeypatch):
     # closure_sum(X, 0) is X, whose norm and defect come from its eigensystem:
-    # the control row takes every norm on an n x r or r x r matrix, and a
-    # Schrodinger sweep step keeps only the two raw norms of S as n x n ones
+    # the control row takes every norm on an n x r or r x r matrix, and so
+    # does a Schrodinger sweep step, whose raw norms of S come from its class
+    # blocks (see test_block_route_takes_no_square_norm)
     import qazb.opalg
     import qazb.q2pair
 
@@ -510,7 +512,7 @@ def test_zero_control_takes_no_square_norm(monkeypatch):
     pair = schrodinger_pair(g)
     verify_q2(pair)
     exp_identity_residual(pair)
-    assert sum(s == (g.size, g.size) for s in shapes) == 2
+    assert shapes and (g.size, g.size) not in shapes
     shapes.clear()
     zero_pair = Q2Pair(Y=NormalMatrix(np.zeros((g.size, g.size)), Eigensystem.zero_operator(g.size)),
                        X=pair.X, grid=g, window=pair.window)
@@ -539,3 +541,90 @@ def test_failed_certificate_keeps_a_finite_dense_defect():
     rows = {r["condition"]: r for r in verify_q2(conj).rows()}
     assert np.isfinite(rows["normality"]["value"])
     assert conj.X.normality_defect == _dense_defect(conj.X)
+
+
+def _sum(pair: Q2Pair) -> np.ndarray:
+    return pair.X.entries + pair.Y.entries
+
+
+@pytest.mark.parametrize("M", [4, 8, 12, 16, 20, 24])
+def test_class_blocks_match_dense_sum_norms(M):
+    pair = schrodinger_pair(grid(0.5, M))
+    dense = NormalMatrix(_sum(pair))
+    norm, defect = _class_block_norms(_sum(pair), M)
+    assert norm == pytest.approx(dense.norm2, rel=1e-12, abs=0.0)
+    assert defect == pytest.approx(dense.normality_defect, rel=1e-12, abs=0.0)
+    ident = exp_identity_residual(pair)
+    assert ident.sum_defect == pytest.approx(dense.relative_defect, rel=1e-12, abs=0.0)
+    assert ident.degraded == dense.degraded
+
+
+def _off_pattern(pair: Q2Pair, rtol: float) -> Q2Pair:
+    """The pair with Y moved by one entry off the class-block pattern, of
+    size rtol ||X + Y||_F: row block k' = 3, column block k = 0 (only k' = k
+    and k' = k + 1 hold the pattern)."""
+    M = pair.grid.M
+    Y = pair.Y.entries.copy()
+    Y[3 * M, 0] += rtol * np.linalg.norm(_sum(pair))
+    return Q2Pair(Y=NormalMatrix(Y), X=pair.X, grid=pair.grid, window=pair.window)
+
+
+@pytest.mark.parametrize("case", ["conjugated-4", "seeded-8", "off-pattern-8"])
+def test_sum_off_the_class_pattern_keeps_dense_norms(case):
+    if case == "off-pattern-8":
+        pair = _off_pattern(schrodinger_pair(grid(0.5, 8)), 1.01 * SPECTRUM_RTOL)
+    else:
+        pair = _oracle_case(case)
+    assert _class_block_norms(_sum(pair), pair.grid.M) is None
+    S = closure_sum(pair.X, pair.Y)
+    assert S.eigensystem is None
+    ident = exp_identity_residual(pair)
+    assert ident.sum_defect == NormalMatrix(_sum(pair)).relative_defect
+    assert ident.degraded == NormalMatrix(_sum(pair)).degraded
+
+
+def test_class_block_certificate_bounds_the_dense_norms():
+    # just under the bound the blocks are taken, and the dense values stay
+    # within ||E|| (norm) and 4 ||B|| ||E|| + ||E||^2 (defect) of theirs
+    base = schrodinger_pair(grid(0.5, 8))
+    pair = _off_pattern(base, 0.99 * SPECTRUM_RTOL)
+    S = _sum(pair)
+    norm, defect = _class_block_norms(S, 8)
+    e = 0.99 * SPECTRUM_RTOL * np.linalg.norm(_sum(base)) * (1 + 1e-6)   # plus roundoff
+    dense = NormalMatrix(S)
+    assert abs(norm - dense.norm2) <= e
+    assert abs(defect - dense.normality_defect) <= 4 * norm * e + e * e
+
+
+def test_block_route_takes_no_square_norm(monkeypatch):
+    # exp_identity_residual on a Schrodinger pair takes ||S|| and its defect
+    # from the M x M class blocks: no 2-norm or SVD of an n x n matrix
+    import qazb.opalg
+    import qazb.q2pair
+
+    g = grid(0.5, 16)
+    pair = schrodinger_pair(g)
+    shapes = []
+
+    def recording(a):
+        shapes.append(a.shape)
+        return operator_norm(a)
+
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    def recording_norm(a, ord=None, *args, **kwargs):
+        if ord == 2:
+            shapes.append(np.shape(a))
+        return norm(a, ord, *args, **kwargs)
+
+    monkeypatch.setattr(qazb.opalg, "operator_norm", recording)
+    monkeypatch.setattr(qazb.q2pair, "operator_norm", recording)
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(np.linalg, "norm", recording_norm)
+    exp_identity_residual(pair)
+    assert (16, 16, 16) in shapes   # the batched SVD of the class blocks
+    assert all(s[-2:] != (g.size, g.size) for s in shapes)
