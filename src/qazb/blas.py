@@ -1,7 +1,8 @@
 """Thread count of the BLAS under numpy, for work too small to share.
 
 On grids up to M = 22 (dimension n = M^2 <= SERIAL_MAX_DIM) the pair
-witnesses multiply and decompose n x n and n x r matrices.  There the
+witnesses multiply and decompose n x n and n x r matrices, and the
+corepresentation residual multiplies on one axis of (d, n, <= 2r) tensors.  There the
 BLAS threads buy little: on two CPUs a 400 x 400 complex SVD takes 47 ms
 on two threads and 50 ms on one, and an ``exp-identity --M-list
 8,12,16,20`` run 0.37 s against 0.44 s.  They also make every call wait

@@ -6,8 +6,8 @@ timestamps, and are serialised with sorted keys, so identical configs
 produce byte-identical output.  Exit codes: 0 all checks passed, 1 a check
 failed, 2 invalid usage (including a --tol outside (0, 1), an --M-list
 that is empty, not integers or not strictly increasing, a margin that
-leaves no interior window, and a roundtrip with no trials or no
-dimension) or I/O failure.
+leaves no interior window, a roundtrip with no trials or no dimension,
+and a run too large for physical memory) or I/O failure.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .q2pair import (
     seeded_block_specs,
     verify_q2,
 )
-from .corep import build_rep, corep_residual, extract_pair
+from .corep import build_rep, check_memory, corep_residual, extract_pair
 from .qexp import QExpParams, fq
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -202,24 +202,28 @@ def cmd_exp_identity(config: RunConfig, m_list: list[int]) -> int:
 
 def cmd_corep(config: RunConfig, m_list: list[int]) -> int:
     """Corepresentation residuals: classical (bt = 0) pairs and the full
-    Schrodinger-block pair per grid size."""
+    Schrodinger-block pair per grid size.  Every grid order is checked
+    against physical memory before any is run (the Schrodinger pair has
+    dim H = n = M^2)."""
     pinned = load_pinned().get("corep_residual", {})
+    for M in m_list:
+        check_memory(M * M, M * M)
     rows = []
     passed = True
     block_residuals = []
     for M in m_list:
         g = grid(config.q, M)
         margin = config.resolved_margin(M)
-        classical = random_regular_pair([("trivial", g.point(1, 0))], seed=config.seed, g=g)
-        rep0 = build_rep(classical, g)
-        r0 = corep_residual(rep0, samples=config.samples, seed=config.seed, margin=margin)
+        with blas.for_dim(g.size):
+            classical = random_regular_pair([("trivial", g.point(1, 0))], seed=config.seed, g=g)
+            rep0 = build_rep(classical, g)
+            r0 = corep_residual(rep0, samples=config.samples, seed=config.seed, margin=margin)
+            pair = schrodinger_pair(g, margin=margin)
+            rep1 = build_rep(pair, g)
+            r1 = corep_residual(rep1, samples=config.samples, seed=config.seed, margin=margin)
         rows.append({"q": config.q, "M": M, "margin": margin, "case": "classical",
                      "residual": r0.residual, "unitarity_defect": rep0.unitarity_defect})
         passed = passed and r0.residual < 1e-9
-
-        pair = schrodinger_pair(g, margin=margin)
-        rep1 = build_rep(pair, g)
-        r1 = corep_residual(rep1, samples=config.samples, seed=config.seed, margin=margin)
         rows.append({"q": config.q, "M": M, "margin": margin, "case": "schrodinger",
                      "residual": r1.residual, "unitarity_defect": rep1.unitarity_defect})
         block_residuals.append(r1.residual)

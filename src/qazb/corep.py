@@ -39,6 +39,9 @@ applies U and V in these coordinates, as matrix products on one axis
 (F on a grid leg, a change of eigenbasis on H) and multiplies by the
 values, and the unitarity defect of a built U is certified from the
 factors' defects; the dense U is materialised only when it is read.
+Q reduces to W_1 F_1 Z_1 . W_2 . Z_1* F_1*, whose only factor on grid
+leg 2 is the diagonal W_2, so the commutator keeps leg 2 in window
+coordinates and folds W_2 into the leg-2 projection the witness reads.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ __all__ = [
     "ExtractionReport",
     "grid_operators",
     "build_rep",
+    "check_memory",
     "corep_residual",
     "extract_pair",
     "g_family",
@@ -94,6 +98,22 @@ def as_pair_on_h(pair) -> Q2Pair:
 def _physical_memory() -> int:
     """Bytes of physical memory of the machine."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(d: int, n: int) -> None:
+    """Refuse a corep run on H of dimension d and n grid points whose
+    working set exceeds physical memory, with ParameterError naming both
+    byte counts: four complex (n, d, d) block stacks in `build_rep` (W, Z
+    and the temporaries of their products and defects), or four complex
+    (d, n, n) tensors per `corep_residual` sample (the seeded draw with its
+    parts, and the kernel branch)."""
+    have = _physical_memory()
+    for what, need in (("build blocks", 64 * n * d * d), ("residual samples", 64 * d * n * n)):
+        if need > have:
+            raise ParameterError(
+                f"corep with d = {d} on {n} grid points needs {need} bytes for its {what}, "
+                f"more than the {have} bytes of physical memory"
+            )
 
 
 @dataclass(frozen=True)
@@ -223,7 +243,7 @@ def _change(src: np.ndarray | None, dst: np.ndarray | None) -> np.ndarray | None
 
 
 class _LegOps:
-    """Actions on H (x) grid (x) grid tensors (d, n, n) in eigen-coordinates.
+    """Actions on H (x) grid (x) grid tensors (d, n, m) in eigen-coordinates.
 
     With Z_a = V_a diag(z_a) V_a* and W_g = V_b diag(w_g) V_b*, every leg
     of U = W V, V = (I (x) F) Z (I (x) F*), is a chain of two kinds of
@@ -233,6 +253,10 @@ class _LegOps:
     leg.  F commutes with every change of basis on H, so a leg changes
     basis only where the next multiply needs it.  Nothing is transposed,
     and an identity basis is never multiplied by.
+
+    Leg 2 of a tensor may hold coordinates in a thin basis G (n x m) of
+    the grid leg instead of its n positions: `s_apply` and `q_apply` act
+    on such coordinates, and `q_apply` returns leg 2 read by a projection.
     """
 
     def __init__(self, rep: Representation):
@@ -243,30 +267,34 @@ class _LegOps:
         self.n = self.g.size
         self.F = self.g.fourier
         self.Fh = self.F.conj()   # F* (F is symmetric)
-        Va, Vb = rep.pair.X.basis, rep.pair.Y.basis
+        Va, self.Vb = rep.pair.X.basis, rep.pair.Y.basis
         # changes of coordinates on H: standard (std), eigenbasis of at (a) and of bt (b)
         self.std_a, self.a_std = _change(None, Va), _change(Va, None)
-        self.a_b, self.b_a = _change(Va, Vb), _change(Vb, Va)
-        self.b_std = _change(Vb, None)
-        z, w = rep.chi_values.T, rep.fq_values.T   # (d, n)
+        self.a_b, self.b_a = _change(Va, self.Vb), _change(self.Vb, Va)
+        self.b_std = _change(self.Vb, None)
+        z, self.fq = rep.chi_values.T, rep.fq_values.T   # (d, n)
         # the values on H and grid leg 1 or 2 of a (d, n, n) tensor
         self.z = {1: z[:, :, None], 2: z[:, None, :]}
         self.zc = {1: z.conj()[:, :, None], 2: z.conj()[:, None, :]}
-        self.w = {1: w[:, :, None], 2: w[:, None, :]}
+        self.w = {1: self.fq[:, :, None], 2: self.fq[:, None, :]}
         self.bvals = self.g.values
         self.a = grid_operators(self.g)[1]
         self.bt = rep.pair.Y.entries
 
     def _on_grid(self, F: np.ndarray, v: np.ndarray, leg: int) -> np.ndarray:
-        """F on grid leg `leg` (1 or 2) of a tensor (F symmetric); a new array."""
+        """F on grid leg `leg` (1 or 2) of a tensor (F symmetric on leg 2);
+        a new array."""
         if leg == 1:
             return np.matmul(F, v)
         return (v.reshape(-1, self.n) @ F).reshape(v.shape)
 
-    @staticmethod
-    def _h(T: np.ndarray | None, v: np.ndarray) -> np.ndarray:
+    def _h(self, T: np.ndarray | None, v: np.ndarray) -> np.ndarray:
         """A change of basis T on H (None: none, and `v` itself)."""
         return v if T is None else _on_h(T, v)
+
+    def _fold(self, K: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The batched leg-2 product v_h K_h with a :meth:`fold` K."""
+        return np.matmul(v, K)
 
     def _literal_leg(self, v: np.ndarray, leg: int, u: bool) -> np.ndarray:
         """The literal leg W F Z F* (U, when `u`) or F Z* F* (V*) on H and
@@ -292,32 +320,42 @@ class _LegOps:
     def vh13(self, v: np.ndarray) -> np.ndarray:
         return self._literal_leg(v, 2, False)
 
-    def q_apply(self, v: np.ndarray) -> np.ndarray:
-        """Q = U_12 U_13 (V_12 V_13)* applied to a (d, n, n) tensor.
+    def fold(self, G: np.ndarray, P: np.ndarray | None = None) -> np.ndarray:
+        """W_2 from leg-2 coordinates in G (n x m) to leg 2 read by P*
+        (P: n x p, None for the n positions): K_h = G^T diag(w_h) P-bar,
+        (d, m, p), one per index h of the eigenbasis V_b."""
+        K = G.T[None] * self.fq[:, None, :]
+        return K if P is None else K @ P.conj()
 
-        Evaluated as W_1 F_1 Z_1 . W_2 F_2 Z_2 Z_2* F_2* . Z_1* F_1*: the
-        literal chain u12 u13 vh13 vh12 with its two adjacent F* F
-        products removed (F_1 commutes with everything acting on H (x)
-        leg 2); Z_2 Z_2* stays, as two multiplies.  Every multiply acts in
+    def q_apply(self, v: np.ndarray, K: np.ndarray, h_out: np.ndarray | None = None) -> np.ndarray:
+        """Q = U_12 U_13 (V_12 V_13)* on a (d, n, m) tensor whose leg 2
+        holds coordinates in G, with leg 2 read by P*: K = fold(G, P).
+
+        Evaluated as W_1 F_1 Z_1 . W_2 . Z_1* F_1*: the literal chain u12
+        u13 vh13 vh12 less its two adjacent F* F products (F_1 commutes
+        with everything acting on H (x) leg 2) and less F_2 Z_2 Z_2* F_2*,
+        which is V_13 V_13* = 1 (the F and Z terms of the unitarity
+        certificate bound its distance from 1).  No factor after W_2 acts
+        on leg 2, so W_2 and the change of leg 2 from G to P are the one
+        batched product K.  H ends in the standard basis, or is read by
+        `h_out` (d' x d) from the V_b coordinates.  Every multiply acts in
         place on the array its preceding product made.
         """
         x = self._h(self.std_a, self._on_grid(self.Fh, v, 1))
         x *= self.zc[1]                                     # Z_1* F_1*
-        x = self._on_grid(self.Fh, x, 2)
-        x *= self.zc[2]
-        x *= self.z[2]                                      # Z_2 Z_2* F_2*
-        x = self._h(self.a_b, self._on_grid(self.F, x, 2))
-        x *= self.w[2]                                      # W_2 F_2
+        x = self._fold(K, self._h(self.a_b, x))             # W_2
         x = self._h(self.b_a, x)
         x *= self.z[1]                                      # Z_1
         x = self._h(self.a_b, self._on_grid(self.F, x, 1))
         x *= self.w[1]                                      # W_1 F_1
-        return self._h(self.b_std, x)
+        return self._h(self.b_std if h_out is None else h_out, x)
 
     def s_apply(self, v: np.ndarray) -> np.ndarray:
-        """S' = bt (x) a (x) b + bt (x) b (x) I applied to a tensor."""
-        w = _on_h(self.bt, v)
-        return (self.a @ w) * self.bvals + self.bvals[:, None] * w
+        """S' = bt (x) a (x) b + bt (x) b (x) I on a (d, n, m) tensor whose
+        leg 2 holds coordinates in G; the result's leg 2 holds coordinates
+        in [b G | G] (d, n, 2m)."""
+        w = self._h(self.bt, v)
+        return np.concatenate([self._on_grid(self.a, w, 1), self.bvals[:, None] * w], axis=2)
 
 
 @dataclass(frozen=True)
@@ -341,9 +379,16 @@ def corep_residual(
     Q = U_12 U_13 (V_12 V_13)* must be F_q of the closure of S'
     (= bt (x) Delta b re-expressed legwise), which is witnessed by the
     commutator [Q, S'] on interior vectors, plus Q = 1 on ker(bt) legs.
-    The window is the pair's basis on H times the grid window basis (at
-    `default_margin(M)` unless `margin` is given) on both grid legs.
-    Never materialises d * M^4 matrices.
+    The window is the pair's basis Bh on H times the grid window basis Bg
+    (at `default_margin(M)` unless `margin` is given) on both grid legs.
+
+    The commutator is read on the window only, so grid leg 2 stays in
+    window coordinates: Bg for v and [b Bg | Bg] for S'v.  Q(S'v) is read
+    on leg 2 by Bg* and Qv by [b-bar Bg | Bg]*, the leg-2 projections of
+    the two terms of S'(Qv); W_2 is folded into each (`_LegOps.fold`), so
+    no product is applied to a tensor with more than 2r columns on leg 2
+    (r the columns of Bg).  The kernel branch reads Q on the whole grid
+    leg.  Only the seeded draw is a full (d, n, n) tensor.
     """
     ops = _LegOps(rep)
     g, d, n = ops.g, ops.d, ops.n
@@ -351,9 +396,20 @@ def corep_residual(
         margin = default_margin(g.M)
     Bg = interior_window(g, margin)
     Bh = rep.pair.window_or_identity()
+    r = Bg.shape[1]
 
     def coords(v):   # coordinates in the window basis Bh (x) Bg (x) Bg
         return (Bg.conj().T @ _on_h(Bh.conj().T, v)) @ Bg.conj()
+
+    b = ops.bvals[:, None]
+    Gs = np.hstack([b * Bg, Bg])                      # leg 2 of S'v
+    Rs = np.linalg.qr(Gs, mode="r")                   # ||Y (x)_2 Gs|| = ||Y Rs^T||
+    Ks = ops.fold(Gs, Bg)                             # Q(S'v), read on the window
+    Kv = ops.fold(Bg, np.hstack([b.conj() * Bg, Bg]))  # Qv, read by both terms of S'
+    Hq = _change(ops.Vb, Bh)                          # Bh* V_b
+    Hs = _change(ops.Vb, ops.bt.conj().T @ Bh)        # Bh* bt V_b
+    Ag = Bg.conj().T @ ops.a                          # Bg* a
+    bg = Bg.conj().T * ops.bvals                      # Bg* b
 
     zero = rep.pair.Y.lattice(g.q)[2]   # ker(bt): onto it by V_b diag(zero) V_b*
     if zero.all():
@@ -363,6 +419,8 @@ def corep_residual(
         kernel = lambda v: _on_h(Pker, v)
     else:
         kernel = None
+    if kernel is not None:
+        Kk = ops.fold(Bg)                             # Qw on the whole leg 2
 
     rng = np.random.default_rng(seed)
     comm = 0.0
@@ -371,23 +429,24 @@ def corep_residual(
     comms = []
     for _ in range(samples):
         v = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
-        v = _on_h(Bh, (Bg @ coords(v)) @ Bg.T)   # onto the window
-        nv = np.linalg.norm(v)
+        x = _on_h(Bh, Bg @ coords(v))   # onto the window, leg 2 in coordinates Bg
+        nv = np.linalg.norm(x)
         if nv < 1e-12:
             continue
-        v /= nv
-        sv = ops.s_apply(v)
-        qv = ops.q_apply(v)
-        c = coords(ops.q_apply(sv) - ops.s_apply(qv))
-        comms.append(float(np.linalg.norm(c)))
-        sscale = max(sscale, float(np.linalg.norm(sv)))
+        x /= nv
+        sx = ops.s_apply(x)
+        qsv = np.matmul(Bg.conj().T, ops.q_apply(sx, Ks, Hq))
+        qv = ops.q_apply(x, Kv, Hs)
+        sqv = np.matmul(Ag, qv[..., :r]) + np.matmul(bg, qv[..., r:])
+        comms.append(float(np.linalg.norm(qsv - sqv)))
+        sscale = max(sscale, float(np.linalg.norm(sx @ Rs.T)))
         if kernel is None:
             continue
-        w = kernel(v)
+        w = kernel(x)
         nw = np.linalg.norm(w)
         if nw > 1e-12:
             w /= nw
-            kern = max(kern, float(np.linalg.norm(ops.q_apply(w) - w)))
+            kern = max(kern, float(np.linalg.norm(ops.q_apply(w, Kk) - w @ Bg.T)))
     if comms and sscale > 1e-300:
         comm = max(comms) / sscale
     residual = max(comm, kern)

@@ -327,39 +327,132 @@ def test_leg_operators_match_dense_route(case):
         (ops.u13(v), dense_leg(U, v, 2)),
         (ops.vh12(v), dense_leg(V, v, 1, adjoint=True)),
         (ops.vh13(v), dense_leg(V, v, 2, adjoint=True)),
-        (ops.q_apply(v), dense_leg(U, dense_leg(U, vh, 2), 1)),
+        (ops.q_apply(v, ops.fold(np.eye(n))), dense_leg(U, dense_leg(U, vh, 2), 1)),
     ]
     for got, want in checks:
         assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(want)
 
 
+def literal_s(pair, g, v):
+    """S' = bt (x) a (x) b + bt (x) b (x) I on a full (d, n, n) tensor, leg
+    by leg: the oracle of the thin S'."""
+    _, a = grid_operators(g)
+    w = (pair.Y.entries @ v.reshape(pair.dim, -1)).reshape(v.shape)
+    return (a @ w) * g.values + g.values[:, None] * w
+
+
+def thin_bases(g, margin):
+    """The window basis Bg of a grid leg, the leg-2 basis [b Bg | Bg] of
+    S'v, and the leg-2 projection [b-bar Bg | Bg] of Qv."""
+    from qazb.q2pair import interior_window
+
+    Bg = interior_window(g, margin)
+    b = g.values[:, None]
+    return Bg, np.hstack([b * Bg, Bg]), np.hstack([b.conj() * Bg, Bg])
+
+
 @pytest.mark.parametrize("case", ["schrodinger-4", "schrodinger-6", "conjugated-4"])
 def test_s_apply_matches_dense_coproduct(case):
-    # S' = bt (x) Delta(b), with Delta(b) dense on grid (x) grid
+    # S' = bt (x) Delta(b), with Delta(b) dense on grid (x) grid, applied to
+    # leg-2 coordinates in the window basis and in the position basis
     from qazb.corep import _LegOps
+    from qazb.q2pair import default_margin
 
     g, pair = case_pair(case)
     ops = _LegOps(build_rep(pair, g))
     d, n = pair.dim, g.size
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
     _, delta_b = dense_coproduct(g)
-    want = (pair.Y.entries @ v.reshape(d, n * n)) @ delta_b.T
-    got = ops.s_apply(v).reshape(d, n * n)
-    assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(want)
+    rng = np.random.default_rng(0)
+    for G in (thin_bases(g, default_margin(g.M))[0], np.eye(n)):
+        x = rng.standard_normal((d, n, G.shape[1])) + 1j * rng.standard_normal((d, n, G.shape[1]))
+        want = (pair.Y.entries @ (x @ G.T).reshape(d, n * n)) @ delta_b.T
+        got = ops.s_apply(x) @ np.hstack([g.values[:, None] * G, G]).T
+        assert np.linalg.norm(got.reshape(d, n * n) - want) < 1e-13 * np.linalg.norm(want)
+        assert np.linalg.norm(literal_s(pair, g, x @ G.T).reshape(d, n * n) - want) < 1e-13 * np.linalg.norm(want)
 
 
 def literal_q(ops, v):
-    """Q as the literal chain of the four legs: the oracle of the fused Q."""
+    """Q as the literal chain of the four legs on a full tensor."""
     return ops.u12(ops.u13(ops.vh13(ops.vh12(v))))
+
+
+THIN_CASES = CASES + [f"schrodinger-{M}-margin{m}" for M in (4, 6, 8) for m in range(M // 2)]
+
+
+@pytest.mark.parametrize("case", THIN_CASES)
+def test_thin_route_matches_literal_legs(case):
+    # leg 2 in window coordinates: S'v in [b Bg | Bg], Q(S'v) read on the
+    # window and Qv read by [b-bar Bg | Bg], as corep_residual takes them,
+    # against the literal legs and S' on full tensors
+    from qazb.corep import _LegOps
+    from qazb.q2pair import default_margin
+
+    if "margin" in case:
+        _, M, m = case.split("-")
+        g, margin = grid(0.5, int(M)), int(m.removeprefix("margin"))
+        pair = schrodinger_pair(g, margin=margin)
+    else:
+        g, pair = case_pair(case)
+        margin = default_margin(g.M)
+    ops = _LegOps(build_rep(pair, g))
+    d, n = pair.dim, g.size
+    Bg, Gs, Pv = thin_bases(g, margin)
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((d, n, Bg.shape[1])) + 1j * rng.standard_normal((d, n, Bg.shape[1]))
+    v = x @ Bg.T
+    sv = literal_s(pair, g, v)
+    sx = ops.s_apply(x)
+    checks = [
+        (sx @ Gs.T, sv),
+        (ops.q_apply(sx, ops.fold(Gs, Bg)), literal_q(ops, sv) @ Bg.conj()),
+        (ops.q_apply(x, ops.fold(Bg, Pv)), literal_q(ops, v) @ Pv.conj()),
+        (ops.q_apply(x, ops.fold(Bg)), literal_q(ops, v)),
+    ]
+    for got, want in checks:
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def literal_residual(rep, samples, seed, margin=None):
+    """(commutation, kernel_identity) of the corep residual on full (d, n,
+    n) tensors, with Q the literal chain of the four legs and S' leg by
+    leg, over the same seeded draws: the oracle of the thin route."""
+    from qazb.corep import _LegOps
+    from qazb.q2pair import default_margin, interior_window
+
+    ops = _LegOps(rep)
+    pair, g = rep.pair, rep.grid
+    d, n = rep.h_dim, g.size
+    Bg = interior_window(g, default_margin(g.M) if margin is None else margin)
+    Bh = pair.window_or_identity()
+
+    def on_h(A, v):
+        return (A @ v.reshape(A.shape[1], -1)).reshape((A.shape[0],) + v.shape[1:])
+
+    def coords(v):
+        return (Bg.conj().T @ on_h(Bh.conj().T, v)) @ Bg.conj()
+
+    Vb, zero = pair.Y.eig()[0], pair.Y.lattice(g.q)[2]
+    Pker = (Vb * zero) @ Vb.conj().T
+    rng = np.random.default_rng(seed)
+    comms, sscale, kern = [], 0.0, 0.0
+    for _ in range(samples):
+        v = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+        v = on_h(Bh, (Bg @ coords(v)) @ Bg.T)
+        v /= np.linalg.norm(v)
+        sv = literal_s(pair, g, v)
+        comms.append(np.linalg.norm(coords(literal_q(ops, sv) - literal_s(pair, g, literal_q(ops, v)))))
+        sscale = max(sscale, np.linalg.norm(sv))
+        if zero.any():
+            w = on_h(Pker, v)
+            w /= np.linalg.norm(w)
+            kern = max(kern, np.linalg.norm(literal_q(ops, w) - w))
+    return (max(comms) / sscale if sscale > 0 else 0.0), kern
 
 
 @pytest.mark.parametrize(
     "case", ["classical", "seeded-d8-8", "conjugated-4", "schrodinger-4", "schrodinger-6"]
 )
-def test_residual_through_fused_q_matches_literal_legs(case, monkeypatch):
-    from qazb.corep import _LegOps
-
+def test_residual_through_fused_q_matches_literal_legs(case):
     if case == "classical":   # bt = 0: every sample lies in ker(bt)
         g = grid(0.5, 4)
         pair = random_regular_pair([("trivial", g.point(1, 0))], seed=1, g=g)
@@ -367,16 +460,39 @@ def test_residual_through_fused_q_matches_literal_legs(case, monkeypatch):
         g, pair = case_pair(case)
     rep = build_rep(pair, g)
     fused = corep_residual(rep, samples=8, seed=2)
-    monkeypatch.setattr(_LegOps, "q_apply", literal_q)
-    literal = corep_residual(rep, samples=8, seed=2)
-    assert fused.samples == literal.samples
-    for field in ("residual", "commutation", "kernel_identity"):
-        got, want = getattr(fused, field), getattr(literal, field)
+    comm, kern = literal_residual(rep, samples=8, seed=2)
+    assert fused.samples == 8
+    for field, want in (("commutation", comm), ("kernel_identity", kern),
+                        ("residual", max(comm, kern))):
+        got = getattr(fused, field)
         assert abs(got - want) <= max(1e-13 * abs(want), 1e-14), field
     if case in ("classical", "seeded-d8-8"):
-        assert literal.kernel_identity > 0.0
+        assert kern > 0.0
     else:
-        assert literal.commutation > 1e-4
+        assert comm > 1e-4
+
+
+def test_commutation_branch_stays_thin(monkeypatch):
+    # on the M = 6 Schrodinger representation every one-axis product of the
+    # commutation branch acts on, and makes, a tensor with at most 2r
+    # columns on grid leg 2 (r the columns of the window basis)
+    from qazb.corep import _LegOps
+    from qazb.q2pair import default_margin, interior_window
+
+    g = grid(0.5, 6)
+    rep = build_rep(schrodinger_pair(g), g)
+    r = interior_window(g, default_margin(6)).shape[1]
+    shapes = []
+    for name in ("_on_grid", "_h", "_fold"):
+        def recording(self, A, v, *args, _step=getattr(_LegOps, name)):
+            out = _step(self, A, v, *args)
+            shapes.extend([v.shape, out.shape])
+            return out
+
+        monkeypatch.setattr(_LegOps, name, recording)
+    corep_residual(rep, samples=4, seed=1)
+    assert (g.size, g.size, 2 * r) in shapes   # S'v, leg 2 in [b Bg | Bg]
+    assert all(s[-1] <= 2 * r for s in shapes)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -407,6 +523,25 @@ def test_dense_u_refused_beyond_physical_memory(monkeypatch):
         rep.U
     assert "U" not in vars(rep)
     assert main(["-M", "4", "roundtrip", "--h-dim", "1"]) == 2
+
+
+def test_corep_refused_beyond_physical_memory(monkeypatch, capsys):
+    # 64 bytes an entry of the (n, d, d) build blocks and of the (d, n, n)
+    # residual samples; the CLI checks every grid order before it runs one
+    import qazb.corep
+    from qazb.cli import main
+    from qazb.corep import check_memory
+
+    monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 2048)
+    with pytest.raises(ParameterError, match=f"needs {64 * 16 ** 3} bytes for its build blocks.* 2048 bytes"):
+        check_memory(16, 16)
+    with pytest.raises(ParameterError, match=f"needs {64 * 16 ** 2} bytes for its residual samples"):
+        check_memory(1, 16)
+    monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 10 ** 6)   # M = 4 fits, M = 6 not
+    check_memory(16, 16)
+    assert main(["corep", "--M-list", "4,6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"needs {64 * 36 ** 3} bytes" in err and f"{10 ** 6} bytes" in err
 
 
 @pytest.mark.parametrize(

@@ -11,8 +11,8 @@ exists (FFT versus dense Fourier for the grid unitary, the closed-form
 window basis versus the dense window projector D (F* D F), the supplied
 eigensystems of the Schrodinger pair versus their Schur forms, the
 window-column witnesses versus their n x n formulas, eigh versus schur
-for self-adjoint spectra, the fused corepresentation product Q in
-eigen-coordinates versus the dense U and V applied leg by leg); a
+for self-adjoint spectra, the corepresentation product Q and S' in window
+coordinates versus the dense U, V and coproduct applied leg by leg); a
 disagreement aborts the run before anything is written.
 
 Usage: python3 tools/make_pinned.py [out_json]
@@ -26,7 +26,7 @@ import numpy as np
 
 warnings.filterwarnings("ignore")
 
-from qazb.corep import _LegOps, build_rep, chi_kron, corep_residual
+from qazb.corep import _LegOps, build_rep, chi_kron, corep_residual, grid_operators
 from qazb.gamma import grid, snap_spectrum
 from qazb.opalg import NormalMatrix, chi_op, operator_norm
 from qazb.q2pair import (
@@ -107,24 +107,44 @@ def check_window_column_routes(pair) -> None:
             raise RuntimeError(f"window-column route disagreement {d} on {name} at M={g.M}")
 
 
-def check_corep_routes(rep) -> None:
-    """The fused Q = U_12 U_13 (V_12 V_13)* of corep_residual against the
-    dense U and V = chi_kron applied on H and one grid leg at a time, to
-    1e-13 relative."""
-    d, n = rep.h_dim, rep.grid.size
+def check_corep_routes(rep, margin: int) -> None:
+    """The thin route of corep_residual against the dense U, V = chi_kron
+    and coproduct Delta(b), each applied to a full (d, n, n) tensor: S'v
+    with leg 2 in [b Bg | Bg], Q(S'v) read on the window Bg and Qv read by
+    [b-bar Bg | Bg], to 1e-13 relative."""
+    g = rep.grid
+    d, n = rep.h_dim, g.size
 
     def leg(A, v, which):   # A on H (x) grid leg `which` of a (d, n, n) tensor
         w = v if which == 1 else v.transpose(0, 2, 1)
         w = (A @ w.reshape(d * n, n)).reshape(d, n, n)
         return w if which == 1 else w.transpose(0, 2, 1)
 
+    Vh = chi_kron(rep.pair.X, g).conj().T
+
+    def dense_q(v):
+        return leg(rep.U, leg(rep.U, leg(Vh, leg(Vh, v, 1), 2), 2), 1)
+
+    b, a = grid_operators(g)
+    delta_b = np.kron(a, b) + np.kron(b, np.eye(n))
+    Bg = interior_window(g, margin)
+    Gs = np.hstack([b @ Bg, Bg])
+    Pv = np.hstack([b.conj() @ Bg, Bg])
+    ops = _LegOps(rep)
     rng = np.random.default_rng(0)
-    v = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
-    Vh = chi_kron(rep.pair.X, rep.grid).conj().T
-    want = leg(rep.U, leg(rep.U, leg(Vh, leg(Vh, v, 1), 2), 2), 1)
-    dist = np.linalg.norm(_LegOps(rep).q_apply(v) - want) / np.linalg.norm(want)
-    if dist > 1e-13:
-        raise RuntimeError(f"corep route disagreement {dist} at M={rep.grid.M}")
+    x = rng.standard_normal((d, n, Bg.shape[1])) + 1j * rng.standard_normal((d, n, Bg.shape[1]))
+    v = x @ Bg.T
+    sv = ((rep.pair.Y.entries @ v.reshape(d, n * n)) @ delta_b.T).reshape(d, n, n)
+    sx = ops.s_apply(x)
+    checks = [
+        ("S'v", sx @ Gs.T, sv),
+        ("Q(S'v)", ops.q_apply(sx, ops.fold(Gs, Bg)), dense_q(sv) @ Bg.conj()),
+        ("Qv", ops.q_apply(x, ops.fold(Bg, Pv)), dense_q(v) @ Pv.conj()),
+    ]
+    for name, got, want in checks:
+        dist = np.linalg.norm(got - want) / np.linalg.norm(want)
+        if dist > 1e-13:
+            raise RuntimeError(f"corep route disagreement {dist} on {name} at M={g.M}")
 
 
 def main(out_path: str) -> None:
@@ -168,7 +188,7 @@ def main(out_path: str) -> None:
         check_window_routes(g, margin)
         pair = schrodinger_pair(g, margin=margin)
         rep = build_rep(pair, g)
-        check_corep_routes(rep)
+        check_corep_routes(rep, margin)
         r = corep_residual(rep, samples=32, seed=1, margin=margin)
         corep_res[str(M)] = r.residual
         corep_unit[str(M)] = rep.unitarity_defect
