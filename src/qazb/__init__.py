@@ -20,7 +20,6 @@ from .gamma import (
     GammaGrid,
     GammaPoint,
     chi,
-    fourier_apply,
     grid,
     make_point,
     rational_point,
@@ -66,7 +65,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguityError", "DimensionError", "DomainError", "ExtractionError",
     "KernelConditionError", "ParameterError", "QazbError",
-    "GammaGrid", "GammaPoint", "chi", "fourier_apply", "grid", "make_point",
+    "GammaGrid", "GammaPoint", "chi", "grid", "make_point",
     "rational_point", "zero_point",
     "QExpParams", "candidate_separation", "fq", "fq_family",
     "fq_on_operator", "invert_fq_family",

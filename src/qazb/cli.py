@@ -28,6 +28,7 @@ from .gamma import grid, make_point, zero_point
 from .opalg import Eigensystem, NormalMatrix, operator_norm
 from .q2pair import (
     Q2Pair,
+    check_margin,
     default_margin,
     exp_identity_residual,
     random_regular_pair,
@@ -35,10 +36,14 @@ from .q2pair import (
     seeded_block_specs,
     verify_q2,
 )
-from .corep import build_rep, check_memory, corep_residual, extract_pair
+from .corep import build_rep, check_memory, corep_residual, extract_pair, refuse_beyond_memory
 from .qexp import QExpParams, fq
 
 PASS, FAIL, USAGE = 0, 1, 2
+# Complex n x n arrays that exp-identity and verify-pair hold at their peak
+# (tracemalloc peak / 16 n^2 at M = 16, 24 and 32: 10.5-10.6 for
+# exp-identity, 7.3-7.5 for verify-pair), rounded up.
+GRID_ARRAYS = 11
 
 
 @dataclass
@@ -55,10 +60,7 @@ class RunConfig:
     def resolved_margin(self, M: int | None = None) -> int:
         """The window margin at grid order M; an empty window is refused."""
         m = self.M if M is None else M
-        margin = default_margin(m) if self.margin is None else self.margin
-        if 2 * margin >= m:
-            raise ValueError(f"margin {margin} leaves no interior window at M={m} (needs 2*margin < M)")
-        return margin
+        return check_margin(m, default_margin(m) if self.margin is None else self.margin)
 
     def validate(self) -> None:
         if not (0.0 < self.q < 1.0):
@@ -114,7 +116,7 @@ def cmd_fq_table(config: RunConfig) -> int:
     params = QExpParams(config.q)
     rows = []
     passed = True
-    for (k, j), point in zip(g.index_pairs(), g.points):
+    for point in g.points:
         val = fq(point, params)
         mod_err = abs(abs(val) - 1.0)
         rows.append({"kind": "grid", "k": point.k, "theta_num_pi": point.theta / np.pi,
@@ -156,8 +158,19 @@ def _parse_m_list(text: str) -> list[int]:
     return m_list
 
 
+def _check_grid_memory(command: str, m_list: list[int]) -> None:
+    """Refuse a grid command whose dense working set, GRID_ARRAYS complex
+    n x n arrays at n = M^2, exceeds physical memory at any M of `m_list`."""
+    for M in m_list:
+        n = M * M
+        refuse_beyond_memory(16 * GRID_ARRAYS * n * n, f"{command} on {n} grid points",
+                             f"{GRID_ARRAYS} dense n x n arrays")
+
+
 def cmd_exp_identity(config: RunConfig, m_list: list[int]) -> int:
-    """Sweep of the windowed exponential-identity witness over grid sizes."""
+    """Sweep of the windowed exponential-identity witness over grid sizes;
+    every grid order is checked against physical memory before any is run."""
+    _check_grid_memory("exp-identity", m_list)
     pinned = load_pinned().get("exp_identity", {})
     rows = []
     passed = True
@@ -215,7 +228,7 @@ def cmd_corep(config: RunConfig, m_list: list[int]) -> int:
         g = grid(config.q, M)
         margin = config.resolved_margin(M)
         with blas.for_dim(g.size):
-            classical = random_regular_pair([("trivial", g.point(1, 0))], seed=config.seed, g=g)
+            classical = random_regular_pair([("trivial", g.point(1, 0))], g)
             rep0 = build_rep(classical, g)
             r0 = corep_residual(rep0, samples=config.samples, seed=config.seed, margin=margin)
             pair = schrodinger_pair(g, margin=margin)
@@ -243,12 +256,14 @@ def cmd_roundtrip(config: RunConfig, h_dim: int, trials: int) -> int:
     if trials < 1:
         raise ValueError(f"--trials must be >= 1, got {trials}")
     g = grid(config.q, config.M)
+    dim = h_dim * g.size
+    refuse_beyond_memory(16 * dim * dim, f"roundtrip with d = {h_dim} on {g.size} grid points", "dense U")
     rows = []
     passed = True
     for t in range(trials):
         seed = config.seed + t
         specs = seeded_block_specs(seed, h_dim, g)
-        pair = random_regular_pair(specs, seed=seed, g=g)
+        pair = random_regular_pair(specs, g)
         rep = build_rep(pair, g)
         extracted, report = extract_pair(rep, seed=seed)
         err_b = operator_norm(extracted.Y.entries - pair.Y.entries)
@@ -265,6 +280,7 @@ def cmd_verify_pair(config: RunConfig, which: str) -> int:
     """Axiom checks on a chosen pair; 'xx' and 'swapped' are the documented
     failure modes (the conjugation condition fails, by scaling or by the
     inverse relation)."""
+    _check_grid_memory("verify-pair", [config.M])
     g = grid(config.q, config.M)
     with blas.for_dim(g.size):
         base = schrodinger_pair(g, margin=config.resolved_margin())

@@ -69,7 +69,7 @@ from .opalg import (
     lattice_values,
     operator_norm,
 )
-from .q2pair import Q2Pair, default_margin, interior_window
+from .q2pair import Q2Pair, check_margin, default_margin, interior_window
 from .qexp import QExpParams, fq_lattice, invert_fq_family
 
 __all__ = [
@@ -79,6 +79,7 @@ __all__ = [
     "grid_operators",
     "build_rep",
     "check_memory",
+    "refuse_beyond_memory",
     "corep_residual",
     "extract_pair",
     "g_family",
@@ -100,20 +101,24 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def refuse_beyond_memory(need: int, subject: str, what: str) -> None:
+    """Refuse a working set of `need` bytes (the `what` of `subject`) that
+    exceeds physical memory, with ParameterError naming both byte counts."""
+    have = _physical_memory()
+    if need > have:
+        raise ParameterError(
+            f"{subject} needs {need} bytes for its {what}, more than the {have} bytes of physical memory"
+        )
+
+
 def check_memory(d: int, n: int) -> None:
     """Refuse a corep run on H of dimension d and n grid points whose
-    working set exceeds physical memory, with ParameterError naming both
-    byte counts: four complex (n, d, d) block stacks in `build_rep` (W, Z
-    and the temporaries of their products and defects), or four complex
-    (d, n, n) tensors per `corep_residual` sample (the seeded draw with its
-    parts, and the kernel branch)."""
-    have = _physical_memory()
+    working set exceeds physical memory: four complex (n, d, d) block
+    stacks in `build_rep` (W, Z and the temporaries of their products and
+    defects), or four complex (d, n, n) tensors per `corep_residual`
+    sample (the seeded draw with its parts, and the kernel branch)."""
     for what, need in (("build blocks", 64 * n * d * d), ("residual samples", 64 * d * n * n)):
-        if need > have:
-            raise ParameterError(
-                f"corep with d = {d} on {n} grid points needs {need} bytes for its {what}, "
-                f"more than the {have} bytes of physical memory"
-            )
+        refuse_beyond_memory(need, f"corep with d = {d} on {n} grid points", what)
 
 
 @dataclass(frozen=True)
@@ -143,12 +148,7 @@ class Representation:
 
     @cached_property
     def U(self) -> np.ndarray:
-        need, have = 16 * self.dim ** 2, _physical_memory()
-        if need > have:
-            raise ParameterError(
-                f"dense U of dimension {self.dim} needs {need} bytes, "
-                f"more than the {have} bytes of physical memory"
-            )
+        refuse_beyond_memory(16 * self.dim ** 2, f"a representation of dimension {self.dim}", "dense U")
         d, n = self.h_dim, self.grid.size
         W, B = _blocks(self.pair, self.fq_values, self.chi_values)
         V = _conjugate_by_fourier(B, self.grid).reshape(d, n, d * n).transpose(1, 0, 2)
@@ -381,20 +381,22 @@ def corep_residual(
     commutator [Q, S'] on interior vectors, plus Q = 1 on ker(bt) legs.
     The window is the pair's basis Bh on H times the grid window basis Bg
     (at `default_margin(M)` unless `margin` is given) on both grid legs.
+    A margin that leaves Bg no columns is refused with ParameterError: every
+    sample would project to 0, and a residual of 0 would check nothing.
 
     The commutator is read on the window only, so grid leg 2 stays in
     window coordinates: Bg for v and [b Bg | Bg] for S'v.  Q(S'v) is read
     on leg 2 by Bg* and Qv by [b-bar Bg | Bg]*, the leg-2 projections of
     the two terms of S'(Qv); W_2 is folded into each (`_LegOps.fold`), so
     no product is applied to a tensor with more than 2r columns on leg 2
-    (r the columns of Bg).  The kernel branch reads Q on the whole grid
-    leg.  Only the seeded draw is a full (d, n, n) tensor.
+    (r the columns of Bg).  The kernel branch, taken when bt has a zero
+    eigenvalue, projects onto ker(bt) by its zero mask in V_b coordinates
+    and reads Q on the whole grid leg.  Only the seeded draw is a full
+    (d, n, n) tensor.
     """
     ops = _LegOps(rep)
     g, d, n = ops.g, ops.d, ops.n
-    if margin is None:
-        margin = default_margin(g.M)
-    Bg = interior_window(g, margin)
+    Bg = interior_window(g, check_margin(g.M, default_margin(g.M) if margin is None else margin))
     Bh = rep.pair.window_or_identity()
     r = Bg.shape[1]
 
@@ -411,15 +413,10 @@ def corep_residual(
     Ag = Bg.conj().T @ ops.a                          # Bg* a
     bg = Bg.conj().T * ops.bvals                      # Bg* b
 
-    zero = rep.pair.Y.lattice(g.q)[2]   # ker(bt): onto it by V_b diag(zero) V_b*
-    if zero.all():
-        kernel = np.copy
-    elif zero.any():
-        Pker = lattice_calculus(rep.pair.Y, lambda n, theta, zero: zero, g.q)
-        kernel = lambda v: _on_h(Pker, v)
-    else:
-        kernel = None
-    if kernel is not None:
+    zero = rep.pair.Y.lattice(g.q)[2]   # ker(bt): the zero mask in V_b coordinates
+    kernel = bool(zero.any())
+    if kernel:
+        to_b, mask = _change(None, ops.Vb), zero[:, None, None]
         Kk = ops.fold(Bg)                             # Qw on the whole leg 2
 
     rng = np.random.default_rng(seed)
@@ -440,9 +437,9 @@ def corep_residual(
         sqv = np.matmul(Ag, qv[..., :r]) + np.matmul(bg, qv[..., r:])
         comms.append(float(np.linalg.norm(qsv - sqv)))
         sscale = max(sscale, float(np.linalg.norm(sx @ Rs.T)))
-        if kernel is None:
+        if not kernel:
             continue
-        w = kernel(x)
+        w = ops._h(ops.b_std, ops._h(to_b, x) * mask)   # V_b diag(zero) V_b* x
         nw = np.linalg.norm(w)
         if nw > 1e-12:
             w /= nw

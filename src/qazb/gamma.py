@@ -54,7 +54,6 @@ __all__ = [
     "rational_point",
     "chi",
     "grid",
-    "fourier_apply",
 ]
 
 
@@ -335,13 +334,6 @@ class GammaGrid:
         F.setflags(write=False)
         return F
 
-    def fourier_apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply F_M to a vector of length M^2."""
-        v = np.asarray(v)
-        if v.shape != (self.size,):
-            raise DimensionError(f"expected vector of length {self.size}, got shape {v.shape}")
-        return self.fourier @ v
-
     def fourier_apply_fft(self, v: np.ndarray) -> np.ndarray:
         """FFT realisation of F_M: two-axis inverse DFT with the output axes
         crossed (phase output slot j pairs with modulus input slot l)."""
@@ -350,9 +342,6 @@ class GammaGrid:
             raise DimensionError(f"expected vector of length {self.size}, got shape {v.shape}")
         V = v.reshape(self.M, self.M)
         return (self.M * np.fft.ifft2(V)).T.reshape(-1)
-
-    def flat_index(self, k: int, j: int) -> int:
-        return (k % self.M) * self.M + (j % self.M)
 
     def index_pairs(self) -> list[tuple[int, int]]:
         return [(k, j) for k in range(self.M) for j in range(self.M)]
@@ -364,8 +353,3 @@ class GammaGrid:
 def grid(q: float, M: int) -> GammaGrid:
     """Build the finite cyclic model of order M per axis."""
     return GammaGrid(q, M)
-
-
-def fourier_apply(g: GammaGrid, v: np.ndarray) -> np.ndarray:
-    """Apply the grid Fourier unitary F_M to `v` (norm preserving)."""
-    return g.fourier_apply(v)

@@ -368,25 +368,19 @@ def chi_values(k, theta):
     return f
 
 
-def chi_op(X, point: GammaPoint, q: float, columns: np.ndarray | None = None,
-           adjoint: bool = False) -> np.ndarray:
-    """Operator bicharacter chi(X, gamma'): functional calculus of
-    x -> e^{i (l' arg x + log_q|x| * theta')}.
+def chi_op(X, point: GammaPoint, q: float) -> np.ndarray:
+    """Operator bicharacter chi(X, gamma') as a dense matrix: functional
+    calculus of x -> e^{i (l' arg x + log_q|x| * theta')}.
 
     Requires ker X = {0}; the modulus indices log_q|x| are integers after
     snapping, which makes the result exactly multiplicative in gamma'.
-    chi(X, q) is the unitary phase (polar) factor of X.  With `columns`
-    the result is chi(X, gamma') B (chi(X, gamma')* B when `adjoint`),
-    computed by :func:`eigen_apply` without forming chi(X, gamma').
+    chi(X, q) is the unitary phase (polar) factor of X.  To apply it to
+    columns B without forming it, pass the values of
+    ``lattice_values(X, chi_values(k, theta), q)`` to :func:`eigen_apply`.
     """
     if point.zero:
         raise DomainError("chi_op is defined for nonzero lattice points only")
-    f = chi_values(point.k, point.theta)
-    if columns is not None:
-        X = _as_normal(X)
-        return eigen_apply(X, lattice_values(X, f, q)[1], columns, adjoint)
-    C = lattice_calculus(X, f, q)
-    return C.conj().T if adjoint else C
+    return lattice_calculus(X, chi_values(point.k, point.theta), q)
 
 
 def closure_sum(X, Y) -> NormalMatrix:

@@ -69,7 +69,8 @@ from scipy.linalg import block_diag
 
 from .errors import DimensionError, DomainError, ParameterError
 from .gamma import GammaGrid, GammaPoint, snap_spectrum
-from .opalg import DEFAULT_DEFECT_RTOL, SPECTRUM_RTOL, Eigensystem, NormalMatrix, chi_op, closure_sum, eigen_apply, operator_norm
+from .opalg import (DEFAULT_DEFECT_RTOL, SPECTRUM_RTOL, Eigensystem, NormalMatrix, chi_values, closure_sum,
+                    eigen_apply, lattice_values, operator_norm)
 from .qexp import QExpParams, fq_eigenvalues
 
 __all__ = [
@@ -77,6 +78,7 @@ __all__ = [
     "Q2Report",
     "ExpIdentityReport",
     "default_margin",
+    "check_margin",
     "interior_window",
     "grid_generators",
     "schrodinger_pair",
@@ -96,6 +98,14 @@ def default_margin(M: int) -> int:
     """The window margin ceil(M/4), which balances window size against
     wrap suppression."""
     return -(-M // 4)
+
+
+def check_margin(M: int, margin: int) -> int:
+    """`margin`, refused with ParameterError when it leaves no interior
+    window at grid order M (the window is empty unless 2 margin < M)."""
+    if 2 * margin >= M:
+        raise ParameterError(f"margin {margin} leaves no interior window at M={M} (needs 2*margin < M)")
+    return margin
 
 
 def interior_window(g: GammaGrid, margin: int) -> np.ndarray:
@@ -222,11 +232,15 @@ def schrodinger_pair(g: GammaGrid, margin: int | None = None) -> Q2Pair:
 
 def weyl_residual(pair: Q2Pair, point: GammaPoint) -> float:
     """|| B* (chi(X,gamma) Y chi(X,gamma)* - gamma Y) B ||_2, with B the
-    pair's window basis, from the n x r block C Y (C* B) - gamma Y B."""
+    pair's window basis, from the n x r block C Y (C* B) - gamma Y B; the
+    chi values of X are read once and applied by `eigen_apply`."""
+    if point.zero:
+        raise DomainError("chi(X, gamma) is defined for nonzero lattice points only")
     q = pair.grid.q
     Y = pair.Y.entries
     B = pair.window_or_identity()
-    CYCB = chi_op(pair.X, point, q, columns=Y @ chi_op(pair.X, point, q, columns=B, adjoint=True))
+    chi = lattice_values(pair.X, chi_values(point.k, point.theta), q)[1]
+    CYCB = eigen_apply(pair.X, chi, Y @ eigen_apply(pair.X, chi, B, adjoint=True))
     return operator_norm(B.conj().T @ (CYCB - point.value(q) * (Y @ B)))
 
 
@@ -385,7 +399,7 @@ def exp_identity_residual(pair: Q2Pair) -> ExpIdentityReport:
     )
 
 
-def windowed_modulus_distance(pair: Q2Pair, S: NormalMatrix | None = None) -> float:
+def windowed_modulus_distance(pair: Q2Pair) -> float:
     """Mean lattice distance of the modulus spectrum of X + Y on the window.
 
     The continuum closure is normal with spectrum in Gamma-bar; its modulus
@@ -395,8 +409,7 @@ def windowed_modulus_distance(pair: Q2Pair, S: NormalMatrix | None = None) -> fl
     relative distance of sqrt(eig(B* S*S B)) to q^Z (B spans the window),
     with B* S*S B formed as (S B)* (S B).
     """
-    if S is None:
-        S = closure_sum(pair.X, pair.Y)
+    S = closure_sum(pair.X, pair.Y)
     return _modulus_distance(S.entries @ pair.window_or_identity(), pair.grid.q)
 
 
@@ -411,11 +424,11 @@ def _modulus_distance(SB: np.ndarray, q: float) -> float:
     return float(np.mean(np.where(zero, 0.0, rel)))
 
 
-def random_regular_pair(blocks, seed: int, g: GammaGrid) -> Q2Pair:
+def random_regular_pair(blocks, g: GammaGrid) -> Q2Pair:
     """Direct sum of elementary regular blocks on a small Hilbert space.
 
-    Block specs: ("trivial", point_or_None) contributes the 1-dimensional
-    pair (0, gamma0) (gamma0 drawn from the grid when None, seeded), and
+    Block specs: ("trivial", gamma0) contributes the 1-dimensional pair
+    (0, gamma0) for a nonzero lattice point gamma0, and
     ("schrodinger", P) embeds the P-point sub-grid pair (dimension P^2,
     P must divide M so its spectra stay grid-supported).  The direct sum
     satisfies the pair axioms blockwise; the window basis and the
@@ -424,16 +437,11 @@ def random_regular_pair(blocks, seed: int, g: GammaGrid) -> Q2Pair:
     2-point modulus axis has no wrap-free interior, and the block
     contributes rows but no columns).
     """
-    rng = np.random.default_rng(seed)
     ys, xs, ws, prov = [], [], [], []   # ys, xs: (entries, eigensystem) per block
     for spec in blocks:
         kind = spec[0]
         if kind == "trivial":
             point = spec[1]
-            if point is None:
-                k = int(rng.integers(0, g.M))
-                j = int(rng.integers(0, g.M))
-                point = g.point(k, j)
             if point.zero:
                 raise ParameterError("trivial block requires a nonzero lattice point")
             value = point.value(g.q)

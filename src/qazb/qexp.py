@@ -143,16 +143,11 @@ def fq_lattice(
 
 
 def fq(point: GammaPoint, p: QExpParams) -> complex:
-    """F_q at a single lattice point (zero allowed).
-
-    Exact special values: F_q(0) = 1, F_q = -1 on the singular set, and
-    F_q = 1 at real lattice points off the singular set.
+    """F_q at a single lattice point (zero allowed): :func:`fq_lattice` on
+    one entry, with its exact special values F_q(0) = 1, F_q = -1 on the
+    singular set and F_q = 1 at real lattice points off it.
     """
-    if point.zero:
-        return 1 + 0j
-    if point.is_singular:
-        return -1 + 0j
-    return complex(fq_lattice(np.array([point.k]), np.array([point.theta]), p)[0])
+    return complex(fq_lattice([point.k], [point.theta], p, zero=[point.zero])[0])
 
 
 def fq_family(beta: GammaPoint, g: GammaGrid, p: QExpParams) -> np.ndarray:
@@ -199,18 +194,6 @@ class InversionResult:
     gap: float           # objective distance to the runner-up
 
 
-def _as_flat_data(data, g: GammaGrid) -> np.ndarray:
-    if isinstance(data, dict):
-        flat = np.empty(g.size, dtype=complex)
-        for (k, j), v in data.items():
-            flat[g.flat_index(k, j)] = v
-        return flat
-    arr = np.asarray(data, dtype=complex).reshape(-1)
-    if arr.shape != (g.size,):
-        raise DomainError(f"expected {g.size} data values, got {arr.shape}")
-    return arr
-
-
 def default_candidates(g: GammaGrid) -> list[GammaPoint]:
     """All grid points plus 0 (the trivial multiplier)."""
     return list(g.points) + [zero_point()]
@@ -224,12 +207,14 @@ def invert_fq_family(
 ) -> InversionResult:
     """Recover the lattice multiplier beta from samples of F_q(beta * .).
 
-    `data` maps grid points to unit-modulus values (flat array or dict
-    keyed by (k, j)).  Returns the candidate minimising the summed squared
-    deviation; raises AmbiguityError when the best two candidates are
-    within 1e-9 of the same objective value.
+    `data` holds one unit-modulus value per grid point, in flat (k-major)
+    order.  Returns the candidate minimising the summed squared deviation;
+    raises AmbiguityError when the best two candidates are within 1e-9 of
+    the same objective value.
     """
-    flat = _as_flat_data(data, g)
+    flat = np.asarray(data, dtype=complex).reshape(-1)
+    if flat.shape != (g.size,):
+        raise DomainError(f"expected {g.size} data values, got {flat.shape}")
     mod_err = float(np.max(np.abs(np.abs(flat) - 1.0)))
     if mod_err > 1e-6:
         raise DomainError(f"data is not unit modulus (max deviation {mod_err:.3e})")

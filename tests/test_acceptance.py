@@ -143,7 +143,7 @@ def test_criterion_5_spectrum_claim():
 def test_criterion_6_corepresentation_identity():
     with Budget("6 corep", 120.0):
         g4 = grid(Q, 4)
-        classical = random_regular_pair([("trivial", g4.point(1, 0))], seed=1, g=g4)
+        classical = random_regular_pair([("trivial", g4.point(1, 0))], g4)
         r0 = corep_residual(build_rep(classical, g4), samples=32, seed=1, margin=1)
         assert r0.residual < 1e-9
         block = {}
@@ -164,7 +164,7 @@ def test_criterion_7_round_trip_and_uniqueness():
         pairs = {}
         for seed in range(1, 11):
             d = 4 if seed <= 5 else 8
-            pair = random_regular_pair(seeded_block_specs(seed, d, g), seed=seed, g=g)
+            pair = random_regular_pair(seeded_block_specs(seed, d, g), g)
             rep = build_rep(pair, g)
             ext, report = extract_pair(rep, seed=seed)
             assert operator_norm(ext.Y.entries - pair.Y.entries) < 1e-8

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from qazb import __version__
-from qazb.cli import main
+from qazb.cli import GRID_ARRAYS, main
 
 
 def run(args):
@@ -119,3 +119,29 @@ def test_reports_byte_identical(tmp_path, args):
     assert run(["--out", str(a)] + args) in (0, 1)
     assert run(["--out", str(b)] + args) in (0, 1)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args, stage, need",
+    [
+        # the dense U of a roundtrip, 16 (d M^2)^2 bytes
+        (["-M", "4", "roundtrip", "--h-dim", "2"], "build_rep", 16 * 32 ** 2),
+        # GRID_ARRAYS complex n x n arrays at the largest M, checked before the first
+        (["exp-identity", "--M-list", "4,6"], "schrodinger_pair", 16 * GRID_ARRAYS * 36 ** 2),
+        (["-M", "6", "verify-pair"], "schrodinger_pair", 16 * GRID_ARRAYS * 36 ** 2),
+    ],
+)
+def test_refused_up_front_beyond_physical_memory(monkeypatch, capsys, args, stage, need):
+    import qazb.cli
+    import qazb.corep
+
+    have = need - 1   # one byte short; exp-identity at M = 4 alone would fit
+    monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: have)
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError(f"{stage} ran before the memory check")
+
+    monkeypatch.setattr(qazb.cli, stage, not_reached)
+    assert run(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"needs {need} bytes" in err and f"the {have} bytes of physical memory" in err

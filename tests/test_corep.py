@@ -87,7 +87,7 @@ def test_coproduct_defect_reported():
 def test_build_classical_representation():
     g = grid(0.5, 4)
     gamma0 = g.point(1, 0)   # the point q
-    pair = random_regular_pair([("trivial", gamma0)], seed=0, g=g)
+    pair = random_regular_pair([("trivial", gamma0)], g)
     rep = build_rep(pair, g)
     assert rep.unitarity_defect < 1e-10
     # diagonalised by the a-eigenbasis with joint spectrum chi(gamma0, .),
@@ -106,7 +106,7 @@ def test_build_classical_representation():
 def test_two_trivial_blocks_residual():
     g = grid(0.5, 4)
     pair = random_regular_pair(
-        [("trivial", g.point(0, 1)), ("trivial", g.point(3, 2))], seed=0, g=g
+        [("trivial", g.point(0, 1)), ("trivial", g.point(3, 2))], g
     )
     rep = build_rep(pair, g)
     r = corep_residual(rep, samples=8, seed=3)
@@ -125,7 +125,7 @@ def test_schrodinger_block_pinned():
 
 def test_g_family_unitary_commuting():
     g = grid(0.5, 8)
-    pair = random_regular_pair(seeded_block_specs(3, 4, g), seed=3, g=g)
+    pair = random_regular_pair(seeded_block_specs(3, 4, g), g)
     rep = build_rep(pair, g)
     G = g_family(rep)
     eye = np.eye(4)
@@ -139,7 +139,7 @@ def test_g_family_unitary_commuting():
 def test_extract_trivial_block_exact():
     g = grid(0.5, 8)
     gamma0 = g.point(2, 5)
-    pair = random_regular_pair([("trivial", gamma0)], seed=0, g=g)
+    pair = random_regular_pair([("trivial", gamma0)], g)
     rep = build_rep(pair, g)
     ext, report = extract_pair(rep)
     assert operator_norm(ext.Y.entries - np.zeros((1, 1))) < 1e-10
@@ -151,7 +151,7 @@ def test_extract_trivial_block_exact():
 def test_roundtrip_seed7():
     g = grid(0.5, 8)
     specs = seeded_block_specs(7, 4, g)
-    pair = random_regular_pair(specs, seed=7, g=g)
+    pair = random_regular_pair(specs, g)
     rep = build_rep(pair, g)
     ext, report = extract_pair(rep, seed=7)
     assert operator_norm(ext.Y.entries - pair.Y.entries) < 1e-8
@@ -174,7 +174,7 @@ def test_weyl_residual_zero_pair():
 def test_weyl_residual_detects_corruption():
     g = grid(0.5, 8)
     gamma0 = g.point(1, 0)
-    pair = random_regular_pair([("trivial", gamma0)], seed=0, g=g)
+    pair = random_regular_pair([("trivial", gamma0)], g)
     corrupted = Q2Pair(
         Y=NormalMatrix(pair.Y.entries + np.eye(1)),
         X=pair.X,
@@ -186,7 +186,7 @@ def test_weyl_residual_detects_corruption():
 
 def test_save_load_bit_exact(tmp_path):
     g = grid(0.5, 4)
-    pair = random_regular_pair([("trivial", g.point(1, 1))], seed=0, g=g)
+    pair = random_regular_pair([("trivial", g.point(1, 1))], g)
     rep = build_rep(pair, g)
     path = tmp_path / "rep.json"
     save_representation(rep, str(path))
@@ -206,7 +206,7 @@ def test_load_rejects_unknown_version(tmp_path):
 
 def test_corep_residual_needs_pair(tmp_path):
     g = grid(0.5, 4)
-    pair = random_regular_pair([("trivial", g.point(1, 1))], seed=0, g=g)
+    pair = random_regular_pair([("trivial", g.point(1, 1))], g)
     rep = build_rep(pair, g)
     path = tmp_path / "rep.json"
     save_representation(rep, str(path))
@@ -217,7 +217,7 @@ def test_corep_residual_needs_pair(tmp_path):
 
 def test_chi_kron_unitary():
     g = grid(0.5, 4)
-    pair = random_regular_pair([("trivial", g.point(2, 1))], seed=0, g=g)
+    pair = random_regular_pair([("trivial", g.point(2, 1))], g)
     V = chi_kron(pair.X, g)
     assert operator_norm(V @ V.conj().T - np.eye(16)) < 1e-12
 
@@ -232,7 +232,7 @@ def test_chi_kron_position_blocks_match_chi(M, idx):
 
     g = grid(0.5, M)
     alphas = [g.point(k, j) for k, j in idx]
-    pair = random_regular_pair([("trivial", a) for a in alphas], seed=0, g=g)
+    pair = random_regular_pair([("trivial", a) for a in alphas], g)
     d, n = len(alphas), g.size
     IF = np.kron(np.eye(d), g.fourier)
     Z = IF.conj().T @ chi_kron(pair.X, g) @ IF
@@ -290,7 +290,7 @@ def case_pair(case):
         A = rng.standard_normal((g.size, g.size)) + 1j * rng.standard_normal((g.size, g.size))
         return g, conjugate_pair(schrodinger_pair(g), np.linalg.qr(A)[0])
     g = grid(0.5, 8)
-    return g, random_regular_pair(seeded_block_specs(5, 8, g), seed=5, g=g)
+    return g, random_regular_pair(seeded_block_specs(5, 8, g), g)
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -455,7 +455,7 @@ def literal_residual(rep, samples, seed, margin=None):
 def test_residual_through_fused_q_matches_literal_legs(case):
     if case == "classical":   # bt = 0: every sample lies in ker(bt)
         g = grid(0.5, 4)
-        pair = random_regular_pair([("trivial", g.point(1, 0))], seed=1, g=g)
+        pair = random_regular_pair([("trivial", g.point(1, 0))], g)
     else:
         g, pair = case_pair(case)
     rep = build_rep(pair, g)
@@ -560,7 +560,7 @@ def test_load_rejects_tampered_file(tmp_path, field, value, error):
     import json
 
     g = grid(0.5, 4)
-    pair = random_regular_pair([("trivial", g.point(1, 1))], seed=0, g=g)
+    pair = random_regular_pair([("trivial", g.point(1, 1))], g)
     path = tmp_path / "rep.json"
     save_representation(build_rep(pair, g), str(path))
     payload = json.loads(path.read_text())
@@ -577,3 +577,50 @@ def test_load_rejects_tampered_file(tmp_path, field, value, error):
     path.write_text(json.dumps(payload))
     with pytest.raises(error):
         load_representation(str(path))
+
+
+@pytest.mark.parametrize("case", ["seeded-d8-8", "trivial+schrodinger-4"])
+def test_kernel_projection_matches_dense_projector(monkeypatch, case):
+    # the kernel branch projects each sample onto ker(bt) by the zero mask
+    # of bt in V_b coordinates; it matches the dense (V_b mask) V_b*.  In
+    # the seeded pair the window lies in ker(bt); next to a P = 4 block it
+    # does not.
+    from qazb.corep import _LegOps
+
+    if case == "seeded-d8-8":
+        g, pair = case_pair(case)
+    else:
+        g = grid(0.5, 8)
+        pair = random_regular_pair([("trivial", g.point(1, 0)), ("schrodinger", 4)], g)
+    Vb, zero = pair.Y.eig()[0], pair.Y.lattice(g.q)[2]
+    assert zero.any() and not zero.all() and pair.Y.basis is not None
+    Pker = (Vb * zero) @ Vb.conj().T
+    xs, ws = [], []
+    s_apply, q_apply = _LegOps.s_apply, _LegOps.q_apply
+
+    def record_x(self, v):
+        xs.append(v.copy())
+        return s_apply(self, v)
+
+    def record_w(self, v, K, h_out=None):
+        if h_out is None:   # only the kernel branch reads H in the standard basis
+            ws.append(v.copy())
+        return q_apply(self, v, K, h_out)
+
+    monkeypatch.setattr(_LegOps, "s_apply", record_x)
+    monkeypatch.setattr(_LegOps, "q_apply", record_w)
+    corep_residual(build_rep(pair, g), samples=4, seed=3)
+    assert len(xs) == len(ws) == 4
+    for x, w in zip(xs, ws):
+        want = (Pker @ x.reshape(len(zero), -1)).reshape(x.shape)
+        assert np.linalg.norm(want) > 0.1
+        assert np.linalg.norm(w - want / np.linalg.norm(want)) <= 1e-13
+
+
+def test_corep_residual_refuses_empty_window():
+    # at M = 4 a margin of 2 leaves no interior column: every sample would
+    # project to 0 and the residual would read 0 with nothing checked
+    g = grid(0.5, 4)
+    rep = build_rep(schrodinger_pair(g), g)
+    with pytest.raises(ParameterError, match="margin 2 leaves no interior window at M=4"):
+        corep_residual(rep, margin=2)

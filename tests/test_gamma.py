@@ -9,7 +9,6 @@ from qazb.errors import DimensionError, DomainError, ParameterError
 from qazb.gamma import (
     GammaPoint,
     chi,
-    fourier_apply,
     grid,
     make_point,
     rational_point,
@@ -174,7 +173,7 @@ def test_fourier_delta_to_constant():
     g = grid(0.5, 4)
     v = np.zeros(16)
     v[0] = 1.0   # delta at index (0, 0): kernel is identically 1 there
-    out = fourier_apply(g, v)
+    out = g.fourier @ v
     assert np.allclose(out, np.full(16, 1 / 4), atol=1e-14)
 
 
@@ -183,14 +182,14 @@ def test_fourier_norm_preserving_100_vectors():
     rng = np.random.default_rng(2)
     for _ in range(100):
         v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        assert abs(np.linalg.norm(fourier_apply(g, v)) / np.linalg.norm(v) - 1) < 1e-12
+        assert abs(np.linalg.norm(g.fourier @ v) / np.linalg.norm(v) - 1) < 1e-12
 
 
 def test_fourier_inverse_roundtrip():
     g = grid(0.5, 8)
     rng = np.random.default_rng(3)
     v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    w = g.fourier.conj().T @ fourier_apply(g, v)
+    w = g.fourier.conj().T @ g.fourier @ v
     assert np.abs(w - v).max() < 1e-12
 
 
@@ -198,7 +197,7 @@ def test_fourier_fft_route_agrees():
     g = grid(0.5, 8)
     rng = np.random.default_rng(4)
     v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    assert np.abs(g.fourier_apply(v) - g.fourier_apply_fft(v)).max() < 1e-12
+    assert np.abs(g.fourier @ v - g.fourier_apply_fft(v)).max() < 1e-12
 
 
 def test_fourier_conjugation_preserves_spectrum():
@@ -215,7 +214,7 @@ def test_fourier_conjugation_preserves_spectrum():
 def test_fourier_dimension_mismatch():
     g = grid(0.5, 4)
     with pytest.raises(DimensionError):
-        fourier_apply(g, np.ones(7))
+        g.fourier_apply_fft(np.ones(7))
 
 
 def test_snap_point_roundtrip_and_rejection():

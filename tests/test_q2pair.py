@@ -86,7 +86,7 @@ def test_windowed_norm_equals_projector_sandwich():
 def test_windowed_modulus_distance_with_empty_block():
     # a P = 2 sub-grid block adds rows but no columns to the window basis
     g = grid(0.5, 8)
-    pair = random_regular_pair([("schrodinger", 4), ("schrodinger", 2)], seed=0, g=g)
+    pair = random_regular_pair([("schrodinger", 4), ("schrodinger", 2)], g)
     assert pair.window.shape == (20, 4)
     alone = windowed_modulus_distance(schrodinger_pair(grid(0.5, 4)))
     assert alone > 0.0
@@ -194,7 +194,7 @@ def test_unitary_invariance_of_residuals():
 
 def test_trivial_block_pair():
     g = grid(0.5, 8)
-    pair = random_regular_pair([("trivial", g.point(1, 0))], seed=0, g=g)
+    pair = random_regular_pair([("trivial", g.point(1, 0))], g)
     assert pair.Y.entries[0, 0] == 0 and pair.X.entries[0, 0] == 0.5
     assert verify_q2(pair, tol=1e-10).passed
 
@@ -202,7 +202,7 @@ def test_trivial_block_pair():
 def test_two_trivial_blocks_diagonal():
     g = grid(0.5, 8)
     pair = random_regular_pair(
-        [("trivial", g.point(0, 1)), ("trivial", g.point(2, 3))], seed=0, g=g
+        [("trivial", g.point(0, 1)), ("trivial", g.point(2, 3))], g
     )
     assert np.count_nonzero(pair.X.entries - np.diag(np.diag(pair.X.entries))) == 0
     assert verify_q2(pair, tol=1e-10).passed
@@ -210,7 +210,9 @@ def test_two_trivial_blocks_diagonal():
 
 def test_mixed_block_pair_seed7():
     g = grid(0.5, 8)
-    pair = random_regular_pair([("trivial", None), ("schrodinger", 4)], seed=7, g=g)
+    # the trivial block at the grid point (7, 5), the draw default_rng(7)
+    # made for it before blocks took explicit points
+    pair = random_regular_pair([("trivial", g.point(7, 5)), ("schrodinger", 4)], g)
     report = verify_q2(pair, tol=1e-10)
     assert report.passed
     assert max(report.weyl_residuals.values()) < 1e-10
@@ -221,13 +223,13 @@ def test_trivial_block_rejects_zero():
 
     g = grid(0.5, 8)
     with pytest.raises(ParameterError):
-        random_regular_pair([("trivial", zero_point())], seed=0, g=g)
+        random_regular_pair([("trivial", zero_point())], g)
 
 
 def test_block_order_must_divide():
     g = grid(0.5, 8)
     with pytest.raises(ParameterError):
-        random_regular_pair([("schrodinger", 6)], seed=0, g=g)
+        random_regular_pair([("schrodinger", 6)], g)
 
 
 def test_seeded_specs_deterministic():
@@ -265,7 +267,7 @@ def test_exact_eigensystem_matches_schur_oracle(M):
     assert _rel(got, lattice_calculus(_schur_copy(zero_y), kernel, g.q)) < 1e-12
     assert np.array_equal(got, np.eye(g.size))
 
-    seeded = random_regular_pair(seeded_block_specs(M, 12, g), seed=M, g=g)
+    seeded = random_regular_pair(seeded_block_specs(M, 12, g), g)
     for T in (seeded.X, seeded.Y):
         assert T.eigensystem is not None
         assert _rel(fq_on_operator(T, P, M), fq_on_operator(_schur_copy(T), P, M)) < 1e-12
@@ -285,7 +287,7 @@ def test_supplied_eigensystem_takes_no_schur_form(monkeypatch):
     assert pair.X.norm2 == pair.Y.norm2 == float(np.max(np.abs(g.values)))
     assert verify_q2(pair).passed
     exp_identity_residual(pair)
-    seeded = random_regular_pair(seeded_block_specs(3, 8, g), seed=3, g=g)
+    seeded = random_regular_pair(seeded_block_specs(3, 8, g), g)
     verify_q2(conjugate_pair(seeded, np.linalg.qr(np.eye(8) + 0.3j * np.ones((8, 8)))[0]))
 
 
@@ -426,7 +428,7 @@ def _oracle_case(case):
     kind, M = case.split("-")
     g = grid(0.5, int(M))
     if kind == "seeded":
-        return random_regular_pair(seeded_block_specs(5, 8, g), seed=5, g=g)
+        return random_regular_pair(seeded_block_specs(5, 8, g), g)
     pair = schrodinger_pair(g)
     if kind == "conjugated":
         rng = np.random.default_rng(int(M))

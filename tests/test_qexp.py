@@ -152,11 +152,3 @@ def test_invert_ambiguity_detected():
 
 def test_separation_positive():
     assert candidate_separation(grid(0.5, 4), P) > 0.0
-
-
-def test_dict_data_accepted():
-    g = grid(0.5, 4)
-    beta = g.point(1, 1)
-    flat = fq_family(beta, g, P)
-    data = {(k, j): flat[g.flat_index(k, j)] for k, j in g.index_pairs()}
-    assert invert_fq_family(data, g, P).beta == beta

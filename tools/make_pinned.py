@@ -46,7 +46,7 @@ Q = 0.5
 def check_fourier_routes(g) -> None:
     rng = np.random.default_rng(0)
     v = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
-    d = np.abs(g.fourier_apply(v) - g.fourier_apply_fft(v)).max()
+    d = np.abs(g.fourier @ v - g.fourier_apply_fft(v)).max()
     if d > 1e-11:
         raise RuntimeError(f"fourier route disagreement {d} at M={g.M}")
 
