@@ -37,11 +37,11 @@ from .opalg import (
     Eigensystem,
     NormalMatrix,
     chi_op,
-    closure_sum,
     gamma_distance,
 )
 from .q2pair import (
     Q2Pair,
+    closure_sum,
     exp_identity_residual,
     interior_window,
     random_regular_pair,

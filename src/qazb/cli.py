@@ -25,7 +25,7 @@ from . import __version__, blas
 from .corpus import load_pinned
 from .errors import QazbError
 from .gamma import grid, make_point, zero_point
-from .opalg import Eigensystem, NormalMatrix, operator_norm
+from .opalg import GridOperator, operator_norm
 from .q2pair import (
     Q2Pair,
     check_margin,
@@ -40,10 +40,11 @@ from .corep import build_rep, check_memory, corep_residual, extract_pair, refuse
 from .qexp import QExpParams, fq
 
 PASS, FAIL, USAGE = 0, 1, 2
-# Complex n x n arrays that exp-identity and verify-pair hold at their peak
-# (tracemalloc peak / 16 n^2 at M = 16, 24 and 32: 10.5-10.6 for
-# exp-identity, 7.3-7.5 for verify-pair), rounded up.
-GRID_ARRAYS = 11
+# Complex n x r blocks (n = M^2 grid points, r window columns) that
+# exp-identity and verify-pair hold at their peak (tracemalloc peak /
+# 16 n r at M = 16, 24 and 32: 14.1-14.4 for exp-identity, 6.1-6.3 for
+# verify-pair), rounded up.
+GRID_BLOCKS = 15
 
 
 @dataclass
@@ -158,19 +159,20 @@ def _parse_m_list(text: str) -> list[int]:
     return m_list
 
 
-def _check_grid_memory(command: str, m_list: list[int]) -> None:
-    """Refuse a grid command whose dense working set, GRID_ARRAYS complex
-    n x n arrays at n = M^2, exceeds physical memory at any M of `m_list`."""
+def _check_grid_memory(command: str, config: RunConfig, m_list: list[int]) -> None:
+    """Refuse a grid command whose working set, GRID_BLOCKS complex n x r
+    blocks at n = M^2 and r = (M - 2 margin)^2 window columns, exceeds
+    physical memory at any M of `m_list`."""
     for M in m_list:
-        n = M * M
-        refuse_beyond_memory(16 * GRID_ARRAYS * n * n, f"{command} on {n} grid points",
-                             f"{GRID_ARRAYS} dense n x n arrays")
+        n, r = M * M, (M - 2 * config.resolved_margin(M)) ** 2
+        refuse_beyond_memory(16 * GRID_BLOCKS * n * r, f"{command} on {n} grid points",
+                             f"{GRID_BLOCKS} complex n x r blocks (r = {r} window columns)")
 
 
 def cmd_exp_identity(config: RunConfig, m_list: list[int]) -> int:
     """Sweep of the windowed exponential-identity witness over grid sizes;
     every grid order is checked against physical memory before any is run."""
-    _check_grid_memory("exp-identity", m_list)
+    _check_grid_memory("exp-identity", config, m_list)
     pinned = load_pinned().get("exp_identity", {})
     rows = []
     passed = True
@@ -194,10 +196,7 @@ def cmd_exp_identity(config: RunConfig, m_list: list[int]) -> int:
         passed = passed and rep.passed and ident.residual_swapped > ident.residual
     # Y = 0 control on the largest grid: the last Schrodinger X and its window
     with blas.for_dim(g.size):
-        zero_pair = Q2Pair(
-            Y=NormalMatrix(np.zeros((g.size, g.size)), Eigensystem.zero_operator(g.size)),
-            X=pair.X, grid=g, window=pair.window,
-        )
+        zero_pair = Q2Pair(Y=GridOperator(g, "zero"), X=pair.X, grid=g, window=pair.window)
         control = exp_identity_residual(zero_pair)
     rows.append({
         "q": config.q, "M": m_list[-1], "margin": margin,
@@ -280,7 +279,7 @@ def cmd_verify_pair(config: RunConfig, which: str) -> int:
     """Axiom checks on a chosen pair; 'xx' and 'swapped' are the documented
     failure modes (the conjugation condition fails, by scaling or by the
     inverse relation)."""
-    _check_grid_memory("verify-pair", [config.M])
+    _check_grid_memory("verify-pair", config, [config.M])
     g = grid(config.q, config.M)
     with blas.for_dim(g.size):
         base = schrodinger_pair(g, margin=config.resolved_margin())

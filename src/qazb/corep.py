@@ -214,8 +214,8 @@ def build_rep(pair, g: GammaGrid) -> Representation:
         zero = np.broadcast_to(zero, k.shape)
         return fq_lattice(k.ravel(), theta.ravel(), params, zero=zero.ravel()).reshape(k.shape)
 
-    w = lattice_values(p.Y, fq_grid, g.q, M=g.M)[1]
-    z = lattice_values(p.X, chi_values(*g.lattice), g.q, M=g.M)[1]
+    w = lattice_values(p.Y, fq_grid, g.q, M=g.M)
+    z = lattice_values(p.X, chi_values(*g.lattice), g.q, M=g.M)
     W, B = _blocks(p, w, z)
     defect_f = _block_defect(g.fourier)
     defect = 0.0

@@ -334,17 +334,33 @@ class GammaGrid:
         F.setflags(write=False)
         return F
 
-    def fourier_apply_fft(self, v: np.ndarray) -> np.ndarray:
-        """FFT realisation of F_M: two-axis inverse DFT with the output axes
-        crossed (phase output slot j pairs with modulus input slot l)."""
-        v = np.asarray(v, dtype=complex)
-        if v.shape != (self.size,):
-            raise DimensionError(f"expected vector of length {self.size}, got shape {v.shape}")
-        V = v.reshape(self.M, self.M)
-        return (self.M * np.fft.ifft2(V)).T.reshape(-1)
+    def fourier_columns(self, B: np.ndarray, adjoint: bool) -> np.ndarray:
+        """F_M B, or F_M* B when `adjoint`, for an n-vector or n x c block B
+        (n = M^2), by M-point FFTs on its (M, M, c) reshape: a two-axis
+        inverse DFT (a forward one for F_M*) with the output axes crossed,
+        since phase output slot j pairs with modulus input slot l.  No
+        n x n array is formed."""
+        B = np.asarray(B, dtype=complex)
+        if B.shape[:1] != (self.size,) or B.ndim > 2:
+            raise DimensionError(f"expected {self.size} rows, got shape {B.shape}")
+        V = B.reshape(self.M, self.M, -1)
+        transform = np.fft.fft2 if adjoint else np.fft.ifft2
+        return transform(V, axes=(0, 1), norm="ortho").transpose(1, 0, 2).reshape(B.shape)
 
-    def index_pairs(self) -> list[tuple[int, int]]:
-        return [(k, j) for k in range(self.M) for j in range(self.M)]
+    @cached_property
+    def fourier_defect(self) -> float:
+        """The unitarity certificate ||F_M* F_M - 1||_F of the transform of
+        :meth:`fourier_columns`, from its M-point factor alone.  F_M is the
+        crossed product of two M-point unitary DFTs W, so with W* W = 1 + E
+        it is ||E (x) 1 + 1 (x) E + E (x) E||_F <= 2 sqrt(M) e + e^2,
+        e = ||E||_F, measured on the M-point transforms of the unit vectors
+        (the larger of the forward and the inverse one).  As for a dense
+        basis, the rounding of applying the transform to a block is not
+        part of it."""
+        eye = np.eye(self.M)
+        e = max(float(np.linalg.norm(W.conj().T @ W - eye))
+                for W in (np.fft.fft(eye, axis=0, norm="ortho"), np.fft.ifft(eye, axis=0, norm="ortho")))
+        return 2.0 * math.sqrt(self.M) * e + e * e
 
     def __repr__(self) -> str:
         return f"GammaGrid(q={self.q}, M={self.M})"

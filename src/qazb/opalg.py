@@ -43,14 +43,30 @@ Every function of a normal matrix on the lattice goes through one
 lattice-data step: basis V, lattice data (n, theta, zero) from
 :meth:`NormalMatrix.lattice` (the supplied data, or the eigenvalues
 snapped by :func:`qazb.gamma.snap_spectrum`) and values f(n, theta,
-zero).  :func:`lattice_values` returns V and the values f;
+zero).  :func:`lattice_values` returns the values f;
 :func:`lattice_calculus` forms V diag(f) V* (a leading axis of f gives a
 stack of such matrices in one batched product); :func:`eigen_apply`
-applies values to the columns of an n x r block B as V (f * (V* B)), in
-O(n^2 r) and without forming the n x n matrix, so values computed once
-serve any number of applications.  A supplied identity basis is never
-multiplied by: :attr:`NormalMatrix.basis` is None for it.  Diagnostics
-such as :func:`gamma_distance` always report the unsnapped values.
+applies values to the columns of an n x r block B as V (f * (V* B)),
+without forming the n x n matrix, so values computed once serve any
+number of applications.  A supplied identity basis is never multiplied
+by: :attr:`NormalMatrix.basis` is None for it.  Diagnostics such as
+:func:`gamma_distance` always report the unsnapped values.
+
+The operators of the grid model whose structure is known in closed form
+are held by that structure: a :class:`GridOperator` is the grid values on
+the standard basis (X), on the Fourier basis F* (Y = F* X F), or zero.
+It applies itself, and functions of itself, to an n x c block by value
+multiplies and the M-point FFTs of
+:meth:`~qazb.gamma.GammaGrid.fourier_columns`, in O(n c log M), and its
+certificate is structural: T is V diag(lam) V* by construction, with the
+exact grid lattice data, so only the unitarity of V is measured (on the
+M-point transform, :attr:`~qazb.gamma.GammaGrid.fourier_defect`), and
+r <= eps sqrt(1 + eps) follows from T V - V L = V L (V* V - 1).  Its
+dense entries and eigensystem are built only when read.  Both kinds of
+operator share :class:`NormalOperator`: `apply`, `apply_adjoint`,
+`spectral_apply` (V (vals * (V* B))), `lattice`, `eigenvalues`, `norm2`
+and `normality_defect`, and the dense views `entries`, `eig`,
+`eigensystem` and `basis`.
 """
 
 from __future__ import annotations
@@ -61,15 +77,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionError, DomainError, KernelConditionError
-from .gamma import GammaPoint, snap_spectrum
+from .errors import DimensionError, DomainError, KernelConditionError, ParameterError
+from .gamma import GammaGrid, GammaPoint, snap_spectrum
 
 __all__ = [
     "Eigensystem",
+    "GridOperator",
     "NormalMatrix",
+    "NormalOperator",
     "chi_op",
     "chi_values",
-    "closure_sum",
     "eigen_apply",
     "eigen_stack",
     "gamma_distance",
@@ -141,7 +158,50 @@ class Eigensystem:
         )
 
 
-class NormalMatrix:
+def _certified_defect(s: float, eps: float, r: float) -> float:
+    """The normality-defect bound s^2 (4u + u^2), u = (2 eps + r) / sqrt(1 - eps),
+    of a certified eigensystem (see the module docstring)."""
+    u = (2.0 * eps + r) / np.sqrt(1.0 - eps)
+    return s * s * (4.0 * u + u * u)
+
+
+def _supplied_lattice(lam, n, theta, zero, scale: float, q: float):
+    """(n, theta, zero, rel) of exact lattice data, rel the relative distance
+    |lam - q^n e^{i theta}| / q^n (|lam| / scale on the zero mask); beyond
+    SPECTRUM_RTOL the data do not describe lam at this q: DomainError."""
+    mod = q ** np.where(zero, 0, n).astype(float)
+    rel = np.where(zero, np.abs(lam) / (scale if scale > 0.0 else 1.0),
+                   np.abs(lam - mod * np.exp(1j * theta)) / mod)
+    worst = float(np.max(rel, initial=0.0))
+    if worst > SPECTRUM_RTOL:
+        raise DomainError(f"supplied lattice data are {worst:.3e} away from the eigenvalues at q={q}")
+    return n, theta, zero, rel
+
+
+class NormalOperator:
+    """What the witnesses read of an operator T on C^dim (see the module
+    docstring): `apply(B)` = T B, `apply_adjoint(B)` = T* B and
+    `spectral_apply(vals, B)` = V (vals * (V* B)) on n x c blocks, and
+    `norm2` and `normality_defect`, from which the relative defect and the
+    degraded flag follow here."""
+
+    @property
+    def relative_defect(self) -> float:
+        """Defect normalised by ||T||^2, the commutator's natural scale."""
+        s = self.norm2
+        return 0.0 if s == 0.0 else self.normality_defect / (s * s)
+
+    @property
+    def defect_threshold(self) -> float:
+        return DEFAULT_DEFECT_RTOL * self.norm2 ** 2
+
+    @property
+    def degraded(self) -> bool:
+        """True when functional calculus on this operator is untrustworthy."""
+        return self.normality_defect > self.defect_threshold
+
+
+class NormalMatrix(NormalOperator):
     """A dense complex matrix with cached eigensystem and normality defect.
 
     Immutable: the wrapped array is copied and write-protected.  The
@@ -208,28 +268,11 @@ class NormalMatrix:
                 except DomainError:
                     pass
             if r is not None:
-                s, eps = self.norm2, self._ortho
-                u = (2.0 * eps + r) / np.sqrt(1.0 - eps)
-                self._defect = s * s * (4.0 * u + u * u)
+                self._defect = _certified_defect(self.norm2, self._ortho, r)
             else:
                 t = self._m
                 self._defect = operator_norm(t @ t.conj().T - t.conj().T @ t)
         return self._defect
-
-    @property
-    def relative_defect(self) -> float:
-        """Defect normalised by ||T||^2, the commutator's natural scale."""
-        s = self.norm2
-        return 0.0 if s == 0.0 else self.normality_defect / (s * s)
-
-    @property
-    def defect_threshold(self) -> float:
-        return DEFAULT_DEFECT_RTOL * self.norm2 ** 2
-
-    @property
-    def degraded(self) -> bool:
-        """True when functional calculus on this matrix is untrustworthy."""
-        return self.normality_defect > self.defect_threshold
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigensystem (V, lam), V unitary: the supplied one, certified on
@@ -284,14 +327,29 @@ class NormalMatrix:
         es = self._supplied
         if es is None:
             return snap_spectrum(lam, q, scale=self.norm2, M=M)
-        scale = self.norm2
-        mod = q ** np.where(es.zero, 0, es.n).astype(float)
-        rel = np.where(es.zero, np.abs(lam) / (scale if scale > 0.0 else 1.0),
-                       np.abs(lam - mod * np.exp(1j * es.theta)) / mod)
-        worst = float(np.max(rel, initial=0.0))
-        if worst > SPECTRUM_RTOL:
-            raise DomainError(f"supplied lattice data are {worst:.3e} away from the eigenvalues at q={q}")
-        return es.n, es.theta, es.zero, rel
+        return _supplied_lattice(lam, es.n, es.theta, es.zero, self.norm2, q)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self.eig()[1]
+
+    @property
+    def is_zero(self) -> bool:
+        return not np.any(self._m)
+
+    def apply(self, B: np.ndarray) -> np.ndarray:
+        return self._m @ B
+
+    def apply_adjoint(self, B: np.ndarray) -> np.ndarray:
+        return self._m.conj().T @ B
+
+    def spectral_apply(self, vals: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """V (vals * (V* B)), in O(n^2 r) for r columns; a supplied identity
+        basis is not multiplied by."""
+        V = self.basis
+        if V is None:
+            return vals[:, None] * B
+        return V @ (vals[:, None] * (V.conj().T @ B))
 
     @property
     def basis(self) -> np.ndarray | None:
@@ -304,20 +362,117 @@ class NormalMatrix:
         return f"NormalMatrix(dim={self.dim}, defect={self.normality_defect:.3e})"
 
 
-def _as_normal(T) -> NormalMatrix:
-    return T if isinstance(T, NormalMatrix) else NormalMatrix(T)
+class GridOperator(NormalOperator):
+    """A normal operator on the grid space of `g` (dimension n = M^2) held
+    by its structure, of one of three kinds: "position" (X, the grid values
+    g.values on the standard basis), "fourier" (Y = F* X F, the grid values
+    on the basis F*) or "zero".  The eigenvalues are in grid order, with
+    the grid's exact lattice data.
+
+    It applies itself and functions of itself to n x c blocks without an
+    n x n array (see the module docstring).  Its certificate is
+    structural: eps = ||V* V - 1||_F is 0 for the standard basis and
+    g.fourier_defect for F*, and r = eps sqrt(1 + eps).  The dense
+    `entries` and eigensystem are built on first read, equal to those the
+    same operator has as a :class:`NormalMatrix`.
+    """
+
+    KINDS = ("position", "fourier", "zero")
+
+    def __init__(self, g: GammaGrid, kind: str):
+        if kind not in self.KINDS:
+            raise ParameterError(f"grid operator kind must be one of {self.KINDS}, got {kind!r}")
+        self.grid, self.kind = g, kind
+
+    @property
+    def dim(self) -> int:
+        return self.grid.size
+
+    @property
+    def is_zero(self) -> bool:
+        return self.kind == "zero"
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return _frozen(np.zeros(self.dim), complex) if self.is_zero else self.grid.values
+
+    @property
+    def norm2(self) -> float:
+        return float(np.max(np.abs(self.eigenvalues), initial=0.0))
+
+    @property
+    def _ortho(self) -> float:
+        return self.grid.fourier_defect if self.kind == "fourier" else 0.0
+
+    @property
+    def eig_certificate(self) -> float:
+        eps = self._ortho
+        return eps * float(np.sqrt(1.0 + eps))
+
+    @property
+    def normality_defect(self) -> float:
+        return _certified_defect(self.norm2, self._ortho, self.eig_certificate)
+
+    def lattice(self, q: float, M: int | None = None):
+        """The exact lattice data (n, theta, zero, rel), as
+        :meth:`NormalMatrix.lattice` gives supplied data."""
+        if self.is_zero:
+            n = self.dim
+            data = (np.zeros(n, int), np.zeros(n), np.ones(n, bool))
+        else:
+            data = (*self.grid.lattice, np.zeros(self.dim, bool))
+        return _supplied_lattice(self.eigenvalues, *data, self.norm2, q)
+
+    def spectral_apply(self, vals: np.ndarray, B: np.ndarray) -> np.ndarray:
+        if self.kind != "fourier":
+            return vals[:, None] * B
+        g = self.grid
+        return g.fourier_columns(vals[:, None] * g.fourier_columns(B, False), True)
+
+    def apply(self, B: np.ndarray) -> np.ndarray:
+        return self.spectral_apply(self.eigenvalues, B)
+
+    def apply_adjoint(self, B: np.ndarray) -> np.ndarray:
+        return self.spectral_apply(self.eigenvalues.conj(), B)
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        """The dense matrix: diag(lam), or (F* lam) F for the Fourier kind."""
+        if self.kind == "fourier":
+            F = self.grid.fourier
+            return _frozen((F.conj().T * self.grid.values) @ F, complex)
+        return _frozen(np.diag(self.eigenvalues), complex)
+
+    @functools.cached_property
+    def eigensystem(self) -> Eigensystem:
+        """The dense eigensystem: basis 1, or F* for the Fourier kind."""
+        if self.is_zero:
+            return Eigensystem.zero_operator(self.dim)
+        V = self.grid.fourier.conj().T if self.kind == "fourier" else np.eye(self.dim)
+        return Eigensystem(V, self.grid.values, *self.grid.lattice)
+
+    def eig(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.eigensystem.V, self.eigensystem.lam
+
+    @property
+    def basis(self) -> np.ndarray | None:
+        return self.eigensystem.V if self.kind == "fourier" else None
 
 
-def lattice_values(T, f, q: float, M: int | None = None):
-    """The basis V of T and the values f(n, theta, zero) on its lattice
-    data (see :func:`lattice_calculus`), values on the last axis."""
+def _as_normal(T) -> NormalOperator:
+    return T if isinstance(T, NormalOperator) else NormalMatrix(T)
+
+
+def lattice_values(T, f, q: float, M: int | None = None) -> np.ndarray:
+    """The values f(n, theta, zero) on the lattice data of T (see
+    :func:`lattice_calculus`), values on the last axis, in the order of
+    its eigenbasis."""
     nm = _as_normal(T)
-    V, lam = nm.eig()
     n, theta, zero, _ = nm.lattice(q, M=M)
     vals = np.asarray(f(n, theta, zero), dtype=complex)
-    if vals.shape[-1:] != lam.shape:
+    if vals.shape[-1:] != (nm.dim,):
         raise DimensionError("f must map the lattice data to values on its last axis")
-    return V, vals
+    return vals
 
 
 def lattice_calculus(T, f, q: float, M: int | None = None) -> np.ndarray:
@@ -329,7 +484,8 @@ def lattice_calculus(T, f, q: float, M: int | None = None) -> np.ndarray:
     these arrays to values of shape (..., dim); leading axes give a stack
     of matrices.
     """
-    return eigen_stack(*lattice_values(T, f, q, M))
+    nm = _as_normal(T)
+    return eigen_stack(nm.eig()[0], lattice_values(nm, f, q, M))
 
 
 def eigen_stack(V: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -341,16 +497,12 @@ def eigen_stack(V: np.ndarray, vals: np.ndarray) -> np.ndarray:
 def eigen_apply(T, vals: np.ndarray, B: np.ndarray, adjoint: bool = False) -> np.ndarray:
     """V (vals * (V* B)) for the columns of B, with V the eigenbasis of T
     and `vals` one value per eigenvector (conjugated when `adjoint`), as
-    from :func:`lattice_values`; a supplied identity basis is not
-    multiplied by (:attr:`NormalMatrix.basis`)."""
+    from :func:`lattice_values`: T's own `spectral_apply`."""
     if vals.ndim != 1:
         raise DimensionError("eigen_apply takes one function, not a stack")
     if adjoint:
         vals = vals.conj()
-    V = _as_normal(T).basis
-    if V is None:
-        return vals[:, None] * B
-    return V @ (vals[:, None] * (V.conj().T @ B))
+    return _as_normal(T).spectral_apply(vals, B)
 
 
 def chi_values(k, theta):
@@ -383,22 +535,6 @@ def chi_op(X, point: GammaPoint, q: float) -> np.ndarray:
     return lattice_calculus(X, chi_values(point.k, point.theta), q)
 
 
-def closure_sum(X, Y) -> NormalMatrix:
-    """The operator sum X + Y wrapped with normality diagnostics.
-
-    In the finite model this is the plain matrix sum standing in for the
-    closure of the densely defined sum; no exact normality is claimed,
-    the defect and lattice-distance reports quantify the truncation.
-    When Y is zero the sum is X itself, with its eigensystem and caches.
-    """
-    Xm, Ym = _as_normal(X), _as_normal(Y)
-    if Xm.dim != Ym.dim:
-        raise DimensionError(f"dimension mismatch: {Xm.dim} vs {Ym.dim}")
-    if not np.any(Ym.entries):
-        return Xm
-    return NormalMatrix(Xm.entries + Ym.entries)
-
-
 def gamma_distance(T, q: float) -> float:
     """Mean relative distance of the spectrum to the modulus lattice.
 
@@ -407,7 +543,7 @@ def gamma_distance(T, q: float) -> float:
     Gamma-bar and contribute 0.
     """
     nm = _as_normal(T)
-    _, lam = nm.eig()
+    lam = nm.eigenvalues
     if lam.size == 0:
         return 0.0
     _, _, zero, rel = snap_spectrum(lam, q, scale=nm.norm2)

@@ -15,20 +15,25 @@ axis) both stay `margin` away from the wrap.  It is carried as its
 closed-form orthonormal basis B (see `interior_window`), and a windowed
 norm is that of B* A B.  Every witness computes it as B* (A B): the
 operator A (a commutator, a conjugate, a product of functions of X and
-Y) is applied to the r window columns factor by factor, functions of X
-and Y through :func:`~qazb.opalg.eigen_apply`, and A itself is never
+Y) is applied to the r window columns factor by factor, through the
+members' own `apply`, `apply_adjoint` and `spectral_apply` (functions of
+X and Y by :func:`~qazb.opalg.eigen_apply`), and A itself is never
 formed.  The norms taken are of n x r or r x r matrices.
 
 The model pair is diagonal in closed form: X has eigenbasis 1 and Y has
 eigenbasis F*, both with the grid values and their exact lattice data
-(k, j).  The pair constructions here (`schrodinger_pair`, the blocks of
-`random_regular_pair`, `conjugate_pair`) supply that eigensystem to their
-:class:`~qazb.opalg.NormalMatrix` members, which certify it on first read
-(||T V - V diag(lam)||_F / max|lam| and ||V* V - 1||_F, see
-:mod:`qazb.opalg`), so no Schur form or floating-point snap enters their
-functional calculus, and their normality defect is the certified bound
-of :mod:`qazb.opalg` rather than a dense commutator norm.  Matrices built
-otherwise keep the Schur route.
+(k, j).  `schrodinger_pair` holds its members as
+:class:`~qazb.opalg.GridOperator`: X multiplies by the grid values, and
+Y and its eigenbasis go through M-point FFTs on the (M, M, c) reshape of
+a column block, so no n x n array enters the witnesses, and the
+certificate is structural (see :mod:`qazb.opalg`).  The blocks of
+`random_regular_pair` and `conjugate_pair` supply the same eigensystems,
+read densely, to :class:`~qazb.opalg.NormalMatrix` members, which certify
+them on first read (||T V - V diag(lam)||_F / max|lam| and
+||V* V - 1||_F).  Either way no Schur form or floating-point snap enters
+their functional calculus, and their normality defect is the certified
+bound of :mod:`qazb.opalg` rather than a dense commutator norm.
+Matrices built otherwise keep the Schur route.
 
 Finite dimensions admit no exact pair with Y != 0 (the relation would force
 spec(Y) = q spec(Y)), so the wrap violation is irreducible; all continuum
@@ -44,20 +49,18 @@ commutator instead touches the wrap only through exponentially small tails
 and decays like q^(M/2); the swapped-order product fails it at O(1), which
 is the order sensitivity the identity asserts.
 
-The raw norms of the sum, ||S|| and ||S S* - S* S|| (S = X + Y), are exact
-and cheap in the mixed basis P = 1 (x) phi of grid vectors e_k (x) phi_m,
-the full basis whose interior columns form the window.  There X lowers m
-by one and Y raises k by one, so Sigma = P* S P has two nonzeros per
-column and maps the class s = (k - m) mod M to the class s + 1 through an
-M x M block B_s.  ||S|| is max_s ||B_s||, and the commutator is block
-diagonal with the Hermitian blocks B_{s-1} B_{s-1}* - B_s* B_s: one
-batched SVD and one batched eigvalsh of M blocks of M x M instead of two
-n x n SVDs.  The blocks are read off the stored S, and the rest E of
-Sigma is measured; the route is taken only when ||E||_F <= SPECTRUM_RTOL
-||S||_F, under which ||S|| is within ||E|| of max_s ||B_s|| and the
-commutator norm within 4 max_s ||B_s|| ||E|| + ||E||^2 of the blocks'.
-A sum that fails (conjugated pairs, direct sums) keeps the dense norms
-of :class:`~qazb.opalg.NormalMatrix`.
+The raw norms of the model sum, ||S|| and ||S S* - S* S|| (S = X + Y),
+are exact and cheap in the mixed basis P = 1 (x) phi of grid vectors
+e_k (x) phi_m, the full basis whose interior columns form the window.
+There X sends e_k (x) phi_m to x_k e_k (x) phi_{m-1} and Y sends it to
+x_m e_{k+1} (x) phi_m (x_k = q^c(k)), so Sigma = P* S P has two nonzeros
+per column and maps the class s = (k - m) mod M to the class s + 1
+through an M x M block B_s, built in closed form.  ||S|| is
+max_s ||B_s||, and the commutator is block diagonal with the Hermitian
+blocks B_{s-1} B_{s-1}* - B_s* B_s: one batched SVD and one batched
+eigvalsh of M blocks of M x M instead of two n x n SVDs.  Any other sum
+(conjugated pairs, direct sums) is a dense
+:class:`~qazb.opalg.NormalMatrix` with its dense norms.
 """
 
 from __future__ import annotations
@@ -69,8 +72,8 @@ from scipy.linalg import block_diag
 
 from .errors import DimensionError, DomainError, ParameterError
 from .gamma import GammaGrid, GammaPoint, snap_spectrum
-from .opalg import (DEFAULT_DEFECT_RTOL, SPECTRUM_RTOL, Eigensystem, NormalMatrix, chi_values, closure_sum,
-                    eigen_apply, lattice_values, operator_norm)
+from .opalg import (DEFAULT_DEFECT_RTOL, SPECTRUM_RTOL, Eigensystem, GridOperator, NormalMatrix, NormalOperator,
+                    _as_normal, chi_values, eigen_apply, lattice_values, operator_norm)
 from .qexp import QExpParams, fq_eigenvalues
 
 __all__ = [
@@ -79,6 +82,7 @@ __all__ = [
     "ExpIdentityReport",
     "default_margin",
     "check_margin",
+    "closure_sum",
     "interior_window",
     "grid_generators",
     "schrodinger_pair",
@@ -126,46 +130,62 @@ def _phase_modes(M: int, l: np.ndarray) -> np.ndarray:
     return np.exp(-2j * np.pi * (np.outer(np.arange(M), l) % M) / M) / np.sqrt(M)
 
 
-def _class_block_norms(S: np.ndarray, M: int) -> tuple[float, float] | None:
-    """(||S||_2, ||S S* - S* S||_2) of an n x n matrix, n = M^2, from its
-    class blocks B_s in the mixed basis (see the module docstring), or None
-    when the rest E of P* S P exceeds SPECTRUM_RTOL ||S||_F.
-
-    P keeps the modulus axis, so only the M x M blocks S_{k'k} with k' = k
-    (X: e_k (x) phi_m -> x_k e_k (x) phi_{m-1}, x_k = q^c(k)) and k' = k + 1
-    (Y: -> x_m e_{k+1} (x) phi_m) hold the pattern; each is transformed by
-    two M x M products with phi.  ||E||_F is summed directly, from the
-    other blocks and the off-pattern entries of these two, not as a
-    difference of squares, which would leave rounding of order
-    sqrt(eps) ||S||_F.
-    """
-    n = M * M
-    if S.shape != (n, n):
-        return None
-    k = np.arange(M)
-    up = (k + 1) % M
-    S4 = S.reshape(M, M, M, M)                 # [k', j', k, j]
-    Sr = S.view(float).reshape(M, M, M, 2 * M)
-    block_sq = np.einsum("ajbk,ajbk->ab", Sr, Sr)   # ||S_{k'k}||_F^2
-    total_sq = float(block_sq.sum())
-    block_sq[k, k] = block_sq[up, k] = 0.0
-
-    phi = _phase_modes(M, k)
-    phi_h = phi.conj().T
-    D, L = phi_h @ S4[k, :, k, :] @ phi, phi_h @ S4[up, :, k, :] @ phi   # per k: phi* S_{k'k} phi
-    s, kk = k[:, None], k[None, :]
-    m = (kk - s) % M                           # entry k of class s is e_k (x) phi_m[s, k]
-    B = np.zeros((M, M, M), complex)           # B[s]: class s -> class s + 1, entries indexed by k
-    B[s, kk, kk] = D[kk, (m - 1) % M, m]       # X
-    B[s, up[kk], kk] = L[kk, m, m]             # Y
-    D[:, (k - 1) % M, k] = L[:, k, k] = 0.0   # what is left of them is off the pattern
-    off_sq = float(block_sq.sum()) + np.vdot(D, D).real + np.vdot(L, L).real
-    if off_sq > SPECTRUM_RTOL ** 2 * total_sq:
-        return None
-    Bp = B[k - 1]
-    comm = Bp @ Bp.conj().transpose(0, 2, 1) - B.conj().transpose(0, 2, 1) @ B
+def _class_block_norms(g: GammaGrid) -> tuple[float, float]:
+    """(||S||_2, ||S S* - S* S||_2) of the model sum S = X + Y on `g`, from
+    its class blocks B_s in the mixed basis, built in closed form (see the
+    module docstring): column k of B_s is e_k (x) phi_m, m = (k - s) mod M,
+    which X sends to x_k times entry k and Y to x_m times entry k + 1 of
+    class s + 1."""
+    M = g.M
+    x = g.q ** g.c.astype(float)
+    s, k = np.arange(M)[:, None], np.arange(M)[None, :]
+    B = np.zeros((M, M, M))
+    B[s, k, k] = x[k]                          # X
+    B[s, (k + 1) % M, k] = x[(k - s) % M]      # Y
+    Bp = B[np.arange(M) - 1]
+    comm = Bp @ Bp.transpose(0, 2, 1) - B.transpose(0, 2, 1) @ B
     norm = float(np.linalg.svd(B, compute_uv=False).max(initial=0.0))
     return norm, float(np.abs(np.linalg.eigvalsh(comm)).max(initial=0.0))
+
+
+class _SchrodingerSum(NormalOperator):
+    """S = X + Y of the grid Schrodinger pair, applied member by member,
+    with ||S|| and its normality defect from the class blocks."""
+
+    def __init__(self, X: GridOperator, Y: GridOperator):
+        self.X, self.Y = X, Y
+        self.norm2, self.normality_defect = _class_block_norms(X.grid)
+
+    @property
+    def dim(self) -> int:
+        return self.X.dim
+
+    def apply(self, B: np.ndarray) -> np.ndarray:
+        return self.X.apply(B) + self.Y.apply(B)
+
+    def apply_adjoint(self, B: np.ndarray) -> np.ndarray:
+        return self.X.apply_adjoint(B) + self.Y.apply_adjoint(B)
+
+
+def closure_sum(X, Y) -> NormalOperator:
+    """The operator sum X + Y wrapped with normality diagnostics.
+
+    In the finite model this is the plain sum standing in for the closure
+    of the densely defined sum; no exact normality is claimed, the defect
+    and lattice-distance reports quantify the truncation.  When Y is zero
+    the sum is X itself, with its eigensystem and caches.  The members of
+    a grid Schrodinger pair (either order) give their structured sum;
+    any other pair the dense matrix sum.
+    """
+    Xm, Ym = _as_normal(X), _as_normal(Y)
+    if Xm.dim != Ym.dim:
+        raise DimensionError(f"dimension mismatch: {Xm.dim} vs {Ym.dim}")
+    if Ym.is_zero:
+        return Xm
+    if (isinstance(Xm, GridOperator) and isinstance(Ym, GridOperator) and Xm.grid is Ym.grid
+            and {Xm.kind, Ym.kind} == {"position", "fourier"}):
+        return _SchrodingerSum(Xm, Ym)
+    return NormalMatrix(Xm.entries + Ym.entries)
 
 
 @dataclass(frozen=True)
@@ -179,8 +199,8 @@ class Q2Pair:
     `provenance` records the block construction when generated.
     """
 
-    Y: NormalMatrix
-    X: NormalMatrix
+    Y: NormalOperator
+    X: NormalOperator
     grid: GammaGrid
     window: np.ndarray | None = None
     provenance: tuple = ()
@@ -214,16 +234,16 @@ def grid_generators(g: GammaGrid) -> list[tuple[str, GammaPoint]]:
 def schrodinger_pair(g: GammaGrid, margin: int | None = None) -> Q2Pair:
     """The grid Schrodinger pair: X = diag(grid values), Y = F* X F.
 
-    Both are exactly normal and carry their eigensystems: the grid values
-    and lattice data with basis 1 for X and F* for Y.  The margin defaults
-    to `default_margin(M)`.
+    Both are exactly normal and held by their structure
+    (:class:`~qazb.opalg.GridOperator`): the grid values and lattice data
+    with basis 1 for X and F* for Y.  The margin defaults to
+    `default_margin(M)`.
     """
     if margin is None:
         margin = default_margin(g.M)
-    Fh = g.fourier.conj().T
     return Q2Pair(
-        Y=NormalMatrix((Fh * g.values) @ g.fourier, Eigensystem(Fh, g.values, *g.lattice)),
-        X=NormalMatrix(np.diag(g.values), Eigensystem(np.eye(g.size), g.values, *g.lattice)),
+        Y=GridOperator(g, "fourier"),
+        X=GridOperator(g, "position"),
         grid=g,
         window=interior_window(g, margin),
         provenance=(("schrodinger", g.M),),
@@ -237,11 +257,11 @@ def weyl_residual(pair: Q2Pair, point: GammaPoint) -> float:
     if point.zero:
         raise DomainError("chi(X, gamma) is defined for nonzero lattice points only")
     q = pair.grid.q
-    Y = pair.Y.entries
+    Y = pair.Y
     B = pair.window_or_identity()
-    chi = lattice_values(pair.X, chi_values(point.k, point.theta), q)[1]
-    CYCB = eigen_apply(pair.X, chi, Y @ eigen_apply(pair.X, chi, B, adjoint=True))
-    return operator_norm(B.conj().T @ (CYCB - point.value(q) * (Y @ B)))
+    chi = lattice_values(pair.X, chi_values(point.k, point.theta), q)
+    CYCB = eigen_apply(pair.X, chi, Y.apply(eigen_apply(pair.X, chi, B, adjoint=True)))
+    return operator_norm(B.conj().T @ (CYCB - point.value(q) * Y.apply(B)))
 
 
 @dataclass(frozen=True)
@@ -292,7 +312,7 @@ def verify_q2(pair: Q2Pair, tol: float = 1e-10) -> Q2Report:
     """
     q = pair.grid.q
 
-    def spectrum(T: NormalMatrix):
+    def spectrum(T: NormalOperator):
         try:
             _, _, zero, rel = T.lattice(q)
         except DomainError:
@@ -301,7 +321,7 @@ def verify_q2(pair: Q2Pair, tol: float = 1e-10) -> Q2Report:
 
     zx, sx = spectrum(pair.X)
     _, sy = spectrum(pair.Y)
-    kmin = None if zx is None else float(np.min(np.abs(pair.X.eig()[1]), initial=np.inf))
+    kmin = None if zx is None else float(np.min(np.abs(pair.X.eigenvalues), initial=np.inf))
     kernel_pass = zx is not None and not bool(np.any(zx))
 
     weyl = {}
@@ -356,18 +376,19 @@ def exp_identity_residual(pair: Q2Pair) -> ExpIdentityReport:
     commutator enters as U (S B) - S (U B); the F_q values of X and of Y
     are computed once and serve both orders.  The windowed defect is
     (S* B)* (S* B) - (S B)* (S B), and the modulus distance comes from the
-    same S B.  ||S|| and the raw defect are taken from the class blocks of
-    `_class_block_norms` when S passes their certificate; otherwise (and
-    for a sum with its own eigensystem, the Y = 0 control) from S itself.
+    singular values of the same S B, whose largest is ||S B||.  ||S|| and
+    the raw defect are those of the sum of :func:`closure_sum`: the class
+    blocks for the model pair, the certified X for the Y = 0 control, the
+    dense norms otherwise.
     """
     params = QExpParams(pair.grid.q)
     M = pair.grid.M
     S = closure_sum(pair.X, pair.Y)
     B = pair.window_or_identity()
     Bh = B.conj().T
-    Se = S.entries
-    SB, SsB = Se @ B, Se.conj().T @ B
-    scale = operator_norm(SB)
+    SB, SsB = S.apply(B), S.apply_adjoint(B)
+    sigma = np.linalg.svd(SB, compute_uv=False)
+    scale = float(sigma.max(initial=0.0))
     cols = np.hstack([B, SB])
     r = B.shape[1]
 
@@ -382,19 +403,18 @@ def exp_identity_residual(pair: Q2Pair) -> ExpIdentityReport:
     def witness(U_cols: np.ndarray) -> float:   # U applied to [B, S B]
         if scale < 1e-300:
             return 0.0
-        return operator_norm(Bh @ (U_cols[:, r:] - Se @ U_cols[:, :r])) / scale
+        return operator_norm(Bh @ (U_cols[:, r:] - S.apply(U_cols[:, :r]))) / scale
 
     res = witness(fy(fx(cols)))
     rs = witness(fx(fy(cols)))
-    norms = _class_block_norms(Se, M) if S.eigensystem is None else None
-    s, defect = (S.norm2, S.normality_defect) if norms is None else norms
+    s, defect = S.norm2, S.normality_defect
     wd = 0.0 if s == 0 else operator_norm(SsB.conj().T @ SsB - SB.conj().T @ SB) / s ** 2
     return ExpIdentityReport(
         residual=res,
         residual_swapped=rs,
         sum_defect=0.0 if s == 0.0 else defect / (s * s),
         sum_defect_windowed=wd,
-        gamma_distance=_modulus_distance(SB, pair.grid.q),
+        gamma_distance=_modulus_distance(sigma, pair.grid.q),
         degraded=defect > DEFAULT_DEFECT_RTOL * s ** 2,
     )
 
@@ -407,20 +427,20 @@ def windowed_modulus_distance(pair: Q2Pair) -> float:
     compression is free of the spectral pollution that invalidates raw
     finite-section eigenvalues of the non-normal S.  Returns the mean
     relative distance of sqrt(eig(B* S*S B)) to q^Z (B spans the window),
-    with B* S*S B formed as (S B)* (S B).
+    taken as the singular values of S B: the eigenvalues of the Gram
+    matrix (S B)* (S B) would square the q^(+-M/2) range of S B.
     """
     S = closure_sum(pair.X, pair.Y)
-    return _modulus_distance(S.entries @ pair.window_or_identity(), pair.grid.q)
+    SB = S.apply(pair.window_or_identity())
+    return _modulus_distance(np.linalg.svd(SB, compute_uv=False), pair.grid.q)
 
 
-def _modulus_distance(SB: np.ndarray, q: float) -> float:
-    """The distance of `windowed_modulus_distance` from the n x r block S B."""
-    if SB.shape[1] == 0:
+def _modulus_distance(moduli: np.ndarray, q: float) -> float:
+    """The distance of `windowed_modulus_distance` from the singular values
+    of the n x r block S B."""
+    if moduli.size == 0:
         return 0.0
-    G = SB.conj().T @ SB
-    mu = np.clip(np.linalg.eigvalsh((G + G.conj().T) / 2.0), 0.0, None)
-    moduli = np.sqrt(mu)
-    _, _, zero, rel = snap_spectrum(moduli.astype(complex), q, scale=float(np.max(moduli, initial=0.0)))
+    _, _, zero, rel = snap_spectrum(moduli.astype(complex), q, scale=float(np.max(moduli)))
     return float(np.mean(np.where(zero, 0.0, rel)))
 
 

@@ -182,7 +182,7 @@ def fq_eigenvalues(T, p: QExpParams, M: int | None = None) -> np.ndarray:
     its eigenbasis: the values of :func:`fq_on_operator`, computed once
     for any number of :func:`qazb.opalg.eigen_apply` calls (F_q(T) B
     without forming F_q(T))."""
-    return lattice_values(T, _fq_of_lattice(p), p.q, M=M)[1]
+    return lattice_values(T, _fq_of_lattice(p), p.q, M=M)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ two-depth products) and the reference sweep (model residuals) before this
 suite was wired up.
 """
 
+import itertools
 import json
 import math
 import time
@@ -88,8 +89,8 @@ def test_criterion_2_bicharacter_laws():
         assert worst_mult < 1e-12
         assert worst_sym < 1e-12
         g4 = grid(Q, 4)
-        for i1 in g4.index_pairs():
-            for i2 in g4.index_pairs():
+        for i1 in itertools.product(range(4), repeat=2):
+            for i2 in itertools.product(range(4), repeat=2):
                 assert g4.pairing(i1, i2) == chi(g4.point(*i1), g4.point(*i2))
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from qazb import __version__
-from qazb.cli import GRID_ARRAYS, main
+from qazb.cli import GRID_BLOCKS, main
 
 
 def run(args):
@@ -126,9 +126,10 @@ def test_reports_byte_identical(tmp_path, args):
     [
         # the dense U of a roundtrip, 16 (d M^2)^2 bytes
         (["-M", "4", "roundtrip", "--h-dim", "2"], "build_rep", 16 * 32 ** 2),
-        # GRID_ARRAYS complex n x n arrays at the largest M, checked before the first
-        (["exp-identity", "--M-list", "4,6"], "schrodinger_pair", 16 * GRID_ARRAYS * 36 ** 2),
-        (["-M", "6", "verify-pair"], "schrodinger_pair", 16 * GRID_ARRAYS * 36 ** 2),
+        # GRID_BLOCKS complex n x r blocks at the largest M (n = 36, and
+        # r = 4 window columns at margin 2), checked before the first
+        (["exp-identity", "--M-list", "4,6"], "schrodinger_pair", 16 * GRID_BLOCKS * 36 * 4),
+        (["-M", "6", "verify-pair"], "schrodinger_pair", 16 * GRID_BLOCKS * 36 * 4),
     ],
 )
 def test_refused_up_front_beyond_physical_memory(monkeypatch, capsys, args, stage, need):
@@ -145,3 +146,26 @@ def test_refused_up_front_beyond_physical_memory(monkeypatch, capsys, args, stag
     assert run(args) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"needs {need} bytes" in err and f"the {have} bytes of physical memory" in err
+
+
+def test_grid_commands_read_no_dense_view(monkeypatch, tmp_path):
+    # exp-identity and verify-pair (every pair choice) run the Schrodinger
+    # pair through its structure: no dense Fourier matrix, and no dense
+    # entries or eigenbasis of its members, is read
+    from qazb.gamma import GammaGrid
+    from qazb.opalg import GridOperator
+
+    class DenseViewRead(AssertionError):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise DenseViewRead("a dense n x n view was read")
+
+    monkeypatch.setattr(GammaGrid, "fourier", property(refuse))
+    for name in ("entries", "eigensystem", "basis"):
+        monkeypatch.setattr(GridOperator, name, property(refuse))
+    monkeypatch.setattr(GridOperator, "eig", refuse)
+    out = str(tmp_path / "r.json")
+    assert run(["--out", out, "exp-identity", "--M-list", "8,12"]) == 0
+    for pair, code in (("schrodinger", 0), ("xx", 1), ("swapped", 1)):
+        assert run(["-M", "8", "--out", out, "verify-pair", "--pair", pair]) == code

@@ -1,5 +1,6 @@
 """Lattice points, bicharacter laws, and the grid Fourier unitary."""
 
+import itertools
 import math
 
 import numpy as np
@@ -145,8 +146,8 @@ def test_grid_q_guard_warns():
 
 def test_grid_pairing_matches_chi_exactly_m4():
     g = grid(0.5, 4)
-    for i1 in g.index_pairs():
-        for i2 in g.index_pairs():
+    for i1 in itertools.product(range(4), repeat=2):
+        for i2 in itertools.product(range(4), repeat=2):
             assert g.pairing(i1, i2) == chi(g.point(*i1), g.point(*i2))
 
 
@@ -154,8 +155,8 @@ def test_grid_pairing_matches_chi_m8():
     g = grid(0.5, 8)
     worst = max(
         abs(g.pairing(i1, i2) - chi(g.point(*i1), g.point(*i2)))
-        for i1 in g.index_pairs()
-        for i2 in g.index_pairs()
+        for i1 in itertools.product(range(8), repeat=2)
+        for i2 in itertools.product(range(8), repeat=2)
     )
     assert worst < 1e-12
 
@@ -194,10 +195,27 @@ def test_fourier_inverse_roundtrip():
 
 
 def test_fourier_fft_route_agrees():
+    # the FFT route on a vector and on a column block, both directions
     g = grid(0.5, 8)
     rng = np.random.default_rng(4)
     v = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-    assert np.abs(g.fourier @ v - g.fourier_apply_fft(v)).max() < 1e-12
+    assert np.abs(g.fourier @ v - g.fourier_columns(v, False)).max() < 1e-12
+    B = rng.standard_normal((64, 5)) + 1j * rng.standard_normal((64, 5))
+    for adjoint, F in ((False, g.fourier), (True, g.fourier.conj().T)):
+        assert np.abs(F @ B - g.fourier_columns(B, adjoint)).max() < 1e-12
+
+
+@pytest.mark.parametrize("M", [2, 4, 8, 16, 32])
+def test_fourier_defect_is_roundoff(M):
+    # the M-point unitarity certificate, and the defect of the n-point FFT
+    # route read on the transforms of the n unit vectors (with the rounding
+    # of that n x n check product), both sit at roundoff
+    g = grid(0.5, M)
+    eye = np.eye(g.size)
+    assert 0.0 <= g.fourier_defect < 1e-13
+    for adjoint in (False, True):
+        W = g.fourier_columns(eye, adjoint)
+        assert np.linalg.norm(W.conj().T @ W - eye) < 1e-13
 
 
 def test_fourier_conjugation_preserves_spectrum():
@@ -214,7 +232,7 @@ def test_fourier_conjugation_preserves_spectrum():
 def test_fourier_dimension_mismatch():
     g = grid(0.5, 4)
     with pytest.raises(DimensionError):
-        g.fourier_apply_fft(np.ones(7))
+        g.fourier_columns(np.ones(7), False)
 
 
 def test_snap_point_roundtrip_and_rejection():

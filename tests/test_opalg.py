@@ -11,7 +11,6 @@ from qazb.opalg import (
     NormalMatrix,
     chi_op,
     chi_values,
-    closure_sum,
     eigen_apply,
     gamma_distance,
     lattice_calculus,
@@ -19,6 +18,7 @@ from qazb.opalg import (
     operator_norm,
     snap_spectrum,
 )
+from qazb.q2pair import closure_sum
 from qazb.qexp import QExpParams, fq_lattice, fq_on_operator
 
 
@@ -156,9 +156,9 @@ def test_lattice_apply_matches_lattice_calculus_on_columns(basis, adjoint):
     B = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
     F = lattice_calculus(T, f, q)
     want = (F.conj().T if adjoint else F) @ B
-    got = eigen_apply(T, lattice_values(T, f, q)[1], B, adjoint)
+    got = eigen_apply(T, lattice_values(T, f, q), B, adjoint)
     assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
-    C = eigen_apply(T, lattice_values(T, chi_values(1, 0.7), q)[1], B, adjoint)
+    C = eigen_apply(T, lattice_values(T, chi_values(1, 0.7), q), B, adjoint)
     D = chi_op(T, make_point(1, 0.7), q)
     assert np.abs(C - (D.conj().T if adjoint else D) @ B).max() < 1e-13
 
@@ -167,7 +167,7 @@ def test_lattice_apply_takes_one_function():
     f = chi_values(np.array([1, 2]), np.array([0.3, 0.4]))
     T = NormalMatrix(np.diag([1.0 + 0j, 0.5]))
     with pytest.raises(DimensionError):
-        eigen_apply(T, lattice_values(T, f, 0.5)[1], np.eye(2))
+        eigen_apply(T, lattice_values(T, f, 0.5), np.eye(2))
 
 
 def test_chi_op_at_identity():

@@ -9,11 +9,12 @@ import pytest
 from qazb.corpus import load_pinned
 from qazb.errors import DimensionError, DomainError, ParameterError
 from qazb.gamma import grid, make_point
-from qazb.opalg import SPECTRUM_RTOL, Eigensystem, NormalMatrix, chi_op, closure_sum, lattice_calculus, operator_norm
+from qazb.opalg import SPECTRUM_RTOL, Eigensystem, GridOperator, NormalMatrix, chi_op, lattice_calculus, operator_norm
 from qazb.qexp import QExpParams, fq_on_operator
 from qazb.q2pair import (
     Q2Pair,
     _class_block_norms,
+    closure_sum,
     conjugate_pair,
     exp_identity_residual,
     grid_generators,
@@ -522,6 +523,69 @@ def test_zero_control_takes_no_square_norm(monkeypatch):
     assert shapes and (g.size, g.size) not in shapes
 
 
+def _dense_copy(pair: Q2Pair) -> Q2Pair:
+    """The pair with each member a dense NormalMatrix of its entries and
+    eigensystem: the dense route of every witness, the structured route's
+    oracle."""
+    dense = lambda T: NormalMatrix(T.entries, T.eigensystem)
+    return Q2Pair(Y=dense(pair.Y), X=dense(pair.X), grid=pair.grid, window=pair.window)
+
+
+STRUCTURED_CASES = [(q, M) for q in (0.5, 0.7) for M in (4, 8, 12, 16, 20, 24)] + [(0.3, M) for M in (8, 12, 16)]
+
+
+@pytest.mark.parametrize("q, M", STRUCTURED_CASES, ids=lambda v: str(v))
+def test_structured_route_matches_dense_oracle(q, M):
+    # Report fields to 1e-9 relative (measured: at most 3.0e-10, q = 0.3 at
+    # M = 16, where the dense route's own roundoff has grown); the Weyl
+    # rows, roundoff at the window scale on the structured route, are no
+    # larger than the dense ones (roundoff at the scale ||Y||) plus 1e-15
+    pair = schrodinger_pair(grid(q, M))
+    assert isinstance(pair.X, GridOperator) and isinstance(pair.Y, GridOperator)
+    dense = _dense_copy(pair)
+    got, want = exp_identity_residual(pair), exp_identity_residual(dense)
+    for field in ("residual", "residual_swapped", "sum_defect", "gamma_distance"):
+        assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-9, abs=0.0), field
+    assert abs(got.sum_defect_windowed - want.sum_defect_windowed) < 1e-15
+    assert got.degraded == want.degraded
+    for _, gen in grid_generators(pair.grid):
+        assert weyl_residual(pair, gen) <= weyl_residual(dense, gen) + 1e-15
+    mine, theirs = verify_q2(pair), verify_q2(dense)
+    assert mine.passed == theirs.passed and mine.kernel_min == theirs.kernel_min
+
+
+def test_dense_views_equal_the_dense_formulas():
+    # corep, roundtrip and the oracles read these: the matrices the pair had
+    # when it was built densely, bit for bit
+    g = grid(0.5, 8)
+    pair = schrodinger_pair(g)
+    Fh = g.fourier.conj().T
+    assert np.array_equal(pair.X.entries, np.diag(g.values))
+    assert np.array_equal(pair.Y.entries, (Fh * g.values) @ g.fourier)
+    assert pair.X.basis is None and np.array_equal(pair.Y.basis, Fh)
+    assert np.array_equal(pair.Y.eig()[1], g.values) and pair.X.eigensystem.identity_basis
+    zero = GridOperator(g, "zero")
+    assert np.array_equal(zero.entries, np.zeros((g.size, g.size)))
+    assert zero.basis is None and zero.is_zero and np.all(zero.eigensystem.zero)
+    with pytest.raises(ParameterError):
+        GridOperator(g, "diagonal")
+
+
+@pytest.mark.parametrize("kind", ["position", "fourier", "zero"])
+def test_grid_operator_applies_as_its_entries(kind):
+    g = grid(0.5, 8)
+    T = GridOperator(g, kind)
+    rng = np.random.default_rng(9)
+    B = rng.standard_normal((g.size, 3)) + 1j * rng.standard_normal((g.size, 3))
+    vals = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
+    A = T.entries
+    V = T.eig()[0]
+    for got, want in ((T.apply(B), A @ B), (T.apply_adjoint(B), A.conj().T @ B),
+                      (T.spectral_apply(vals, B), V @ (vals[:, None] * (V.conj().T @ B)))):
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+    assert T.norm2 == NormalMatrix(A, T.eigensystem).norm2
+
+
 def _dense_defect(T: NormalMatrix) -> float:
     return _schur_copy(T).normality_defect
 
@@ -551,9 +615,12 @@ def _sum(pair: Q2Pair) -> np.ndarray:
 
 @pytest.mark.parametrize("M", [4, 8, 12, 16, 20, 24])
 def test_class_blocks_match_dense_sum_norms(M):
+    # the closed-form class blocks against the dense norms of X + Y
     pair = schrodinger_pair(grid(0.5, M))
     dense = NormalMatrix(_sum(pair))
-    norm, defect = _class_block_norms(_sum(pair), M)
+    norm, defect = _class_block_norms(pair.grid)
+    S = closure_sum(pair.X, pair.Y)
+    assert (S.norm2, S.normality_defect) == (norm, defect)
     assert norm == pytest.approx(dense.norm2, rel=1e-12, abs=0.0)
     assert defect == pytest.approx(dense.normality_defect, rel=1e-12, abs=0.0)
     ident = exp_identity_residual(pair)
@@ -573,12 +640,13 @@ def _off_pattern(pair: Q2Pair, rtol: float) -> Q2Pair:
 
 @pytest.mark.parametrize("case", ["conjugated-4", "seeded-8", "off-pattern-8"])
 def test_sum_off_the_class_pattern_keeps_dense_norms(case):
+    # only the members of a grid Schrodinger pair give the class blocks
     if case == "off-pattern-8":
         pair = _off_pattern(schrodinger_pair(grid(0.5, 8)), 1.01 * SPECTRUM_RTOL)
     else:
         pair = _oracle_case(case)
-    assert _class_block_norms(_sum(pair), pair.grid.M) is None
     S = closure_sum(pair.X, pair.Y)
+    assert isinstance(S, NormalMatrix) and np.array_equal(S.entries, _sum(pair))
     assert S.eigensystem is None
     ident = exp_identity_residual(pair)
     assert ident.sum_defect == NormalMatrix(_sum(pair)).relative_defect
@@ -586,12 +654,13 @@ def test_sum_off_the_class_pattern_keeps_dense_norms(case):
 
 
 def test_class_block_certificate_bounds_the_dense_norms():
-    # just under the bound the blocks are taken, and the dense values stay
-    # within ||E|| (norm) and 4 ||B|| ||E|| + ||E||^2 (defect) of theirs
+    # a sum E away from the model sum (one entry off the class pattern)
+    # has dense norms within ||E|| (norm) and 4 ||B|| ||E|| + ||E||^2
+    # (defect) of the closed-form blocks of the model sum
     base = schrodinger_pair(grid(0.5, 8))
     pair = _off_pattern(base, 0.99 * SPECTRUM_RTOL)
     S = _sum(pair)
-    norm, defect = _class_block_norms(S, 8)
+    norm, defect = _class_block_norms(base.grid)
     e = 0.99 * SPECTRUM_RTOL * np.linalg.norm(_sum(base)) * (1 + 1e-6)   # plus roundoff
     dense = NormalMatrix(S)
     assert abs(norm - dense.norm2) <= e
@@ -630,3 +699,15 @@ def test_block_route_takes_no_square_norm(monkeypatch):
     exp_identity_residual(pair)
     assert (16, 16, 16) in shapes   # the batched SVD of the class blocks
     assert all(s[-2:] != (g.size, g.size) for s in shapes)
+
+
+def test_structured_zero_control_equals_the_dense_one():
+    # the Y = 0 control of exp-identity: a structured zero and a dense zero
+    # with its eigensystem give the same report, bit for bit
+    g = grid(0.5, 12)
+    pair = schrodinger_pair(g)
+    dense_zero = NormalMatrix(np.zeros((g.size, g.size)), Eigensystem.zero_operator(g.size))
+    reports = [exp_identity_residual(Q2Pair(Y=Y, X=pair.X, grid=g, window=pair.window))
+               for Y in (GridOperator(g, "zero"), dense_zero)]
+    assert reports[0] == reports[1]
+    assert closure_sum(pair.X, GridOperator(g, "zero")) is pair.X

@@ -10,7 +10,9 @@ Each constant is cross-checked by a second computation route where one
 exists (FFT versus dense Fourier for the grid unitary, the closed-form
 window basis versus the dense window projector D (F* D F), the supplied
 eigensystems of the Schrodinger pair versus their Schur forms, the
-window-column witnesses versus their n x n formulas, eigh versus schur
+window-column witnesses versus their n x n formulas, the structured
+Schrodinger pair versus its dense copy on every exp-identity and
+verify-pair field, eigh versus schur
 for self-adjoint spectra, the corepresentation product Q and S' in window
 coordinates versus the dense U, V and coproduct applied leg by leg); a
 disagreement aborts the run before anything is written.
@@ -28,8 +30,9 @@ warnings.filterwarnings("ignore")
 
 from qazb.corep import _LegOps, build_rep, chi_kron, corep_residual, grid_operators
 from qazb.gamma import grid, snap_spectrum
-from qazb.opalg import NormalMatrix, chi_op, operator_norm
+from qazb.opalg import SPECTRUM_RTOL, NormalMatrix, chi_op, operator_norm
 from qazb.q2pair import (
+    Q2Pair,
     default_margin,
     exp_identity_residual,
     grid_generators,
@@ -45,10 +48,43 @@ Q = 0.5
 
 def check_fourier_routes(g) -> None:
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
-    d = np.abs(g.fourier @ v - g.fourier_apply_fft(v)).max()
+    v = rng.standard_normal((g.size, 3)) + 1j * rng.standard_normal((g.size, 3))
+    F = g.fourier
+    d = max(np.abs(F @ v - g.fourier_columns(v, False)).max(),
+            np.abs(F.conj().T @ v - g.fourier_columns(v, True)).max())
     if d > 1e-11:
         raise RuntimeError(f"fourier route disagreement {d} at M={g.M}")
+
+
+def check_structured_routes(pair) -> None:
+    """The structured Schrodinger pair (M-point FFTs, closed-form class
+    blocks, structural certificate) against its dense NormalMatrix copy on
+    every exp-identity and verify-pair field: 1e-9 relative on the
+    exp-identity fields (sum_defect_windowed, at roundoff, to 1e-15
+    absolute), the Weyl rows at most the dense ones plus 1e-15 (they are
+    roundoff at the window scale on the structured route, at the scale
+    ||Y|| on the dense one), the same kernel row and pass flags, and on
+    both routes a certified defect within its threshold and a spectrum
+    row within SPECTRUM_RTOL."""
+    g = pair.grid
+    dense = Q2Pair(Y=NormalMatrix(pair.Y.entries, pair.Y.eigensystem),
+                   X=NormalMatrix(pair.X.entries, pair.X.eigensystem), grid=g, window=pair.window)
+    got, want = exp_identity_residual(pair), exp_identity_residual(dense)
+    for name in ("residual", "residual_swapped", "sum_defect", "gamma_distance"):
+        a, b = getattr(got, name), getattr(want, name)
+        if abs(a - b) > 1e-9 * abs(b):
+            raise RuntimeError(f"structured route disagreement {abs(a - b) / abs(b)} on {name} at M={g.M}")
+    if abs(got.sum_defect_windowed - want.sum_defect_windowed) > 1e-15 or got.degraded != want.degraded:
+        raise RuntimeError(f"structured route disagreement on the windowed defect at M={g.M}")
+    mine, theirs = verify_q2(pair), verify_q2(dense)
+    for name, r in mine.weyl_residuals.items():
+        if r > theirs.weyl_residuals[name] + 1e-15:
+            raise RuntimeError(f"structured weyl_{name} {r} above the dense {theirs.weyl_residuals[name]} at M={g.M}")
+    for report in (mine, theirs):
+        if not (report.normality_pass and max(report.spectrum_dist_x, report.spectrum_dist_y) <= SPECTRUM_RTOL):
+            raise RuntimeError(f"normality or spectrum row failed at M={g.M}")
+    if mine.kernel_min != theirs.kernel_min or mine.passed != theirs.passed:
+        raise RuntimeError(f"structured route disagreement on the kernel row or the verdict at M={g.M}")
 
 
 def check_window_routes(g, margin: int) -> None:
@@ -158,6 +194,7 @@ def main(out_path: str) -> None:
         pair = schrodinger_pair(g)
         check_eigensystem_routes(pair)
         check_window_column_routes(pair)
+        check_structured_routes(pair)
         report = verify_q2(pair)
         if not report.passed:
             raise RuntimeError(f"schrodinger pair failed verification at M={M}")
