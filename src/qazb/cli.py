@@ -36,7 +36,8 @@ from .q2pair import (
     seeded_block_specs,
     verify_q2,
 )
-from .corep import build_rep, check_memory, corep_residual, extract_pair, refuse_beyond_memory
+from .corep import (build_rep, check_memory, corep_residual, extract_pair, refuse_beyond_memory,
+                    refuse_dense_u)
 from .qexp import QExpParams, fq
 
 PASS, FAIL, USAGE = 0, 1, 2
@@ -255,8 +256,7 @@ def cmd_roundtrip(config: RunConfig, h_dim: int, trials: int) -> int:
     if trials < 1:
         raise ValueError(f"--trials must be >= 1, got {trials}")
     g = grid(config.q, config.M)
-    dim = h_dim * g.size
-    refuse_beyond_memory(16 * dim * dim, f"roundtrip with d = {h_dim} on {g.size} grid points", "dense U")
+    refuse_dense_u(h_dim * g.size, f"roundtrip with d = {h_dim} on {g.size} grid points")
     rows = []
     passed = True
     for t in range(trials):

@@ -60,7 +60,7 @@ from .errors import (
     ExtractionError,
     ParameterError,
 )
-from .gamma import GammaGrid, GammaPoint
+from .gamma import GammaGrid
 from .opalg import (
     NormalMatrix,
     chi_values,
@@ -70,7 +70,7 @@ from .opalg import (
     operator_norm,
 )
 from .q2pair import Q2Pair, check_margin, default_margin, interior_window
-from .qexp import QExpParams, fq_lattice, invert_fq_family
+from .qexp import QExpParams, fq_grid, invert_fq_family
 
 __all__ = [
     "Representation",
@@ -80,6 +80,7 @@ __all__ = [
     "build_rep",
     "check_memory",
     "refuse_beyond_memory",
+    "refuse_dense_u",
     "corep_residual",
     "extract_pair",
     "g_family",
@@ -111,6 +112,18 @@ def refuse_beyond_memory(need: int, subject: str, what: str) -> None:
         )
 
 
+# Complex arrays of the size of U that building U and a roundtrip (U, the
+# gathered U_{g, g+s} and their products) hold at their peak (tracemalloc
+# peak / 16 (d M^2)^2 at d = 4-16, M = 4-12: 3.03-3.13 for reading U,
+# 3.04-3.26 for a roundtrip), rounded up.
+DENSE_U_COPIES = 4
+
+
+def refuse_dense_u(dim: int, subject: str) -> None:
+    """Refuse a dense U of dimension `dim` whose DENSE_U_COPIES copies exceed physical memory."""
+    refuse_beyond_memory(16 * DENSE_U_COPIES * dim * dim, subject, f"{DENSE_U_COPIES} dense U-sized arrays")
+
+
 def check_memory(d: int, n: int) -> None:
     """Refuse a corep run on H of dimension d and n grid points whose
     working set exceeds physical memory: four complex (n, d, d) block
@@ -131,8 +144,9 @@ class Representation:
     = V_b diag(w_g) V_b* per grid position g, and `chi_values` z (n, d) of
     V = (I (x) F) Z (I (x) F*), Z_a = chi(at, gamma_a) = V_a diag(z_a) V_a*
     per Fourier slot a.  The dense `U` is built from them on first read
-    (refused with ParameterError when its 16 (d M^2)^2 bytes exceed
-    physical memory); a loaded representation holds only its dense U.
+    (refused with ParameterError when DENSE_U_COPIES arrays of its
+    16 (d M^2)^2 bytes exceed physical memory); a loaded representation
+    holds only its dense U.
     """
 
     grid: GammaGrid
@@ -148,7 +162,7 @@ class Representation:
 
     @cached_property
     def U(self) -> np.ndarray:
-        refuse_beyond_memory(16 * self.dim ** 2, f"a representation of dimension {self.dim}", "dense U")
+        refuse_dense_u(self.dim, f"a representation of dimension {self.dim}")
         d, n = self.h_dim, self.grid.size
         W, B = _blocks(self.pair, self.fq_values, self.chi_values)
         V = _conjugate_by_fourier(B, self.grid).reshape(d, n, d * n).transpose(1, 0, 2)
@@ -188,10 +202,14 @@ def _blocks(pair: Q2Pair, w: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.
     return eigen_stack(pair.Y.eig()[0], w), eigen_stack(pair.X.eig()[0], z)
 
 
+def _max_norm(stack: np.ndarray) -> float:
+    """The largest 2-norm over a stack of matrices."""
+    return float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1))))
+
+
 def _block_defect(blocks: np.ndarray) -> float:
     """max ||B* B - 1||_2 over a stack of square blocks, or of one matrix."""
-    gram = blocks.conj().swapaxes(-1, -2) @ blocks - np.eye(blocks.shape[-1])
-    return float(np.max(np.linalg.norm(gram, 2, axis=(-2, -1))))
+    return _max_norm(blocks.conj().swapaxes(-1, -2) @ blocks - np.eye(blocks.shape[-1]))
 
 
 def build_rep(pair, g: GammaGrid) -> Representation:
@@ -207,14 +225,7 @@ def build_rep(pair, g: GammaGrid) -> Representation:
     I (x) F* of U (||F F* - 1|| = ||F* F - 1||).
     """
     p = as_pair_on_h(pair)
-    params = QExpParams(g.q)
-
-    def fq_grid(n, theta, zero):
-        k, theta = g.times(n, theta)
-        zero = np.broadcast_to(zero, k.shape)
-        return fq_lattice(k.ravel(), theta.ravel(), params, zero=zero.ravel()).reshape(k.shape)
-
-    w = lattice_values(p.Y, fq_grid, g.q, M=g.M)
+    w = lattice_values(p.Y, fq_grid(g, QExpParams(g.q)), g.q, M=g.M)
     z = lattice_values(p.X, chi_values(*g.lattice), g.q, M=g.M)
     W, B = _blocks(p, w, z)
     defect_f = _block_defect(g.fourier)
@@ -450,15 +461,12 @@ def corep_residual(
     return CorepReport(residual=residual, commutation=comm, kernel_identity=kern, samples=samples)
 
 
-def g_family(rep: Representation) -> list[np.ndarray]:
-    """Row sums G(g) = sum_{g'} U_{g,g'} of the H-valued matrix elements.
-
-    For a built representation this equals F_q(bt * gamma_g): a commuting
-    family of unitaries on H.
-    """
+def g_family(rep: Representation) -> np.ndarray:
+    """Row sums G(g) = sum_{g'} U_{g,g'} of the H-valued matrix elements
+    as an (n, d, d) stack over g, from one reshape of U and one sum.  For a
+    built representation G(g) = F_q(bt * gamma_g): commuting unitaries."""
     d, n = rep.h_dim, rep.grid.size
-    Ut = rep.U.reshape(d, n, d, n)
-    return [Ut[:, gi, :, :].sum(axis=2) for gi in range(n)]
+    return rep.U.reshape(d, n, d, n).sum(axis=3).transpose(1, 0, 2)
 
 
 DEGENERACY_TOL = 1e-7   # relative off-diagonal mass flagging a degenerate family
@@ -478,80 +486,52 @@ class ExtractionReport:
 def extract_pair(rep: Representation, seed: int = 0) -> tuple[Q2Pair, ExtractionReport]:
     """Recover the generating pair from a representation.
 
-    (1) row-sum the position matrix elements into the family G(g);
+    (1) row-sum the position matrix elements into the stack G(g);
     (2) jointly diagonalise {G(g)} via a seed-derived random combination;
-    (3) per joint eigenvector, identify the bt eigenvalue by inverting the
-        F_q family over grid-plus-zero candidates;
-    (4) average G(g)* U_{g, g+d} into the spectral projections of at;
+    (3) invert the d data rows v_i* G(g) v_i of the joint eigenvectors, one
+        contraction, as a stack of F_q families against one table;
+    (4) average G(g)* U_{g, g+s}, one gather over all shifts s and grid
+        points g and one batched product, into the spectral family of at;
     (5) reassemble bt and at.
+    The diagnostics are batched; every sum over g or s runs in grid order.
     """
     g = rep.grid
-    params = QExpParams(g.q)
-    d, n = rep.h_dim, g.size
-    M = g.M
-    Ut = rep.U.reshape(d, n, d, n)
+    d, n, M = rep.h_dim, g.size, g.M
     G = g_family(rep)
+    Gh = G.conj().swapaxes(1, 2)
 
     eye = np.eye(d)
-    gu = max(operator_norm(Gi @ Gi.conj().T - eye) for Gi in G)
+    gu = _max_norm(G @ Gh - eye)
     rng = np.random.default_rng(seed)
-    pairs_idx = rng.integers(0, n, size=(8, 2))
-    gc = max(
-        operator_norm(G[i] @ G[j] - G[j] @ G[i]) for i, j in pairs_idx
-    )
+    i, j = rng.integers(0, n, size=(8, 2)).T
+    gc = _max_norm(G[i] @ G[j] - G[j] @ G[i])
 
     coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    T = sum(c * Gi for c, Gi in zip(coeff, G))
-    Vhat, _ = NormalMatrix(T).eig()
+    Vhat, _ = NormalMatrix(np.add.reduce(coeff[:, None, None] * G)).eig()
 
     # off-diagonal mass of the conjugated family detects degeneracies
-    off = 0.0
-    for gi in range(0, n, max(1, n // 8)):
-        C = Vhat.conj().T @ G[gi] @ Vhat
-        off = max(off, operator_norm(C - np.diag(np.diag(C))))
-    degenerate = off > DEGENERACY_TOL * max(gu, 1.0)
+    C = Vhat.conj().T @ G[::max(1, n // 8)] @ Vhat
+    degenerate = _max_norm(C - eye * C) > DEGENERACY_TOL * max(gu, 1.0)
 
-    betas: list[GammaPoint] = []
-    inv_res = 0.0
-    for i in range(d):
-        v = Vhat[:, i]
-        data = np.array([v.conj() @ (Gi @ v) for Gi in G])
-        data = data / np.maximum(np.abs(data), 1e-15)   # guard roundoff drift
-        result = invert_fq_family(data, g, params)
-        betas.append(result.beta)
-        inv_res = max(inv_res, result.residual)
-    bvals = np.array([b.value(g.q) for b in betas])
+    # data rows v_i* G(g) v_i (d, n) by matrix-vector and vector products, bit-equal to one row at a time
+    vecs = np.ascontiguousarray(Vhat.T)[:, None, :, None]
+    data = (vecs.conj().swapaxes(2, 3) @ (G @ vecs))[..., 0, 0]
+    data = data / np.maximum(np.abs(data), 1e-15)   # guard roundoff drift
+    result = invert_fq_family(data, g, QExpParams(g.q))
+    bvals = np.array([b.value(g.q) for b in result.beta])
     b_t = (Vhat * bvals) @ Vhat.conj().T
 
-    # spectral family of at from translated matrix elements
-    Esum = np.zeros((d, d), dtype=complex)
-    a_t = np.zeros((d, d), dtype=complex)
-    karr = np.arange(n) // M
-    jarr = np.arange(n) % M
-    for di in range(n):
-        dk, dj = di // M, di % M
-        tgt = ((karr + dk) % M) * M + (jarr + dj) % M
-        E = np.zeros((d, d), dtype=complex)
-        for gi in range(n):
-            E += G[gi].conj().T @ Ut[:, gi, :, tgt[gi]]
-        E /= n
-        Esum += E
-        a_t += g.values[di] * E
-    completeness = operator_norm(Esum - eye)
+    # spectral family of at from translated matrix elements: U_{g, g+s},
+    # (n shifts, n positions, d, d), with g + s added per axis mod M
+    k, l = np.divmod(np.arange(n), M)
+    tgt = ((k[:, None] + k) % M) * M + (l[:, None] + l) % M
+    E = np.add.reduce(Gh @ rep.U.reshape(d, n, d, n)[:, np.arange(n), :, tgt], axis=1) / n
+    a_t = np.add.reduce(g.values[:, None, None] * E)
+    completeness = operator_norm(np.add.reduce(E) - eye)
 
-    report = ExtractionReport(
-        g_unitarity=gu,
-        g_commutation=gc,
-        inversion_residual=inv_res,
-        completeness=completeness,
-        degenerate=degenerate,
-    )
-    pair = Q2Pair(
-        Y=NormalMatrix(b_t),
-        X=NormalMatrix(a_t),
-        grid=g,
-        provenance=(("extracted", seed),),
-    )
+    report = ExtractionReport(g_unitarity=gu, g_commutation=gc, inversion_residual=float(np.max(result.residual)),
+                              completeness=completeness, degenerate=degenerate)
+    pair = Q2Pair(Y=NormalMatrix(b_t), X=NormalMatrix(a_t), grid=g, provenance=(("extracted", seed),))
     return pair, report
 
 

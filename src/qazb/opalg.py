@@ -45,10 +45,10 @@ lattice-data step: basis V, lattice data (n, theta, zero) from
 snapped by :func:`qazb.gamma.snap_spectrum`) and values f(n, theta,
 zero).  :func:`lattice_values` returns the values f;
 :func:`lattice_calculus` forms V diag(f) V* (a leading axis of f gives a
-stack of such matrices in one batched product); :func:`eigen_apply`
-applies values to the columns of an n x r block B as V (f * (V* B)),
-without forming the n x n matrix, so values computed once serve any
-number of applications.  A supplied identity basis is never multiplied
+stack of such matrices in one batched product); an operator's
+`spectral_apply` applies values to the columns of an n x r block B as
+V (f * (V* B)), without forming the n x n matrix, so values computed
+once serve any number of applications.  A supplied identity basis is never multiplied
 by: :attr:`NormalMatrix.basis` is None for it.  Diagnostics such as
 :func:`gamma_distance` always report the unsnapped values.
 
@@ -87,7 +87,6 @@ __all__ = [
     "NormalOperator",
     "chi_op",
     "chi_values",
-    "eigen_apply",
     "eigen_stack",
     "gamma_distance",
     "lattice_calculus",
@@ -494,17 +493,6 @@ def eigen_stack(V: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return (V * vals[..., None, :]) @ V.conj().T
 
 
-def eigen_apply(T, vals: np.ndarray, B: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """V (vals * (V* B)) for the columns of B, with V the eigenbasis of T
-    and `vals` one value per eigenvector (conjugated when `adjoint`), as
-    from :func:`lattice_values`: T's own `spectral_apply`."""
-    if vals.ndim != 1:
-        raise DimensionError("eigen_apply takes one function, not a stack")
-    if adjoint:
-        vals = vals.conj()
-    return _as_normal(T).spectral_apply(vals, B)
-
-
 def chi_values(k, theta):
     """The :func:`lattice_calculus` map of chi(., gamma'), gamma' = q^k
     e^{i theta}: x -> e^{i (k arg x + log_q|x| theta)}, with x != 0.
@@ -528,7 +516,7 @@ def chi_op(X, point: GammaPoint, q: float) -> np.ndarray:
     snapping, which makes the result exactly multiplicative in gamma'.
     chi(X, q) is the unitary phase (polar) factor of X.  To apply it to
     columns B without forming it, pass the values of
-    ``lattice_values(X, chi_values(k, theta), q)`` to :func:`eigen_apply`.
+    ``lattice_values(X, chi_values(k, theta), q)`` to ``X.spectral_apply``.
     """
     if point.zero:
         raise DomainError("chi_op is defined for nonzero lattice points only")

@@ -17,7 +17,7 @@ norm is that of B* A B.  Every witness computes it as B* (A B): the
 operator A (a commutator, a conjugate, a product of functions of X and
 Y) is applied to the r window columns factor by factor, through the
 members' own `apply`, `apply_adjoint` and `spectral_apply` (functions of
-X and Y by :func:`~qazb.opalg.eigen_apply`), and A itself is never
+X and Y by their values on the eigenbasis), and A itself is never
 formed.  The norms taken are of n x r or r x r matrices.
 
 The model pair is diagonal in closed form: X has eigenbasis 1 and Y has
@@ -73,7 +73,7 @@ from scipy.linalg import block_diag
 from .errors import DimensionError, DomainError, ParameterError
 from .gamma import GammaGrid, GammaPoint, snap_spectrum
 from .opalg import (DEFAULT_DEFECT_RTOL, SPECTRUM_RTOL, Eigensystem, GridOperator, NormalMatrix, NormalOperator,
-                    _as_normal, chi_values, eigen_apply, lattice_values, operator_norm)
+                    _as_normal, chi_values, lattice_values, operator_norm)
 from .qexp import QExpParams, fq_eigenvalues
 
 __all__ = [
@@ -253,14 +253,14 @@ def schrodinger_pair(g: GammaGrid, margin: int | None = None) -> Q2Pair:
 def weyl_residual(pair: Q2Pair, point: GammaPoint) -> float:
     """|| B* (chi(X,gamma) Y chi(X,gamma)* - gamma Y) B ||_2, with B the
     pair's window basis, from the n x r block C Y (C* B) - gamma Y B; the
-    chi values of X are read once and applied by `eigen_apply`."""
+    chi values of X are read once and applied by `spectral_apply`."""
     if point.zero:
         raise DomainError("chi(X, gamma) is defined for nonzero lattice points only")
     q = pair.grid.q
     Y = pair.Y
     B = pair.window_or_identity()
     chi = lattice_values(pair.X, chi_values(point.k, point.theta), q)
-    CYCB = eigen_apply(pair.X, chi, Y.apply(eigen_apply(pair.X, chi, B, adjoint=True)))
+    CYCB = pair.X.spectral_apply(chi, Y.apply(pair.X.spectral_apply(chi.conj(), B)))
     return operator_norm(B.conj().T @ (CYCB - point.value(q) * Y.apply(B)))
 
 
@@ -395,10 +395,10 @@ def exp_identity_residual(pair: Q2Pair) -> ExpIdentityReport:
     fq_x, fq_y = fq_eigenvalues(pair.X, params, M), fq_eigenvalues(pair.Y, params, M)
 
     def fx(A: np.ndarray) -> np.ndarray:
-        return eigen_apply(pair.X, fq_x, A)
+        return pair.X.spectral_apply(fq_x, A)
 
     def fy(A: np.ndarray) -> np.ndarray:
-        return eigen_apply(pair.Y, fq_y, A)
+        return pair.Y.spectral_apply(fq_y, A)
 
     def witness(U_cols: np.ndarray) -> float:   # U applied to [B, S B]
         if scale < 1e-300:

@@ -41,6 +41,7 @@ __all__ = [
     "fq",
     "fq_lattice",
     "fq_family",
+    "fq_grid",
     "fq_on_operator",
     "fq_eigenvalues",
     "invert_fq_family",
@@ -150,10 +151,25 @@ def fq(point: GammaPoint, p: QExpParams) -> complex:
     return complex(fq_lattice([point.k], [point.theta], p, zero=[point.zero])[0])
 
 
+def fq_grid(g: GammaGrid, p: QExpParams):
+    """The lattice-calculus map from the lattice data (n, theta, zero) of
+    a stack of beta, and their turn fractions `frac` as
+    :meth:`GammaGrid.times` takes them, to F_q(beta * gamma) in one
+    :func:`fq_lattice` call: grid points gamma on the first axis."""
+
+    def f(n, theta, zero, frac=None):
+        k, theta = g.times(n, theta, frac)
+        zero = np.broadcast_to(zero, k.shape)
+        return fq_lattice(k.ravel(), theta.ravel(), p, zero=zero.ravel()).reshape(k.shape)
+
+    return f
+
+
 def fq_family(beta: GammaPoint, g: GammaGrid, p: QExpParams) -> np.ndarray:
     """The unit-modulus family gamma -> F_q(beta * gamma) over all grid
-    points, in flat order.  This is the forward map inverted by
-    :func:`invert_fq_family`."""
+    points, in flat order, by the point product ``beta * g``: a row of
+    :func:`candidate_table` to roundoff.  This is the forward map inverted
+    by :func:`invert_fq_family`."""
     if beta.zero:
         return np.ones(g.size, dtype=complex)
     n, theta = beta * g
@@ -180,23 +196,36 @@ def fq_on_operator(T, p: QExpParams, M: int | None = None) -> np.ndarray:
 def fq_eigenvalues(T, p: QExpParams, M: int | None = None) -> np.ndarray:
     """F_q of the eigenvalues of T on their lattice data, in the order of
     its eigenbasis: the values of :func:`fq_on_operator`, computed once
-    for any number of :func:`qazb.opalg.eigen_apply` calls (F_q(T) B
-    without forming F_q(T))."""
+    for any number of ``T.spectral_apply`` calls (F_q(T) B without
+    forming F_q(T))."""
     return lattice_values(T, _fq_of_lattice(p), p.q, M=M)
 
 
 @dataclass(frozen=True)
 class InversionResult:
-    """Outcome of the least-squares candidate search."""
+    """Outcome of the least-squares candidate search; for a stack of m
+    families, a tuple of m points and arrays of m values."""
 
-    beta: GammaPoint
-    residual: float
-    gap: float           # objective distance to the runner-up
+    beta: GammaPoint | tuple[GammaPoint, ...]
+    residual: float | np.ndarray
+    gap: float | np.ndarray      # objective distance to the runner-up
 
 
 def default_candidates(g: GammaGrid) -> list[GammaPoint]:
     """All grid points plus 0 (the trivial multiplier)."""
     return list(g.points) + [zero_point()]
+
+
+def candidate_table(g: GammaGrid, p: QExpParams, candidates: list[GammaPoint] | None = None) -> np.ndarray:
+    """The families F_q(beta * .) of the candidates (default: all grid
+    points plus 0) as the rows of one array, from one :func:`fq_grid`
+    call.  A row is :func:`fq_family` to roundoff: the table takes one
+    truncation length, the longest any row needs."""
+    if candidates is None:
+        candidates = default_candidates(g)
+    k, theta, zero, num, den = (np.array(a) for a in zip(*(
+        (b.k, b.theta, b.zero, *(b.frac or (0, 0))) for b in candidates)))
+    return fq_grid(g, p)(k, theta, zero, (num, den)).T
 
 
 def invert_fq_family(
@@ -208,45 +237,47 @@ def invert_fq_family(
     """Recover the lattice multiplier beta from samples of F_q(beta * .).
 
     `data` holds one unit-modulus value per grid point, in flat (k-major)
-    order.  Returns the candidate minimising the summed squared deviation;
-    raises AmbiguityError when the best two candidates are within 1e-9 of
-    the same objective value.
+    order; a 2-D array of g.size columns is a stack of such families, all
+    inverted against one :func:`candidate_table`.  The objectives, the
+    summed squared deviations from each row of the table, are one
+    row-wise reduction.  Returns the first candidate minimising them;
+    raises AmbiguityError when the best two candidates of a family are
+    within 1e-9 of the same objective value.  The residual is the
+    objective against the exact :func:`fq_family` of the chosen candidate.
     """
-    flat = np.asarray(data, dtype=complex).reshape(-1)
-    if flat.shape != (g.size,):
-        raise DomainError(f"expected {g.size} data values, got {flat.shape}")
-    mod_err = float(np.max(np.abs(np.abs(flat) - 1.0)))
-    if mod_err > 1e-6:
+    flat = np.asarray(data, dtype=complex)
+    stack = flat.ndim == 2 and flat.shape[1] == g.size
+    rows = flat if stack else flat.reshape(1, -1)
+    if rows.shape[1] != g.size:
+        raise DomainError(f"expected {g.size} data values, got {rows.shape[1:]}")
+    mod_err = float(np.max(np.abs(np.abs(rows) - 1.0)))
+    if not mod_err <= 1e-6:   # a NaN value fails too
         raise DomainError(f"data is not unit modulus (max deviation {mod_err:.3e})")
     if candidates is None:
         candidates = default_candidates(g)
 
-    best = runner = math.inf
-    best_beta = None
-    for beta in candidates:
-        obj = float(np.sum(np.abs(flat - fq_family(beta, g, p)) ** 2))
-        if obj < best:
-            best, runner, best_beta = obj, best, beta
-        elif obj < runner:
-            runner = obj
-    if runner - best < 1e-9 and len(candidates) > 1:
+    obj = np.sum(np.abs(rows[:, None, :] - candidate_table(g, p, candidates)) ** 2, axis=2)
+    # the best and the runner-up objective (inf for a single candidate)
+    low, runner = np.partition(np.pad(obj, ((0, 0), (0, 1)), constant_values=math.inf), 1, axis=1)[:, :2].T
+    gap = runner - low
+    if np.any(gap < 1e-9):
+        i = int(np.argmin(gap))
         raise AmbiguityError(
-            f"two candidates fit within 1e-9 of each other (objectives {best:.3e}, {runner:.3e})"
+            f"two candidates fit within 1e-9 of each other (objectives {low[i]:.3e}, {runner[i]:.3e})"
         )
-    return InversionResult(best_beta, best, runner - best)
+    beta = tuple(candidates[i] for i in np.argmin(obj, axis=1))
+    residual = np.array([np.sum(np.abs(r - fq_family(b, g, p)) ** 2) for r, b in zip(rows, beta)])
+    if stack:
+        return InversionResult(beta, residual, gap)
+    return InversionResult(beta[0], float(residual[0]), float(gap[0]))
 
 
 def candidate_separation(g: GammaGrid, p: QExpParams) -> float:
     """Discriminability certificate: the minimum over distinct candidate
-    pairs (beta1, beta2) of sum_gamma |F_q(beta1 gamma) - F_q(beta2 gamma)|^2.
+    pairs (beta1, beta2) of sum_gamma |F_q(beta1 gamma) - F_q(beta2 gamma)|^2,
+    over the rows of :func:`candidate_table` at the default candidates.
 
     A strictly positive value witnesses that the finite family determines
     its generator uniquely at this grid size."""
-    cands = default_candidates(g)
-    rows = np.stack([fq_family(b, g, p) for b in cands])
-    s0 = math.inf
-    for i in range(len(cands)):
-        d = np.sum(np.abs(rows[i + 1:] - rows[i]) ** 2, axis=1)
-        if d.size:
-            s0 = min(s0, float(np.min(d)))
-    return s0
+    rows = candidate_table(g, p)
+    return min(float(np.min(np.sum(np.abs(rows[i + 1:] - rows[i]) ** 2, axis=1))) for i in range(len(rows) - 1))

@@ -6,6 +6,7 @@ import pytest
 
 from qazb import __version__
 from qazb.cli import GRID_BLOCKS, main
+from qazb.corep import DENSE_U_COPIES
 
 
 def run(args):
@@ -124,8 +125,9 @@ def test_reports_byte_identical(tmp_path, args):
 @pytest.mark.parametrize(
     "args, stage, need",
     [
-        # the dense U of a roundtrip, 16 (d M^2)^2 bytes
-        (["-M", "4", "roundtrip", "--h-dim", "2"], "build_rep", 16 * 32 ** 2),
+        # DENSE_U_COPIES arrays the size of the dense U of a roundtrip,
+        # 16 (d M^2)^2 bytes each
+        (["-M", "4", "roundtrip", "--h-dim", "2"], "build_rep", 16 * DENSE_U_COPIES * 32 ** 2),
         # GRID_BLOCKS complex n x r blocks at the largest M (n = 36, and
         # r = 4 window columns at margin 2), checked before the first
         (["exp-identity", "--M-list", "4,6"], "schrodinger_pair", 16 * GRID_BLOCKS * 36 * 4),

@@ -1,5 +1,7 @@
 """Coproduct structure, representation building, residuals, round trip."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from qazb.corpus import load_pinned
 from qazb.errors import DimensionError, DomainError, ExtractionError, ParameterError
 from qazb.gamma import grid
 from qazb.opalg import NormalMatrix, operator_norm
+from qazb.qexp import invert_fq_family
 from qazb.q2pair import (
     Q2Pair,
     conjugate_pair,
@@ -17,6 +20,7 @@ from qazb.q2pair import (
     weyl_residual,
 )
 from qazb.corep import (
+    DENSE_U_COPIES,
     build_rep,
     chi_kron,
     corep_residual,
@@ -134,6 +138,83 @@ def test_g_family_unitary_commuting():
     for _ in range(10):
         i, j = rng.integers(0, len(G), 2)
         assert operator_norm(G[i] @ G[j] - G[j] @ G[i]) < 1e-9
+
+
+def loop_extraction(rep, seed):
+    """The per-position, per-eigenvector and per-shift loops that the array
+    form of extract_pair replaced, kept as the reference: the family G as a
+    list, the data rows of the joint eigenvectors, bt, at and the
+    completeness."""
+    g = rep.grid
+    d, n, M = rep.h_dim, g.size, g.M
+    Ut = rep.U.reshape(d, n, d, n)
+    G = [Ut[:, gi, :, :].sum(axis=2) for gi in range(n)]
+    rng = np.random.default_rng(seed)
+    rng.integers(0, n, size=(8, 2))
+    coeff = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    Vhat, _ = NormalMatrix(sum(c * Gi for c, Gi in zip(coeff, G))).eig()
+    rows = []
+    for i in range(d):
+        v = Vhat[:, i]
+        data = np.array([v.conj() @ (Gi @ v) for Gi in G])
+        rows.append(data / np.maximum(np.abs(data), 1e-15))
+    Esum = np.zeros((d, d), dtype=complex)
+    a_t = np.zeros((d, d), dtype=complex)
+    karr, jarr = np.arange(n) // M, np.arange(n) % M
+    for di in range(n):
+        dk, dj = di // M, di % M
+        tgt = ((karr + dk) % M) * M + (jarr + dj) % M
+        E = np.zeros((d, d), dtype=complex)
+        for gi in range(n):
+            E += G[gi].conj().T @ Ut[:, gi, :, tgt[gi]]
+        E /= n
+        Esum += E
+        a_t += g.values[di] * E
+    return G, np.array(rows), a_t, operator_norm(Esum - np.eye(d))
+
+
+@pytest.mark.parametrize("M, d", [(8, 8), (4, 16)])
+def test_extraction_arrays_equal_the_loops(monkeypatch, M, d):
+    import qazb.corep
+
+    g = grid(0.5, M)
+    rep = build_rep(random_regular_pair(seeded_block_specs(5, d, g), g), g)
+    seen = []
+
+    def spy(data, *args):
+        seen.append(data)
+        return invert_fq_family(data, *args)
+
+    monkeypatch.setattr(qazb.corep, "invert_fq_family", spy)
+    ext, report = extract_pair(rep, seed=5)
+    G, rows, a_t, completeness = loop_extraction(rep, 5)
+    assert np.array_equal(g_family(rep), np.array(G))
+    assert len(seen) == 1 and np.array_equal(seen[0], rows)
+    assert np.array_equal(ext.X.entries, a_t)
+    assert report.completeness == completeness
+
+
+def test_roundtrip_takes_one_candidate_table(monkeypatch):
+    # one fq_lattice call builds the representation, one the candidate
+    # table, and at most one per eigenvector gives the exact residual (none
+    # for a zero eigenvalue): at most d + 2 for d = 8, where a search per
+    # candidate and eigenvector made 513
+    import sys
+
+    from qazb.cli import main
+    from qazb.qexp import fq_lattice
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fq_lattice(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("qazb") and getattr(mod, "fq_lattice", None) is fq_lattice:
+            monkeypatch.setattr(mod, "fq_lattice", counted)
+    assert main(["--out", os.devnull, "roundtrip", "--h-dim", "8"]) == 0
+    assert 0 < len(calls) <= 8 + 2
 
 
 def test_extract_trivial_block_exact():
@@ -519,7 +600,7 @@ def test_dense_u_refused_beyond_physical_memory(monkeypatch):
     monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 1024)
     g = grid(0.5, 4)
     rep = build_rep(schrodinger_pair(g), g)
-    with pytest.raises(ParameterError, match=f"needs {16 * 256 ** 2} bytes.* 1024 bytes"):
+    with pytest.raises(ParameterError, match=f"needs {16 * DENSE_U_COPIES * 256 ** 2} bytes.* 1024 bytes"):
         rep.U
     assert "U" not in vars(rep)
     assert main(["-M", "4", "roundtrip", "--h-dim", "1"]) == 2

@@ -11,7 +11,6 @@ from qazb.opalg import (
     NormalMatrix,
     chi_op,
     chi_values,
-    eigen_apply,
     gamma_distance,
     lattice_calculus,
     lattice_values,
@@ -149,25 +148,21 @@ def test_lattice_apply_matches_lattice_calculus_on_columns(basis, adjoint):
     Qu = np.eye(dim) if basis == "identity" else np.linalg.qr(
         rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
     T = Qu @ np.diag(lam) @ Qu.conj().T
-    if basis != "schur":
-        T = NormalMatrix(T, Eigensystem(Qu, lam, n, theta))
+    T = NormalMatrix(T) if basis == "schur" else NormalMatrix(T, Eigensystem(Qu, lam, n, theta))
     p = QExpParams(q)
     f = lambda n, theta, zero: fq_lattice(n, theta, p, zero=zero)
     B = rng.standard_normal((dim, 3)) + 1j * rng.standard_normal((dim, 3))
     F = lattice_calculus(T, f, q)
     want = (F.conj().T if adjoint else F) @ B
-    got = eigen_apply(T, lattice_values(T, f, q), B, adjoint)
+
+    def apply(vals):   # the adjoint takes the conjugate values
+        return T.spectral_apply(vals.conj() if adjoint else vals, B)
+
+    got = apply(lattice_values(T, f, q))
     assert np.abs(got - want).max() < 1e-13 * np.abs(want).max()
-    C = eigen_apply(T, lattice_values(T, chi_values(1, 0.7), q), B, adjoint)
+    C = apply(lattice_values(T, chi_values(1, 0.7), q))
     D = chi_op(T, make_point(1, 0.7), q)
     assert np.abs(C - (D.conj().T if adjoint else D) @ B).max() < 1e-13
-
-
-def test_lattice_apply_takes_one_function():
-    f = chi_values(np.array([1, 2]), np.array([0.3, 0.4]))
-    T = NormalMatrix(np.diag([1.0 + 0j, 0.5]))
-    with pytest.raises(DimensionError):
-        eigen_apply(T, lattice_values(T, f, 0.5), np.eye(2))
 
 
 def test_chi_op_at_identity():

@@ -13,6 +13,8 @@ from qazb.qexp import (
     ConditioningWarning,
     QExpParams,
     candidate_separation,
+    candidate_table,
+    default_candidates,
     fq,
     fq_family,
     fq_on_operator,
@@ -140,6 +142,8 @@ def test_invert_rejects_non_unit_modulus():
     g = grid(0.5, 4)
     with pytest.raises(DomainError):
         invert_fq_family(2.0 * np.ones(16, dtype=complex), g, P)
+    with pytest.raises(DomainError):
+        invert_fq_family(np.full(16, np.nan, dtype=complex), g, P)
 
 
 def test_invert_ambiguity_detected():
@@ -152,3 +156,81 @@ def test_invert_ambiguity_detected():
 
 def test_separation_positive():
     assert candidate_separation(grid(0.5, 4), P) > 0.0
+
+
+def loop_inversion(flat, candidates, rows):
+    """The per-candidate search that the candidate table replaced, kept as
+    the reference: candidate by candidate, over their fq_family rows.
+    Returns the best candidate, its objective, the gap to the runner-up
+    and every objective."""
+    best = runner = math.inf
+    best_beta = None
+    objs = []
+    for beta, row in zip(candidates, rows):
+        obj = float(np.sum(np.abs(flat - row) ** 2))
+        objs.append(obj)
+        if obj < best:
+            best, runner, best_beta = obj, best, beta
+        elif obj < runner:
+            runner = obj
+    return best_beta, best, runner - best, np.array(objs)
+
+
+def assert_matches_loop(data, res, g, rows, table):
+    """A table inversion picks the loop's candidate, reports its exact
+    objective and a gap within 1e-12 relative; the table's objectives are
+    the loop's within 1e-12 relative (an exactly fitting candidate has
+    objective 0 in the loop and roundoff squared, below 1e-24, in the
+    table)."""
+    beta, best, gap, objs = loop_inversion(data, default_candidates(g), rows)
+    assert res.beta == beta
+    assert res.residual == best
+    assert abs(res.gap - gap) <= 1e-12 * gap
+    obj = np.sum(np.abs(data - table) ** 2, axis=1)
+    assert np.all(np.abs(obj - objs) <= 1e-12 * objs + 1e-24)
+
+
+@pytest.mark.parametrize("M", [4, 6])
+def test_table_inversion_matches_candidate_loop(M):
+    g = grid(0.5, M)
+    rows = [fq_family(b, g, P) for b in default_candidates(g)]
+    table = candidate_table(g, P)
+    for row in rows:
+        assert_matches_loop(row, invert_fq_family(row, g, P), g, rows, table)
+
+
+@pytest.mark.parametrize("d", [4, 8, 16])
+def test_table_inversion_matches_candidate_loop_on_extracted_families(monkeypatch, d):
+    # the d families that extract_pair inverts for seeded pairs at M = 8
+    import qazb.corep
+    from qazb.corep import build_rep, extract_pair
+    from qazb.q2pair import random_regular_pair, seeded_block_specs
+
+    g = grid(0.5, 8)
+    seen = []
+
+    def spy(data, *args):
+        seen.append((data, invert_fq_family(data, *args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(qazb.corep, "invert_fq_family", spy)
+    for seed in range(1, 17):
+        extract_pair(build_rep(random_regular_pair(seeded_block_specs(seed, d, g), g), g), seed=seed)
+    rows = [fq_family(b, g, P) for b in default_candidates(g)]
+    table = candidate_table(g, P)
+    assert len(seen) == 16
+    for data, res in seen:
+        assert data.shape == (d, g.size)
+        for i in range(d):
+            one = type(res)(res.beta[i], res.residual[i], res.gap[i])
+            assert_matches_loop(data[i], one, g, rows, table)
+
+
+def test_stacked_inversion_is_the_inversion_of_each_row():
+    g = grid(0.5, 4)
+    betas = [g.point(1, 2), zero_point(), g.point(3, 0)]
+    res = invert_fq_family(np.stack([fq_family(b, g, P) for b in betas]), g, P)
+    assert res.beta == tuple(betas)
+    for i, b in enumerate(betas):
+        one = invert_fq_family(fq_family(b, g, P), g, P)
+        assert (one.residual, one.gap) == (res.residual[i], res.gap[i])

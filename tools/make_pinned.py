@@ -12,10 +12,11 @@ window basis versus the dense window projector D (F* D F), the supplied
 eigensystems of the Schrodinger pair versus their Schur forms, the
 window-column witnesses versus their n x n formulas, the structured
 Schrodinger pair versus its dense copy on every exp-identity and
-verify-pair field, eigh versus schur
-for self-adjoint spectra, the corepresentation product Q and S' in window
-coordinates versus the dense U, V and coproduct applied leg by leg); a
-disagreement aborts the run before anything is written.
+verify-pair field, eigh versus schur for self-adjoint spectra, the
+candidate table versus the per-candidate families for the separation
+certificate, the corepresentation product Q and S' in window coordinates
+versus the dense U, V and coproduct applied leg by leg); a disagreement
+aborts the run before anything is written.
 
 Usage: python3 tools/make_pinned.py [out_json]
 """
@@ -41,7 +42,7 @@ from qazb.q2pair import (
     verify_q2,
     weyl_residual,
 )
-from qazb.qexp import QExpParams, candidate_separation, fq_on_operator
+from qazb.qexp import QExpParams, candidate_separation, default_candidates, fq_family, fq_on_operator
 
 Q = 0.5
 
@@ -54,6 +55,19 @@ def check_fourier_routes(g) -> None:
             np.abs(F.conj().T @ v - g.fourier_columns(v, True)).max())
     if d > 1e-11:
         raise RuntimeError(f"fourier route disagreement {d} at M={g.M}")
+
+
+def check_separation_routes(g) -> None:
+    """The separation certificate from the candidate table against the
+    same minimum over the per-candidate fq_family rows, to 1e-12 relative
+    (the table shares one truncation length between its rows)."""
+    params = QExpParams(g.q)
+    rows = np.stack([fq_family(b, g, params) for b in default_candidates(g)])
+    want = min(float(np.min(np.sum(np.abs(rows[i + 1:] - rows[i]) ** 2, axis=1)))
+               for i in range(len(rows) - 1))
+    got = candidate_separation(g, params)
+    if abs(got - want) > 1e-12 * want:
+        raise RuntimeError(f"separation route disagreement {abs(got - want) / want} at M={g.M}")
 
 
 def check_structured_routes(pair) -> None:
@@ -233,6 +247,7 @@ def main(out_path: str) -> None:
     pinned["corep_unitarity"] = corep_unit
 
     g8 = grid(Q, 8)
+    check_separation_routes(g8)
     pinned["separation_m8"] = candidate_separation(g8, QExpParams(Q))
 
     with open(out_path, "w") as fh:
