@@ -4,10 +4,11 @@ reports.
 Reports embed the full configuration and the library version, contain no
 timestamps, and are serialised with sorted keys, so identical configs
 produce byte-identical output.  Exit codes: 0 all checks passed, 1 a check
-failed, 2 invalid usage (including a --tol outside (0, 1), an --M-list
-that is empty, not integers or not strictly increasing, a margin that
-leaves no interior window, a roundtrip with no trials or no dimension,
-and a run too large for physical memory) or I/O failure.
+failed, 2 invalid usage (including a --tol outside (0, 1), a negative
+--seed, an --M-list that is empty, not integers or not strictly
+increasing, a margin that leaves no interior window, a roundtrip with no
+trials or no dimension, and a run too large for physical memory) or I/O
+failure.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ from .qexp import QExpParams, fq
 PASS, FAIL, USAGE = 0, 1, 2
 # Complex n x r blocks (n = M^2 grid points, r window columns) that
 # exp-identity and verify-pair hold at their peak (tracemalloc peak /
-# 16 n r at M = 16, 24 and 32: 14.1-14.4 for exp-identity, 6.1-6.3 for
-# verify-pair), rounded up.
-GRID_BLOCKS = 15
+# 16 n r at M = 16, 24 and 32: 10.1-10.8 for exp-identity, set by its
+# Y = 0 control row on the window columns, and 2.0-2.2 for verify-pair),
+# rounded up.
+GRID_BLOCKS = 11
 
 
 @dataclass
@@ -75,6 +77,8 @@ class RunConfig:
             raise ValueError(f"--tol must lie in (0, 1), got {self.tol}")
         if self.samples < 1:
             raise ValueError(f"--samples must be >= 1, got {self.samples}")
+        if self.seed < 0:   # numpy's seeding refuses it without naming the option
+            raise ValueError(f"--seed must be nonnegative, got {self.seed}")
         if self.format not in ("json", "csv"):
             raise ValueError(f"--format must be json or csv, got {self.format}")
 
@@ -197,7 +201,7 @@ def cmd_exp_identity(config: RunConfig, m_list: list[int]) -> int:
         passed = passed and rep.passed and ident.residual_swapped > ident.residual
     # Y = 0 control on the largest grid: the last Schrodinger X and its window
     with blas.for_dim(g.size):
-        zero_pair = Q2Pair(Y=GridOperator(g, "zero"), X=pair.X, grid=g, window=pair.window)
+        zero_pair = Q2Pair(Y=GridOperator(g, "zero"), X=pair.X, grid=g, interior=pair.interior)
         control = exp_identity_residual(zero_pair)
     rows.append({
         "q": config.q, "M": m_list[-1], "margin": margin,
@@ -286,9 +290,9 @@ def cmd_verify_pair(config: RunConfig, which: str) -> int:
         if which == "schrodinger":
             pair = base
         elif which == "xx":
-            pair = Q2Pair(Y=base.X, X=base.X, grid=g, window=base.window)
+            pair = Q2Pair(Y=base.X, X=base.X, grid=g, interior=base.interior)
         elif which == "swapped":
-            pair = Q2Pair(Y=base.X, X=base.Y, grid=g, window=base.window)
+            pair = Q2Pair(Y=base.X, X=base.Y, grid=g, interior=base.interior)
         else:
             raise ValueError(f"unknown pair selector {which!r}")
         report = verify_q2(pair, tol=config.tol)

@@ -307,8 +307,13 @@ class GammaGrid:
 
     @cached_property
     def values(self) -> np.ndarray:
-        """Complex values of the grid points, flat order."""
-        v = np.array([p.value(self.q) for p in self.points], dtype=complex)
+        """Complex values of the grid points, flat order: the outer product
+        of the M moduli q^c(k) and the M phases e^{i theta_j}, each computed
+        as :meth:`GammaPoint.value` computes it, so bit-equal to the values
+        of :attr:`points`."""
+        moduli = [self.q ** int(c) for c in self.c]
+        phases = [complex(math.cos(t), math.sin(t)) for t in turn_angle(np.arange(self.M), self.M)]
+        v = np.multiply.outer(moduli, phases).ravel()
         v.setflags(write=False)
         return v
 

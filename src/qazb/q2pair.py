@@ -13,12 +13,21 @@ residuals are therefore measured on the interior window: grid vectors
 whose modulus index and Fourier modulus index (which pairs with the phase
 axis) both stay `margin` away from the wrap.  It is carried as its
 closed-form orthonormal basis B (see `interior_window`), and a windowed
-norm is that of B* A B.  Every witness computes it as B* (A B): the
-operator A (a commutator, a conjugate, a product of functions of X and
-Y) is applied to the r window columns factor by factor, through the
-members' own `apply`, `apply_adjoint` and `spectral_apply` (functions of
-X and Y by their values on the eigenbasis), and A itself is never
-formed.  The norms taken are of n x r or r x r matrices.
+norm is that of B* A B.  On a general pair every witness computes it as
+B* (A B): the operator A (a commutator, a conjugate, a product of
+functions of X and Y) is applied to the r window columns factor by
+factor, through the members' own `apply`, `apply_adjoint` and
+`spectral_apply` (functions of X and Y by their values on the
+eigenbasis), and A itself is never formed.  The norms taken are of
+n x r or r x r matrices.  The grid Schrodinger pair knows its window by
+its index set (:class:`InteriorWindow`): in the mixed basis
+P = 1 (x) phi below, the window columns are unit vectors, and F, X, Y,
+S = X + Y and chi(X, gamma) send each basis vector to a multiple of
+one other.  So their images of the window are index maps with
+coefficients, a Weyl row is the largest of r closed-form entries, B* is
+a restriction after one transform along the phase axis, and only the
+F_q products go through grid transforms: three per exponential-identity
+witness, none in `verify_q2`.
 
 The model pair is diagonal in closed form: X has eigenbasis 1 and Y has
 eigenbasis F*, both with the grid values and their exact lattice data
@@ -58,14 +67,18 @@ per column and maps the class s = (k - m) mod M to the class s + 1
 through an M x M block B_s, built in closed form.  ||S|| is
 max_s ||B_s||, and the commutator is block diagonal with the Hermitian
 blocks B_{s-1} B_{s-1}* - B_s* B_s: one batched SVD and one batched
-eigvalsh of M blocks of M x M instead of two n x n SVDs.  Any other sum
-(conjugated pairs, direct sums) is a dense
+eigvalsh of M blocks of M x M instead of two n x n SVDs.  The window
+columns of class s pick columns of B_s, so the singular values of S B
+and the windowed defect come from the same blocks restricted to the
+window.  Any other sum (conjugated pairs, direct sums) is a dense
 :class:`~qazb.opalg.NormalMatrix` with its dense norms.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -77,6 +90,7 @@ from .opalg import (DEFAULT_DEFECT_RTOL, SPECTRUM_RTOL, Eigensystem, GridOperato
 from .qexp import QExpParams, fq_eigenvalues
 
 __all__ = [
+    "InteriorWindow",
     "Q2Pair",
     "Q2Report",
     "ExpIdentityReport",
@@ -112,17 +126,22 @@ def check_margin(M: int, margin: int) -> int:
     return margin
 
 
+def _interior_indices(g: GammaGrid, margin: int) -> np.ndarray:
+    """The indices whose centred exponent lies in [-M/2 + margin, M/2 - 1 - margin]."""
+    if margin < 0:
+        raise ParameterError(f"margin must be nonnegative, got {margin}")
+    M = g.M
+    return np.flatnonzero((g.c >= -M // 2 + margin) & (g.c <= M // 2 - 1 - margin))
+
+
 def interior_window(g: GammaGrid, margin: int) -> np.ndarray:
     """Orthonormal basis (n x r columns) of the grid vectors interior in
     both the position and the Fourier domain: e_k (x) phi_l for modulus
     indices k and Fourier modulus indices l whose centred exponent lies in
     [-M/2 + margin, M/2 - 1 - margin], with phi_l[j] = e^{-2 pi i l j/M} /
     sqrt(M) the phase-axis mode that F_M maps to Fourier modulus index l."""
-    M = g.M
-    if margin < 0:
-        raise ParameterError(f"margin must be nonnegative, got {margin}")
-    inner = np.flatnonzero((g.c >= -M // 2 + margin) & (g.c <= M // 2 - 1 - margin))
-    return np.kron(np.eye(M)[:, inner], _phase_modes(M, inner))
+    inner = _interior_indices(g, margin)
+    return np.kron(np.eye(g.M)[:, inner], _phase_modes(g.M, inner))
 
 
 def _phase_modes(M: int, l: np.ndarray) -> np.ndarray:
@@ -130,12 +149,163 @@ def _phase_modes(M: int, l: np.ndarray) -> np.ndarray:
     return np.exp(-2j * np.pi * (np.outer(np.arange(M), l) % M) / M) / np.sqrt(M)
 
 
-def _class_block_norms(g: GammaGrid) -> tuple[float, float]:
-    """(||S||_2, ||S S* - S* S||_2) of the model sum S = X + Y on `g`, from
-    its class blocks B_s in the mixed basis, built in closed form (see the
-    module docstring): column k of B_s is e_k (x) phi_m, m = (k - s) mod M,
-    which X sends to x_k times entry k and Y to x_m times entry k + 1 of
-    class s + 1."""
+class Image(NamedTuple):
+    """The image A B of the window columns under an operator A that sends
+    each vector of the mixed basis to a multiple of another: column i goes
+    to coef[i] e_k[i] (x) phi_l[i] (indices mod M)."""
+
+    k: np.ndarray
+    l: np.ndarray
+    coef: np.ndarray
+
+
+class InteriorWindow:
+    """The interior window of the grid `g` at `margin`, known by its index
+    set: the columns e_k (x) phi_l of :func:`interior_window`, k and l in
+    `inner`, in its column order (source indices `k`, `l`).
+
+    In the mixed basis P = 1 (x) phi of all vectors e_k (x) phi_l, the
+    operators of the grid Schrodinger pair send each basis vector to a
+    multiple of another (x_k = q^c(k), indices mod M):
+
+        F        (k, l) -> (l, -k)        1
+        X, X*    (k, l) -> (k, l -+ 1)    x_k
+        Y, Y*    (k, l) -> (k +- 1, l)    x_l
+        chi(X, q^a e^{i theta})    (k, l) -> (k, l - a)    e^{i c(k) theta}
+
+    so their images of the window columns are index maps with
+    coefficients, a tuple of :class:`Image` terms per operator (two for
+    S = X + Y), computed with no grid transform and no n x r array.
+    `columns` writes images out in the standard basis, as the input of
+    the grid transforms of the F_q products; `mixed` takes a block to the
+    mixed basis by one M-point transform along the phase axis, and
+    `adjoint_apply` reads (A B)* V off those coordinates (B* V is a
+    restriction).  The class blocks of S = X + Y restricted to the window
+    give the singular values of S B and the windowed defect.
+    """
+
+    def __init__(self, g: GammaGrid, margin: int):
+        self.grid, self.margin = g, margin
+        self.inner = _interior_indices(g, margin)
+        k, l = np.meshgrid(self.inner, self.inner, indexing="ij")
+        self.k, self.l = k.ravel(), l.ravel()
+        self.x = g.q ** g.c.astype(float)
+        self._interior = np.isin(np.arange(g.M), self.inner)
+
+    @property
+    def r(self) -> int:
+        return len(self.k)
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """The dense n x r basis of :func:`interior_window`."""
+        return interior_window(self.grid, self.margin)
+
+    def identity(self) -> tuple[Image]:
+        return (Image(self.k, self.l, np.ones(self.r)),)
+
+    def fourier(self, image: tuple[Image, ...]) -> tuple[Image, ...]:
+        """F applied to an image."""
+        return tuple(Image(t.l, -t.k % self.grid.M, t.coef) for t in image)
+
+    def position(self, adjoint: bool = False) -> tuple[Image]:
+        """X B, or X* B."""
+        return (Image(self.k, (self.l + (1 if adjoint else -1)) % self.grid.M, self.x[self.k]),)
+
+    def momentum(self, adjoint: bool = False) -> tuple[Image]:
+        """Y B, or Y* B."""
+        return (Image((self.k + (-1 if adjoint else 1)) % self.grid.M, self.l, self.x[self.l]),)
+
+    def sum(self, adjoint: bool = False) -> tuple[Image, Image]:
+        """S B, or S* B, S = X + Y."""
+        return self.position(adjoint) + self.momentum(adjoint)
+
+    def weyl(self, point: GammaPoint) -> tuple[Image, Image]:
+        """chi(X, gamma) Y chi(X, gamma)* B and gamma Y B, gamma = q^a e^{i theta}.
+
+        Both send column (k, l) to (k + 1, l): chi* takes it to (k, l + a)
+        with e^{-i c(k) theta}, Y on to (k + 1, l + a) with x_{l+a}, and chi
+        back to (k + 1, l) with e^{i c(k+1) theta}; gamma Y gives gamma x_l.
+        The two phases of chi are combined before rounding, into
+        e^{i (c(k+1) - c(k)) theta}, which is e^{i theta} off the wrap and
+        the same e^{i theta} as in gamma: off the wrap the terms differ only
+        by the rounding of x_{l+a} against q^a x_l, none at q = 1/2."""
+        c, (y,) = self.grid.c, self.momentum()
+        e = np.exp(1j * point.theta)
+        wrap = c[y.k] - c[self.k] - 1   # -M where k + 1 wraps, else 0
+        conj = self.x[(self.l + point.k) % self.grid.M] * (e * np.exp(1j * wrap * point.theta))
+        return Image(y.k, y.l, conj), Image(y.k, y.l, (self.grid.q ** point.k * e) * y.coef)
+
+    def weyl_row(self, point: GammaPoint) -> float:
+        """|| B* (chi(X, gamma) Y chi(X, gamma)* - gamma Y) B ||_2 from
+        :meth:`weyl`: distinct columns go to distinct basis vectors, so the
+        compression has one entry per column whose target is interior, and
+        its norm is the largest of them."""
+        conj, scaled = self.weyl(point)
+        keep = self._interior[conj.k] & self._interior[conj.l]
+        return float(np.abs(conj.coef - scaled.coef)[keep].max(initial=0.0))
+
+    @functools.cached_property
+    def _modes(self) -> np.ndarray:
+        """phi_l as the rows of an M x M array."""
+        return _phase_modes(self.grid.M, np.arange(self.grid.M)).T
+
+    def columns(self, images: list[tuple[Image, ...]], vals: np.ndarray | None = None) -> np.ndarray:
+        """The images side by side, r columns each, as an n x c block in
+        the standard basis, times the values `vals` of a diagonal operator
+        on the grid when given."""
+        M, r = self.grid.M, self.r
+        V = np.zeros((M, M, r * len(images)), complex)
+        for i, image in enumerate(images):
+            cols = np.arange(i * r, (i + 1) * r)
+            for t in image:
+                V[t.k, :, cols] += t.coef[:, None] * self._modes[t.l]
+        if vals is not None:
+            V *= vals.reshape(M, M, 1)
+        return V.reshape(M * M, -1)
+
+    def mixed(self, V: np.ndarray) -> np.ndarray:
+        """P* V for an n x c block V: its coordinates on e_k (x) phi_l as an
+        (M, M, c) array, by one M-point transform along the phase axis."""
+        M = self.grid.M
+        return np.fft.ifft(V.reshape(M, M, -1), axis=1, norm="ortho")
+
+    def adjoint_apply(self, image: tuple[Image, ...], mixed: np.ndarray) -> np.ndarray:
+        """(A B)* V (r x c) for the image A B and the mixed coordinates of V."""
+        return sum(t.coef.conj()[:, None] * mixed[t.k, t.l] for t in image)
+
+    @functools.cached_property
+    def _class_mask(self) -> np.ndarray:
+        """[s, k]: the vector e_k (x) phi_{k-s} of class s is a window column."""
+        M = self.grid.M
+        s, k = np.arange(M)[:, None], np.arange(M)[None, :]
+        return self._interior[k] & self._interior[(k - s) % M]
+
+    def sum_singular_values(self, S: "_SchrodingerSum") -> np.ndarray:
+        """The singular values of S B, from the class blocks: S sends the
+        window columns of class s into class s + 1, through the columns of
+        B_s they pick, so S B is a direct sum over the classes."""
+        mask = self._class_mask
+        sv = np.linalg.svd(S.blocks * mask[:, None, :], compute_uv=False)
+        return sv[np.arange(self.grid.M) < mask.sum(axis=1)[:, None]]
+
+    def sum_windowed_defect(self, S: "_SchrodingerSum") -> float:
+        """||B* (S S* - S* S) B||_2: the commutator is block diagonal over
+        the classes, and its windowed blocks are its class blocks restricted
+        to the window columns of their class."""
+        m = self._class_mask
+        comm = S.commutator * m[:, :, None] * m[:, None, :]
+        return float(np.abs(np.linalg.eigvalsh(comm)).max(initial=0.0))
+
+
+def _class_blocks(g: GammaGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The class blocks B_s (an (M, M, M) array) of the model sum S = X + Y
+    on `g` in the mixed basis, built in closed form (see the module
+    docstring), and the blocks B_{s-1} B_{s-1}* - B_s* B_s of its
+    commutator S S* - S* S on class s.  Column k of B_s is e_k (x) phi_m,
+    m = (k - s) mod M, which X sends to x_k times entry k and Y to x_m
+    times entry k + 1 of class s + 1 (entry k' of class s + 1 is
+    e_k' (x) phi_{k' - s - 1})."""
     M = g.M
     x = g.q ** g.c.astype(float)
     s, k = np.arange(M)[:, None], np.arange(M)[None, :]
@@ -143,18 +313,31 @@ def _class_block_norms(g: GammaGrid) -> tuple[float, float]:
     B[s, k, k] = x[k]                          # X
     B[s, (k + 1) % M, k] = x[(k - s) % M]      # Y
     Bp = B[np.arange(M) - 1]
-    comm = Bp @ Bp.transpose(0, 2, 1) - B.transpose(0, 2, 1) @ B
-    norm = float(np.linalg.svd(B, compute_uv=False).max(initial=0.0))
+    return B, Bp @ Bp.transpose(0, 2, 1) - B.transpose(0, 2, 1) @ B
+
+
+def _block_norms(blocks: np.ndarray, comm: np.ndarray) -> tuple[float, float]:
+    """(||S||_2, ||S S* - S* S||_2) from the class blocks of S and of its
+    commutator."""
+    norm = float(np.linalg.svd(blocks, compute_uv=False).max(initial=0.0))
     return norm, float(np.abs(np.linalg.eigvalsh(comm)).max(initial=0.0))
+
+
+def _class_block_norms(g: GammaGrid) -> tuple[float, float]:
+    """(||S||_2, ||S S* - S* S||_2) of the model sum S = X + Y on `g`, from
+    its class blocks."""
+    return _block_norms(*_class_blocks(g))
 
 
 class _SchrodingerSum(NormalOperator):
     """S = X + Y of the grid Schrodinger pair, applied member by member,
-    with ||S|| and its normality defect from the class blocks."""
+    with ||S|| and its normality defect from the class blocks, which it
+    keeps (`blocks`, `commutator`) for the window route."""
 
     def __init__(self, X: GridOperator, Y: GridOperator):
         self.X, self.Y = X, Y
-        self.norm2, self.normality_defect = _class_block_norms(X.grid)
+        self.blocks, self.commutator = _class_blocks(X.grid)
+        self.norm2, self.normality_defect = _block_norms(self.blocks, self.commutator)
 
     @property
     def dim(self) -> int:
@@ -195,8 +378,11 @@ class Q2Pair:
     It is also the generating pair (bt, at) = (Y, X) of a representation.
     `window` is an orthonormal basis (dim x r columns) of the subspace
     where the cyclic model represents the continuum, and residual checks
-    are confined to it; None means no confinement (exact pairs).
-    `provenance` records the block construction when generated.
+    are confined to it; None means no confinement (exact pairs).  A grid
+    window may be given instead as its index set, `interior`: `window` is
+    then its basis, orthonormal by construction, and the witnesses read
+    the grid Schrodinger pair on it in closed form.  `provenance` records
+    the block construction when generated.
     """
 
     Y: NormalOperator
@@ -204,16 +390,22 @@ class Q2Pair:
     grid: GammaGrid
     window: np.ndarray | None = None
     provenance: tuple = ()
+    interior: InteriorWindow | None = None
 
     def __post_init__(self):
+        if self.interior is not None:
+            if self.window is not None:
+                raise ParameterError("give the window as a basis or as an interior index set, not both")
+            object.__setattr__(self, "window", self.interior.basis)
         B = self.window
         if B is None:
             return
         if np.ndim(B) != 2 or B.shape[0] != self.dim:
             raise DimensionError(f"window basis shape {np.shape(B)} needs {self.dim} rows")
-        defect = np.linalg.norm(B.conj().T @ B - np.eye(B.shape[1]))
-        if defect > WINDOW_ORTHO_TOL:
-            raise DomainError(f"window columns are not orthonormal: ||B* B - 1||_F = {defect:.3e}")
+        if self.interior is None:
+            defect = np.linalg.norm(B.conj().T @ B - np.eye(B.shape[1]))
+            if defect > WINDOW_ORTHO_TOL:
+                raise DomainError(f"window columns are not orthonormal: ||B* B - 1||_F = {defect:.3e}")
 
     @property
     def dim(self) -> int:
@@ -237,7 +429,9 @@ def schrodinger_pair(g: GammaGrid, margin: int | None = None) -> Q2Pair:
     Both are exactly normal and held by their structure
     (:class:`~qazb.opalg.GridOperator`): the grid values and lattice data
     with basis 1 for X and F* for Y.  The margin defaults to
-    `default_margin(M)`.
+    `default_margin(M)`, and the window is given by its index set
+    (:class:`InteriorWindow`), on which the witnesses read the pair in
+    closed form.
     """
     if margin is None:
         margin = default_margin(g.M)
@@ -245,17 +439,34 @@ def schrodinger_pair(g: GammaGrid, margin: int | None = None) -> Q2Pair:
         Y=GridOperator(g, "fourier"),
         X=GridOperator(g, "position"),
         grid=g,
-        window=interior_window(g, margin),
+        interior=InteriorWindow(g, margin),
         provenance=(("schrodinger", g.M),),
     )
+
+
+def _model_window(pair: Q2Pair) -> InteriorWindow | None:
+    """The pair's interior index set when the pair is the grid Schrodinger
+    pair on it (X the position and Y the Fourier GridOperator of its grid):
+    the witnesses then take the closed-form route of :class:`InteriorWindow`.
+    None for any other pair, which takes the window-column route."""
+    w, X, Y = pair.interior, pair.X, pair.Y
+    if (w is not None and isinstance(X, GridOperator) and isinstance(Y, GridOperator)
+            and (X.kind, Y.kind) == ("position", "fourier") and X.grid is Y.grid is w.grid is pair.grid):
+        return w
+    return None
 
 
 def weyl_residual(pair: Q2Pair, point: GammaPoint) -> float:
     """|| B* (chi(X,gamma) Y chi(X,gamma)* - gamma Y) B ||_2, with B the
     pair's window basis, from the n x r block C Y (C* B) - gamma Y B; the
-    chi values of X are read once and applied by `spectral_apply`."""
+    chi values of X are read once and applied by `spectral_apply`.  On the
+    grid Schrodinger pair with its interior window, the closed form of
+    :meth:`InteriorWindow.weyl_row`."""
     if point.zero:
         raise DomainError("chi(X, gamma) is defined for nonzero lattice points only")
+    w = _model_window(pair)
+    if w is not None:
+        return w.weyl_row(point)
     q = pair.grid.q
     Y = pair.Y
     B = pair.window_or_identity()
@@ -373,17 +584,40 @@ def exp_identity_residual(pair: Q2Pair) -> ExpIdentityReport:
     sum is meaningful (its defect and windowed defect are reported).
 
     Each product is applied to the block [B, S B] factor by factor, so the
-    commutator enters as U (S B) - S (U B); the F_q values of X and of Y
-    are computed once and serve both orders.  The windowed defect is
-    (S* B)* (S* B) - (S B)* (S B), and the modulus distance comes from the
-    singular values of the same S B, whose largest is ||S B||.  ||S|| and
-    the raw defect are those of the sum of :func:`closure_sum`: the class
-    blocks for the model pair, the certified X for the Y = 0 control, the
-    dense norms otherwise.
+    commutator enters as U (S B) - S (U B), whose compression the closed
+    form reads as B* U (S B) - (S* B)* (U B); the F_q values are computed
+    once and serve both orders.  The windowed defect is
+    ||B* (S S* - S* S) B||, and the modulus distance comes from the
+    singular values of S B, whose largest is ||S B||.  ||S|| and the raw
+    defect are those of the sum of :func:`closure_sum`: the class blocks
+    for the model pair, the certified X for the Y = 0 control, the dense
+    norms otherwise.  The grid Schrodinger pair on its interior window
+    takes the closed forms of :class:`InteriorWindow` (three grid
+    transforms in all), any other pair the window columns.
     """
     params = QExpParams(pair.grid.q)
-    M = pair.grid.M
     S = closure_sum(pair.X, pair.Y)
+    w = _model_window(pair)
+    if w is None:
+        res, rs, wd, sigma = _column_witnesses(pair, S, params)
+    else:
+        res, rs, wd, sigma = _closed_form_witnesses(pair, w, S, params)
+    s, defect = S.norm2, S.normality_defect
+    return ExpIdentityReport(
+        residual=res,
+        residual_swapped=rs,
+        sum_defect=0.0 if s == 0.0 else defect / (s * s),
+        sum_defect_windowed=0.0 if s == 0 else wd / s ** 2,
+        gamma_distance=_modulus_distance(sigma, pair.grid.q),
+        degraded=defect > DEFAULT_DEFECT_RTOL * s ** 2,
+    )
+
+
+def _column_witnesses(pair: Q2Pair, S: NormalOperator, params: QExpParams):
+    """(residual, swapped residual, ||B* (S S* - S* S) B||, singular values
+    of S B) of :func:`exp_identity_residual`, with every operator applied to
+    the n x r window block B through its members' methods."""
+    M = pair.grid.M
     B = pair.window_or_identity()
     Bh = B.conj().T
     SB, SsB = S.apply(B), S.apply_adjoint(B)
@@ -405,18 +639,35 @@ def exp_identity_residual(pair: Q2Pair) -> ExpIdentityReport:
             return 0.0
         return operator_norm(Bh @ (U_cols[:, r:] - S.apply(U_cols[:, :r]))) / scale
 
-    res = witness(fy(fx(cols)))
-    rs = witness(fx(fy(cols)))
-    s, defect = S.norm2, S.normality_defect
-    wd = 0.0 if s == 0 else operator_norm(SsB.conj().T @ SsB - SB.conj().T @ SB) / s ** 2
-    return ExpIdentityReport(
-        residual=res,
-        residual_swapped=rs,
-        sum_defect=0.0 if s == 0.0 else defect / (s * s),
-        sum_defect_windowed=wd,
-        gamma_distance=_modulus_distance(sigma, pair.grid.q),
-        degraded=defect > DEFAULT_DEFECT_RTOL * s ** 2,
-    )
+    wd = operator_norm(SsB.conj().T @ SsB - SB.conj().T @ SB)
+    return witness(fy(fx(cols))), witness(fx(fy(cols))), wd, sigma
+
+
+def _closed_form_witnesses(pair: Q2Pair, w: InteriorWindow, S: "_SchrodingerSum", params: QExpParams):
+    """The quantities of :func:`_column_witnesses` for the grid Schrodinger
+    pair on its interior window `w`.  F_q(X) is the diagonal of the F_q
+    values f on the grid and F_q(Y) = F* diag(f) F (X and Y have the same
+    lattice data), so F_q(Y) F_q(X) [B, S B] takes two grid transforms of
+    the closed-form f [B, S B], and F_q(X) F_q(Y) [B, S B] one, of the
+    closed-form f F [B, S B].  B* and (S* B)* are read off the mixed
+    coordinates of the result; the singular values of S B and the windowed
+    defect come from the class blocks of S."""
+    g = pair.grid
+    f = fq_eigenvalues(pair.X, params, g.M)
+    one, SB, SsB = w.identity(), w.sum(), w.sum(adjoint=True)
+    sigma = w.sum_singular_values(S)
+    scale = float(sigma.max(initial=0.0))
+    r = w.r
+
+    def witness(U_cols: np.ndarray) -> float:   # U applied to [B, S B]
+        if scale < 1e-300:
+            return 0.0
+        mixed = w.mixed(U_cols)
+        return operator_norm(w.adjoint_apply(one, mixed[..., r:]) - w.adjoint_apply(SsB, mixed[..., :r])) / scale
+
+    stated = g.fourier_columns(f[:, None] * g.fourier_columns(w.columns([one, SB], f), False), True)
+    swapped = f[:, None] * g.fourier_columns(w.columns([w.fourier(one), w.fourier(SB)], f), True)
+    return witness(stated), witness(swapped), w.sum_windowed_defect(S), sigma
 
 
 def windowed_modulus_distance(pair: Q2Pair) -> float:
@@ -428,11 +679,17 @@ def windowed_modulus_distance(pair: Q2Pair) -> float:
     finite-section eigenvalues of the non-normal S.  Returns the mean
     relative distance of sqrt(eig(B* S*S B)) to q^Z (B spans the window),
     taken as the singular values of S B: the eigenvalues of the Gram
-    matrix (S B)* (S B) would square the q^(+-M/2) range of S B.
+    matrix (S B)* (S B) would square the q^(+-M/2) range of S B.  On the
+    grid Schrodinger pair with its interior window they come from the
+    class blocks of S.
     """
     S = closure_sum(pair.X, pair.Y)
-    SB = S.apply(pair.window_or_identity())
-    return _modulus_distance(np.linalg.svd(SB, compute_uv=False), pair.grid.q)
+    w = _model_window(pair)
+    if w is not None:
+        sigma = w.sum_singular_values(S)
+    else:
+        sigma = np.linalg.svd(S.apply(pair.window_or_identity()), compute_uv=False)
+    return _modulus_distance(sigma, pair.grid.q)
 
 
 def _modulus_distance(moduli: np.ndarray, q: float) -> float:

@@ -83,6 +83,7 @@ def test_corep_command(tmp_path):
         pytest.param(["roundtrip", "--trials", "0"], "--trials", id="roundtrip-no-trials"),
         pytest.param(["roundtrip", "--h-dim", "0"], "--h-dim", id="roundtrip-h-dim-0"),
         pytest.param(["roundtrip", "--h-dim", "-3"], "--h-dim", id="roundtrip-h-dim-negative"),
+        pytest.param(["--seed", "-1", "roundtrip"], "--seed", id="roundtrip-seed-negative"),
         pytest.param(["--margin", "2", "corep", "--M-list", "4"], "margin", id="corep-empty-window"),
         pytest.param(["-M", "4", "--margin", "2", "verify-pair"], "margin", id="verify-pair-empty-window"),
         pytest.param(["-M", "2", "verify-pair"], "margin", id="verify-pair-M2-default-margin"),

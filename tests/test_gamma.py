@@ -281,3 +281,12 @@ def test_snap_spectrum_returns_exact_grid_angles(M):
     n, theta, _, _ = snap_spectrum(lam, 0.5, M=M)
     assert sorted(zip(n.tolist(), theta.tolist())) == sorted(want)
     assert np.count_nonzero(theta == math.pi) == M
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7, 0.123])
+def test_grid_values_are_the_point_values(q):
+    # the outer product of moduli and phases against the values of the
+    # GammaPoint objects, bit for bit
+    for M in range(2, 66, 2):
+        g = grid(q, M)
+        assert np.array_equal(g.values, np.array([p.value(q) for p in g.points], dtype=complex)), M

@@ -711,3 +711,92 @@ def test_structured_zero_control_equals_the_dense_one():
                for Y in (GridOperator(g, "zero"), dense_zero)]
     assert reports[0] == reports[1]
     assert closure_sum(pair.X, GridOperator(g, "zero")) is pair.X
+
+
+def _full_index(w, M):
+    """The columns of window `w` among those of the margin-0 window (the
+    whole mixed basis), in the order of `interior_window`."""
+    return (w.inner[:, None] * M + w.inner[None, :]).ravel()
+
+
+@pytest.mark.parametrize("M", range(4, 26, 2))
+def test_closed_form_images_match_dense_products(M):
+    # each closed-form image of the window columns, written out in the
+    # standard basis, against the dense GammaGrid.fourier and .entries
+    # products with the window basis, at every margin: 1e-13 relative to
+    # the largest entry of the dense product A P on the whole mixed basis P,
+    # the scale of its rounding (on a narrow window, A B itself can be
+    # q^(M/2) smaller)
+    g = grid(0.5, M)
+    pair = schrodinger_pair(g)
+    X, Y, F = pair.X.entries, pair.Y.entries, g.fourier
+    P = interior_window(g, 0)
+    dense = {"F": F @ P, "X": X @ P, "X*": X.conj().T @ P, "Y": Y @ P, "Y*": Y.conj().T @ P}
+    dense["S"], dense["S*"] = dense["X"] + dense["Y"], dense["X*"] + dense["Y*"]
+    for name, gen in grid_generators(g):
+        C = chi_op(pair.X, gen, 0.5)
+        dense[f"chi Y chi* ({name})"] = C @ (Y @ (C.conj().T @ P))
+        dense[f"gamma Y ({name})"] = gen.value(0.5) * dense["Y"]
+    for margin in range(M // 2):
+        w = schrodinger_pair(g, margin=margin).interior
+        images = {"F": w.fourier(w.identity()), "X": w.position(), "X*": w.position(adjoint=True),
+                  "Y": w.momentum(), "Y*": w.momentum(adjoint=True), "S": w.sum(), "S*": w.sum(adjoint=True)}
+        for name, gen in grid_generators(g):
+            conj, scaled = w.weyl(gen)
+            images[f"chi Y chi* ({name})"], images[f"gamma Y ({name})"] = (conj,), (scaled,)
+        cols = _full_index(w, M)
+        assert np.array_equal(w.columns([w.identity()]), P[:, cols])
+        for name, image in images.items():
+            err = np.abs(w.columns([image]) - dense[name][:, cols]).max(initial=0.0)
+            assert err <= 1e-13 * np.abs(dense[name]).max(), (name, margin)
+
+
+@pytest.mark.parametrize("M", range(4, 26, 2))
+def test_class_block_singular_values_match_the_svd(M):
+    # the singular values of S B from the window's class blocks against
+    # the SVD of the dense S B, at every margin, to 1e-13 relative to ||S||
+    # (the scale of the rounding of the dense S)
+    g = grid(0.5, M)
+    S = closure_sum(*(GridOperator(g, kind) for kind in ("position", "fourier")))
+    SP = (S.X.entries + S.Y.entries) @ interior_window(g, 0)
+    for margin in range(M // 2):
+        w = schrodinger_pair(g, margin=margin).interior
+        want = np.linalg.svd(SP[:, _full_index(w, M)], compute_uv=False)
+        got = np.sort(w.sum_singular_values(S))[::-1]
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * S.norm2, margin
+
+
+def test_closed_form_route_takes_three_grid_transforms(monkeypatch):
+    # per grid order, exp_identity_residual on the model pair transforms
+    # the grid at most 3 times, verify_q2 never; a pair given the same
+    # members and window as a basis takes the window-column route
+    from qazb.gamma import GammaGrid
+
+    calls = []
+    transform = GammaGrid.fourier_columns
+
+    def counting(self, B, adjoint):
+        calls.append(B.shape)
+        return transform(self, B, adjoint)
+
+    monkeypatch.setattr(GammaGrid, "fourier_columns", counting)
+    for M in (8, 12, 16):
+        pair = schrodinger_pair(grid(0.5, M))
+        calls.clear()
+        assert verify_q2(pair).passed
+        assert calls == []
+        exp_identity_residual(pair)
+        assert len(calls) <= 3
+        calls.clear()
+        exp_identity_residual(Q2Pair(Y=pair.Y, X=pair.X, grid=pair.grid, window=pair.window))
+        assert len(calls) == 12
+
+
+def test_interior_window_is_given_once():
+    g = grid(0.5, 8)
+    pair = schrodinger_pair(g)
+    assert pair.window is pair.interior.basis
+    assert np.array_equal(pair.window, interior_window(g, 2))
+    with pytest.raises(ParameterError):
+        Q2Pair(Y=pair.Y, X=pair.X, grid=g, window=pair.window, interior=pair.interior)

@@ -10,13 +10,14 @@ Each constant is cross-checked by a second computation route where one
 exists (FFT versus dense Fourier for the grid unitary, the closed-form
 window basis versus the dense window projector D (F* D F), the supplied
 eigensystems of the Schrodinger pair versus their Schur forms, the
-window-column witnesses versus their n x n formulas, the structured
-Schrodinger pair versus its dense copy on every exp-identity and
-verify-pair field, eigh versus schur for self-adjoint spectra, the
-candidate table versus the per-candidate families for the separation
-certificate, the corepresentation product Q and S' in window coordinates
-versus the dense U, V and coproduct applied leg by leg); a disagreement
-aborts the run before anything is written.
+window-column witnesses versus their n x n formulas, the closed-form
+images of the window columns and Weyl rows versus the dense products,
+the structured Schrodinger pair versus its dense copy on every
+exp-identity and verify-pair field, eigh versus schur for self-adjoint
+spectra, the candidate table versus the per-candidate families for the
+separation certificate, the corepresentation product Q and S' in window
+coordinates versus the dense U, V and coproduct applied leg by leg); a
+disagreement aborts the run before anything is written.
 
 Usage: python3 tools/make_pinned.py [out_json]
 """
@@ -99,6 +100,39 @@ def check_structured_routes(pair) -> None:
             raise RuntimeError(f"normality or spectrum row failed at M={g.M}")
     if mine.kernel_min != theirs.kernel_min or mine.passed != theirs.passed:
         raise RuntimeError(f"structured route disagreement on the kernel row or the verdict at M={g.M}")
+
+
+def check_closed_form_routes(g) -> None:
+    """The closed-form images of the window columns (F, X, X*, Y, Y*,
+    S, S* and both terms of each Weyl row) against the dense products of
+    GammaGrid.fourier and the members' entries with the window basis, to
+    1e-13 relative to the largest entry of the dense product on the whole
+    mixed basis P; and each closed-form Weyl row against its n x n formula,
+    to 1e-13 relative to ||Y||."""
+    pair = schrodinger_pair(g)
+    w = pair.interior
+    X, Y = pair.X.entries, pair.Y.entries
+    P = interior_window(g, 0)
+    cols = (w.inner[:, None] * g.M + w.inner[None, :]).ravel()
+    B = pair.window
+    checks = [("F", g.fourier, w.fourier(w.identity())), ("X", X, w.position()),
+              ("X*", X.conj().T, w.position(adjoint=True)), ("Y", Y, w.momentum()),
+              ("Y*", Y.conj().T, w.momentum(adjoint=True)), ("S", X + Y, w.sum()),
+              ("S*", (X + Y).conj().T, w.sum(adjoint=True))]
+    for name, gen in grid_generators(g):
+        C = chi_op(pair.X, gen, g.q)
+        CYC, gY = C @ Y @ C.conj().T, gen.value(g.q) * Y
+        conj, scaled = w.weyl(gen)
+        checks += [(f"chi Y chi* ({name})", CYC, (conj,)), (f"gamma Y ({name})", gY, (scaled,))]
+        dense = operator_norm(B.conj().T @ (CYC - gY) @ B)
+        d = abs(weyl_residual(pair, gen) - dense) / pair.Y.norm2
+        if d > 1e-13:
+            raise RuntimeError(f"closed-form weyl_{name} disagreement {d} at M={g.M}")
+    for name, A, image in checks:
+        AP = A @ P
+        d = np.abs(w.columns([image]) - AP[:, cols]).max() / np.abs(AP).max()
+        if d > 1e-13:
+            raise RuntimeError(f"closed-form image disagreement {d} on {name} at M={g.M}")
 
 
 def check_window_routes(g, margin: int) -> None:
@@ -199,6 +233,9 @@ def check_corep_routes(rep, margin: int) -> None:
 
 def main(out_path: str) -> None:
     pinned = {"q": Q}
+
+    for M in (4, 8, 12, 16):
+        check_closed_form_routes(grid(Q, M))
 
     exp_res, exp_swapped, defects, wdefects, gdists, weyl = {}, {}, {}, {}, {}, {}
     for M in (8, 12, 16):
