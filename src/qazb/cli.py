@@ -221,10 +221,10 @@ def cmd_corep(config: RunConfig, m_list: list[int]) -> int:
     """Corepresentation residuals: classical (bt = 0) pairs and the full
     Schrodinger-block pair per grid size.  Every grid order is checked
     against physical memory before any is run (the Schrodinger pair has
-    dim H = n = M^2)."""
+    dim H = n = M^2, and its window on H is the grid window)."""
     pinned = load_pinned().get("corep_residual", {})
     for M in m_list:
-        check_memory(M * M, M * M)
+        check_memory(M * M, M * M, (M - 2 * config.resolved_margin(M)) ** 2, config.samples)
     rows = []
     passed = True
     block_residuals = []

@@ -124,13 +124,20 @@ def refuse_dense_u(dim: int, subject: str) -> None:
     refuse_beyond_memory(16 * DENSE_U_COPIES * dim * dim, subject, f"{DENSE_U_COPIES} dense U-sized arrays")
 
 
-def check_memory(d: int, n: int) -> None:
-    """Refuse a corep run on H of dimension d and n grid points whose
-    working set exceeds physical memory: four complex (n, d, d) block
-    stacks in `build_rep` (W, Z and the temporaries of their products and
-    defects), or four complex (d, n, n) tensors per `corep_residual`
-    sample (the seeded draw with its parts, and the kernel branch)."""
-    for what, need in (("build blocks", 64 * n * d * d), ("residual samples", 64 * d * n * n)):
+def check_memory(d: int, n: int, r: int, samples: int) -> None:
+    """Refuse a corep run on H of dimension d and n grid points, with r
+    window columns on each grid leg and at most r on H, whose working set
+    exceeds physical memory.  `build_rep` holds four complex (n, d, d)
+    block stacks (W, Z and the temporaries of their products and defects).
+    `corep_residual` holds the window coordinates of its samples, samples
+    r^3 complex numbers drawn with as many again in temporaries, and seven
+    complex (d, n, 2r) tensors per sample (tracemalloc peak less the draw:
+    5.2-6.7 of them for the Schrodinger pair at M = 4-12, margins 1-3).
+    Its kernel branch reads Q on the whole grid leg, (d, n, n) tensors, but
+    only a pair with a kernel takes it: in `corep` the classical pair, of
+    d = 1, whose working set stays below the Schrodinger pair's."""
+    for what, need in (("build blocks", 64 * n * d * d),
+                       ("residual samples", 32 * samples * r ** 3 + 224 * d * n * r)):
         refuse_beyond_memory(need, f"corep with d = {d} on {n} grid points", what)
 
 
@@ -238,6 +245,13 @@ def build_rep(pair, g: GammaGrid) -> Representation:
                           fq_values=w, chi_values=z)
 
 
+def _generating_pair(rep: Representation) -> Q2Pair:
+    """The pair a representation was built from; a loaded one has none."""
+    if rep.pair is None:
+        raise ExtractionError("corep residual needs the generating pair; extract it first")
+    return rep.pair
+
+
 def _on_h(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     """A matrix A on the H leg of a (d, ...) tensor."""
     return (A @ v.reshape(A.shape[1], -1)).reshape(A.shape[:1] + v.shape[1:])
@@ -271,8 +285,7 @@ class _LegOps:
     """
 
     def __init__(self, rep: Representation):
-        if rep.pair is None:
-            raise ExtractionError("corep residual needs the generating pair; extract it first")
+        _generating_pair(rep)
         self.g = rep.grid
         self.d = rep.h_dim
         self.n = self.g.size
@@ -393,26 +406,45 @@ def corep_residual(
     The window is the pair's basis Bh on H times the grid window basis Bg
     (at `default_margin(M)` unless `margin` is given) on both grid legs.
     A margin that leaves Bg no columns is refused with ParameterError: every
-    sample would project to 0, and a residual of 0 would check nothing.
+    sample would be 0, and a residual of 0 would check nothing.
+
+    The samples are drawn in window coordinates: one seeded array C of
+    (samples, r_h, r, r) standard complex Gaussians, r_h and r the columns
+    of Bh and Bg.  As Bh and Bg are orthonormal, Bh (x) Bg (x) Bg c has the
+    distribution of a standard complex Gaussian on H (x) grid (x) grid
+    projected onto the window, and no full (d, n, n) tensor is drawn.  The
+    residual over C is :func:`_window_residual`.
+    """
+    Bh, Bg = _window_bases(rep, margin)
+    shape = (samples, Bh.shape[1], Bg.shape[1], Bg.shape[1])
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return _window_residual(rep, C, margin)
+
+
+def _window_bases(rep: Representation, margin: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """The window bases Bh on H and Bg on a grid leg of a corep residual."""
+    g = rep.grid
+    Bg = interior_window(g, check_margin(g.M, default_margin(g.M) if margin is None else margin))
+    return _generating_pair(rep).window_or_identity(), Bg
+
+
+def _window_residual(rep: Representation, C: np.ndarray, margin: int | None = None) -> CorepReport:
+    """The corep residual over the samples Bh (x) Bg (x) Bg c, c in C
+    (samples, r_h, r, r) window coordinates; see :func:`corep_residual`.
 
     The commutator is read on the window only, so grid leg 2 stays in
     window coordinates: Bg for v and [b Bg | Bg] for S'v.  Q(S'v) is read
     on leg 2 by Bg* and Qv by [b-bar Bg | Bg]*, the leg-2 projections of
     the two terms of S'(Qv); W_2 is folded into each (`_LegOps.fold`), so
     no product is applied to a tensor with more than 2r columns on leg 2
-    (r the columns of Bg).  The kernel branch, taken when bt has a zero
-    eigenvalue, projects onto ker(bt) by its zero mask in V_b coordinates
-    and reads Q on the whole grid leg.  Only the seeded draw is a full
-    (d, n, n) tensor.
+    (r the columns of Bg).  The kernel branch, taken when bt has a zero eigenvalue, projects onto
+    ker(bt) by its zero mask in V_b coordinates and reads Q on the whole
+    grid leg.
     """
     ops = _LegOps(rep)
-    g, d, n = ops.g, ops.d, ops.n
-    Bg = interior_window(g, check_margin(g.M, default_margin(g.M) if margin is None else margin))
-    Bh = rep.pair.window_or_identity()
+    Bh, Bg = _window_bases(rep, margin)
     r = Bg.shape[1]
-
-    def coords(v):   # coordinates in the window basis Bh (x) Bg (x) Bg
-        return (Bg.conj().T @ _on_h(Bh.conj().T, v)) @ Bg.conj()
 
     b = ops.bvals[:, None]
     Gs = np.hstack([b * Bg, Bg])                      # leg 2 of S'v
@@ -424,20 +456,18 @@ def corep_residual(
     Ag = Bg.conj().T @ ops.a                          # Bg* a
     bg = Bg.conj().T * ops.bvals                      # Bg* b
 
-    zero = rep.pair.Y.lattice(g.q)[2]   # ker(bt): the zero mask in V_b coordinates
+    zero = rep.pair.Y.lattice(ops.g.q)[2]   # ker(bt): the zero mask in V_b coordinates
     kernel = bool(zero.any())
     if kernel:
         to_b, mask = _change(None, ops.Vb), zero[:, None, None]
         Kk = ops.fold(Bg)                             # Qw on the whole leg 2
 
-    rng = np.random.default_rng(seed)
     comm = 0.0
     kern = 0.0
     sscale = 0.0
     comms = []
-    for _ in range(samples):
-        v = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
-        x = _on_h(Bh, Bg @ coords(v))   # onto the window, leg 2 in coordinates Bg
+    for c in C:
+        x = _on_h(Bh, Bg @ c)   # the window vector, leg 2 in coordinates Bg
         nv = np.linalg.norm(x)
         if nv < 1e-12:
             continue
@@ -458,7 +488,7 @@ def corep_residual(
     if comms and sscale > 1e-300:
         comm = max(comms) / sscale
     residual = max(comm, kern)
-    return CorepReport(residual=residual, commutation=comm, kernel_identity=kern, samples=samples)
+    return CorepReport(residual=residual, commutation=comm, kernel_identity=kern, samples=len(C))
 
 
 def g_family(rep: Representation) -> np.ndarray:

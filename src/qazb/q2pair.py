@@ -323,12 +323,6 @@ def _block_norms(blocks: np.ndarray, comm: np.ndarray) -> tuple[float, float]:
     return norm, float(np.abs(np.linalg.eigvalsh(comm)).max(initial=0.0))
 
 
-def _class_block_norms(g: GammaGrid) -> tuple[float, float]:
-    """(||S||_2, ||S S* - S* S||_2) of the model sum S = X + Y on `g`, from
-    its class blocks."""
-    return _block_norms(*_class_blocks(g))
-
-
 class _SchrodingerSum(NormalOperator):
     """S = X + Y of the grid Schrodinger pair, applied member by member,
     with ||S|| and its normality defect from the class blocks, which it

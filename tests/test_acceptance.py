@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import full_tensor_coords
 
 from qazb.corpus import load_fq_table, load_pinned
 from qazb.gamma import chi, grid, make_point, zero_point
@@ -27,7 +28,7 @@ from qazb.q2pair import (
     verify_q2,
     windowed_modulus_distance,
 )
-from qazb.corep import build_rep, corep_residual, extract_pair
+from qazb.corep import _window_residual, build_rep, corep_residual, extract_pair
 from qazb.qexp import QExpParams, candidate_separation, fq, fq_family, invert_fq_family
 from qazb.cli import main as cli_main
 
@@ -152,9 +153,13 @@ def test_criterion_6_corepresentation_identity():
             g = grid(Q, M)
             margin = -(-M // 4)
             pair = schrodinger_pair(g, margin=margin)
-            r = corep_residual(build_rep(pair, g), samples=32, seed=1, margin=margin)
+            rep = build_rep(pair, g)
+            r = corep_residual(rep, samples=32, seed=1, margin=margin)
             block[M] = r.residual
-            assert r.residual == pytest.approx(PINNED["corep_residual"][str(M)], rel=1e-9)
+            assert r.residual == pytest.approx(PINNED["corep_residual_window"][str(M)], rel=1e-9)
+            # the key recorded on the full-tensor draw, replayed on that draw
+            old = _window_residual(rep, full_tensor_coords(rep, 32, 1, margin), margin)
+            assert old.residual == pytest.approx(PINNED["corep_residual"][str(M)], rel=1e-9)
         assert block[6] < block[4]
 
 

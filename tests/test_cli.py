@@ -67,6 +67,14 @@ def test_corep_command(tmp_path):
     assert run(["-M", "4", "--samples", "8", "--out", str(out), "corep", "--M-list", "4"]) == 0
 
 
+@pytest.mark.parametrize("seed", range(16))
+def test_corep_passes_on_every_draw(tmp_path, seed):
+    # the window-coordinate draws of seeds 0-15 stay within the pinned
+    # 1.5x envelopes at M = 4 and 6, and the residual decreases
+    out = tmp_path / "r.json"
+    assert run(["--seed", str(seed), "--out", str(out), "corep", "--M-list", "4,6"]) == 0
+
+
 @pytest.mark.parametrize(
     "args, names",
     [

@@ -124,7 +124,13 @@ def test_schrodinger_block_pinned():
     rep = build_rep(pair, g)
     assert rep.unitarity_defect <= 1.5 * pinned["corep_unitarity"]["4"]
     r = corep_residual(rep, samples=32, seed=1, margin=1)
-    assert r.residual == pytest.approx(pinned["corep_residual"]["4"], rel=1e-9)
+    assert r.residual == pytest.approx(pinned["corep_residual_window"]["4"], rel=1e-9)
+    # the key recorded on the full-tensor draw, replayed on that draw
+    from conftest import full_tensor_coords
+    from qazb.corep import _window_residual
+
+    old = _window_residual(rep, full_tensor_coords(rep, 32, 1, 1), margin=1)
+    assert old.residual == pytest.approx(pinned["corep_residual"]["4"], rel=1e-9)
 
 
 def test_g_family_unitary_commuting():
@@ -496,7 +502,8 @@ def test_thin_route_matches_literal_legs(case):
 def literal_residual(rep, samples, seed, margin=None):
     """(commutation, kernel_identity) of the corep residual on full (d, n,
     n) tensors, with Q the literal chain of the four legs and S' leg by
-    leg, over the same seeded draws: the oracle of the thin route."""
+    leg, over the same seeded window coordinates, each embedded in a full
+    tensor: the oracle of the thin route."""
     from qazb.corep import _LegOps
     from qazb.q2pair import default_margin, interior_window
 
@@ -514,11 +521,13 @@ def literal_residual(rep, samples, seed, margin=None):
 
     Vb, zero = pair.Y.eig()[0], pair.Y.lattice(g.q)[2]
     Pker = (Vb * zero) @ Vb.conj().T
+    shape = (samples, Bh.shape[1], Bg.shape[1], Bg.shape[1])
     rng = np.random.default_rng(seed)
+    C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     comms, sscale, kern = [], 0.0, 0.0
-    for _ in range(samples):
-        v = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
-        v = on_h(Bh, (Bg @ coords(v)) @ Bg.T)
+    for c in C:
+        v = on_h(Bh, (Bg @ c) @ Bg.T)
+        assert v.shape == (d, n, n)
         v /= np.linalg.norm(v)
         sv = literal_s(pair, g, v)
         comms.append(np.linalg.norm(coords(literal_q(ops, sv) - literal_s(pair, g, literal_q(ops, v)))))
@@ -576,6 +585,47 @@ def test_commutation_branch_stays_thin(monkeypatch):
     assert all(s[-1] <= 2 * r for s in shapes)
 
 
+def test_window_draw_stays_thin(monkeypatch):
+    # the seeded draw of a Schrodinger M = 6 residual is samples r_h r^2
+    # complex window coordinates, and off the kernel branch (bt has no
+    # kernel here) no step makes an array of the size of a (d, n, n) tensor
+    import qazb.corep
+    from qazb.corep import _LegOps
+    from qazb.q2pair import default_margin, interior_window
+
+    g = grid(0.5, 6)
+    rep = build_rep(schrodinger_pair(g), g)
+    d, n = rep.h_dim, g.size
+    r_h, r = rep.pair.window.shape[1], interior_window(g, default_margin(6)).shape[1]
+    assert not rep.pair.Y.lattice(g.q)[2].any()
+    draws, sizes = [], []
+    default_rng = np.random.default_rng
+
+    class RecordingRng:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, size):
+            draws.append(size)
+            return self.rng.standard_normal(size)
+
+    def recording(step):
+        def run(*args):
+            out = step(*args)
+            sizes.append(out.size)
+            return out
+        return run
+
+    monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+    monkeypatch.setattr(qazb.corep, "_on_h", recording(qazb.corep._on_h))
+    for name in ("_on_grid", "_h", "_fold", "s_apply", "q_apply"):
+        monkeypatch.setattr(_LegOps, name, recording(getattr(_LegOps, name)))
+    report = corep_residual(rep, samples=8, seed=1)
+    assert draws == [(8, r_h, r, r)] * 2   # real and imaginary parts
+    assert report.commutation > 0.0 and report.kernel_identity == 0.0
+    assert sizes and max(sizes) < d * n * n
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_unitarity_certificate_bounds_dense_defect(case):
     g, pair = case_pair(case)
@@ -607,19 +657,23 @@ def test_dense_u_refused_beyond_physical_memory(monkeypatch):
 
 
 def test_corep_refused_beyond_physical_memory(monkeypatch, capsys):
-    # 64 bytes an entry of the (n, d, d) build blocks and of the (d, n, n)
-    # residual samples; the CLI checks every grid order before it runs one
+    # 64 bytes an entry of the (n, d, d) build blocks; for the residual 32
+    # bytes a window coordinate of the samples (the draw and its
+    # temporaries) and 224 an entry of the (d, n, r) window vector (seven
+    # (d, n, 2r) tensors); the CLI checks every grid order before it runs one
     import qazb.corep
     from qazb.cli import main
     from qazb.corep import check_memory
 
     monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 2048)
     with pytest.raises(ParameterError, match=f"needs {64 * 16 ** 3} bytes for its build blocks.* 2048 bytes"):
-        check_memory(16, 16)
-    with pytest.raises(ParameterError, match=f"needs {64 * 16 ** 2} bytes for its residual samples"):
-        check_memory(1, 16)
+        check_memory(16, 16, 4, 32)
+    with pytest.raises(ParameterError, match=f"needs {32 * 32 * 4 ** 3 + 224 * 16 * 4} bytes for its residual samples"):
+        check_memory(1, 16, 4, 32)
     monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 10 ** 6)   # M = 4 fits, M = 6 not
-    check_memory(16, 16)
+    check_memory(16, 16, 4, 32)
+    with pytest.raises(ParameterError, match=f"needs {32 * 32 * 16 ** 3 + 224 * 16 * 16 * 16} bytes for its residual"):
+        check_memory(16, 16, 16, 32)   # M = 4 at margin 0
     assert main(["corep", "--M-list", "4,6"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and f"needs {64 * 36 ** 3} bytes" in err and f"{10 ** 6} bytes" in err

@@ -13,7 +13,6 @@ from qazb.opalg import SPECTRUM_RTOL, Eigensystem, GridOperator, NormalMatrix, c
 from qazb.qexp import QExpParams, fq_on_operator
 from qazb.q2pair import (
     Q2Pair,
-    _class_block_norms,
     closure_sum,
     conjugate_pair,
     exp_identity_residual,
@@ -618,9 +617,9 @@ def test_class_blocks_match_dense_sum_norms(M):
     # the closed-form class blocks against the dense norms of X + Y
     pair = schrodinger_pair(grid(0.5, M))
     dense = NormalMatrix(_sum(pair))
-    norm, defect = _class_block_norms(pair.grid)
     S = closure_sum(pair.X, pair.Y)
-    assert (S.norm2, S.normality_defect) == (norm, defect)
+    assert not isinstance(S, NormalMatrix)   # the structured sum, from its class blocks
+    norm, defect = S.norm2, S.normality_defect
     assert norm == pytest.approx(dense.norm2, rel=1e-12, abs=0.0)
     assert defect == pytest.approx(dense.normality_defect, rel=1e-12, abs=0.0)
     ident = exp_identity_residual(pair)
@@ -660,7 +659,9 @@ def test_class_block_certificate_bounds_the_dense_norms():
     base = schrodinger_pair(grid(0.5, 8))
     pair = _off_pattern(base, 0.99 * SPECTRUM_RTOL)
     S = _sum(pair)
-    norm, defect = _class_block_norms(base.grid)
+    S0 = closure_sum(base.X, base.Y)
+    assert not isinstance(S0, NormalMatrix)
+    norm, defect = S0.norm2, S0.normality_defect
     e = 0.99 * SPECTRUM_RTOL * np.linalg.norm(_sum(base)) * (1 + 1e-6)   # plus roundoff
     dense = NormalMatrix(S)
     assert abs(norm - dense.norm2) <= e

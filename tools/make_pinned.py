@@ -16,8 +16,11 @@ the structured Schrodinger pair versus its dense copy on every
 exp-identity and verify-pair field, eigh versus schur for self-adjoint
 spectra, the candidate table versus the per-candidate families for the
 separation certificate, the corepresentation product Q and S' in window
-coordinates versus the dense U, V and coproduct applied leg by leg); a
-disagreement aborts the run before anything is written.
+coordinates versus the dense U, V and coproduct applied leg by leg, the
+corepresentation residual on the full-tensor draw that `corep_residual`
+was recorded on versus its stored value); a disagreement aborts the run
+before anything is written.  `corep_residual_window` is the residual on
+the window-coordinate draw that `corep_residual` takes now.
 
 Usage: python3 tools/make_pinned.py [out_json]
 """
@@ -30,7 +33,8 @@ import numpy as np
 
 warnings.filterwarnings("ignore")
 
-from qazb.corep import _LegOps, build_rep, chi_kron, corep_residual, grid_operators
+from qazb.corep import _LegOps, _window_residual, build_rep, chi_kron, corep_residual, grid_operators
+from qazb.corpus import load_pinned
 from qazb.gamma import grid, snap_spectrum
 from qazb.opalg import SPECTRUM_RTOL, NormalMatrix, chi_op, operator_norm
 from qazb.q2pair import (
@@ -231,6 +235,35 @@ def check_corep_routes(rep, margin: int) -> None:
             raise RuntimeError(f"corep route disagreement {dist} on {name} at M={g.M}")
 
 
+def full_tensor_coords(rep, samples: int, seed: int, margin: int) -> np.ndarray:
+    """The window coordinates (samples, r_h, r, r) of the seeded draw
+    `corep_residual` was recorded on: per sample a full (d, n, n) standard
+    complex Gaussian, projected onto Bh (x) Bg (x) Bg."""
+    g = rep.grid
+    d, n = rep.h_dim, g.size
+    Bg = interior_window(g, margin)
+    Bh = rep.pair.window_or_identity()
+    rng = np.random.default_rng(seed)
+    coords = []
+    for _ in range(samples):
+        v = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+        v = (Bh.conj().T @ v.reshape(d, -1)).reshape((-1, n, n))
+        coords.append((Bg.conj().T @ v) @ Bg.conj())
+    return np.stack(coords)
+
+
+def check_full_tensor_draw(rep, margin: int) -> float:
+    """The corep residual (32 samples, seed 1) on the full-tensor draw
+    through `_window_residual`, which must reproduce the stored
+    `corep_residual` at M to 1e-9 relative."""
+    M = str(rep.grid.M)
+    got = _window_residual(rep, full_tensor_coords(rep, 32, 1, margin), margin).residual
+    want = load_pinned()["corep_residual"][M]
+    if abs(got - want) > 1e-9 * want:
+        raise RuntimeError(f"full-tensor draw replay {got} is not the stored corep_residual {want} at M={M}")
+    return got
+
+
 def main(out_path: str) -> None:
     pinned = {"q": Q}
 
@@ -269,7 +302,7 @@ def main(out_path: str) -> None:
     S8 = NormalMatrix(pair8.X.entries + pair8.Y.entries)
     pinned["sum_defect_absolute_m8"] = S8.normality_defect
 
-    corep_res, corep_unit = {}, {}
+    corep_res, corep_window, corep_unit = {}, {}, {}
     for M in (4, 6):
         g = grid(Q, M)
         margin = default_margin(M)
@@ -277,10 +310,11 @@ def main(out_path: str) -> None:
         pair = schrodinger_pair(g, margin=margin)
         rep = build_rep(pair, g)
         check_corep_routes(rep, margin)
-        r = corep_residual(rep, samples=32, seed=1, margin=margin)
-        corep_res[str(M)] = r.residual
+        corep_res[str(M)] = check_full_tensor_draw(rep, margin)
+        corep_window[str(M)] = corep_residual(rep, samples=32, seed=1, margin=margin).residual
         corep_unit[str(M)] = rep.unitarity_defect
     pinned["corep_residual"] = corep_res
+    pinned["corep_residual_window"] = corep_window
     pinned["corep_unitarity"] = corep_unit
 
     g8 = grid(Q, 8)
