@@ -39,7 +39,7 @@ for M in (8, 12, 16):
 # The Y = 0 control is exact: F_q(X + 0) = F_q(0) F_q(X).
 base = schrodinger_pair(g)
 zero_pair = Q2Pair(
-    Y=NormalMatrix(np.zeros((64, 64))), X=base.X, grid=g, window=base.window,
+    Y=NormalMatrix(np.zeros((64, 64))), X=base.X, grid=g, window=base.window_or_identity(),
 )
 print("\nY=0 control residual:", exp_identity_residual(zero_pair).residual)
 

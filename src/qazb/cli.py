@@ -28,6 +28,7 @@ from .errors import QazbError
 from .gamma import grid, make_point, zero_point
 from .opalg import GridOperator, operator_norm
 from .q2pair import (
+    ExpIdentityReport,
     Q2Pair,
     check_margin,
     default_margin,
@@ -44,10 +45,11 @@ from .qexp import QExpParams, fq
 PASS, FAIL, USAGE = 0, 1, 2
 # Complex n x r blocks (n = M^2 grid points, r window columns) that
 # exp-identity and verify-pair hold at their peak (tracemalloc peak /
-# 16 n r at M = 16, 24 and 32: 10.1-10.8 for exp-identity, set by its
-# Y = 0 control row on the window columns, and 2.0-2.2 for verify-pair),
-# rounded up.
-GRID_BLOCKS = 11
+# 16 n r at M = 16, 24 and 32: 8.2-8.5 for exp-identity, set by the
+# F_q products of its closed-form witness, 5.0-5.2 for verify-pair
+# --pair xx or swapped on the window columns, 0.04-0.3 for the default
+# verify-pair), rounded up.
+GRID_BLOCKS = 9
 
 
 @dataclass
@@ -182,6 +184,12 @@ def cmd_exp_identity(config: RunConfig, m_list: list[int]) -> int:
     rows = []
     passed = True
     residuals = []
+
+    def row(M: int, margin: int, weyl: float, ident: ExpIdentityReport) -> dict:
+        return {"q": config.q, "M": M, "margin": margin, "weyl_residual": weyl,
+                "exp_residual": ident.residual, "exp_residual_swapped": ident.residual_swapped,
+                "sum_defect": ident.sum_defect, "gamma_distance": ident.gamma_distance}
+
     for M in m_list:
         g = grid(config.q, M)
         margin = config.resolved_margin(M)
@@ -189,26 +197,13 @@ def cmd_exp_identity(config: RunConfig, m_list: list[int]) -> int:
             pair = schrodinger_pair(g, margin=margin)
             rep = verify_q2(pair, tol=config.tol)
             ident = exp_identity_residual(pair)
-        rows.append({
-            "q": config.q, "M": M, "margin": margin,
-            "weyl_residual": max(rep.weyl_residuals.values()),
-            "exp_residual": ident.residual,
-            "exp_residual_swapped": ident.residual_swapped,
-            "sum_defect": ident.sum_defect,
-            "gamma_distance": ident.gamma_distance,
-        })
+        rows.append(row(M, margin, max(rep.weyl_residuals.values()), ident))
         residuals.append(ident.residual)
         passed = passed and rep.passed and ident.residual_swapped > ident.residual
     # Y = 0 control on the largest grid: the last Schrodinger X and its window
     with blas.for_dim(g.size):
-        zero_pair = Q2Pair(Y=GridOperator(g, "zero"), X=pair.X, grid=g, interior=pair.interior)
-        control = exp_identity_residual(zero_pair)
-    rows.append({
-        "q": config.q, "M": m_list[-1], "margin": margin,
-        "weyl_residual": 0.0, "exp_residual": control.residual,
-        "exp_residual_swapped": control.residual_swapped,
-        "sum_defect": control.sum_defect, "gamma_distance": control.gamma_distance,
-    })
+        control = exp_identity_residual(Q2Pair(Y=GridOperator(g, "zero"), X=pair.X, grid=g, window=pair.window))
+    rows.append(row(M, margin, 0.0, control))
     passed = passed and control.residual < 1e-12
     passed = passed and all(residuals[i + 1] < residuals[i] for i in range(len(residuals) - 1))
     envelope = pinned.get(str(m_list[-1]))
@@ -290,9 +285,9 @@ def cmd_verify_pair(config: RunConfig, which: str) -> int:
         if which == "schrodinger":
             pair = base
         elif which == "xx":
-            pair = Q2Pair(Y=base.X, X=base.X, grid=g, interior=base.interior)
+            pair = Q2Pair(Y=base.X, X=base.X, grid=g, window=base.window)
         elif which == "swapped":
-            pair = Q2Pair(Y=base.X, X=base.Y, grid=g, interior=base.interior)
+            pair = Q2Pair(Y=base.X, X=base.Y, grid=g, window=base.window)
         else:
             raise ValueError(f"unknown pair selector {which!r}")
         report = verify_q2(pair, tol=config.tol)

@@ -20,14 +20,15 @@ factor, through the members' own `apply`, `apply_adjoint` and
 `spectral_apply` (functions of X and Y by their values on the
 eigenbasis), and A itself is never formed.  The norms taken are of
 n x r or r x r matrices.  The grid Schrodinger pair knows its window by
-its index set (:class:`InteriorWindow`): in the mixed basis
-P = 1 (x) phi below, the window columns are unit vectors, and F, X, Y,
-S = X + Y and chi(X, gamma) send each basis vector to a multiple of
-one other.  So their images of the window are index maps with
-coefficients, a Weyl row is the largest of r closed-form entries, B* is
-a restriction after one transform along the phase axis, and only the
-F_q products go through grid transforms: three per exponential-identity
-witness, none in `verify_q2`.
+its index set (:class:`InteriorWindow`), whose dense basis is built only
+when read: in the mixed basis P = 1 (x) phi below, the window columns
+are unit vectors, and F, X, Y, S = X + Y and chi(X, gamma) send each
+basis vector to a multiple of one other.  So their images of the window
+are index maps with coefficients, a Weyl row is the largest of r
+closed-form entries, B* is a restriction after one transform along the
+phase axis, and only the F_q products go through grid transforms: three
+per exponential-identity witness, none in `verify_q2` or for the Y = 0
+control (S = X, F_q(Y) = 1).
 
 The model pair is diagonal in closed form: X has eigenbasis 1 and Y has
 eigenbasis F*, both with the grid values and their exact lattice data
@@ -126,22 +127,13 @@ def check_margin(M: int, margin: int) -> int:
     return margin
 
 
-def _interior_indices(g: GammaGrid, margin: int) -> np.ndarray:
-    """The indices whose centred exponent lies in [-M/2 + margin, M/2 - 1 - margin]."""
-    if margin < 0:
-        raise ParameterError(f"margin must be nonnegative, got {margin}")
-    M = g.M
-    return np.flatnonzero((g.c >= -M // 2 + margin) & (g.c <= M // 2 - 1 - margin))
-
-
 def interior_window(g: GammaGrid, margin: int) -> np.ndarray:
     """Orthonormal basis (n x r columns) of the grid vectors interior in
     both the position and the Fourier domain: e_k (x) phi_l for modulus
     indices k and Fourier modulus indices l whose centred exponent lies in
     [-M/2 + margin, M/2 - 1 - margin], with phi_l[j] = e^{-2 pi i l j/M} /
     sqrt(M) the phase-axis mode that F_M maps to Fourier modulus index l."""
-    inner = _interior_indices(g, margin)
-    return np.kron(np.eye(g.M)[:, inner], _phase_modes(g.M, inner))
+    return InteriorWindow(g, margin).basis
 
 
 def _phase_modes(M: int, l: np.ndarray) -> np.ndarray:
@@ -185,8 +177,10 @@ class InteriorWindow:
     """
 
     def __init__(self, g: GammaGrid, margin: int):
+        if margin < 0:
+            raise ParameterError(f"margin must be nonnegative, got {margin}")
         self.grid, self.margin = g, margin
-        self.inner = _interior_indices(g, margin)
+        self.inner = np.flatnonzero((g.c >= -g.M // 2 + margin) & (g.c <= g.M // 2 - 1 - margin))
         k, l = np.meshgrid(self.inner, self.inner, indexing="ij")
         self.k, self.l = k.ravel(), l.ravel()
         self.x = g.q ** g.c.astype(float)
@@ -199,7 +193,7 @@ class InteriorWindow:
     @functools.cached_property
     def basis(self) -> np.ndarray:
         """The dense n x r basis of :func:`interior_window`."""
-        return interior_window(self.grid, self.margin)
+        return np.kron(np.eye(self.grid.M)[:, self.inner], _phase_modes(self.grid.M, self.inner))
 
     def identity(self) -> tuple[Image]:
         return (Image(self.k, self.l, np.ones(self.r)),)
@@ -367,39 +361,36 @@ def closure_sum(X, Y) -> NormalOperator:
 
 @dataclass(frozen=True)
 class Q2Pair:
-    """A model pair (Y, X) with its grid and window basis.
+    """A model pair (Y, X) with its grid and window.
 
     It is also the generating pair (bt, at) = (Y, X) of a representation.
-    `window` is an orthonormal basis (dim x r columns) of the subspace
-    where the cyclic model represents the continuum, and residual checks
-    are confined to it; None means no confinement (exact pairs).  A grid
-    window may be given instead as its index set, `interior`: `window` is
-    then its basis, orthonormal by construction, and the witnesses read
-    the grid Schrodinger pair on it in closed form.  `provenance` records
-    the block construction when generated.
+    `window` spans the subspace where the cyclic model represents the
+    continuum, and residual checks are confined to it: an orthonormal basis
+    (dim x r columns), or a grid window as its index set
+    (:class:`InteriorWindow`), on which the witnesses read the grid
+    Schrodinger pair and its Y = 0 control in closed form; None means no
+    confinement (exact pairs).  `window_or_identity` gives the dense basis,
+    built from an index set on first read.  `provenance` records the block
+    construction when generated.
     """
 
     Y: NormalOperator
     X: NormalOperator
     grid: GammaGrid
-    window: np.ndarray | None = None
+    window: np.ndarray | InteriorWindow | None = None
     provenance: tuple = ()
-    interior: InteriorWindow | None = None
 
     def __post_init__(self):
-        if self.interior is not None:
-            if self.window is not None:
-                raise ParameterError("give the window as a basis or as an interior index set, not both")
-            object.__setattr__(self, "window", self.interior.basis)
         B = self.window
-        if B is None:
+        if isinstance(B, InteriorWindow) and B.grid.size != self.dim:
+            raise DimensionError(f"interior window on {B.grid.size} grid points needs dimension {self.dim}")
+        if B is None or isinstance(B, InteriorWindow):
             return
         if np.ndim(B) != 2 or B.shape[0] != self.dim:
             raise DimensionError(f"window basis shape {np.shape(B)} needs {self.dim} rows")
-        if self.interior is None:
-            defect = np.linalg.norm(B.conj().T @ B - np.eye(B.shape[1]))
-            if defect > WINDOW_ORTHO_TOL:
-                raise DomainError(f"window columns are not orthonormal: ||B* B - 1||_F = {defect:.3e}")
+        defect = np.linalg.norm(B.conj().T @ B - np.eye(B.shape[1]))
+        if defect > WINDOW_ORTHO_TOL:
+            raise DomainError(f"window columns are not orthonormal: ||B* B - 1||_F = {defect:.3e}")
 
     @property
     def dim(self) -> int:
@@ -408,7 +399,7 @@ class Q2Pair:
     def window_or_identity(self) -> np.ndarray:
         if self.window is None:
             return np.eye(self.dim, dtype=complex)
-        return self.window
+        return self.window.basis if isinstance(self.window, InteriorWindow) else self.window
 
 
 def grid_generators(g: GammaGrid) -> list[tuple[str, GammaPoint]]:
@@ -433,19 +424,20 @@ def schrodinger_pair(g: GammaGrid, margin: int | None = None) -> Q2Pair:
         Y=GridOperator(g, "fourier"),
         X=GridOperator(g, "position"),
         grid=g,
-        interior=InteriorWindow(g, margin),
+        window=InteriorWindow(g, margin),
         provenance=(("schrodinger", g.M),),
     )
 
 
 def _model_window(pair: Q2Pair) -> InteriorWindow | None:
-    """The pair's interior index set when the pair is the grid Schrodinger
-    pair on it (X the position and Y the Fourier GridOperator of its grid):
-    the witnesses then take the closed-form route of :class:`InteriorWindow`.
-    None for any other pair, which takes the window-column route."""
-    w, X, Y = pair.interior, pair.X, pair.Y
-    if (w is not None and isinstance(X, GridOperator) and isinstance(Y, GridOperator)
-            and (X.kind, Y.kind) == ("position", "fourier") and X.grid is Y.grid is w.grid is pair.grid):
+    """The pair's window when it is an index set and X is the position
+    GridOperator of its grid, Y the Fourier one (the grid Schrodinger pair)
+    or the zero one (its Y = 0 control): the witnesses then take the
+    closed-form route of :class:`InteriorWindow`.  None for any other pair,
+    which takes the window-column route."""
+    w, X, Y = pair.window, pair.X, pair.Y
+    if (isinstance(w, InteriorWindow) and isinstance(X, GridOperator) and isinstance(Y, GridOperator)
+            and X.kind == "position" and Y.kind in ("fourier", "zero") and X.grid is Y.grid is w.grid is pair.grid):
         return w
     return None
 
@@ -455,12 +447,12 @@ def weyl_residual(pair: Q2Pair, point: GammaPoint) -> float:
     pair's window basis, from the n x r block C Y (C* B) - gamma Y B; the
     chi values of X are read once and applied by `spectral_apply`.  On the
     grid Schrodinger pair with its interior window, the closed form of
-    :meth:`InteriorWindow.weyl_row`."""
+    :meth:`InteriorWindow.weyl_row`, and 0 for its Y = 0 control."""
     if point.zero:
         raise DomainError("chi(X, gamma) is defined for nonzero lattice points only")
     w = _model_window(pair)
     if w is not None:
-        return w.weyl_row(point)
+        return 0.0 if pair.Y.is_zero else w.weyl_row(point)
     q = pair.grid.q
     Y = pair.Y
     B = pair.window_or_identity()
@@ -585,9 +577,9 @@ def exp_identity_residual(pair: Q2Pair) -> ExpIdentityReport:
     singular values of S B, whose largest is ||S B||.  ||S|| and the raw
     defect are those of the sum of :func:`closure_sum`: the class blocks
     for the model pair, the certified X for the Y = 0 control, the dense
-    norms otherwise.  The grid Schrodinger pair on its interior window
-    takes the closed forms of :class:`InteriorWindow` (three grid
-    transforms in all), any other pair the window columns.
+    norms otherwise.  The grid Schrodinger pair and its Y = 0 control on an
+    interior window take the closed forms of :class:`InteriorWindow` (at
+    most three grid transforms), any other pair the window columns.
     """
     params = QExpParams(pair.grid.q)
     S = closure_sum(pair.X, pair.Y)
@@ -605,6 +597,17 @@ def exp_identity_residual(pair: Q2Pair) -> ExpIdentityReport:
         gamma_distance=_modulus_distance(sigma, pair.grid.q),
         degraded=defect > DEFAULT_DEFECT_RTOL * s ** 2,
     )
+
+
+def _sum_moduli(pair: Q2Pair, S: NormalOperator, w: InteriorWindow | None) -> np.ndarray:
+    """The singular values of S B, S = X + Y: on the closed-form route `w`,
+    x_k over the window columns for the Y = 0 control (S = X sends each
+    column to x_k times a distinct basis vector) and the class blocks of S
+    for the Schrodinger pair; else the SVD of the n x r block, which the
+    window-column witnesses take of the S B they hold."""
+    if w is None:
+        return np.linalg.svd(S.apply(pair.window_or_identity()), compute_uv=False)
+    return w.x[w.k] if pair.Y.is_zero else w.sum_singular_values(S)
 
 
 def _column_witnesses(pair: Q2Pair, S: NormalOperator, params: QExpParams):
@@ -637,19 +640,23 @@ def _column_witnesses(pair: Q2Pair, S: NormalOperator, params: QExpParams):
     return witness(fy(fx(cols))), witness(fx(fy(cols))), wd, sigma
 
 
-def _closed_form_witnesses(pair: Q2Pair, w: InteriorWindow, S: "_SchrodingerSum", params: QExpParams):
+def _closed_form_witnesses(pair: Q2Pair, w: InteriorWindow, S: NormalOperator, params: QExpParams):
     """The quantities of :func:`_column_witnesses` for the grid Schrodinger
     pair on its interior window `w`.  F_q(X) is the diagonal of the F_q
     values f on the grid and F_q(Y) = F* diag(f) F (X and Y have the same
     lattice data), so F_q(Y) F_q(X) [B, S B] takes two grid transforms of
     the closed-form f [B, S B], and F_q(X) F_q(Y) [B, S B] one, of the
     closed-form f F [B, S B].  B* and (S* B)* are read off the mixed
-    coordinates of the result; the singular values of S B and the windowed
-    defect come from the class blocks of S."""
+    coordinates of the result; sigma(S B) is :func:`_sum_moduli`, and the
+    windowed defect comes from the class blocks of S.  For the Y = 0
+    control (S = X, F_q(Y) = 1) both products are f [B, X B], with no grid
+    transform, and the windowed defect of the diagonal X is 0."""
     g = pair.grid
     f = fq_eigenvalues(pair.X, params, g.M)
-    one, SB, SsB = w.identity(), w.sum(), w.sum(adjoint=True)
-    sigma = w.sum_singular_values(S)
+    control = pair.Y.is_zero
+    one = w.identity()
+    SB, SsB = (w.position(), w.position(adjoint=True)) if control else (w.sum(), w.sum(adjoint=True))
+    sigma = _sum_moduli(pair, S, w)
     scale = float(sigma.max(initial=0.0))
     r = w.r
 
@@ -659,6 +666,9 @@ def _closed_form_witnesses(pair: Q2Pair, w: InteriorWindow, S: "_SchrodingerSum"
         mixed = w.mixed(U_cols)
         return operator_norm(w.adjoint_apply(one, mixed[..., r:]) - w.adjoint_apply(SsB, mixed[..., :r])) / scale
 
+    if control:
+        res = witness(w.columns([one, SB], f))
+        return res, res, 0.0, sigma
     stated = g.fourier_columns(f[:, None] * g.fourier_columns(w.columns([one, SB], f), False), True)
     swapped = f[:, None] * g.fourier_columns(w.columns([w.fourier(one), w.fourier(SB)], f), True)
     return witness(stated), witness(swapped), w.sum_windowed_defect(S), sigma
@@ -673,17 +683,10 @@ def windowed_modulus_distance(pair: Q2Pair) -> float:
     finite-section eigenvalues of the non-normal S.  Returns the mean
     relative distance of sqrt(eig(B* S*S B)) to q^Z (B spans the window),
     taken as the singular values of S B: the eigenvalues of the Gram
-    matrix (S B)* (S B) would square the q^(+-M/2) range of S B.  On the
-    grid Schrodinger pair with its interior window they come from the
-    class blocks of S.
+    matrix (S B)* (S B) would square the q^(+-M/2) range of S B.
     """
     S = closure_sum(pair.X, pair.Y)
-    w = _model_window(pair)
-    if w is not None:
-        sigma = w.sum_singular_values(S)
-    else:
-        sigma = np.linalg.svd(S.apply(pair.window_or_identity()), compute_uv=False)
-    return _modulus_distance(sigma, pair.grid.q)
+    return _modulus_distance(_sum_moduli(pair, S, _model_window(pair)), pair.grid.q)
 
 
 def _modulus_distance(moduli: np.ndarray, q: float) -> float:
@@ -728,7 +731,7 @@ def random_regular_pair(blocks, g: GammaGrid) -> Q2Pair:
             sp = schrodinger_pair(sub)
             ys.append((sp.Y.entries, sp.Y.eigensystem))
             xs.append((sp.X.entries, sp.X.eigensystem))
-            ws.append(sp.window)
+            ws.append(sp.window_or_identity())
             prov.append(("schrodinger", P))
         else:
             raise ParameterError(f"unknown block kind {kind!r}")
@@ -779,6 +782,6 @@ def conjugate_pair(pair: Q2Pair, U: np.ndarray) -> Q2Pair:
         Y=conjugate(pair.Y),
         X=conjugate(pair.X),
         grid=pair.grid,
-        window=None if pair.window is None else U @ pair.window,
+        window=None if pair.window is None else U @ pair.window_or_identity(),
         provenance=pair.provenance + (("conjugated", None),),
     )

@@ -121,7 +121,7 @@ def test_criterion_4_exponential_identity(tmp_path):
         base = schrodinger_pair(g)
         control = exp_identity_residual(
             Q2Pair(Y=NormalMatrix(np.zeros((256, 256))), X=base.X, grid=g,
-                   window=base.window)
+                   window=base.window_or_identity())
         )
         assert control.residual < 1e-12
         # the sweep reaches M=32, where the smallest |x| = 2^-16 lies under

@@ -159,6 +159,33 @@ def test_refused_up_front_beyond_physical_memory(monkeypatch, capsys, args, stag
     assert out == "" and f"needs {need} bytes" in err and f"the {have} bytes of physical memory" in err
 
 
+@pytest.mark.parametrize(
+    "args, reads",
+    [
+        (["exp-identity", "--M-list", "8,12"], False),
+        (["verify-pair"], False),
+        (["verify-pair", "--pair", "xx"], True),
+        (["corep", "--M-list", "4"], True),
+    ],
+)
+def test_dense_window_basis_is_built_only_where_read(monkeypatch, tmp_path, args, reads):
+    # the closed-form routes of the Schrodinger pair and its Y = 0 control
+    # never build the n x r window basis; the window-column route of the
+    # xx pair and corep's window bases read it
+    from qazb.q2pair import InteriorWindow
+
+    built = []
+    basis = InteriorWindow.basis.func
+
+    def spy(self):
+        built.append(self.grid.M)
+        return basis(self)
+
+    monkeypatch.setattr(InteriorWindow, "basis", property(spy))
+    assert run(["--out", str(tmp_path / "r.json")] + args) in (0, 1)
+    assert bool(built) == reads
+
+
 def test_grid_commands_read_no_dense_view(monkeypatch, tmp_path):
     # exp-identity and verify-pair (every pair choice) run the Schrodinger
     # pair through its structure: no dense Fourier matrix, and no dense

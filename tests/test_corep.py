@@ -596,7 +596,7 @@ def test_window_draw_stays_thin(monkeypatch):
     g = grid(0.5, 6)
     rep = build_rep(schrodinger_pair(g), g)
     d, n = rep.h_dim, g.size
-    r_h, r = rep.pair.window.shape[1], interior_window(g, default_margin(6)).shape[1]
+    r_h, r = rep.pair.window_or_identity().shape[1], interior_window(g, default_margin(6)).shape[1]
     assert not rep.pair.Y.lattice(g.q)[2].any()
     draws, sizes = [], []
     default_rng = np.random.default_rng

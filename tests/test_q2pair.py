@@ -12,6 +12,7 @@ from qazb.gamma import grid, make_point
 from qazb.opalg import SPECTRUM_RTOL, Eigensystem, GridOperator, NormalMatrix, chi_op, lattice_calculus, operator_norm
 from qazb.qexp import QExpParams, fq_on_operator
 from qazb.q2pair import (
+    InteriorWindow,
     Q2Pair,
     closure_sum,
     conjugate_pair,
@@ -97,7 +98,7 @@ def test_window_needs_dim_rows():
     g = grid(0.5, 4)
     base = schrodinger_pair(g)
     with pytest.raises(DimensionError):
-        Q2Pair(Y=base.Y, X=base.X, grid=g, window=base.window[:-1])
+        Q2Pair(Y=base.Y, X=base.X, grid=g, window=base.window_or_identity()[:-1])
 
 
 def test_window_projector_is_rejected():
@@ -110,12 +111,12 @@ def test_window_projector_is_rejected():
 def test_pair_with_itself_fails_weyl():
     g = grid(0.5, 8)
     base = schrodinger_pair(g, margin=2)
-    pair = Q2Pair(Y=base.X, X=base.X, grid=g, window=base.window)
+    pair = Q2Pair(Y=base.X, X=base.X, grid=g, window=base.window_or_identity())
     report = verify_q2(pair, tol=1e-10)
     assert not report.passed and not report.weyl_pass
     # scaling a nonzero operator changes it: residual is |1 - gamma| ||B*XB||
     q_gen = g.point(1, 0)
-    B = base.window
+    B = base.window_or_identity()
     lower = abs(1 - q_gen.value(0.5)) * operator_norm(B.conj().T @ base.X.entries @ B)
     assert report.weyl_residuals["q"] >= 0.99 * lower
 
@@ -123,12 +124,12 @@ def test_pair_with_itself_fails_weyl():
 def test_swapped_roles_match_inverse_relation():
     g = grid(0.5, 8)
     base = schrodinger_pair(g, margin=2)
-    swapped = Q2Pair(Y=base.X, X=base.Y, grid=g, window=base.window)
+    swapped = Q2Pair(Y=base.X, X=base.Y, grid=g, window=base.window_or_identity())
     assert not verify_q2(swapped, tol=1e-10).weyl_pass
     # conjugating by chi(Y, gamma) translates the spectrum the other way
     q_gen = g.point(1, 0)
     C = chi_op(base.Y, q_gen, 0.5)
-    B = base.window
+    B = base.window_or_identity()
     D_inv = C @ base.X.entries @ C.conj().T - base.X.entries / q_gen.value(0.5)
     assert operator_norm(B.conj().T @ D_inv @ B) < 1e-10
 
@@ -137,7 +138,7 @@ def test_exp_identity_zero_control():
     g = grid(0.5, 8)
     base = schrodinger_pair(g)
     zero_pair = Q2Pair(
-        Y=NormalMatrix(np.zeros((64, 64))), X=base.X, grid=g, window=base.window,
+        Y=NormalMatrix(np.zeros((64, 64))), X=base.X, grid=g, window=base.window_or_identity(),
     )
     report = exp_identity_residual(zero_pair)
     assert report.residual < 1e-12
@@ -484,7 +485,7 @@ def test_zero_control_matches_dense_formulas(case):
     # Y = 0: F_q(Y) = 1, so every field of the control row sits at roundoff
     pair = _oracle_case(case)
     zero_pair = Q2Pair(Y=NormalMatrix(np.zeros((pair.dim, pair.dim)), Eigensystem.zero_operator(pair.dim)),
-                       X=pair.X, grid=pair.grid, window=pair.window)
+                       X=pair.X, grid=pair.grid, window=pair.window_or_identity())
     want = dense_witnesses(zero_pair)
     ident = exp_identity_residual(zero_pair)
     for field in ("residual", "residual_swapped", "sum_defect_windowed"):
@@ -517,7 +518,7 @@ def test_zero_control_takes_no_square_norm(monkeypatch):
     assert shapes and (g.size, g.size) not in shapes
     shapes.clear()
     zero_pair = Q2Pair(Y=NormalMatrix(np.zeros((g.size, g.size)), Eigensystem.zero_operator(g.size)),
-                       X=pair.X, grid=g, window=pair.window)
+                       X=pair.X, grid=g, window=pair.window_or_identity())
     assert exp_identity_residual(zero_pair).residual < 1e-12
     assert shapes and (g.size, g.size) not in shapes
 
@@ -527,7 +528,7 @@ def _dense_copy(pair: Q2Pair) -> Q2Pair:
     eigensystem: the dense route of every witness, the structured route's
     oracle."""
     dense = lambda T: NormalMatrix(T.entries, T.eigensystem)
-    return Q2Pair(Y=dense(pair.Y), X=dense(pair.X), grid=pair.grid, window=pair.window)
+    return Q2Pair(Y=dense(pair.Y), X=dense(pair.X), grid=pair.grid, window=pair.window_or_identity())
 
 
 STRUCTURED_CASES = [(q, M) for q in (0.5, 0.7) for M in (4, 8, 12, 16, 20, 24)] + [(0.3, M) for M in (8, 12, 16)]
@@ -634,7 +635,7 @@ def _off_pattern(pair: Q2Pair, rtol: float) -> Q2Pair:
     M = pair.grid.M
     Y = pair.Y.entries.copy()
     Y[3 * M, 0] += rtol * np.linalg.norm(_sum(pair))
-    return Q2Pair(Y=NormalMatrix(Y), X=pair.X, grid=pair.grid, window=pair.window)
+    return Q2Pair(Y=NormalMatrix(Y), X=pair.X, grid=pair.grid, window=pair.window_or_identity())
 
 
 @pytest.mark.parametrize("case", ["conjugated-4", "seeded-8", "off-pattern-8"])
@@ -708,7 +709,7 @@ def test_structured_zero_control_equals_the_dense_one():
     g = grid(0.5, 12)
     pair = schrodinger_pair(g)
     dense_zero = NormalMatrix(np.zeros((g.size, g.size)), Eigensystem.zero_operator(g.size))
-    reports = [exp_identity_residual(Q2Pair(Y=Y, X=pair.X, grid=g, window=pair.window))
+    reports = [exp_identity_residual(Q2Pair(Y=Y, X=pair.X, grid=g, window=pair.window_or_identity()))
                for Y in (GridOperator(g, "zero"), dense_zero)]
     assert reports[0] == reports[1]
     assert closure_sum(pair.X, GridOperator(g, "zero")) is pair.X
@@ -739,7 +740,7 @@ def test_closed_form_images_match_dense_products(M):
         dense[f"chi Y chi* ({name})"] = C @ (Y @ (C.conj().T @ P))
         dense[f"gamma Y ({name})"] = gen.value(0.5) * dense["Y"]
     for margin in range(M // 2):
-        w = schrodinger_pair(g, margin=margin).interior
+        w = schrodinger_pair(g, margin=margin).window
         images = {"F": w.fourier(w.identity()), "X": w.position(), "X*": w.position(adjoint=True),
                   "Y": w.momentum(), "Y*": w.momentum(adjoint=True), "S": w.sum(), "S*": w.sum(adjoint=True)}
         for name, gen in grid_generators(g):
@@ -761,7 +762,7 @@ def test_class_block_singular_values_match_the_svd(M):
     S = closure_sum(*(GridOperator(g, kind) for kind in ("position", "fourier")))
     SP = (S.X.entries + S.Y.entries) @ interior_window(g, 0)
     for margin in range(M // 2):
-        w = schrodinger_pair(g, margin=margin).interior
+        w = schrodinger_pair(g, margin=margin).window
         want = np.linalg.svd(SP[:, _full_index(w, M)], compute_uv=False)
         got = np.sort(w.sum_singular_values(S))[::-1]
         assert got.shape == want.shape
@@ -769,9 +770,10 @@ def test_class_block_singular_values_match_the_svd(M):
 
 
 def test_closed_form_route_takes_three_grid_transforms(monkeypatch):
-    # per grid order, exp_identity_residual on the model pair transforms
-    # the grid at most 3 times, verify_q2 never; a pair given the same
-    # members and window as a basis takes the window-column route
+    # per grid order, exp_identity_residual on the model pair and on its
+    # Y = 0 control transforms the grid at most 3 times each, verify_q2
+    # never; a pair given the same members and the window as a dense basis
+    # takes the window-column route
     from qazb.gamma import GammaGrid
 
     calls = []
@@ -790,14 +792,38 @@ def test_closed_form_route_takes_three_grid_transforms(monkeypatch):
         exp_identity_residual(pair)
         assert len(calls) <= 3
         calls.clear()
-        exp_identity_residual(Q2Pair(Y=pair.Y, X=pair.X, grid=pair.grid, window=pair.window))
+        exp_identity_residual(Q2Pair(Y=GridOperator(pair.grid, "zero"), X=pair.X, grid=pair.grid, window=pair.window))
+        assert len(calls) <= 3
+        calls.clear()
+        exp_identity_residual(Q2Pair(Y=pair.Y, X=pair.X, grid=pair.grid, window=pair.window_or_identity()))
         assert len(calls) == 12
+
+
+@pytest.mark.parametrize("q, M", [(q, M) for q in (0.3, 0.5, 0.7) for M in range(8, 25, 4)], ids=lambda v: str(v))
+def test_closed_form_control_matches_the_column_route(q, M):
+    # the Y = 0 control of exp-identity on its interior window (S = X,
+    # F_q(Y) = 1, sigma(S B) = x over the window columns) against the same
+    # pair given the window as a dense basis: both at roundoff, the same raw
+    # sum (the certified X), the modulus distance at roundoff on both, and
+    # Weyl rows of exactly 0 (Y = 0)
+    pair = schrodinger_pair(grid(q, M))
+    zero = GridOperator(pair.grid, "zero")
+    closed, column = (Q2Pair(Y=zero, X=pair.X, grid=pair.grid, window=w)
+                      for w in (pair.window, pair.window_or_identity()))
+    got, want = exp_identity_residual(closed), exp_identity_residual(column)
+    for report in (got, want):
+        assert report.residual < 1e-12 and report.residual_swapped < 1e-12
+    assert got.sum_defect == want.sum_defect
+    assert abs(got.gamma_distance - want.gamma_distance) <= 1e-15
+    for _, gen in grid_generators(pair.grid):
+        assert weyl_residual(closed, gen) == weyl_residual(column, gen) == 0.0
 
 
 def test_interior_window_is_given_once():
     g = grid(0.5, 8)
     pair = schrodinger_pair(g)
-    assert pair.window is pair.interior.basis
-    assert np.array_equal(pair.window, interior_window(g, 2))
-    with pytest.raises(ParameterError):
-        Q2Pair(Y=pair.Y, X=pair.X, grid=g, window=pair.window, interior=pair.interior)
+    assert isinstance(pair.window, InteriorWindow)
+    assert pair.window_or_identity() is pair.window.basis
+    assert np.array_equal(pair.window_or_identity(), interior_window(g, 2))
+    with pytest.raises(DimensionError):
+        Q2Pair(Y=pair.Y, X=pair.X, grid=g, window=InteriorWindow(grid(0.5, 6), 2))

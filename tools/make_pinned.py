@@ -11,14 +11,15 @@ exists (FFT versus dense Fourier for the grid unitary, the closed-form
 window basis versus the dense window projector D (F* D F), the supplied
 eigensystems of the Schrodinger pair versus their Schur forms, the
 window-column witnesses versus their n x n formulas, the closed-form
-images of the window columns and Weyl rows versus the dense products,
-the structured Schrodinger pair versus its dense copy on every
-exp-identity and verify-pair field, eigh versus schur for self-adjoint
-spectra, the candidate table versus the per-candidate families for the
-separation certificate, the corepresentation product Q and S' in window
-coordinates versus the dense U, V and coproduct applied leg by leg, the
-corepresentation residual on the full-tensor draw that `corep_residual`
-was recorded on versus its stored value); a disagreement aborts the run
+images of the window columns, the Weyl rows and the Y = 0 control row
+versus the dense products, the structured Schrodinger pair versus its
+dense copy on every exp-identity and verify-pair field, eigh versus
+schur for self-adjoint spectra, the candidate table versus the
+per-candidate families for the separation certificate, the
+corepresentation product Q and S' in window coordinates versus the dense
+U, V and coproduct applied leg by leg, the corepresentation residual on
+the full-tensor draw that `corep_residual` was recorded on versus its
+stored value); a disagreement aborts the run
 before anything is written.  `corep_residual_window` is the residual on
 the window-coordinate draw that `corep_residual` takes now.
 
@@ -36,7 +37,7 @@ warnings.filterwarnings("ignore")
 from qazb.corep import _LegOps, _window_residual, build_rep, chi_kron, corep_residual, grid_operators
 from qazb.corpus import load_pinned
 from qazb.gamma import grid, snap_spectrum
-from qazb.opalg import SPECTRUM_RTOL, NormalMatrix, chi_op, operator_norm
+from qazb.opalg import SPECTRUM_RTOL, GridOperator, NormalMatrix, chi_op, operator_norm
 from qazb.q2pair import (
     Q2Pair,
     default_margin,
@@ -87,7 +88,7 @@ def check_structured_routes(pair) -> None:
     row within SPECTRUM_RTOL."""
     g = pair.grid
     dense = Q2Pair(Y=NormalMatrix(pair.Y.entries, pair.Y.eigensystem),
-                   X=NormalMatrix(pair.X.entries, pair.X.eigensystem), grid=g, window=pair.window)
+                   X=NormalMatrix(pair.X.entries, pair.X.eigensystem), grid=g, window=pair.window_or_identity())
     got, want = exp_identity_residual(pair), exp_identity_residual(dense)
     for name in ("residual", "residual_swapped", "sum_defect", "gamma_distance"):
         a, b = getattr(got, name), getattr(want, name)
@@ -111,14 +112,16 @@ def check_closed_form_routes(g) -> None:
     S, S* and both terms of each Weyl row) against the dense products of
     GammaGrid.fourier and the members' entries with the window basis, to
     1e-13 relative to the largest entry of the dense product on the whole
-    mixed basis P; and each closed-form Weyl row against its n x n formula,
-    to 1e-13 relative to ||Y||."""
+    mixed basis P; each closed-form Weyl row against its n x n formula,
+    to 1e-13 relative to ||Y||; and the closed-form witness of the Y = 0
+    control (S = X, U = F_q(X)) against its n x n formula, to 1e-13
+    absolute (its fields are relative and at roundoff)."""
     pair = schrodinger_pair(g)
-    w = pair.interior
+    w = pair.window
     X, Y = pair.X.entries, pair.Y.entries
     P = interior_window(g, 0)
     cols = (w.inner[:, None] * g.M + w.inner[None, :]).ravel()
-    B = pair.window
+    B = pair.window_or_identity()
     checks = [("F", g.fourier, w.fourier(w.identity())), ("X", X, w.position()),
               ("X*", X.conj().T, w.position(adjoint=True)), ("Y", Y, w.momentum()),
               ("Y*", Y.conj().T, w.momentum(adjoint=True)), ("S", X + Y, w.sum()),
@@ -137,6 +140,19 @@ def check_closed_form_routes(g) -> None:
         d = np.abs(w.columns([image]) - AP[:, cols]).max() / np.abs(AP).max()
         if d > 1e-13:
             raise RuntimeError(f"closed-form image disagreement {d} on {name} at M={g.M}")
+    control = exp_identity_residual(Q2Pair(Y=GridOperator(g, "zero"), X=pair.X, grid=g, window=w))
+    FX = fq_on_operator(pair.X, QExpParams(g.q), g.M)
+    sigma = np.linalg.svd(X @ B, compute_uv=False)
+    _, _, zero, rel = snap_spectrum(sigma.astype(complex), g.q, scale=float(sigma.max()))
+    res = operator_norm(B.conj().T @ (FX @ X - X @ FX) @ B) / sigma[0]
+    for name, got, want in (
+        ("residual", control.residual, res), ("residual_swapped", control.residual_swapped, res),
+        ("sum_defect_windowed", control.sum_defect_windowed,
+         operator_norm(B.conj().T @ (X @ X.conj().T - X.conj().T @ X) @ B) / operator_norm(X) ** 2),
+        ("gamma_distance", control.gamma_distance, float(np.mean(np.where(zero, 0.0, rel)))),
+    ):
+        if abs(got - want) > 1e-13:
+            raise RuntimeError(f"closed-form control disagreement {abs(got - want)} on {name} at M={g.M}")
 
 
 def check_window_routes(g, margin: int) -> None:
@@ -168,7 +184,7 @@ def check_window_column_routes(pair) -> None:
     dense route forms S*S first and is itself 4e-12 off at M = 16."""
     g = pair.grid
     params = QExpParams(g.q)
-    B = pair.window
+    B = pair.window_or_identity()
     Bh = B.conj().T
     Y = pair.Y.entries
     S = pair.X.entries + Y
