@@ -5,10 +5,10 @@ Reports embed the full configuration and the library version, contain no
 timestamps, and are serialised with sorted keys, so identical configs
 produce byte-identical output.  Exit codes: 0 all checks passed, 1 a check
 failed, 2 invalid usage (including a --tol outside (0, 1), a negative
---seed, an --M-list that is empty, not integers or not strictly
-increasing, a margin that leaves no interior window, a roundtrip with no
-trials or no dimension, and a run too large for physical memory) or I/O
-failure.
+--seed, an --M-list that is empty, not integers, not even grid orders
+>= 2 or not strictly increasing, a margin that leaves no interior
+window, a roundtrip with no trials or no dimension, and a run too large
+for physical memory) or I/O failure.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, blas
 from .corpus import load_pinned
 from .errors import QazbError
-from .gamma import grid, make_point, zero_point
+from .gamma import check_grid_order, grid, make_point, zero_point
 from .opalg import GridOperator, operator_norm
 from .q2pair import (
     ExpIdentityReport,
@@ -45,11 +45,11 @@ from .qexp import QExpParams, fq
 PASS, FAIL, USAGE = 0, 1, 2
 # Complex n x r blocks (n = M^2 grid points, r window columns) that
 # exp-identity and verify-pair hold at their peak (tracemalloc peak /
-# 16 n r at M = 16, 24 and 32: 8.2-8.5 for exp-identity, set by the
-# F_q products of its closed-form witness, 5.0-5.2 for verify-pair
-# --pair xx or swapped on the window columns, 0.04-0.3 for the default
+# 16 n r at M = 16, 24 and 32: 5.0-5.2 for verify-pair --pair xx or
+# swapped on the window columns, 1.3-1.8 for exp-identity, whose
+# closed-form witnesses hold r x r arrays, 0.04-0.3 for the default
 # verify-pair), rounded up.
-GRID_BLOCKS = 9
+GRID_BLOCKS = 6
 
 
 @dataclass
@@ -153,7 +153,9 @@ def cmd_fq_table(config: RunConfig) -> int:
 
 def _parse_m_list(text: str) -> list[int]:
     """Grid orders from a comma list; the sweeps gate a strict decrease
-    over them, so they must be integers in strictly increasing order."""
+    over them, so they must be integers in strictly increasing order.  Each
+    is checked as a grid order here, before a window margin is derived from
+    it."""
     tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
     try:
         m_list = [int(tok) for tok in tokens]
@@ -163,6 +165,8 @@ def _parse_m_list(text: str) -> list[int]:
         raise ValueError("--M-list must name at least one grid order")
     if any(b <= a for a, b in zip(m_list, m_list[1:])):
         raise ValueError(f"--M-list must be strictly increasing, got {text!r}")
+    for M in m_list:
+        check_grid_order(M)
     return m_list
 
 

@@ -54,6 +54,7 @@ __all__ = [
     "rational_point",
     "chi",
     "grid",
+    "check_grid_order",
 ]
 
 
@@ -230,6 +231,14 @@ def centered_index(k: int, M: int) -> int:
     return (k + M // 2) % M - M // 2
 
 
+def check_grid_order(M: int) -> int:
+    """`M`, refused with ParameterError unless it is an even grid order
+    >= 2 (the cyclic model needs the centred exponents -M/2 .. M/2 - 1)."""
+    if M < 2 or M % 2 != 0:
+        raise ParameterError(f"grid order M must be even and >= 2, got {M}")
+    return M
+
+
 class GammaGrid:
     """Finite cyclic model Z_M x Z_M of the lattice group.
 
@@ -242,8 +251,7 @@ class GammaGrid:
     def __init__(self, q: float, M: int):
         if not (0.0 < q < 1.0):
             raise ParameterError(f"q must lie in (0, 1), got {q}")
-        if M < 2 or M % 2 != 0:
-            raise ParameterError(f"grid order M must be even and >= 2, got {M}")
+        check_grid_order(M)
         if not (0.1 <= q <= 0.9) :
             warnings.warn(
                 f"q={q} outside [0.1, 0.9]: q^(M/2) spans a wide dynamic range "

@@ -24,11 +24,14 @@ its index set (:class:`InteriorWindow`), whose dense basis is built only
 when read: in the mixed basis P = 1 (x) phi below, the window columns
 are unit vectors, and F, X, Y, S = X + Y and chi(X, gamma) send each
 basis vector to a multiple of one other.  So their images of the window
-are index maps with coefficients, a Weyl row is the largest of r
-closed-form entries, B* is a restriction after one transform along the
-phase axis, and only the F_q products go through grid transforms: three
-per exponential-identity witness, none in `verify_q2` or for the Y = 0
-control (S = X, F_q(Y) = 1).
+are index maps with coefficients, and a Weyl row is the largest of r
+closed-form entries.  F_q(X) is block diagonal there, with circulant
+blocks read off one M-point transform of its values along the phase
+axis, so every matrix element of the F_q products is a product of two
+entries of that table, and each exponential-identity witness is an
+r x r gather.  So neither `verify_q2` nor the exponential-identity
+witnesses of the pair and of its Y = 0 control (S = X, F_q(Y) = 1)
+transform the grid or hold an n-row array.
 
 The model pair is diagonal in closed form: X has eigenbasis 1 and Y has
 eigenbasis F*, both with the grid values and their exact lattice data
@@ -78,6 +81,7 @@ window.  Any other sum (conjugated pairs, direct sums) is a dense
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -165,15 +169,14 @@ class InteriorWindow:
         Y, Y*    (k, l) -> (k +- 1, l)    x_l
         chi(X, q^a e^{i theta})    (k, l) -> (k, l - a)    e^{i c(k) theta}
 
-    so their images of the window columns are index maps with
-    coefficients, a tuple of :class:`Image` terms per operator (two for
-    S = X + Y), computed with no grid transform and no n x r array.
-    `columns` writes images out in the standard basis, as the input of
-    the grid transforms of the F_q products; `mixed` takes a block to the
-    mixed basis by one M-point transform along the phase axis, and
-    `adjoint_apply` reads (A B)* V off those coordinates (B* V is a
-    restriction).  The class blocks of S = X + Y restricted to the window
-    give the singular values of S B and the windowed defect.
+    so the images of the window columns under X, Y, S = X + Y and the
+    terms of a Weyl row are index maps with coefficients, a tuple of
+    :class:`Image` terms per operator (two for S), computed with no grid
+    transform and no n x r array; F enters through the matrix elements of
+    the F_q products (:func:`_fq_products`).  `commutator` gathers the compression B* U (S B) - (S* B)* (U B) of an
+    operator U given by its matrix elements in the mixed basis.  The class
+    blocks of S = X + Y restricted to the window give the singular values
+    of S B and the windowed defect.
     """
 
     def __init__(self, g: GammaGrid, margin: int):
@@ -194,13 +197,6 @@ class InteriorWindow:
     def basis(self) -> np.ndarray:
         """The dense n x r basis of :func:`interior_window`."""
         return np.kron(np.eye(self.grid.M)[:, self.inner], _phase_modes(self.grid.M, self.inner))
-
-    def identity(self) -> tuple[Image]:
-        return (Image(self.k, self.l, np.ones(self.r)),)
-
-    def fourier(self, image: tuple[Image, ...]) -> tuple[Image, ...]:
-        """F applied to an image."""
-        return tuple(Image(t.l, -t.k % self.grid.M, t.coef) for t in image)
 
     def position(self, adjoint: bool = False) -> tuple[Image]:
         """X B, or X* B."""
@@ -239,34 +235,14 @@ class InteriorWindow:
         keep = self._interior[conj.k] & self._interior[conj.l]
         return float(np.abs(conj.coef - scaled.coef)[keep].max(initial=0.0))
 
-    @functools.cached_property
-    def _modes(self) -> np.ndarray:
-        """phi_l as the rows of an M x M array."""
-        return _phase_modes(self.grid.M, np.arange(self.grid.M)).T
-
-    def columns(self, images: list[tuple[Image, ...]], vals: np.ndarray | None = None) -> np.ndarray:
-        """The images side by side, r columns each, as an n x c block in
-        the standard basis, times the values `vals` of a diagonal operator
-        on the grid when given."""
-        M, r = self.grid.M, self.r
-        V = np.zeros((M, M, r * len(images)), complex)
-        for i, image in enumerate(images):
-            cols = np.arange(i * r, (i + 1) * r)
-            for t in image:
-                V[t.k, :, cols] += t.coef[:, None] * self._modes[t.l]
-        if vals is not None:
-            V *= vals.reshape(M, M, 1)
-        return V.reshape(M * M, -1)
-
-    def mixed(self, V: np.ndarray) -> np.ndarray:
-        """P* V for an n x c block V: its coordinates on e_k (x) phi_l as an
-        (M, M, c) array, by one M-point transform along the phase axis."""
-        M = self.grid.M
-        return np.fft.ifft(V.reshape(M, M, -1), axis=1, norm="ortho")
-
-    def adjoint_apply(self, image: tuple[Image, ...], mixed: np.ndarray) -> np.ndarray:
-        """(A B)* V (r x c) for the image A B and the mixed coordinates of V."""
-        return sum(t.coef.conj()[:, None] * mixed[t.k, t.l] for t in image)
+    def commutator(self, U: Callable[..., np.ndarray], SB: tuple[Image, ...], SsB: tuple[Image, ...]) -> np.ndarray:
+        """B* U (S B) - (S* B)* (U B) (r x r) for an operator U given by its
+        matrix elements U(a, b, k, l) = <e_a (x) phi_b, U e_k (x) phi_l>
+        (broadcasting index arrays) and the images `SB`, `SsB` of S B and
+        S* B: one gather over the r x r index grid per image term."""
+        k, l = self.k[:, None], self.l[:, None]
+        return (sum(t.coef * U(k, l, t.k, t.l) for t in SB)
+                - sum(t.coef.conj()[:, None] * U(t.k[:, None], t.l[:, None], self.k, self.l) for t in SsB))
 
     @functools.cached_property
     def _class_mask(self) -> np.ndarray:
@@ -569,17 +545,19 @@ def exp_identity_residual(pair: Q2Pair) -> ExpIdentityReport:
     wrap-borne defect of order ||S||^2, so no spectral calculus of the raw
     sum is meaningful (its defect and windowed defect are reported).
 
-    Each product is applied to the block [B, S B] factor by factor, so the
-    commutator enters as U (S B) - S (U B), whose compression the closed
-    form reads as B* U (S B) - (S* B)* (U B); the F_q values are computed
-    once and serve both orders.  The windowed defect is
+    On the window columns each product is applied to the block [B, S B]
+    factor by factor, so the commutator enters as U (S B) - S (U B); the
+    closed form gathers its compression B* U (S B) - (S* B)* (U B) from
+    the matrix elements of U.  The F_q values are computed once and serve
+    both orders.  The windowed defect is
     ||B* (S S* - S* S) B||, and the modulus distance comes from the
     singular values of S B, whose largest is ||S B||.  ||S|| and the raw
     defect are those of the sum of :func:`closure_sum`: the class blocks
     for the model pair, the certified X for the Y = 0 control, the dense
     norms otherwise.  The grid Schrodinger pair and its Y = 0 control on an
-    interior window take the closed forms of :class:`InteriorWindow` (at
-    most three grid transforms), any other pair the window columns.
+    interior window take the closed forms of :class:`InteriorWindow` (r x r
+    gathers from one M-point transform of the F_q values, no grid
+    transform), any other pair the window columns.
     """
     params = QExpParams(pair.grid.q)
     S = closure_sum(pair.X, pair.Y)
@@ -640,37 +618,53 @@ def _column_witnesses(pair: Q2Pair, S: NormalOperator, params: QExpParams):
     return witness(fy(fx(cols))), witness(fx(fy(cols))), wd, sigma
 
 
+def _fq_products(f: np.ndarray, M: int):
+    """The matrix elements U(a, b, k, l) = <e_a (x) phi_b, U e_k (x) phi_l>
+    in the mixed basis of F_q(Y) F_q(X), F_q(X) F_q(Y) and F_q(X) for the
+    F_q values `f` of X on the grid of order M (indices mod M).  F_q(X) is
+    block diagonal with the circulant blocks C_k[m, l] = c[k, m - l], c the
+    M-point inverse transform of f along the phase axis; Y = F* X F has
+    the lattice data of X, so F_q(Y) = F* C F, and F sends (k, l) to
+    (l, -k).  So each element of F_q(Y) F_q(X) = F* C F C and of
+    F_q(X) F_q(Y) = C F* C F is a product of two entries of c."""
+    c = np.fft.ifft(f.reshape(M, M), axis=1)
+
+    def stated(a, b, k, l):
+        return c[k, (b - l) % M] * c[b, (k - a) % M]
+
+    def swapped(a, b, k, l):
+        return c[l, (k - a) % M] * c[a, (b - l) % M]
+
+    def fq_x(a, b, k, l):
+        return np.where(a == k, c[k, (b - l) % M], 0.0)
+
+    return stated, swapped, fq_x
+
+
 def _closed_form_witnesses(pair: Q2Pair, w: InteriorWindow, S: NormalOperator, params: QExpParams):
     """The quantities of :func:`_column_witnesses` for the grid Schrodinger
-    pair on its interior window `w`.  F_q(X) is the diagonal of the F_q
-    values f on the grid and F_q(Y) = F* diag(f) F (X and Y have the same
-    lattice data), so F_q(Y) F_q(X) [B, S B] takes two grid transforms of
-    the closed-form f [B, S B], and F_q(X) F_q(Y) [B, S B] one, of the
-    closed-form f F [B, S B].  B* and (S* B)* are read off the mixed
-    coordinates of the result; sigma(S B) is :func:`_sum_moduli`, and the
-    windowed defect comes from the class blocks of S.  For the Y = 0
-    control (S = X, F_q(Y) = 1) both products are f [B, X B], with no grid
-    transform, and the windowed defect of the diagonal X is 0."""
-    g = pair.grid
-    f = fq_eigenvalues(pair.X, params, g.M)
+    pair on its interior window `w`, with no grid transform and no n-row
+    array.  Each witness B* U (S B) - (S* B)* (U B) is gathered from the
+    matrix elements of U in the mixed basis (:func:`_fq_products`, one
+    M-point transform per grid order) at the closed-form images of S B and
+    S* B (:meth:`InteriorWindow.commutator`); sigma(S B) is
+    :func:`_sum_moduli`, and the windowed defect comes from the class
+    blocks of S.  For the Y = 0 control (S = X, F_q(Y) = 1) both products
+    are F_q(X), and the windowed defect of the diagonal X is 0."""
+    stated, swapped, fq_x = _fq_products(fq_eigenvalues(pair.X, params, pair.grid.M), pair.grid.M)
     control = pair.Y.is_zero
-    one = w.identity()
     SB, SsB = (w.position(), w.position(adjoint=True)) if control else (w.sum(), w.sum(adjoint=True))
     sigma = _sum_moduli(pair, S, w)
     scale = float(sigma.max(initial=0.0))
-    r = w.r
 
-    def witness(U_cols: np.ndarray) -> float:   # U applied to [B, S B]
+    def witness(U) -> float:
         if scale < 1e-300:
             return 0.0
-        mixed = w.mixed(U_cols)
-        return operator_norm(w.adjoint_apply(one, mixed[..., r:]) - w.adjoint_apply(SsB, mixed[..., :r])) / scale
+        return operator_norm(w.commutator(U, SB, SsB)) / scale
 
     if control:
-        res = witness(w.columns([one, SB], f))
+        res = witness(fq_x)
         return res, res, 0.0, sigma
-    stated = g.fourier_columns(f[:, None] * g.fourier_columns(w.columns([one, SB], f), False), True)
-    swapped = f[:, None] * g.fourier_columns(w.columns([w.fourier(one), w.fourier(SB)], f), True)
     return witness(stated), witness(swapped), w.sum_windowed_defect(S), sigma
 
 

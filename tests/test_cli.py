@@ -96,6 +96,10 @@ def test_corep_passes_on_every_draw(tmp_path, seed):
         pytest.param(["-M", "4", "--margin", "2", "verify-pair"], "margin", id="verify-pair-empty-window"),
         pytest.param(["-M", "2", "verify-pair"], "margin", id="verify-pair-M2-default-margin"),
         pytest.param(["--margin", "4", "exp-identity", "--M-list", "8"], "margin", id="exp-identity-empty-window"),
+        pytest.param(["exp-identity", "--M-list", "0"], "grid order M", id="exp-identity-M-list-0"),
+        pytest.param(["exp-identity", "--M-list", "-8"], "grid order M", id="exp-identity-M-list-negative"),
+        pytest.param(["exp-identity", "--M-list", "5"], "grid order M", id="exp-identity-M-list-odd"),
+        pytest.param(["corep", "--M-list", "0"], "grid order M", id="corep-M-list-0"),
     ],
 )
 def test_invalid_q_is_usage_error(tmp_path, capsys, args, names):

@@ -10,10 +10,13 @@ from qazb.corpus import load_pinned
 from qazb.errors import DimensionError, DomainError, ParameterError
 from qazb.gamma import grid, make_point
 from qazb.opalg import SPECTRUM_RTOL, Eigensystem, GridOperator, NormalMatrix, chi_op, lattice_calculus, operator_norm
-from qazb.qexp import QExpParams, fq_on_operator
+from qazb.qexp import QExpParams, fq_eigenvalues, fq_on_operator
 from qazb.q2pair import (
+    Image,
     InteriorWindow,
     Q2Pair,
+    _fq_products,
+    _phase_modes,
     closure_sum,
     conjugate_pair,
     exp_identity_residual,
@@ -715,6 +718,17 @@ def test_structured_zero_control_equals_the_dense_one():
     assert closure_sum(pair.X, GridOperator(g, "zero")) is pair.X
 
 
+def _image_columns(w, image):
+    """The image of the window columns written out in the standard basis,
+    as an n x r block: term t sends column i to coef[i] e_k[i] (x) phi_l[i]."""
+    M = w.grid.M
+    modes = _phase_modes(M, np.arange(M)).T   # phi_l as row l
+    V = np.zeros((M, M, w.r), complex)
+    for t in image:
+        V[t.k, :, np.arange(w.r)] += t.coef[:, None] * modes[t.l]
+    return V.reshape(M * M, -1)
+
+
 def _full_index(w, M):
     """The columns of window `w` among those of the margin-0 window (the
     whole mixed basis), in the order of `interior_window`."""
@@ -741,15 +755,17 @@ def test_closed_form_images_match_dense_products(M):
         dense[f"gamma Y ({name})"] = gen.value(0.5) * dense["Y"]
     for margin in range(M // 2):
         w = schrodinger_pair(g, margin=margin).window
-        images = {"F": w.fourier(w.identity()), "X": w.position(), "X*": w.position(adjoint=True),
+        # F sends (k, l) to (l, -k), the index map the gathered F_q products use
+        one = np.ones(w.r)
+        images = {"F": (Image(w.l, -w.k % M, one),), "X": w.position(), "X*": w.position(adjoint=True),
                   "Y": w.momentum(), "Y*": w.momentum(adjoint=True), "S": w.sum(), "S*": w.sum(adjoint=True)}
         for name, gen in grid_generators(g):
             conj, scaled = w.weyl(gen)
             images[f"chi Y chi* ({name})"], images[f"gamma Y ({name})"] = (conj,), (scaled,)
         cols = _full_index(w, M)
-        assert np.array_equal(w.columns([w.identity()]), P[:, cols])
+        assert np.array_equal(_image_columns(w, (Image(w.k, w.l, one),)), P[:, cols])
         for name, image in images.items():
-            err = np.abs(w.columns([image]) - dense[name][:, cols]).max(initial=0.0)
+            err = np.abs(_image_columns(w, image) - dense[name][:, cols]).max(initial=0.0)
             assert err <= 1e-13 * np.abs(dense[name]).max(), (name, margin)
 
 
@@ -769,11 +785,12 @@ def test_class_block_singular_values_match_the_svd(M):
         assert np.abs(got - want).max() <= 1e-13 * S.norm2, margin
 
 
-def test_closed_form_route_takes_three_grid_transforms(monkeypatch):
+def test_closed_form_route_takes_no_grid_transform(monkeypatch):
     # per grid order, exp_identity_residual on the model pair and on its
-    # Y = 0 control transforms the grid at most 3 times each, verify_q2
-    # never; a pair given the same members and the window as a dense basis
-    # takes the window-column route
+    # Y = 0 control, and verify_q2, never transform the grid (the witnesses
+    # are gathered from one M-point transform of the F_q values); a pair
+    # given the same members and the window as a dense basis takes the
+    # window-column route
     from qazb.gamma import GammaGrid
 
     calls = []
@@ -790,13 +807,31 @@ def test_closed_form_route_takes_three_grid_transforms(monkeypatch):
         assert verify_q2(pair).passed
         assert calls == []
         exp_identity_residual(pair)
-        assert len(calls) <= 3
-        calls.clear()
+        assert calls == []
         exp_identity_residual(Q2Pair(Y=GridOperator(pair.grid, "zero"), X=pair.X, grid=pair.grid, window=pair.window))
-        assert len(calls) <= 3
-        calls.clear()
+        assert calls == []
         exp_identity_residual(Q2Pair(Y=pair.Y, X=pair.X, grid=pair.grid, window=pair.window_or_identity()))
         assert len(calls) == 12
+
+
+@pytest.mark.parametrize("q, M", [(q, M) for q in (0.3, 0.5, 0.7) for M in (4, 6, 8, 12)], ids=lambda v: str(v))
+def test_gathered_fq_products_match_dense_products(q, M):
+    # the matrix elements of F_q(Y) F_q(X), F_q(X) F_q(Y) and F_q(X) in the
+    # mixed basis, gathered from the circulant table, against P* U P with U
+    # built densely and P the whole mixed basis (the margin-0 window, column
+    # k M + l = e_k (x) phi_l): 1e-13 relative to the largest entry
+    g = grid(q, M)
+    pair = schrodinger_pair(g)
+    params = QExpParams(q)
+    FX = fq_on_operator(pair.X, params, M)
+    FY = g.fourier.conj().T @ FX @ g.fourier
+    P = interior_window(g, 0)
+    a, b = np.divmod(np.arange(g.size), M)
+    gathered = _fq_products(fq_eigenvalues(pair.X, params, M), M)
+    for name, U, dense in zip(("stated", "swapped", "F_q(X)"), gathered, (FY @ FX, FX @ FY, FX)):
+        want = P.conj().T @ dense @ P
+        got = U(a[:, None], b[:, None], a, b)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
 
 
 @pytest.mark.parametrize("q, M", [(q, M) for q in (0.3, 0.5, 0.7) for M in range(8, 25, 4)], ids=lambda v: str(v))

@@ -11,8 +11,9 @@ exists (FFT versus dense Fourier for the grid unitary, the closed-form
 window basis versus the dense window projector D (F* D F), the supplied
 eigensystems of the Schrodinger pair versus their Schur forms, the
 window-column witnesses versus their n x n formulas, the closed-form
-images of the window columns, the Weyl rows and the Y = 0 control row
-versus the dense products, the structured Schrodinger pair versus its
+images of the window columns, the Weyl rows, the gathered witnesses
+of the Schrodinger pair and the Y = 0 control row versus the dense
+products, the structured Schrodinger pair versus its
 dense copy on every exp-identity and verify-pair field, eigh versus
 schur for self-adjoint spectra, the candidate table versus the
 per-candidate families for the separation certificate, the
@@ -39,7 +40,9 @@ from qazb.corpus import load_pinned
 from qazb.gamma import grid, snap_spectrum
 from qazb.opalg import SPECTRUM_RTOL, GridOperator, NormalMatrix, chi_op, operator_norm
 from qazb.q2pair import (
+    Image,
     Q2Pair,
+    _phase_modes,
     default_margin,
     exp_identity_residual,
     grid_generators,
@@ -107,22 +110,36 @@ def check_structured_routes(pair) -> None:
         raise RuntimeError(f"structured route disagreement on the kernel row or the verdict at M={g.M}")
 
 
+def image_columns(w, image) -> np.ndarray:
+    """The image of the window columns of `w` written out in the standard
+    basis, as an n x r block: term t sends column i to
+    coef[i] e_k[i] (x) phi_l[i]."""
+    M = w.grid.M
+    modes = _phase_modes(M, np.arange(M)).T   # phi_l as row l
+    V = np.zeros((M, M, w.r), complex)
+    for t in image:
+        V[t.k, :, np.arange(w.r)] += t.coef[:, None] * modes[t.l]
+    return V.reshape(M * M, -1)
+
+
 def check_closed_form_routes(g) -> None:
     """The closed-form images of the window columns (F, X, X*, Y, Y*,
     S, S* and both terms of each Weyl row) against the dense products of
     GammaGrid.fourier and the members' entries with the window basis, to
     1e-13 relative to the largest entry of the dense product on the whole
     mixed basis P; each closed-form Weyl row against its n x n formula,
-    to 1e-13 relative to ||Y||; and the closed-form witness of the Y = 0
-    control (S = X, U = F_q(X)) against its n x n formula, to 1e-13
-    absolute (its fields are relative and at roundoff)."""
+    to 1e-13 relative to ||Y||; the gathered witnesses of the Schrodinger
+    pair (both F_q products) against their n x n formulas, to 1e-12
+    relative; and the closed-form witness of the Y = 0 control (S = X,
+    U = F_q(X)) against its n x n formula, to 1e-13 absolute (its fields
+    are relative and at roundoff)."""
     pair = schrodinger_pair(g)
     w = pair.window
     X, Y = pair.X.entries, pair.Y.entries
     P = interior_window(g, 0)
     cols = (w.inner[:, None] * g.M + w.inner[None, :]).ravel()
     B = pair.window_or_identity()
-    checks = [("F", g.fourier, w.fourier(w.identity())), ("X", X, w.position()),
+    checks = [("F", g.fourier, (Image(w.l, -w.k % g.M, np.ones(w.r)),)), ("X", X, w.position()),
               ("X*", X.conj().T, w.position(adjoint=True)), ("Y", Y, w.momentum()),
               ("Y*", Y.conj().T, w.momentum(adjoint=True)), ("S", X + Y, w.sum()),
               ("S*", (X + Y).conj().T, w.sum(adjoint=True))]
@@ -137,11 +154,19 @@ def check_closed_form_routes(g) -> None:
             raise RuntimeError(f"closed-form weyl_{name} disagreement {d} at M={g.M}")
     for name, A, image in checks:
         AP = A @ P
-        d = np.abs(w.columns([image]) - AP[:, cols]).max() / np.abs(AP).max()
+        d = np.abs(image_columns(w, image) - AP[:, cols]).max() / np.abs(AP).max()
         if d > 1e-13:
             raise RuntimeError(f"closed-form image disagreement {d} on {name} at M={g.M}")
+    params = QExpParams(g.q)
+    FX, FY = fq_on_operator(pair.X, params, g.M), fq_on_operator(pair.Y, params, g.M)
+    S = X + Y
+    ident = exp_identity_residual(pair)
+    scale = np.linalg.svd(S @ B, compute_uv=False)[0]
+    for name, got, U in (("residual", ident.residual, FY @ FX), ("residual_swapped", ident.residual_swapped, FX @ FY)):
+        want = operator_norm(B.conj().T @ (U @ S - S @ U) @ B) / scale
+        if abs(got - want) > 1e-12 * want:
+            raise RuntimeError(f"gathered witness disagreement {abs(got - want) / want} on {name} at M={g.M}")
     control = exp_identity_residual(Q2Pair(Y=GridOperator(g, "zero"), X=pair.X, grid=g, window=w))
-    FX = fq_on_operator(pair.X, QExpParams(g.q), g.M)
     sigma = np.linalg.svd(X @ B, compute_uv=False)
     _, _, zero, rel = snap_spectrum(sigma.astype(complex), g.q, scale=float(sigma.max()))
     res = operator_norm(B.conj().T @ (FX @ X - X @ FX) @ B) / sigma[0]
