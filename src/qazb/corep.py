@@ -42,6 +42,12 @@ factors' defects; the dense U is materialised only when it is read.
 Q reduces to W_1 F_1 Z_1 . W_2 . Z_1* F_1*, whose only factor on grid
 leg 2 is the diagonal W_2, so the commutator keeps leg 2 in window
 coordinates and folds W_2 into the leg-2 projection the witness reads.
+The end factors are folded per grid position of leg 1: Z_1* and the
+change to the V_b coordinates of W_2 with the window basis on H into
+input factors, and the change back, W_1 and the read on H into output
+factors.  So a window sample enters Q from its window coordinates and
+leaves it read on the window, and of the products on the full width of
+a tensor only F_1 and the change from V_b to V_a coordinates are left.
 """
 
 from __future__ import annotations
@@ -130,14 +136,19 @@ def check_memory(d: int, n: int, r: int, samples: int) -> None:
     exceeds physical memory.  `build_rep` holds four complex (n, d, d)
     block stacks (W, Z and the temporaries of their products and defects).
     `corep_residual` holds the window coordinates of its samples, samples
-    r^3 complex numbers drawn with as many again in temporaries, and seven
-    complex (d, n, 2r) tensors per sample (tracemalloc peak less the draw:
-    5.2-6.7 of them for the Schrodinger pair at M = 4-12, margins 1-3).
-    Its kernel branch reads Q on the whole grid leg, (d, n, n) tensors, but
-    only a pair with a kernel takes it: in `corep` the classical pair, of
-    d = 1, whose working set stays below the Schrodinger pair's."""
+    r^3 complex numbers drawn with as many again in temporaries, the four
+    per-position factor stacks of Q, n d r complex numbers each, and per
+    sample tensors of at most d n 2r complex numbers and thinner ones
+    (the fold matrices, d r^2, and the leg-1 entries, n r^2): with the
+    stacks at most 13 d n r + 9 d r^2 complex numbers for d = n
+    (tracemalloc peak less the samples, for the Schrodinger pair at
+    M = 4-12 and margins 1-3: 11.7-17.8 times d n r, against 13 + 9 r / n
+    by this count).  Its kernel branch reads Q on the whole grid leg,
+    (d, n, n) tensors, but only a pair with a kernel takes it: in `corep`
+    the classical pair, of d = 1, whose working set stays below the
+    Schrodinger pair's."""
     for what, need in (("build blocks", 64 * n * d * d),
-                       ("residual samples", 32 * samples * r ** 3 + 224 * d * n * r)):
+                       ("residual samples", 32 * samples * r ** 3 + 208 * d * n * r + 144 * d * r * r)):
         refuse_beyond_memory(need, f"corep with d = {d} on {n} grid points", what)
 
 
@@ -276,12 +287,13 @@ class _LegOps:
     between the standard basis and the eigenbases V_a, V_b on H) and an
     elementwise multiply by the values z, z-bar or w on H and one grid
     leg.  F commutes with every change of basis on H, so a leg changes
-    basis only where the next multiply needs it.  Nothing is transposed,
-    and an identity basis is never multiplied by.
+    basis only where the next multiply needs it, and an identity basis is
+    never multiplied by.
 
     Leg 2 of a tensor may hold coordinates in a thin basis G (n x m) of
-    the grid leg instead of its n positions: `s_apply` and `q_apply` act
-    on such coordinates, and `q_apply` returns leg 2 read by a projection.
+    the grid leg instead of its n positions: `q_apply` acts on such
+    coordinates and reads leg 2 by a projection.  `q_factored` takes H
+    and leg 1 in thin coordinates too, reads H, and returns leg 1 first.
     """
 
     def __init__(self, rep: Representation):
@@ -296,13 +308,13 @@ class _LegOps:
         self.std_a, self.a_std = _change(None, Va), _change(Va, None)
         self.a_b, self.b_a = _change(Va, self.Vb), _change(self.Vb, Va)
         self.b_std = _change(self.Vb, None)
-        z, self.fq = rep.chi_values.T, rep.fq_values.T   # (d, n)
+        self.chi, self.fq = rep.chi_values.T, rep.fq_values.T   # (d, n)
         # the values on H and grid leg 1 or 2 of a (d, n, n) tensor
+        z = self.chi
         self.z = {1: z[:, :, None], 2: z[:, None, :]}
         self.zc = {1: z.conj()[:, :, None], 2: z.conj()[:, None, :]}
         self.w = {1: self.fq[:, :, None], 2: self.fq[:, None, :]}
         self.bvals = self.g.values
-        self.a = grid_operators(self.g)[1]
         self.bt = rep.pair.Y.entries
 
     def _on_grid(self, F: np.ndarray, v: np.ndarray, leg: int) -> np.ndarray:
@@ -315,10 +327,6 @@ class _LegOps:
     def _h(self, T: np.ndarray | None, v: np.ndarray) -> np.ndarray:
         """A change of basis T on H (None: none, and `v` itself)."""
         return v if T is None else _on_h(T, v)
-
-    def _fold(self, K: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The batched leg-2 product v_h K_h with a :meth:`fold` K."""
-        return np.matmul(v, K)
 
     def _literal_leg(self, v: np.ndarray, leg: int, u: bool) -> np.ndarray:
         """The literal leg W F Z F* (U, when `u`) or F Z* F* (V*) on H and
@@ -351,35 +359,117 @@ class _LegOps:
         K = G.T[None] * self.fq[:, None, :]
         return K if P is None else K @ P.conj()
 
-    def q_apply(self, v: np.ndarray, K: np.ndarray, h_out: np.ndarray | None = None) -> np.ndarray:
+    def entry(self, P: np.ndarray) -> np.ndarray:
+        """The input factors R[g] = V_b* V_a diag(z-bar_g) V_a* P (n, d, p)
+        on H, one per grid position g of leg 1 after F_1*: Z_1* and the
+        change to the V_b coordinates of W_2 on the thin basis P (d x p)."""
+        R = self.chi.conj().T[:, :, None] * self._h(self.std_a, P)
+        return R if self.a_b is None else np.matmul(self.a_b, R)
+
+    def exit(self, H: np.ndarray) -> np.ndarray:
+        """The output factors T[g] = H diag(w_g) V_b* V_a (n, d', d) on H,
+        one per grid position g of leg 1: the change to V_b coordinates,
+        W_1 and the read H (d' x d, from V_b coordinates)."""
+        T = H * self.fq.T[:, None, :]
+        return T if self.a_b is None else T @ self.a_b
+
+    def q_apply(self, v: np.ndarray, K: np.ndarray) -> np.ndarray:
         """Q = U_12 U_13 (V_12 V_13)* on a (d, n, m) tensor whose leg 2
-        holds coordinates in G, with leg 2 read by P*: K = fold(G, P).
+        holds coordinates in G, with leg 2 read by P*: K = fold(G, P);
+        H ends in the standard basis.  The chain of :meth:`q_factored`,
+        with every step a full product on the tensor and every multiply in
+        place on the array its preceding product made.
+        """
+        x = self._h(self.std_a, self._on_grid(self.Fh, v, 1))
+        x *= self.zc[1]                                     # Z_1* F_1*
+        x = np.matmul(self._h(self.a_b, x), K)              # W_2
+        x = self._h(self.b_a, x)
+        x *= self.z[1]                                      # Z_1
+        x = self._h(self.a_b, self._on_grid(self.F, x, 1))
+        x *= self.w[1]                                      # W_1 F_1
+        return self._h(self.b_std, x)
+
+    def q_factored(self, y: np.ndarray, R: np.ndarray, K: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """Q = U_12 U_13 (V_12 V_13)* on P (x) B (x) G c, read by H_out on H
+        and by P_2* on leg 2, as an (n, d', p) tensor over the positions of
+        leg 1, from the coordinates c (p_h, m_1, m): y = (F* B) c (n, p_h,
+        m) is leg 1 entered through F_1*, R = entry(P), K = fold(G, P_2)
+        and T = exit(H_out).
 
         Evaluated as W_1 F_1 Z_1 . W_2 . Z_1* F_1*: the literal chain u12
         u13 vh13 vh12 less its two adjacent F* F products (F_1 commutes
         with everything acting on H (x) leg 2) and less F_2 Z_2 Z_2* F_2*,
         which is V_13 V_13* = 1 (the F and Z terms of the unitarity
-        certificate bound its distance from 1).  No factor after W_2 acts
-        on leg 2, so W_2 and the change of leg 2 from G to P are the one
-        batched product K.  H ends in the standard basis, or is read by
-        `h_out` (d' x d) from the V_b coordinates.  Every multiply acts in
-        place on the array its preceding product made.
+        certificate bound its distance from 1).  Z_1* and the change to
+        V_b coordinates reach the sample per position through R, and the
+        change back from V_a coordinates, W_1 and the read of H leave it
+        through T.  No factor after W_2 acts on leg 2, so W_2 and the read
+        of leg 2 are the one batched product K.  The products of full
+        width left are the change from V_b to V_a coordinates on H and F_1.
         """
-        x = self._h(self.std_a, self._on_grid(self.Fh, v, 1))
-        x *= self.zc[1]                                     # Z_1* F_1*
-        x = self._fold(K, self._h(self.a_b, x))             # W_2
+        x = np.matmul(np.matmul(R, y).transpose(1, 0, 2), K)   # W_2 . Z_1* F_1*, (d, n, p)
         x = self._h(self.b_a, x)
-        x *= self.z[1]                                      # Z_1
-        x = self._h(self.a_b, self._on_grid(self.F, x, 1))
-        x *= self.w[1]                                      # W_1 F_1
-        return self._h(self.b_std if h_out is None else h_out, x)
+        x *= self.z[1]                                          # Z_1
+        x = self.F @ x.transpose(1, 0, 2).reshape(self.n, -1)   # F_1, leg 1 first
+        return np.matmul(T, x.reshape(self.n, self.d, -1))      # W_1, and the read of H
 
-    def s_apply(self, v: np.ndarray) -> np.ndarray:
-        """S' = bt (x) a (x) b + bt (x) b (x) I on a (d, n, m) tensor whose
-        leg 2 holds coordinates in G; the result's leg 2 holds coordinates
-        in [b G | G] (d, n, 2m)."""
-        w = self._h(self.bt, v)
-        return np.concatenate([self._on_grid(self.a, w, 1), self.bvals[:, None] * w], axis=2)
+
+class _CommutatorReads:
+    """The window reads of Q S' and S' Q on the samples Bh (x) Bg (x) Bg c
+    of a corep residual, from their window coordinates c (r_h, r, r).
+
+    A sample enters Q through :meth:`_LegOps.q_factored`: leg 1 through
+    F* Bg for v and F* a Bg, F* b Bg for the two terms of S'v (F* a =
+    b F*), one (3n x r) product per sample, and H through the input
+    factors of P = Bh for v and P = bt Bh for S'v; leg 2 stays in
+    coordinates Bg for v and [b Bg | Bg] for S'v.  Q(S'v) is read on leg
+    2 by Bg* and on H by Bh*, Qv on leg 2 by [b-bar Bg | Bg]* and on H by
+    Bh* bt, the projections of the two terms of S'(Qv), and both on leg 1
+    by the window (Bg* for Q(S'v), [Bg* a | Bg* b] for Qv).  The scale
+    ||S'x|| is that of (Rh (x) (R1a (x) R2a + R1b (x) R2b)) c, with the
+    triangular factors Rh of bt Bh, [R1a | R1b] of [a Bg | b Bg] and
+    [R2a | R2b] of [b Bg | Bg], so S'x is never formed.
+    """
+
+    def __init__(self, ops: _LegOps, Bh: np.ndarray, Bg: np.ndarray):
+        self.ops, self.n, self.r = ops, ops.n, Bg.shape[1]
+        b = ops.bvals[:, None]
+        FBg = ops.Fh @ Bg
+        self.E = np.vstack([FBg, b * FBg, ops.Fh @ (b * Bg)])   # F* [Bg; a Bg; b Bg]
+        btBh = ops.bt @ Bh
+        Gs = np.hstack([b * Bg, Bg])                            # leg 2 of S'v
+        self.Rv, self.Rs = ops.entry(Bh), ops.entry(btBh)
+        self.Kv = ops.fold(Bg, np.hstack([b.conj() * Bg, Bg]))  # Qv, read by both terms of S'
+        self.Ks = ops.fold(Gs, Bg)                              # Q(S'v), read on the window
+        self.Tv = ops.exit(_change(ops.Vb, ops.bt.conj().T @ Bh))   # Bh* bt V_b
+        self.Ts = ops.exit(_change(ops.Vb, Bh))                     # Bh* V_b
+        self.Bgh = Bg.conj().T
+        self.leg1 = np.hstack([(FBg.conj().T * ops.bvals) @ ops.Fh, self.Bgh * ops.bvals])   # [Bg* a | Bg* b]
+        self.Rh = np.linalg.qr(btBh, mode="r")
+        self.R1 = np.hsplit(np.linalg.qr(np.hstack([ops.F @ (b * FBg), b * Bg]), mode="r"), 2)
+        self.R2 = np.hsplit(np.linalg.qr(Gs, mode="r"), 2)
+
+    def entries(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Leg 1 of v and of S'v entered through F*: the `y` of
+        :meth:`_LegOps.q_factored`, (n, r_h, r) and (n, r_h, 2r)."""
+        n, r = self.n, self.r
+        y = (self.E @ c.transpose(1, 0, 2).reshape(r, -1)).reshape(3, n, c.shape[0], r)
+        return y[0], np.concatenate(y[1:], axis=2)
+
+    def terms(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The window reads of Q(S'v) and S'(Qv), (r, r_h r) each: leg 1,
+        then H and leg 2 as in c."""
+        n, r, ops = self.n, self.r, self.ops
+        y, ys = self.entries(c)
+        qsv = self.Bgh @ ops.q_factored(ys, self.Rs, self.Ks, self.Ts).reshape(n, -1)
+        qv = ops.q_factored(y, self.Rv, self.Kv, self.Tv)
+        return qsv, self.leg1 @ np.concatenate([qv[..., :r], qv[..., r:]]).reshape(2 * n, -1)
+
+    def s_norm(self, c: np.ndarray) -> float:
+        """||S'x|| for the sample x of coordinates c."""
+        (R1a, R1b), (R2a, R2b) = self.R1, self.R2
+        t = (self.Rh @ c.reshape(c.shape[0], -1)).reshape(-1, self.r, self.r)
+        return float(np.linalg.norm(R1a @ t @ R2a.T + R1b @ t @ R2b.T))
 
 
 @dataclass(frozen=True)
@@ -433,62 +523,49 @@ def _window_residual(rep: Representation, C: np.ndarray, margin: int | None = No
     """The corep residual over the samples Bh (x) Bg (x) Bg c, c in C
     (samples, r_h, r, r) window coordinates; see :func:`corep_residual`.
 
-    The commutator is read on the window only, so grid leg 2 stays in
-    window coordinates: Bg for v and [b Bg | Bg] for S'v.  Q(S'v) is read
-    on leg 2 by Bg* and Qv by [b-bar Bg | Bg]*, the leg-2 projections of
-    the two terms of S'(Qv); W_2 is folded into each (`_LegOps.fold`), so
-    no product is applied to a tensor with more than 2r columns on leg 2
-    (r the columns of Bg).  The kernel branch, taken when bt has a zero eigenvalue, projects onto
+    The commutator is read on the window only, through
+    :class:`_CommutatorReads`: a sample enters Q in its window coordinates
+    and leaves it read on the window, so no array wider than d n 2r is
+    made per sample (r the columns of Bg) and S'x is never formed.  When
+    bt is 0 on every eigenvector, S' = 0 and the commutation branch, which
+    would read 0, is not run.  The kernel branch, taken when bt has a zero
+    eigenvalue, projects the window vector (leg 2 in coordinates Bg) onto
     ker(bt) by its zero mask in V_b coordinates and reads Q on the whole
-    grid leg.
+    grid leg by :meth:`_LegOps.q_apply`, the chain of full products.  For
+    bt = 0 (the classical pairs of `corep`) that read is roundoff, which
+    this chain keeps bit for bit.
     """
     ops = _LegOps(rep)
     Bh, Bg = _window_bases(rep, margin)
-    r = Bg.shape[1]
-
-    b = ops.bvals[:, None]
-    Gs = np.hstack([b * Bg, Bg])                      # leg 2 of S'v
-    Rs = np.linalg.qr(Gs, mode="r")                   # ||Y (x)_2 Gs|| = ||Y Rs^T||
-    Ks = ops.fold(Gs, Bg)                             # Q(S'v), read on the window
-    Kv = ops.fold(Bg, np.hstack([b.conj() * Bg, Bg]))  # Qv, read by both terms of S'
-    Hq = _change(ops.Vb, Bh)                          # Bh* V_b
-    Hs = _change(ops.Vb, ops.bt.conj().T @ Bh)        # Bh* bt V_b
-    Ag = Bg.conj().T @ ops.a                          # Bg* a
-    bg = Bg.conj().T * ops.bvals                      # Bg* b
-
     zero = rep.pair.Y.lattice(ops.g.q)[2]   # ker(bt): the zero mask in V_b coordinates
+    reads = None if zero.all() else _CommutatorReads(ops, Bh, Bg)   # else S' = 0
     kernel = bool(zero.any())
     if kernel:
         to_b, mask = _change(None, ops.Vb), zero[:, None, None]
         Kk = ops.fold(Bg)                             # Qw on the whole leg 2
 
-    comm = 0.0
+    comms = []
     kern = 0.0
     sscale = 0.0
-    comms = []
     for c in C:
-        x = _on_h(Bh, Bg @ c)   # the window vector, leg 2 in coordinates Bg
-        nv = np.linalg.norm(x)
+        nv = float(np.linalg.norm(c))
         if nv < 1e-12:
             continue
-        x /= nv
-        sx = ops.s_apply(x)
-        qsv = np.matmul(Bg.conj().T, ops.q_apply(sx, Ks, Hq))
-        qv = ops.q_apply(x, Kv, Hs)
-        sqv = np.matmul(Ag, qv[..., :r]) + np.matmul(bg, qv[..., r:])
-        comms.append(float(np.linalg.norm(qsv - sqv)))
-        sscale = max(sscale, float(np.linalg.norm(sx @ Rs.T)))
+        if reads is not None:
+            qsv, sqv = reads.terms(c)
+            comms.append(float(np.linalg.norm(qsv - sqv)) / nv)
+            sscale = max(sscale, reads.s_norm(c) / nv)
         if not kernel:
             continue
+        x = _on_h(Bh, Bg @ c)   # the window vector, leg 2 in coordinates Bg
+        x /= np.linalg.norm(x)
         w = ops._h(ops.b_std, ops._h(to_b, x) * mask)   # V_b diag(zero) V_b* x
         nw = np.linalg.norm(w)
         if nw > 1e-12:
             w /= nw
             kern = max(kern, float(np.linalg.norm(ops.q_apply(w, Kk) - w @ Bg.T)))
-    if comms and sscale > 1e-300:
-        comm = max(comms) / sscale
-    residual = max(comm, kern)
-    return CorepReport(residual=residual, commutation=comm, kernel_identity=kern, samples=len(C))
+    comm = max(comms) / sscale if comms and sscale > 1e-300 else 0.0
+    return CorepReport(residual=max(comm, kern), commutation=comm, kernel_identity=kern, samples=len(C))
 
 
 def g_family(rep: Representation) -> np.ndarray:

@@ -99,8 +99,9 @@ SPECTRUM_RTOL = 1e-9   # largest relative lattice distance or eigen-residual of 
 
 
 def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value (exact dense 2-norm)."""
-    if a.size == 0:
+    """Largest singular value (exact dense 2-norm); 0.0 without an SVD
+    when every entry is 0 (or there is none)."""
+    if not a.any():
         return 0.0
     return float(np.linalg.norm(a, 2))
 

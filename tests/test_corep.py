@@ -387,6 +387,17 @@ def test_build_rep_matches_dense_reference(case):
     assert np.abs(U - dense_reference_u(pair, g)).max() < 1e-13
 
 
+def on_h(A, v):
+    """A matrix A on the H leg of a (d, ...) tensor."""
+    return (A @ v.reshape(A.shape[1], -1)).reshape((A.shape[0],) + v.shape[1:])
+
+
+def standard_read(ops):
+    """The read of H in the standard basis from V_b coordinates (the
+    `exit` argument of a Q that ends in the standard basis)."""
+    return np.eye(ops.d) if ops.b_std is None else ops.b_std
+
+
 def dense_leg(A, v, leg, adjoint=False):
     """A (or A*) on H (x) grid leg `leg` of a (d, n, n) tensor, as a dense
     (d n) x (d n) product: the reference for the block leg operators."""
@@ -409,12 +420,17 @@ def test_leg_operators_match_dense_route(case):
     rng = np.random.default_rng(0)
     v = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
     vh = dense_leg(V, dense_leg(V, v, 1, adjoint=True), 2, adjoint=True)
+    q = dense_leg(U, dense_leg(U, vh, 2), 1)
+    # the factored chain on full coordinates: P = 1 on H, the positions on both grid legs
+    y = (ops.Fh @ v.transpose(1, 0, 2).reshape(n, -1)).reshape(n, d, n)
+    factored = ops.q_factored(y, ops.entry(np.eye(d)), ops.fold(np.eye(n)), ops.exit(standard_read(ops)))
     checks = [
         (ops.u12(v), dense_leg(U, v, 1)),
         (ops.u13(v), dense_leg(U, v, 2)),
         (ops.vh12(v), dense_leg(V, v, 1, adjoint=True)),
         (ops.vh13(v), dense_leg(V, v, 2, adjoint=True)),
-        (ops.q_apply(v, ops.fold(np.eye(n))), dense_leg(U, dense_leg(U, vh, 2), 1)),
+        (ops.q_apply(v, ops.fold(np.eye(n))), q),
+        (factored.transpose(1, 0, 2), q),
     ]
     for got, want in checks:
         assert np.linalg.norm(got - want) < 1e-13 * np.linalg.norm(want)
@@ -438,24 +454,37 @@ def thin_bases(g, margin):
     return Bg, np.hstack([b * Bg, Bg]), np.hstack([b.conj() * Bg, Bg])
 
 
+def window_draw(rep, margin, seed):
+    """One window sample of a corep residual: its coordinates c (r_h, r, r)
+    and the full (d, n, n) tensor Bh (x) Bg (x) Bg c."""
+    from qazb.corep import _window_bases
+
+    Bh, Bg = _window_bases(rep, margin)
+    shape = (Bh.shape[1], Bg.shape[1], Bg.shape[1])
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return c, on_h(Bh, (Bg @ c) @ Bg.T)
+
+
 @pytest.mark.parametrize("case", ["schrodinger-4", "schrodinger-6", "conjugated-4"])
-def test_s_apply_matches_dense_coproduct(case):
-    # S' = bt (x) Delta(b), with Delta(b) dense on grid (x) grid, applied to
-    # leg-2 coordinates in the window basis and in the position basis
-    from qazb.corep import _LegOps
-    from qazb.q2pair import default_margin
+def test_s_norm_matches_dense_coproduct(case):
+    # S' = bt (x) Delta(b), with Delta(b) dense on grid (x) grid: the literal
+    # S' of the oracle on a full tensor, and on window samples also the
+    # ||S'v|| that the residual takes from triangular factors
+    from qazb.corep import _CommutatorReads, _LegOps, _window_bases
 
     g, pair = case_pair(case)
-    ops = _LegOps(build_rep(pair, g))
+    rep = build_rep(pair, g)
+    reads = _CommutatorReads(_LegOps(rep), *_window_bases(rep, None))
     d, n = pair.dim, g.size
     _, delta_b = dense_coproduct(g)
     rng = np.random.default_rng(0)
-    for G in (thin_bases(g, default_margin(g.M))[0], np.eye(n)):
-        x = rng.standard_normal((d, n, G.shape[1])) + 1j * rng.standard_normal((d, n, G.shape[1]))
-        want = (pair.Y.entries @ (x @ G.T).reshape(d, n * n)) @ delta_b.T
-        got = ops.s_apply(x) @ np.hstack([g.values[:, None] * G, G]).T
-        assert np.linalg.norm(got.reshape(d, n * n) - want) < 1e-13 * np.linalg.norm(want)
-        assert np.linalg.norm(literal_s(pair, g, x @ G.T).reshape(d, n * n) - want) < 1e-13 * np.linalg.norm(want)
+    full = rng.standard_normal((d, n, n)) + 1j * rng.standard_normal((d, n, n))
+    for c, v in [(None, full)] + [window_draw(rep, None, seed) for seed in range(3)]:
+        want = (pair.Y.entries @ v.reshape(d, n * n)) @ delta_b.T
+        assert np.linalg.norm(literal_s(pair, g, v).reshape(d, n * n) - want) < 1e-13 * np.linalg.norm(want)
+        if c is not None:
+            assert abs(reads.s_norm(c) - np.linalg.norm(want)) < 1e-13 * np.linalg.norm(want)
 
 
 def literal_q(ops, v):
@@ -466,34 +495,74 @@ def literal_q(ops, v):
 THIN_CASES = CASES + [f"schrodinger-{M}-margin{m}" for M in (4, 6, 8) for m in range(M // 2)]
 
 
-@pytest.mark.parametrize("case", THIN_CASES)
-def test_thin_route_matches_literal_legs(case):
-    # leg 2 in window coordinates: S'v in [b Bg | Bg], Q(S'v) read on the
-    # window and Qv read by [b-bar Bg | Bg], as corep_residual takes them,
-    # against the literal legs and S' on full tensors
-    from qazb.corep import _LegOps
+def thin_case(case):
+    """The grid, pair and margin of a THIN_CASES id."""
     from qazb.q2pair import default_margin
 
     if "margin" in case:
         _, M, m = case.split("-")
         g, margin = grid(0.5, int(M)), int(m.removeprefix("margin"))
-        pair = schrodinger_pair(g, margin=margin)
-    else:
-        g, pair = case_pair(case)
-        margin = default_margin(g.M)
-    ops = _LegOps(build_rep(pair, g))
-    d, n = pair.dim, g.size
-    Bg, Gs, Pv = thin_bases(g, margin)
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((d, n, Bg.shape[1])) + 1j * rng.standard_normal((d, n, Bg.shape[1]))
-    v = x @ Bg.T
+        return g, schrodinger_pair(g, margin=margin), margin
+    g, pair = case_pair(case)
+    return g, pair, default_margin(g.M)
+
+
+@pytest.mark.parametrize("case", THIN_CASES)
+def test_thin_route_matches_literal_legs(case):
+    # Q through its input and output factors on window coordinates, as
+    # corep_residual takes it, against the literal legs and S' on full
+    # tensors: Q(S'v) read by Bh* on H and by Bg* on leg 2, Qv read by
+    # Bh* bt and [b-bar Bg | Bg]*, and Qv on the whole leg 2 with H in the
+    # standard basis; leg 1 is left on its n positions
+    from qazb.corep import _CommutatorReads, _LegOps, _window_bases
+
+    g, pair, margin = thin_case(case)
+    rep = build_rep(pair, g)
+    ops = _LegOps(rep)
+    Bh, Bg = _window_bases(rep, margin)
+    reads = _CommutatorReads(ops, Bh, Bg)
+    _, _, Pv = thin_bases(g, margin)
+    c, v = window_draw(rep, margin, 1)
     sv = literal_s(pair, g, v)
-    sx = ops.s_apply(x)
+    y, ys = reads.entries(c)
+    Bhh = Bh.conj().T
     checks = [
-        (sx @ Gs.T, sv),
-        (ops.q_apply(sx, ops.fold(Gs, Bg)), literal_q(ops, sv) @ Bg.conj()),
-        (ops.q_apply(x, ops.fold(Bg, Pv)), literal_q(ops, v) @ Pv.conj()),
-        (ops.q_apply(x, ops.fold(Bg)), literal_q(ops, v)),
+        (ops.q_factored(ys, reads.Rs, reads.Ks, reads.Ts), on_h(Bhh, literal_q(ops, sv) @ Bg.conj())),
+        (ops.q_factored(y, reads.Rv, reads.Kv, reads.Tv), on_h(Bhh @ pair.Y.entries, literal_q(ops, v) @ Pv.conj())),
+        (ops.q_factored(y, reads.Rv, ops.fold(Bg), ops.exit(standard_read(ops))), literal_q(ops, v)),
+    ]
+    for got, want in checks:
+        assert np.linalg.norm(got.transpose(1, 0, 2) - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("case", THIN_CASES)
+def test_window_reads_match_literal_legs(case):
+    # the reads the residual takes per sample against the literal legs and
+    # S' on full tensors: the window reads of Q(S'v) and S'(Qv), the scale
+    # ||S'v||, and the kernel branch's Qw on the whole leg 2 (w the
+    # projection of v onto ker(bt); 0 unless bt has a kernel)
+    from qazb.corep import _CommutatorReads, _LegOps, _window_bases
+
+    g, pair, margin = thin_case(case)
+    rep = build_rep(pair, g)
+    ops = _LegOps(rep)
+    Bh, Bg = _window_bases(rep, margin)
+    reads = _CommutatorReads(ops, Bh, Bg)
+    r_h, r = Bh.shape[1], Bg.shape[1]
+    c, v = window_draw(rep, margin, 1)
+    sv = literal_s(pair, g, v)
+
+    def coords(x):   # the window coordinates (r, r_h, r) of a full tensor, leg 1 first
+        return (Bg.conj().T @ on_h(Bh.conj().T, x) @ Bg.conj()).transpose(1, 0, 2)
+
+    qsv, sqv = reads.terms(c)
+    Vb, zero = pair.Y.eig()[0], pair.Y.lattice(g.q)[2]
+    w = on_h((Vb * zero) @ Vb.conj().T, on_h(Bh, Bg @ c))   # leg 2 in coordinates Bg
+    checks = [
+        (qsv.reshape(r, r_h, r), coords(literal_q(ops, sv))),
+        (sqv.reshape(r, r_h, r), coords(literal_s(pair, g, literal_q(ops, v)))),
+        (np.array(reads.s_norm(c)), np.array(np.linalg.norm(sv))),
+        (ops.q_apply(w, ops.fold(Bg)), literal_q(ops, w @ Bg.T)),
     ]
     for got, want in checks:
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -562,43 +631,58 @@ def test_residual_through_fused_q_matches_literal_legs(case):
         assert comm > 1e-4
 
 
-def test_commutation_branch_stays_thin(monkeypatch):
-    # on the M = 6 Schrodinger representation every one-axis product of the
-    # commutation branch acts on, and makes, a tensor with at most 2r
-    # columns on grid leg 2 (r the columns of the window basis)
-    from qazb.corep import _LegOps
-    from qazb.q2pair import default_margin, interior_window
+def recording_type():
+    """An ndarray subclass Recorded and the list of the shapes of every
+    array made from a Recorded one: products, views, elementwise results
+    and the results of numpy functions."""
+    shapes = []
+
+    class Recorded(np.ndarray):
+        def __array_finalize__(self, obj):
+            shapes.append(self.shape)
+
+        def __array_function__(self, func, types, args, kwargs):
+            out = super().__array_function__(func, types, args, kwargs)
+            return out.view(Recorded) if type(out) is np.ndarray else out
+
+    return Recorded, shapes
+
+
+def test_commutation_branch_stays_thin():
+    # on the M = 6 Schrodinger representation no array made from a sample
+    # (from its window coordinates c) has more than d n 2r entries (r the
+    # columns of the window basis), so none has the n^2 r^2 entries of an
+    # operator on the window of the two grid legs
+    from qazb.corep import _window_bases, _window_residual
 
     g = grid(0.5, 6)
     rep = build_rep(schrodinger_pair(g), g)
-    r = interior_window(g, default_margin(6)).shape[1]
-    shapes = []
-    for name in ("_on_grid", "_h", "_fold"):
-        def recording(self, A, v, *args, _step=getattr(_LegOps, name)):
-            out = _step(self, A, v, *args)
-            shapes.extend([v.shape, out.shape])
-            return out
-
-        monkeypatch.setattr(_LegOps, name, recording)
-    corep_residual(rep, samples=4, seed=1)
-    assert (g.size, g.size, 2 * r) in shapes   # S'v, leg 2 in [b Bg | Bg]
-    assert all(s[-1] <= 2 * r for s in shapes)
+    Bh, Bg = _window_bases(rep, None)
+    d, n, r = rep.h_dim, g.size, Bg.shape[1]
+    Recorded, shapes = recording_type()
+    rng = np.random.default_rng(1)
+    shape = (4, Bh.shape[1], r, r)
+    C = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).view(Recorded)
+    report = _window_residual(rep, C)
+    assert report.commutation > 0.0 and report.kernel_identity == 0.0
+    assert (n, d, 2 * r) in shapes   # Q(S'v) entered on H, leg 2 in [b Bg | Bg]
+    assert max(np.prod(s) for s in shapes) <= d * n * 2 * r < n * n * r * r
 
 
 def test_window_draw_stays_thin(monkeypatch):
     # the seeded draw of a Schrodinger M = 6 residual is samples r_h r^2
     # complex window coordinates, and off the kernel branch (bt has no
-    # kernel here) no step makes an array of the size of a (d, n, n) tensor
-    import qazb.corep
-    from qazb.corep import _LegOps
-    from qazb.q2pair import default_margin, interior_window
+    # kernel here) no array made from them has the size of a (d, n, n) tensor
+    from qazb.corep import _window_bases
 
     g = grid(0.5, 6)
     rep = build_rep(schrodinger_pair(g), g)
     d, n = rep.h_dim, g.size
-    r_h, r = rep.pair.window_or_identity().shape[1], interior_window(g, default_margin(6)).shape[1]
+    Bh, Bg = _window_bases(rep, None)
+    r_h, r = Bh.shape[1], Bg.shape[1]
     assert not rep.pair.Y.lattice(g.q)[2].any()
-    draws, sizes = [], []
+    draws = []
+    Recorded, shapes = recording_type()
     default_rng = np.random.default_rng
 
     class RecordingRng:
@@ -607,23 +691,33 @@ def test_window_draw_stays_thin(monkeypatch):
 
         def standard_normal(self, size):
             draws.append(size)
-            return self.rng.standard_normal(size)
-
-    def recording(step):
-        def run(*args):
-            out = step(*args)
-            sizes.append(out.size)
-            return out
-        return run
+            return self.rng.standard_normal(size).view(Recorded)
 
     monkeypatch.setattr(np.random, "default_rng", RecordingRng)
-    monkeypatch.setattr(qazb.corep, "_on_h", recording(qazb.corep._on_h))
-    for name in ("_on_grid", "_h", "_fold", "s_apply", "q_apply"):
-        monkeypatch.setattr(_LegOps, name, recording(getattr(_LegOps, name)))
     report = corep_residual(rep, samples=8, seed=1)
     assert draws == [(8, r_h, r, r)] * 2   # real and imaginary parts
     assert report.commutation > 0.0 and report.kernel_identity == 0.0
-    assert sizes and max(sizes) < d * n * n
+    assert len(shapes) > 100 and max(np.prod(s) for s in shapes) < d * n * n
+
+
+def test_all_kernel_pair_skips_commutation(monkeypatch):
+    # bt = 0: S' = 0 on every sample, so the commutation is 0.0 without a
+    # read of Q(S'v) or Qv; the kernel branch runs its one Q per sample
+    from qazb.corep import _CommutatorReads, _LegOps
+
+    g = grid(0.5, 4)
+    rep = build_rep(random_regular_pair([("trivial", g.point(1, 0))], g), g)
+    calls = []
+    for cls, name in ((_CommutatorReads, "__init__"), (_LegOps, "q_factored"), (_LegOps, "q_apply")):
+        def recording(*args, _step=getattr(cls, name), _name=name):
+            calls.append(_name)
+            return _step(*args)
+
+        monkeypatch.setattr(cls, name, recording)
+    report = corep_residual(rep, samples=8, seed=2)
+    assert report.commutation == 0.0
+    assert report.residual == report.kernel_identity > 0.0
+    assert calls == ["q_apply"] * 8
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -659,8 +753,9 @@ def test_dense_u_refused_beyond_physical_memory(monkeypatch):
 def test_corep_refused_beyond_physical_memory(monkeypatch, capsys):
     # 64 bytes an entry of the (n, d, d) build blocks; for the residual 32
     # bytes a window coordinate of the samples (the draw and its
-    # temporaries) and 224 an entry of the (d, n, r) window vector (seven
-    # (d, n, 2r) tensors); the CLI checks every grid order before it runs one
+    # temporaries), 208 an entry of a (d, n, r) tensor (the four factor
+    # stacks of Q and nine more per sample) and 144 one of a (d, r, r)
+    # tensor; the CLI checks every grid order before it runs one
     import qazb.corep
     from qazb.cli import main
     from qazb.corep import check_memory
@@ -668,11 +763,11 @@ def test_corep_refused_beyond_physical_memory(monkeypatch, capsys):
     monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 2048)
     with pytest.raises(ParameterError, match=f"needs {64 * 16 ** 3} bytes for its build blocks.* 2048 bytes"):
         check_memory(16, 16, 4, 32)
-    with pytest.raises(ParameterError, match=f"needs {32 * 32 * 4 ** 3 + 224 * 16 * 4} bytes for its residual samples"):
+    with pytest.raises(ParameterError, match=f"needs {32 * 32 * 4 ** 3 + 208 * 16 * 4 + 144 * 16} bytes for its residual samples"):
         check_memory(1, 16, 4, 32)
     monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 10 ** 6)   # M = 4 fits, M = 6 not
     check_memory(16, 16, 4, 32)
-    with pytest.raises(ParameterError, match=f"needs {32 * 32 * 16 ** 3 + 224 * 16 * 16 * 16} bytes for its residual"):
+    with pytest.raises(ParameterError, match=f"needs {32 * 32 * 16 ** 3 + 208 * 16 * 16 * 16 + 144 * 16 * 16 * 16} bytes for its residual"):
         check_memory(16, 16, 16, 32)   # M = 4 at margin 0
     assert main(["corep", "--M-list", "4,6"]) == 2
     out, err = capsys.readouterr()
@@ -720,7 +815,7 @@ def test_kernel_projection_matches_dense_projector(monkeypatch, case):
     # of bt in V_b coordinates; it matches the dense (V_b mask) V_b*.  In
     # the seeded pair the window lies in ker(bt); next to a P = 4 block it
     # does not.
-    from qazb.corep import _LegOps
+    from qazb.corep import _LegOps, _window_bases
 
     if case == "seeded-d8-8":
         g, pair = case_pair(case)
@@ -730,24 +825,24 @@ def test_kernel_projection_matches_dense_projector(monkeypatch, case):
     Vb, zero = pair.Y.eig()[0], pair.Y.lattice(g.q)[2]
     assert zero.any() and not zero.all() and pair.Y.basis is not None
     Pker = (Vb * zero) @ Vb.conj().T
-    xs, ws = [], []
-    s_apply, q_apply = _LegOps.s_apply, _LegOps.q_apply
+    ws = []
+    q_apply = _LegOps.q_apply
 
-    def record_x(self, v):
-        xs.append(v.copy())
-        return s_apply(self, v)
+    def record_w(self, v, K):
+        ws.append(v.copy())
+        return q_apply(self, v, K)
 
-    def record_w(self, v, K, h_out=None):
-        if h_out is None:   # only the kernel branch reads H in the standard basis
-            ws.append(v.copy())
-        return q_apply(self, v, K, h_out)
-
-    monkeypatch.setattr(_LegOps, "s_apply", record_x)
     monkeypatch.setattr(_LegOps, "q_apply", record_w)
-    corep_residual(build_rep(pair, g), samples=4, seed=3)
-    assert len(xs) == len(ws) == 4
-    for x, w in zip(xs, ws):
-        want = (Pker @ x.reshape(len(zero), -1)).reshape(x.shape)
+    rep = build_rep(pair, g)
+    corep_residual(rep, samples=4, seed=3)
+    Bh, Bg = _window_bases(rep, None)
+    rng = np.random.default_rng(3)
+    shape = (4, Bh.shape[1], Bg.shape[1], Bg.shape[1])
+    C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert len(ws) == 4
+    for c, w in zip(C, ws):
+        x = on_h(Bh, Bg @ c)   # the sample, leg 2 in coordinates Bg
+        want = on_h(Pker, x / np.linalg.norm(x))
         assert np.linalg.norm(want) > 0.1
         assert np.linalg.norm(w - want / np.linalg.norm(want)) <= 1e-13
 

@@ -706,6 +706,33 @@ def test_block_route_takes_no_square_norm(monkeypatch):
     assert all(s[-2:] != (g.size, g.size) for s in shapes)
 
 
+def test_zero_control_takes_no_svd(monkeypatch):
+    # the Y = 0 control witness of exp-identity is exactly 0 by construction,
+    # and operator_norm returns its 0.0 without an SVD; the Schrodinger
+    # rows keep their r x r SVDs
+    from qazb.q2pair import default_margin
+
+    g = grid(0.5, 12)
+    pair = schrodinger_pair(g)
+    control = Q2Pair(Y=GridOperator(g, "zero"), X=pair.X, grid=g, window=pair.window)
+    r = interior_window(g, default_margin(12)).shape[1]
+    shapes = []
+    norm = np.linalg.norm
+
+    def recording_norm(a, ord=None, *args, **kwargs):
+        if ord == 2:
+            shapes.append(np.shape(a))
+        return norm(a, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", recording_norm)
+    report = exp_identity_residual(control)
+    assert report.residual == report.residual_swapped == 0.0
+    assert shapes == []
+    assert exp_identity_residual(pair).residual > 0.0
+    assert shapes == [(r, r)] * 2
+    assert operator_norm(np.zeros((3, 3))) == 0.0 and operator_norm(np.zeros((0, 4))) == 0.0
+
+
 def test_structured_zero_control_equals_the_dense_one():
     # the Y = 0 control of exp-identity: a structured zero and a dense zero
     # with its eigensystem give the same report, bit for bit

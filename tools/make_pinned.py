@@ -16,9 +16,10 @@ of the Schrodinger pair and the Y = 0 control row versus the dense
 products, the structured Schrodinger pair versus its
 dense copy on every exp-identity and verify-pair field, eigh versus
 schur for self-adjoint spectra, the candidate table versus the
-per-candidate families for the separation certificate, the
-corepresentation product Q and S' in window coordinates versus the dense
-U, V and coproduct applied leg by leg, the corepresentation residual on
+per-candidate families for the separation certificate, the window reads
+of Q S' and S' Q and the scale ||S'v|| that the corepresentation residual
+takes through the factors of Q versus the dense U, V and coproduct
+applied leg by leg, the corepresentation residual on
 the full-tensor draw that `corep_residual` was recorded on versus its
 stored value); a disagreement aborts the run
 before anything is written.  `corep_residual_window` is the residual on
@@ -35,7 +36,16 @@ import numpy as np
 
 warnings.filterwarnings("ignore")
 
-from qazb.corep import _LegOps, _window_residual, build_rep, chi_kron, corep_residual, grid_operators
+from qazb.corep import (
+    _CommutatorReads,
+    _LegOps,
+    _window_bases,
+    _window_residual,
+    build_rep,
+    chi_kron,
+    corep_residual,
+    grid_operators,
+)
 from qazb.corpus import load_pinned
 from qazb.gamma import grid, snap_spectrum
 from qazb.opalg import SPECTRUM_RTOL, GridOperator, NormalMatrix, chi_op, operator_norm
@@ -237,10 +247,10 @@ def check_window_column_routes(pair) -> None:
 
 
 def check_corep_routes(rep, margin: int) -> None:
-    """The thin route of corep_residual against the dense U, V = chi_kron
-    and coproduct Delta(b), each applied to a full (d, n, n) tensor: S'v
-    with leg 2 in [b Bg | Bg], Q(S'v) read on the window Bg and Qv read by
-    [b-bar Bg | Bg], to 1e-13 relative."""
+    """The factored route of corep_residual against the dense U, V =
+    chi_kron and coproduct Delta(b), each applied to a full (d, n, n)
+    tensor, on one window sample v = Bh (x) Bg (x) Bg c: the window reads
+    of Q(S'v) and S'(Qv) and the scale ||S'v||, to 1e-13 relative."""
     g = rep.grid
     d, n = rep.h_dim, g.size
 
@@ -249,6 +259,9 @@ def check_corep_routes(rep, margin: int) -> None:
         w = (A @ w.reshape(d * n, n)).reshape(d, n, n)
         return w if which == 1 else w.transpose(0, 2, 1)
 
+    def on_h(A, v):   # A on the H leg of a (d, ...) tensor
+        return (A @ v.reshape(A.shape[1], -1)).reshape((A.shape[0],) + v.shape[1:])
+
     Vh = chi_kron(rep.pair.X, g).conj().T
 
     def dense_q(v):
@@ -256,19 +269,26 @@ def check_corep_routes(rep, margin: int) -> None:
 
     b, a = grid_operators(g)
     delta_b = np.kron(a, b) + np.kron(b, np.eye(n))
-    Bg = interior_window(g, margin)
-    Gs = np.hstack([b @ Bg, Bg])
-    Pv = np.hstack([b.conj() @ Bg, Bg])
-    ops = _LegOps(rep)
+
+    def dense_s(v):
+        return ((rep.pair.Y.entries @ v.reshape(d, n * n)) @ delta_b.T).reshape(d, n, n)
+
+    Bh, Bg = _window_bases(rep, margin)
+    r_h, r = Bh.shape[1], Bg.shape[1]
+
+    def coords(v):   # window coordinates (r, r_h, r), leg 1 first
+        return (Bg.conj().T @ on_h(Bh.conj().T, v) @ Bg.conj()).transpose(1, 0, 2)
+
+    reads = _CommutatorReads(_LegOps(rep), Bh, Bg)
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((d, n, Bg.shape[1])) + 1j * rng.standard_normal((d, n, Bg.shape[1]))
-    v = x @ Bg.T
-    sv = ((rep.pair.Y.entries @ v.reshape(d, n * n)) @ delta_b.T).reshape(d, n, n)
-    sx = ops.s_apply(x)
+    c = rng.standard_normal((r_h, r, r)) + 1j * rng.standard_normal((r_h, r, r))
+    v = on_h(Bh, Bg @ c @ Bg.T)
+    sv = dense_s(v)
+    qsv, sqv = reads.terms(c)
     checks = [
-        ("S'v", sx @ Gs.T, sv),
-        ("Q(S'v)", ops.q_apply(sx, ops.fold(Gs, Bg)), dense_q(sv) @ Bg.conj()),
-        ("Qv", ops.q_apply(x, ops.fold(Bg, Pv)), dense_q(v) @ Pv.conj()),
+        ("Q(S'v)", qsv.reshape(r, r_h, r), coords(dense_q(sv))),
+        ("S'(Qv)", sqv.reshape(r, r_h, r), coords(dense_s(dense_q(v)))),
+        ("||S'v||", np.array(reads.s_norm(c)), np.array(np.linalg.norm(sv))),
     ]
     for name, got, want in checks:
         dist = np.linalg.norm(got - want) / np.linalg.norm(want)
