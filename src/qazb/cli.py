@@ -182,9 +182,11 @@ def _check_grid_memory(command: str, config: RunConfig, m_list: list[int]) -> No
 
 def cmd_exp_identity(config: RunConfig, m_list: list[int]) -> int:
     """Sweep of the windowed exponential-identity witness over grid sizes;
-    every grid order is checked against physical memory before any is run."""
+    every grid order is checked against physical memory before any is run.
+    The pinned envelope gates the largest M only at the configuration it
+    was pinned at (its q and the default margin)."""
     _check_grid_memory("exp-identity", config, m_list)
-    pinned = load_pinned().get("exp_identity", {})
+    pinned = load_pinned()
     rows = []
     passed = True
     residuals = []
@@ -210,8 +212,8 @@ def cmd_exp_identity(config: RunConfig, m_list: list[int]) -> int:
     rows.append(row(M, margin, 0.0, control))
     passed = passed and control.residual < 1e-12
     passed = passed and all(residuals[i + 1] < residuals[i] for i in range(len(residuals) - 1))
-    envelope = pinned.get(str(m_list[-1]))
-    if envelope is not None:
+    envelope = pinned.get("exp_identity", {}).get(str(M))
+    if envelope is not None and config.q == pinned.get("q") and margin == default_margin(M):
         passed = passed and residuals[-1] <= 1.5 * envelope
     return emit_report("exp-identity", config, rows, passed)
 

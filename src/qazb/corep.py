@@ -34,20 +34,22 @@ diagonal over grid positions, and V = (I (x) F) Z (I (x) F*) conjugates
 the block-diagonal Z = blocks chi(at, gamma_a) by the grid Fourier
 unitary F.  Both are diagonal in eigen-coordinates: Z_a = V_a diag(z_a)
 V_a* and W_g = V_b diag(w_g) V_b*, with V_a, V_b the eigenbases of at and
-bt and z, w the chi and F_q values on their lattice data.  The residual
-applies U and V in these coordinates, as matrix products on one axis
-(F on a grid leg, a change of eigenbasis on H) and multiplies by the
-values, and the unitarity defect of a built U is certified from the
-factors' defects; the dense U is materialised only when it is read.
-Q reduces to W_1 F_1 Z_1 . W_2 . Z_1* F_1*, whose only factor on grid
-leg 2 is the diagonal W_2, so the commutator keeps leg 2 in window
-coordinates and folds W_2 into the leg-2 projection the witness reads.
+bt and z, w the chi and F_q values on their lattice data.  The unitarity
+defect of a built U is certified from these eigen-data (the defects of
+V_a, V_b and F and the distance of |w|, |z| from 1), so no block is
+formed to build U; the residual applies U and V in these coordinates, as
+matrix products on one axis (F on a grid leg, a change of eigenbasis on
+H) and multiplies by the values, and the dense U is materialised only
+when it is read.  Q reduces to W_1 F_1 Z_1 . W_2 . Z_1* F_1*, whose only
+factor on grid leg 2 is the diagonal W_2, so leg 2 stays in window
+coordinates and W_2 folds into the leg-2 projection the witness reads.
 The end factors are folded per grid position of leg 1: Z_1* and the
 change to the V_b coordinates of W_2 with the window basis on H into
 input factors, and the change back, W_1 and the read on H into output
 factors.  So a window sample enters Q from its window coordinates and
-leaves it read on the window, and of the products on the full width of
-a tensor only F_1 and the change from V_b to V_a coordinates are left.
+leaves it read on the window (or on the whole leg 2, on ker(bt)), and of
+the products on the full width of a tensor only F_1 and the change from
+V_b to V_a coordinates are left.
 """
 
 from __future__ import annotations
@@ -133,23 +135,22 @@ def refuse_dense_u(dim: int, subject: str) -> None:
 def check_memory(d: int, n: int, r: int, samples: int) -> None:
     """Refuse a corep run on H of dimension d and n grid points, with r
     window columns on each grid leg and at most r on H, whose working set
-    exceeds physical memory.  `build_rep` holds four complex (n, d, d)
-    block stacks (W, Z and the temporaries of their products and defects).
-    `corep_residual` holds the window coordinates of its samples, samples
-    r^3 complex numbers drawn with as many again in temporaries, the four
-    per-position factor stacks of Q, n d r complex numbers each, and per
-    sample tensors of at most d n 2r complex numbers and thinner ones
-    (the fold matrices, d r^2, and the leg-1 entries, n r^2): with the
-    stacks at most 13 d n r + 9 d r^2 complex numbers for d = n
-    (tracemalloc peak less the samples, for the Schrodinger pair at
+    exceeds physical memory.  Only the residual is counted: `build_rep`
+    holds (n, d) values and d x d or n x n bases and their products, and
+    no (n, d, d) block.  The residual holds the window coordinates of its
+    samples, samples r^3 complex numbers drawn with as many again in
+    temporaries, the four per-position factor stacks of Q, n d r complex
+    numbers each, and per sample tensors of at most d n 2r complex numbers
+    and thinner ones (the fold matrices, d r^2, and the leg-1 entries,
+    n r^2): with the stacks at most 13 d n r + 9 d r^2 complex numbers for
+    d = n (tracemalloc peak less the samples, for the Schrodinger pair at
     M = 4-12 and margins 1-3: 11.7-17.8 times d n r, against 13 + 9 r / n
     by this count).  Its kernel branch reads Q on the whole grid leg,
-    (d, n, n) tensors, but only a pair with a kernel takes it: in `corep`
+    (n, d, n) tensors, but only a pair with a kernel takes it: in `corep`
     the classical pair, of d = 1, whose working set stays below the
     Schrodinger pair's."""
-    for what, need in (("build blocks", 64 * n * d * d),
-                       ("residual samples", 32 * samples * r ** 3 + 208 * d * n * r + 144 * d * r * r)):
-        refuse_beyond_memory(need, f"corep with d = {d} on {n} grid points", what)
+    refuse_beyond_memory(32 * samples * r ** 3 + 208 * d * n * r + 144 * d * r * r,
+                         f"corep with d = {d} on {n} grid points", "residual samples")
 
 
 @dataclass(frozen=True)
@@ -161,10 +162,11 @@ class Representation:
     `fq_values` w (n, d) of the block-diagonal W, W_g = F_q(gamma_g * bt)
     = V_b diag(w_g) V_b* per grid position g, and `chi_values` z (n, d) of
     V = (I (x) F) Z (I (x) F*), Z_a = chi(at, gamma_a) = V_a diag(z_a) V_a*
-    per Fourier slot a.  The dense `U` is built from them on first read
+    per Fourier slot a, and the `unitarity_defect` certified from them.
+    The blocks and the dense `U` are formed only when `U` is first read
     (refused with ParameterError when DENSE_U_COPIES arrays of its
     16 (d M^2)^2 bytes exceed physical memory); a loaded representation
-    holds only its dense U.
+    holds only its dense U and its measured defect.
     """
 
     grid: GammaGrid
@@ -182,7 +184,8 @@ class Representation:
     def U(self) -> np.ndarray:
         refuse_dense_u(self.dim, f"a representation of dimension {self.dim}")
         d, n = self.h_dim, self.grid.size
-        W, B = _blocks(self.pair, self.fq_values, self.chi_values)
+        # the (n, d, d) stacks W_g = V_b diag(w_g) V_b* and Z_a = V_a diag(z_a) V_a*
+        W, B = eigen_stack(self.pair.Y.eig()[0], self.fq_values), eigen_stack(self.pair.X.eig()[0], self.chi_values)
         V = _conjugate_by_fourier(B, self.grid).reshape(d, n, d * n).transpose(1, 0, 2)
         U = (W @ V).transpose(1, 0, 2).reshape(d * n, d * n)
         U.setflags(write=False)
@@ -214,20 +217,25 @@ def chi_kron(a_t: NormalMatrix, g: GammaGrid) -> np.ndarray:
     return _conjugate_by_fourier(lattice_calculus(a_t, chi_values(*g.lattice), g.q, M=g.M), g)
 
 
-def _blocks(pair: Q2Pair, w: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, d, d) stacks of W_g = V_b diag(w_g) V_b* and Z_a = V_a
-    diag(z_a) V_a*, as :func:`~qazb.opalg.lattice_calculus` forms them."""
-    return eigen_stack(pair.Y.eig()[0], w), eigen_stack(pair.X.eig()[0], z)
-
-
 def _max_norm(stack: np.ndarray) -> float:
     """The largest 2-norm over a stack of matrices."""
     return float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1))))
 
 
-def _block_defect(blocks: np.ndarray) -> float:
-    """max ||B* B - 1||_2 over a stack of square blocks, or of one matrix."""
-    return _max_norm(blocks.conj().swapaxes(-1, -2) @ blocks - np.eye(blocks.shape[-1]))
+def _basis_defect(V: np.ndarray | None) -> float:
+    """||V* V - 1||_F of a square basis V from one product (0.0 for the
+    identity basis, None); it bounds ||V* V - 1||_2 = ||V V* - 1||_2."""
+    return 0.0 if V is None else float(np.linalg.norm(V.conj().T @ V - np.eye(len(V))))
+
+
+def _factor_defect(V: np.ndarray | None, vals: np.ndarray) -> float:
+    """A bound on max ||A* A - 1||_2 over the blocks A = V diag(v) V*, v a
+    row of `vals`: with e = ||V* V - 1|| and h = max | |v|^2 - 1 |,
+    A* A - 1 = (V V* - 1) + V (|v|^2 - 1) V* + V v-bar (V* V - 1) v V*,
+    at most e + (1 + e) h + (1 + e)(1 + h) e, as ||V||^2 <= 1 + e."""
+    e = _basis_defect(V)
+    h = float(np.max(np.abs(np.abs(vals) ** 2 - 1.0)))
+    return e + (1.0 + e) * h + (1.0 + e) * (1.0 + h) * e
 
 
 def build_rep(pair, g: GammaGrid) -> Representation:
@@ -236,19 +244,20 @@ def build_rep(pair, g: GammaGrid) -> Representation:
     F_q(bt (x) b) is block diagonal over the grid-leg position basis, with
     block g equal to F_q(gamma_g * bt); chi is the blocks chi(at, gamma_a)
     conjugated by I (x) F.  The blocks' eigenvalues, computed once on the
-    lattice data of bt and at, are kept on the representation.  The
-    unitarity defect is certified from the factors:
-    if A* A - 1 and B* B - 1 have norms a and b, then (AB)* AB - 1 has norm
-    at most (1 + a)(1 + b) - 1, applied to the factors W, I (x) F, Z and
-    I (x) F* of U (||F F* - 1|| = ||F* F - 1||).
+    lattice data of bt and at, are kept on the representation, and no
+    block is formed.  The unitarity defect is certified from the factors:
+    W and Z by :func:`_factor_defect` on (V_b, w) and (V_a, z), I (x) F
+    and I (x) F* by ||F* F - 1||_F of the dense F the residual multiplies
+    by; if A* A - 1 and B* B - 1 have norms a and b, then (AB)* AB - 1
+    has norm at most (1 + a)(1 + b) - 1, applied to W, I (x) F, Z and
+    I (x) F* in turn.
     """
     p = as_pair_on_h(pair)
     w = lattice_values(p.Y, fq_grid(g, QExpParams(g.q)), g.q, M=g.M)
     z = lattice_values(p.X, chi_values(*g.lattice), g.q, M=g.M)
-    W, B = _blocks(p, w, z)
-    defect_f = _block_defect(g.fourier)
+    defect_f = _basis_defect(g.fourier)
     defect = 0.0
-    for delta in (_block_defect(W), defect_f, defect_f, _block_defect(B)):
+    for delta in (_factor_defect(p.Y.basis, w), defect_f, defect_f, _factor_defect(p.X.basis, z)):
         defect += delta + defect * delta
     for vals in (w, z):
         vals.setflags(write=False)
@@ -290,10 +299,10 @@ class _LegOps:
     basis only where the next multiply needs it, and an identity basis is
     never multiplied by.
 
-    Leg 2 of a tensor may hold coordinates in a thin basis G (n x m) of
-    the grid leg instead of its n positions: `q_apply` acts on such
-    coordinates and reads leg 2 by a projection.  `q_factored` takes H
-    and leg 1 in thin coordinates too, reads H, and returns leg 1 first.
+    `q_factored` takes Q on a tensor held in thin coordinates on every
+    leg (a basis P on H, G (n x m) on grid leg 2, and leg 1 entered
+    through F*), reads H and leg 2 by projections, and returns leg 1
+    first; the literal legs are the oracle it is tested against.
     """
 
     def __init__(self, rep: Representation):
@@ -372,22 +381,6 @@ class _LegOps:
         W_1 and the read H (d' x d, from V_b coordinates)."""
         T = H * self.fq.T[:, None, :]
         return T if self.a_b is None else T @ self.a_b
-
-    def q_apply(self, v: np.ndarray, K: np.ndarray) -> np.ndarray:
-        """Q = U_12 U_13 (V_12 V_13)* on a (d, n, m) tensor whose leg 2
-        holds coordinates in G, with leg 2 read by P*: K = fold(G, P);
-        H ends in the standard basis.  The chain of :meth:`q_factored`,
-        with every step a full product on the tensor and every multiply in
-        place on the array its preceding product made.
-        """
-        x = self._h(self.std_a, self._on_grid(self.Fh, v, 1))
-        x *= self.zc[1]                                     # Z_1* F_1*
-        x = np.matmul(self._h(self.a_b, x), K)              # W_2
-        x = self._h(self.b_a, x)
-        x *= self.z[1]                                      # Z_1
-        x = self._h(self.a_b, self._on_grid(self.F, x, 1))
-        x *= self.w[1]                                      # W_1 F_1
-        return self._h(self.b_std, x)
 
     def q_factored(self, y: np.ndarray, R: np.ndarray, K: np.ndarray, T: np.ndarray) -> np.ndarray:
         """Q = U_12 U_13 (V_12 V_13)* on P (x) B (x) G c, read by H_out on H
@@ -529,20 +522,21 @@ def _window_residual(rep: Representation, C: np.ndarray, margin: int | None = No
     made per sample (r the columns of Bg) and S'x is never formed.  When
     bt is 0 on every eigenvector, S' = 0 and the commutation branch, which
     would read 0, is not run.  The kernel branch, taken when bt has a zero
-    eigenvalue, projects the window vector (leg 2 in coordinates Bg) onto
-    ker(bt) by its zero mask in V_b coordinates and reads Q on the whole
-    grid leg by :meth:`_LegOps.q_apply`, the chain of full products.  For
-    bt = 0 (the classical pairs of `corep`) that read is roundoff, which
-    this chain keeps bit for bit.
+    eigenvalue, projects Bh onto ker(bt) by its zero mask in V_b
+    coordinates, P = V_b diag(zero) V_b* Bh, and takes Qw, w = P (x) Bg
+    (x) Bg c, through the same :meth:`_LegOps.q_factored` with leg 2 read
+    on its n positions and H in the standard basis.
     """
     ops = _LegOps(rep)
     Bh, Bg = _window_bases(rep, margin)
+    n, r = ops.n, Bg.shape[1]
     zero = rep.pair.Y.lattice(ops.g.q)[2]   # ker(bt): the zero mask in V_b coordinates
     reads = None if zero.all() else _CommutatorReads(ops, Bh, Bg)   # else S' = 0
     kernel = bool(zero.any())
     if kernel:
-        to_b, mask = _change(None, ops.Vb), zero[:, None, None]
-        Kk = ops.fold(Bg)                             # Qw on the whole leg 2
+        Vb = np.eye(ops.d) if ops.Vb is None else ops.Vb
+        P = Vb @ (zero[:, None] * (Vb.conj().T @ Bh))
+        FBg, Rk, Kk, Tk = ops.Fh @ Bg, ops.entry(P), ops.fold(Bg), ops.exit(Vb)
 
     comms = []
     kern = 0.0
@@ -557,13 +551,12 @@ def _window_residual(rep: Representation, C: np.ndarray, margin: int | None = No
             sscale = max(sscale, reads.s_norm(c) / nv)
         if not kernel:
             continue
-        x = _on_h(Bh, Bg @ c)   # the window vector, leg 2 in coordinates Bg
-        x /= np.linalg.norm(x)
-        w = ops._h(ops.b_std, ops._h(to_b, x) * mask)   # V_b diag(zero) V_b* x
-        nw = np.linalg.norm(w)
-        if nw > 1e-12:
-            w /= nw
-            kern = max(kern, float(np.linalg.norm(ops.q_apply(w, Kk) - w @ Bg.T)))
+        wc = _on_h(P, c)   # w with H in the standard basis, both grid legs in coordinates Bg
+        nw = float(np.linalg.norm(wc))
+        if nw > 1e-12 * nv:
+            y = (FBg @ c.transpose(1, 0, 2).reshape(r, -1)).reshape(n, -1, r)
+            w = (Bg @ wc.transpose(1, 0, 2).reshape(r, -1)).reshape(n, ops.d, r) @ Bg.T   # leg 1 first
+            kern = max(kern, float(np.linalg.norm(ops.q_factored(y, Rk, Kk, Tk) - w)) / nw)
     comm = max(comms) / sscale if comms and sscale > 1e-300 else 0.0
     return CorepReport(residual=max(comm, kern), commutation=comm, kernel_identity=kern, samples=len(C))
 

@@ -35,6 +35,24 @@ def test_exp_identity_small_sweep(tmp_path):
             "exp_residual_swapped", "sum_defect", "gamma_distance"} <= cols
 
 
+def test_exp_identity_envelope_only_at_its_pinned_config(tmp_path, monkeypatch):
+    # the exp_identity envelope was pinned at q = 0.5 and the default
+    # margin: at q = 0.7 the witness decays more slowly (0.041 at M = 16,
+    # against 1.5 x 1.59e-3) and at margin 3 the window differs, so neither
+    # run is held to it; at the pinned configuration a tiny envelope still
+    # fails the run
+    import qazb.cli
+
+    out = str(tmp_path / "r.json")
+    assert run(["--q", "0.7", "--out", out, "exp-identity"]) == 0
+    pinned = qazb.cli.load_pinned()
+    monkeypatch.setattr(qazb.cli, "load_pinned", lambda: {**pinned, "exp_identity": {"16": 1e-12}})
+    assert run(["--q", "0.7", "--out", out, "exp-identity"]) == 0
+    assert run(["--margin", "3", "--out", out, "exp-identity", "--M-list", "16"]) == 0
+    assert run(["--out", out, "exp-identity"]) == 1
+    assert run(["--margin", "4", "--out", out, "exp-identity", "--M-list", "16"]) == 1
+
+
 def test_verify_pair_exit_codes(tmp_path):
     assert run(["--out", str(tmp_path / "a.json"), "verify-pair"]) == 0
     assert run(["--out", str(tmp_path / "b.json"), "verify-pair", "--pair", "xx"]) == 1

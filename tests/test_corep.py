@@ -429,7 +429,6 @@ def test_leg_operators_match_dense_route(case):
         (ops.u13(v), dense_leg(U, v, 2)),
         (ops.vh12(v), dense_leg(V, v, 1, adjoint=True)),
         (ops.vh13(v), dense_leg(V, v, 2, adjoint=True)),
-        (ops.q_apply(v, ops.fold(np.eye(n))), q),
         (factored.transpose(1, 0, 2), q),
     ]
     for got, want in checks:
@@ -538,9 +537,9 @@ def test_thin_route_matches_literal_legs(case):
 @pytest.mark.parametrize("case", THIN_CASES)
 def test_window_reads_match_literal_legs(case):
     # the reads the residual takes per sample against the literal legs and
-    # S' on full tensors: the window reads of Q(S'v) and S'(Qv), the scale
-    # ||S'v||, and the kernel branch's Qw on the whole leg 2 (w the
-    # projection of v onto ker(bt); 0 unless bt has a kernel)
+    # S' on full tensors: the window reads of Q(S'v) and S'(Qv) and the
+    # scale ||S'v|| (the kernel branch's Q on the whole leg 2 is the third
+    # check of test_thin_route_matches_literal_legs)
     from qazb.corep import _CommutatorReads, _LegOps, _window_bases
 
     g, pair, margin = thin_case(case)
@@ -556,13 +555,10 @@ def test_window_reads_match_literal_legs(case):
         return (Bg.conj().T @ on_h(Bh.conj().T, x) @ Bg.conj()).transpose(1, 0, 2)
 
     qsv, sqv = reads.terms(c)
-    Vb, zero = pair.Y.eig()[0], pair.Y.lattice(g.q)[2]
-    w = on_h((Vb * zero) @ Vb.conj().T, on_h(Bh, Bg @ c))   # leg 2 in coordinates Bg
     checks = [
         (qsv.reshape(r, r_h, r), coords(literal_q(ops, sv))),
         (sqv.reshape(r, r_h, r), coords(literal_s(pair, g, literal_q(ops, v)))),
         (np.array(reads.s_norm(c)), np.array(np.linalg.norm(sv))),
-        (ops.q_apply(w, ops.fold(Bg)), literal_q(ops, w @ Bg.T)),
     ]
     for got, want in checks:
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -702,32 +698,85 @@ def test_window_draw_stays_thin(monkeypatch):
 
 def test_all_kernel_pair_skips_commutation(monkeypatch):
     # bt = 0: S' = 0 on every sample, so the commutation is 0.0 without a
-    # read of Q(S'v) or Qv; the kernel branch runs its one Q per sample
+    # read of Q(S'v) or Qv; the kernel branch runs its one Q per sample,
+    # read on the whole leg 2 (K of n columns, from r window coordinates)
     from qazb.corep import _CommutatorReads, _LegOps
 
     g = grid(0.5, 4)
     rep = build_rep(random_regular_pair([("trivial", g.point(1, 0))], g), g)
     calls = []
-    for cls, name in ((_CommutatorReads, "__init__"), (_LegOps, "q_factored"), (_LegOps, "q_apply")):
+    for cls, name in ((_CommutatorReads, "__init__"), (_LegOps, "q_factored")):
         def recording(*args, _step=getattr(cls, name), _name=name):
-            calls.append(_name)
+            calls.append((_name, args[-2].shape[-1] if _name == "q_factored" else None))
             return _step(*args)
 
         monkeypatch.setattr(cls, name, recording)
     report = corep_residual(rep, samples=8, seed=2)
     assert report.commutation == 0.0
     assert report.residual == report.kernel_identity > 0.0
-    assert calls == ["q_apply"] * 8
+    assert calls == [("q_factored", g.size)] * 8
 
 
-@pytest.mark.parametrize("case", CASES)
+CERT_CASES = CASES + ["classical", "two-trivial"]
+
+
+def cert_pair(case):
+    """The grid and pair of a CERT_CASES id: a CASES pair, the classical
+    pair of `corep` or two trivial blocks, at M = 4."""
+    if case not in ("classical", "two-trivial"):
+        return case_pair(case)
+    g = grid(0.5, 4)
+    points = [(1, 0)] if case == "classical" else [(0, 1), (3, 2)]
+    return g, random_regular_pair([("trivial", g.point(*p)) for p in points], g)
+
+
+@pytest.mark.parametrize("case", CERT_CASES)
 def test_unitarity_certificate_bounds_dense_defect(case):
-    g, pair = case_pair(case)
+    g, pair = cert_pair(case)
     rep = build_rep(pair, g)
     dense = operator_norm(rep.U.conj().T @ rep.U - np.eye(rep.dim))
     assert rep.unitarity_defect < 1e-12
-    assert dense < 1e-12
-    assert dense <= 2 * rep.unitarity_defect
+    assert dense <= rep.unitarity_defect
+
+
+def block_defect(blocks):
+    """max ||B* B - 1||_2 over a stack of square blocks, or of one matrix,
+    by batched SVD: the oracle of the certificate's factor bounds."""
+    return float(np.max(np.linalg.norm(blocks.conj().swapaxes(-1, -2) @ blocks - np.eye(blocks.shape[-1]),
+                                       2, axis=(-2, -1))))
+
+
+@pytest.mark.parametrize("case", CERT_CASES)
+def test_factor_bounds_cover_block_defects(case):
+    # each factor's bound from the eigen-data is at least the defect of
+    # its block stack (W_g = V_b diag(w_g) V_b*, Z_a = V_a diag(z_a) V_a*)
+    # or of F, measured by SVD
+    from qazb.corep import _basis_defect, _factor_defect
+    from qazb.opalg import eigen_stack
+
+    g, pair = cert_pair(case)
+    rep = build_rep(pair, g)
+    for T, vals in ((pair.Y, rep.fq_values), (pair.X, rep.chi_values)):
+        assert block_defect(eigen_stack(T.eig()[0], vals)) <= _factor_defect(T.basis, vals) < 1e-12
+    assert block_defect(g.fourier) <= _basis_defect(g.fourier) < 1e-12
+
+
+def test_build_rep_holds_no_block_stack():
+    # the tracemalloc peak of building the M = 8 Schrodinger representation
+    # (n = d = 64) stays below one complex (n, d, d) block stack
+    import tracemalloc
+
+    g = grid(0.5, 8)
+    pair = schrodinger_pair(g)
+    pair.Y.eig(), pair.X.eig(), g.fourier   # the pair's dense bases and F, built before the count
+    n = d = g.size
+    tracemalloc.start()
+    try:
+        build_rep(pair, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * d * d
 
 
 def test_residual_leaves_u_unmaterialised():
@@ -751,19 +800,17 @@ def test_dense_u_refused_beyond_physical_memory(monkeypatch):
 
 
 def test_corep_refused_beyond_physical_memory(monkeypatch, capsys):
-    # 64 bytes an entry of the (n, d, d) build blocks; for the residual 32
-    # bytes a window coordinate of the samples (the draw and its
-    # temporaries), 208 an entry of a (d, n, r) tensor (the four factor
-    # stacks of Q and nine more per sample) and 144 one of a (d, r, r)
-    # tensor; the CLI checks every grid order before it runs one
+    # for the residual 32 bytes a window coordinate of the samples (the
+    # draw and its temporaries), 208 an entry of a (d, n, r) tensor (the
+    # four factor stacks of Q and nine more per sample) and 144 one of a
+    # (d, r, r) tensor; the build holds no (n, d, d) block and is not
+    # counted; the CLI checks every grid order before it runs one
     import qazb.corep
     from qazb.cli import main
     from qazb.corep import check_memory
 
     monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 2048)
-    with pytest.raises(ParameterError, match=f"needs {64 * 16 ** 3} bytes for its build blocks.* 2048 bytes"):
-        check_memory(16, 16, 4, 32)
-    with pytest.raises(ParameterError, match=f"needs {32 * 32 * 4 ** 3 + 208 * 16 * 4 + 144 * 16} bytes for its residual samples"):
+    with pytest.raises(ParameterError, match=f"needs {32 * 32 * 4 ** 3 + 208 * 16 * 4 + 144 * 16} bytes for its residual samples.* 2048 bytes"):
         check_memory(1, 16, 4, 32)
     monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 10 ** 6)   # M = 4 fits, M = 6 not
     check_memory(16, 16, 4, 32)
@@ -771,7 +818,8 @@ def test_corep_refused_beyond_physical_memory(monkeypatch, capsys):
         check_memory(16, 16, 16, 32)   # M = 4 at margin 0
     assert main(["corep", "--M-list", "4,6"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and f"needs {64 * 36 ** 3} bytes" in err and f"{10 ** 6} bytes" in err
+    need = 32 * 32 * 4 ** 3 + 208 * 36 * 36 * 4 + 144 * 36 * 4 ** 2   # M = 6 at margin 2 (r = 4): 1226752
+    assert out == "" and f"needs {need} bytes for its residual samples" in err and f"{10 ** 6} bytes" in err
 
 
 @pytest.mark.parametrize(
@@ -811,10 +859,11 @@ def test_load_rejects_tampered_file(tmp_path, field, value, error):
 
 @pytest.mark.parametrize("case", ["seeded-d8-8", "trivial+schrodinger-4"])
 def test_kernel_projection_matches_dense_projector(monkeypatch, case):
-    # the kernel branch projects each sample onto ker(bt) by the zero mask
-    # of bt in V_b coordinates; it matches the dense (V_b mask) V_b*.  In
-    # the seeded pair the window lies in ker(bt); next to a P = 4 block it
-    # does not.
+    # the kernel branch projects the window basis Bh onto ker(bt) by the
+    # zero mask of bt in V_b coordinates; the input factors R = entry(P)
+    # it gives q_factored match those of the dense (V_b mask) V_b* Bh, and
+    # its leg-1 entries are F* Bg c.  In the seeded pair the window lies
+    # in ker(bt); next to a P = 4 block it does not.
     from qazb.corep import _LegOps, _window_bases
 
     if case == "seeded-d8-8":
@@ -825,26 +874,30 @@ def test_kernel_projection_matches_dense_projector(monkeypatch, case):
     Vb, zero = pair.Y.eig()[0], pair.Y.lattice(g.q)[2]
     assert zero.any() and not zero.all() and pair.Y.basis is not None
     Pker = (Vb * zero) @ Vb.conj().T
-    ws = []
-    q_apply = _LegOps.q_apply
+    inputs = []
+    q_factored = _LegOps.q_factored
 
-    def record_w(self, v, K):
-        ws.append(v.copy())
-        return q_apply(self, v, K)
+    def record(self, y, R, K, T):
+        if K.shape[-1] == g.size:   # the kernel branch: leg 2 read on its n positions
+            inputs.append((y.copy(), R.copy()))
+        return q_factored(self, y, R, K, T)
 
-    monkeypatch.setattr(_LegOps, "q_apply", record_w)
+    monkeypatch.setattr(_LegOps, "q_factored", record)
     rep = build_rep(pair, g)
     corep_residual(rep, samples=4, seed=3)
     Bh, Bg = _window_bases(rep, None)
+    r = Bg.shape[1]
     rng = np.random.default_rng(3)
-    shape = (4, Bh.shape[1], Bg.shape[1], Bg.shape[1])
+    shape = (4, Bh.shape[1], r, r)
     C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert len(ws) == 4
-    for c, w in zip(C, ws):
+    want_R = _LegOps(rep).entry(Pker @ Bh)
+    assert len(inputs) == 4
+    for c, (y, R) in zip(C, inputs):
         x = on_h(Bh, Bg @ c)   # the sample, leg 2 in coordinates Bg
-        want = on_h(Pker, x / np.linalg.norm(x))
-        assert np.linalg.norm(want) > 0.1
-        assert np.linalg.norm(w - want / np.linalg.norm(want)) <= 1e-13
+        assert np.linalg.norm(on_h(Pker, x)) > 0.1 * np.linalg.norm(x)
+        assert np.linalg.norm(R - want_R) <= 1e-13 * np.linalg.norm(want_R)
+        want_y = (g.fourier.conj() @ Bg @ c.transpose(1, 0, 2).reshape(r, -1)).reshape(y.shape)
+        assert np.linalg.norm(y - want_y) <= 1e-13 * np.linalg.norm(want_y)
 
 
 def test_corep_residual_refuses_empty_window():

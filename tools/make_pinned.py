@@ -19,7 +19,8 @@ schur for self-adjoint spectra, the candidate table versus the
 per-candidate families for the separation certificate, the window reads
 of Q S' and S' Q and the scale ||S'v|| that the corepresentation residual
 takes through the factors of Q versus the dense U, V and coproduct
-applied leg by leg, the corepresentation residual on
+applied leg by leg, the unitarity certificate of a built representation
+versus its dense defect, the corepresentation residual on
 the full-tensor draw that `corep_residual` was recorded on versus its
 stored value); a disagreement aborts the run
 before anything is written.  `corep_residual_window` is the residual on
@@ -250,9 +251,14 @@ def check_corep_routes(rep, margin: int) -> None:
     """The factored route of corep_residual against the dense U, V =
     chi_kron and coproduct Delta(b), each applied to a full (d, n, n)
     tensor, on one window sample v = Bh (x) Bg (x) Bg c: the window reads
-    of Q(S'v) and S'(Qv) and the scale ||S'v||, to 1e-13 relative."""
+    of Q(S'v) and S'(Qv) and the scale ||S'v||, to 1e-13 relative; and
+    the unitarity certificate of build_rep against the dense ||U* U - 1||_2,
+    which it must not undercut."""
     g = rep.grid
     d, n = rep.h_dim, g.size
+    dense = operator_norm(rep.U.conj().T @ rep.U - np.eye(rep.dim))
+    if rep.unitarity_defect < dense:
+        raise RuntimeError(f"unitarity certificate {rep.unitarity_defect} is below the dense defect {dense} at M={g.M}")
 
     def leg(A, v, which):   # A on H (x) grid leg `which` of a (d, n, n) tensor
         w = v if which == 1 else v.transpose(0, 2, 1)
