@@ -222,8 +222,11 @@ def cmd_corep(config: RunConfig, m_list: list[int]) -> int:
     """Corepresentation residuals: classical (bt = 0) pairs and the full
     Schrodinger-block pair per grid size.  Every grid order is checked
     against physical memory before any is run (the Schrodinger pair has
-    dim H = n = M^2, and its window on H is the grid window)."""
-    pinned = load_pinned().get("corep_residual", {})
+    dim H = n = M^2, and its window on H is the grid window).  The pinned
+    envelope gates a grid order only at the configuration it was pinned
+    at (its q, the default margin and 32 samples)."""
+    pinned = load_pinned()
+    envelopes = pinned.get("corep_residual", {}) if config.q == pinned.get("q") and config.samples == 32 else {}
     for M in m_list:
         check_memory(M * M, M * M, (M - 2 * config.resolved_margin(M)) ** 2, config.samples)
     rows = []
@@ -245,8 +248,8 @@ def cmd_corep(config: RunConfig, m_list: list[int]) -> int:
         rows.append({"q": config.q, "M": M, "margin": margin, "case": "schrodinger",
                      "residual": r1.residual, "unitarity_defect": rep1.unitarity_defect})
         block_residuals.append(r1.residual)
-        envelope = pinned.get(str(M))
-        if envelope is not None:
+        envelope = envelopes.get(str(M))
+        if envelope is not None and margin == default_margin(M):
             passed = passed and r1.residual <= 1.5 * envelope
     passed = passed and all(
         block_residuals[i + 1] < block_residuals[i] for i in range(len(block_residuals) - 1)

@@ -49,7 +49,11 @@ input factors, and the change back, W_1 and the read on H into output
 factors.  So a window sample enters Q from its window coordinates and
 leaves it read on the window (or on the whole leg 2, on ker(bt)), and of
 the products on the full width of a tensor only F_1 and the change from
-V_b to V_a coordinates are left.
+V_b to V_a coordinates are left.  Where it costs fewer multiply-adds (the
+narrow windows), those two products are not taken per sample at all:
+everything of Q after W_2 is folded into read functionals once, and the
+map from a sample's window coordinates to its commutator read is
+assembled into one matrix that takes every sample in one product.
 """
 
 from __future__ import annotations
@@ -132,6 +136,32 @@ def refuse_dense_u(dim: int, subject: str) -> None:
     refuse_beyond_memory(16 * DENSE_U_COPIES * dim * dim, subject, f"{DENSE_U_COPIES} dense U-sized arrays")
 
 
+def _route_costs(d: int, n: int, r_h: int, r: int, samples: int, change: bool = True) -> tuple[int, int]:
+    """Complex multiply-adds of the commutation branch of a corep residual
+    on H of dimension d and n grid points, with r_h window columns on H
+    and r on each grid leg, over `samples` samples, by its two routes:
+    (per-sample chain, assembled window matrix).  `change` is whether Q
+    changes from V_b to V_a coordinates on H (False when both bases are
+    the identity).
+
+    The chain takes Q(S'v) (leg 2 of width 2r in, r out) and Qv (r in, 2r
+    out) per sample: the leg-1 entries (3n x r on r_h r columns), the
+    entry factors, the folds, the change, F_1, the exit factors, the
+    window reads on leg 1 and the scale ||S'v|| from its triangular
+    factors.  The assembly builds three read functionals (r r_h x d n:
+    F_1 and the change), contracts them with the entry factors and leg-1
+    entries (four maps, d x r r_h x r_h r over n) and with the folds (one
+    product over 4d), builds the scale matrix N (a QR of r^2 columns and a
+    Kronecker product), and takes L C and N C."""
+    h = d if change else 0
+    chain = (6 * n * r * r * r_h + 6 * n * d * r * r_h + 4 * d * n * r * r + 3 * d * n * r * (h + n)
+             + r_h * r_h * r * r + 12 * r_h * r ** 3)
+    rows = r * r_h * r
+    assembly = (3 * r * r_h * d * n * (n + h) + 4 * d * n * rows * r_h + 4 * d * rows * rows
+                + 4 * r ** 6 + rows * rows + 2 * rows * rows * samples)
+    return samples * chain, assembly
+
+
 def check_memory(d: int, n: int, r: int, samples: int) -> None:
     """Refuse a corep run on H of dimension d and n grid points, with r
     window columns on each grid leg and at most r on H, whose working set
@@ -148,9 +178,27 @@ def check_memory(d: int, n: int, r: int, samples: int) -> None:
     by this count).  Its kernel branch reads Q on the whole grid leg,
     (n, d, n) tensors, but only a pair with a kernel takes it: in `corep`
     the classical pair, of d = 1, whose working set stays below the
-    Schrodinger pair's."""
-    refuse_beyond_memory(32 * samples * r ** 3 + 208 * d * n * r + 144 * d * r * r,
-                         f"corep with d = {d} on {n} grid points", "residual samples")
+    Schrodinger pair's.
+
+    Every run is held to that count.  A run whose commutation branch
+    :func:`_route_costs` sends to the assembled window matrix (with r_h =
+    r) is also held to that route's count: the samples with their kept
+    copy and their images under L and N, 4 samples r^3 complex numbers;
+    the factor stacks, 4 d n r; two read functionals or one and its
+    change of basis or its entry products, 3 d n r^2 with the other
+    arrays of the build; the four maps ahead of the fold, 4 d r^4; and L
+    with its reordered copy, 2 r^6.  The tracemalloc peaks of the whole
+    residual on the Schrodinger pair, 32 samples, against each route's
+    count: the chain 0.85-0.87 of it at width 2 (M = 4-16) and 0.73-0.77
+    at width 4 (M = 6, 8); the assembly 0.83-0.95 at width 2 and 0.97 at
+    width 4 (M = 6, forced: the rule takes the chain there).  At width 2
+    the assembly's peak is 1.1-2.3 times the chain's count."""
+    subject = f"corep with d = {d} on {n} grid points"
+    refuse_beyond_memory(32 * samples * r ** 3 + 208 * d * n * r + 144 * d * r * r, subject, "residual samples")
+    chain, assembly = _route_costs(d, n, r, r, samples)
+    if assembly < chain:
+        refuse_beyond_memory(16 * (4 * samples * r ** 3 + 4 * d * n * r + 3 * d * n * r * r + 4 * d * r ** 4 + 2 * r ** 6),
+                             subject, "assembled window matrix")
 
 
 @dataclass(frozen=True)
@@ -422,6 +470,17 @@ class _CommutatorReads:
     ||S'x|| is that of (Rh (x) (R1a (x) R2a + R1b (x) R2b)) c, with the
     triangular factors Rh of bt Bh, [R1a | R1b] of [a Bg | b Bg] and
     [R2a | R2b] of [b Bg | Bg], so S'x is never formed.
+
+    `terms` and `s_norm` take one sample at a time (the per-sample
+    chain).  `window_matrix` and `scale_matrix` assemble the same maps
+    once, as matrices on the r_h r^2 coordinates of a sample: everything
+    of Q after its fold W_2 is fixed, so it is folded into three read
+    functionals, (r r_h) x (d n) each (Ts read by Bg* for Q(S'v), Tv read
+    by the halves Bg* a and Bg* b of the leg-1 read for Qv), which are
+    contracted with the input factors, the leg-1 entries and the folds
+    into L = L_{Q(S'v)} - L_{S'(Qv)}, (r r_h r) x (r_h r r); N carries
+    the scale.  `window_ratios` then takes every sample by one product
+    with each.
     """
 
     def __init__(self, ops: _LegOps, Bh: np.ndarray, Bg: np.ndarray):
@@ -463,6 +522,66 @@ class _CommutatorReads:
         (R1a, R1b), (R2a, R2b) = self.R1, self.R2
         t = (self.Rh @ c.reshape(c.shape[0], -1)).reshape(-1, self.r, self.r)
         return float(np.linalg.norm(R1a @ t @ R2a.T + R1b @ t @ R2b.T))
+
+    def _through_fold(self, read: np.ndarray, T: np.ndarray, R: np.ndarray,
+                      entries: tuple[np.ndarray, ...], out: np.ndarray) -> None:
+        """Q from the leg-1 and H coordinates of a sample to its fold W_2,
+        read after it on leg 1 by `read` (r x n) and on H by the exit
+        factors T: one (d, r r_h, r_h r) map per leg-1 entry E (n x r) in
+        `entries`, written to `out`, over the V_b index h of W_2, rows (leg
+        1, H) of the read and columns (H, leg 1) of the sample.
+
+        The read functional A (d, r r_h, n), everything of Q after W_2 (the
+        change from V_b to V_a coordinates, Z_1, F_1, T and `read`), is
+        built once and contracted per h with the input factors R and E."""
+        ops, d, n = self.ops, self.ops.d, self.n
+        G = (T.transpose(0, 2, 1)[:, :, None, :] * read.T[:, None, :, None]).reshape(n, -1)   # T[g, k, h] read[i, g]
+        A = (G.T @ ops.F).reshape(d, -1, n)   # F_1
+        del G
+        A *= ops.chi[:, None, :]              # Z_1
+        if ops.b_a is not None:
+            A = (ops.b_a.T @ A.reshape(d, -1)).reshape(A.shape)
+        R = R.transpose(1, 0, 2)[..., None]   # (d, n, r_h, 1)
+        for o, E in zip(out, entries):
+            np.matmul(A, (R * E[:, None, :]).reshape(d, n, -1), out=o)
+
+    def window_matrix(self) -> np.ndarray:
+        """L = L_{Q(S'v)} - L_{S'(Qv)}: the (r r_h r) x (r_h r r) matrix
+        taking the coordinates c of a sample to the difference of its two
+        `terms`, rows in their layout (leg 1, H, leg 2).
+
+        Q(S'v) is read by Bg* after the fold Ks, from its two leg-1
+        entries F* a Bg and F* b Bg; Qv by the halves Bg* a and Bg* b of
+        `leg1` after the two halves of Kv, from F* Bg.  The four maps of
+        :meth:`_through_fold` are contracted with their folds over h in one
+        product."""
+        r, d = self.r, self.ops.d
+        r_h = self.Rv.shape[2]
+        Ev, Ea, Eb = np.split(self.E, 3)
+        D = np.empty((4, d, r * r_h, r_h * r), dtype=complex)
+        self._through_fold(self.Bgh, self.Ts, self.Rs, (Ea, Eb), D[:2])
+        for out, read in zip(D[2:], np.hsplit(self.leg1, 2)):
+            self._through_fold(read, self.Tv, self.Rv, (Ev,), out[None])
+        K = np.concatenate([self.Ks[:, :r], self.Ks[:, r:], -self.Kv[..., :r], -self.Kv[..., r:]])
+        L = D.reshape(4 * d, -1).T @ K.reshape(4 * d, -1)
+        return L.reshape(r, r_h, r_h, r, r, r).transpose(0, 1, 5, 2, 3, 4).reshape(r * r_h * r, -1)
+
+    def scale_matrix(self) -> np.ndarray:
+        """N (r_h r r square) with ||N c|| = ||S'x|| for the sample x of
+        coordinates c: Rh (x) R, R the triangular factor of
+        R1a (x) R2a + R1b (x) R2b, so that N has no more rows than L."""
+        (R1a, R1b), (R2a, R2b) = self.R1, self.R2
+        return np.kron(self.Rh, np.linalg.qr(np.kron(R1a, R2a) + np.kron(R1b, R2b), mode="r"))
+
+    def window_ratios(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """||L c|| / ||c|| and ||N c|| / ||c|| over the samples c of C
+        with ||c|| >= 1e-12, one product each."""
+        X = C.reshape(len(C), -1)
+        nv = np.linalg.norm(X, axis=1)
+        kept = nv >= 1e-12
+        X, nv = X[kept].T, nv[kept]
+        return (np.linalg.norm(self.window_matrix() @ X, axis=0) / nv,
+                np.linalg.norm(self.scale_matrix() @ X, axis=0) / nv)
 
 
 @dataclass(frozen=True)
@@ -517,11 +636,19 @@ def _window_residual(rep: Representation, C: np.ndarray, margin: int | None = No
     (samples, r_h, r, r) window coordinates; see :func:`corep_residual`.
 
     The commutator is read on the window only, through
-    :class:`_CommutatorReads`: a sample enters Q in its window coordinates
-    and leaves it read on the window, so no array wider than d n 2r is
-    made per sample (r the columns of Bg) and S'x is never formed.  When
-    bt is 0 on every eigenvector, S' = 0 and the commutation branch, which
-    would read 0, is not run.  The kernel branch, taken when bt has a zero
+    :class:`_CommutatorReads`, by one of two routes, whichever costs fewer
+    complex multiply-adds by :func:`_route_costs` for the shapes d, n,
+    r_h, r and the number of samples (the narrow windows, r = 4 columns a
+    grid leg, take the assembly at 32 samples; see its crossover table in
+    CHANGES.md).  On the per-sample chain a sample enters Q in its window
+    coordinates and leaves it read on the window, so no array wider than
+    d n 2r is made per sample (r the columns of Bg) and S'x is never
+    formed.  On the assembled route the window matrix L and the scale
+    matrix N are built once and the samples C (less those with ||c|| <
+    1e-12, which both routes skip) are taken by L C and N C, so no array
+    made from C has more than r r_h r entries a sample.  When bt is 0 on
+    every eigenvector, S' = 0 and the commutation branch, which would
+    read 0, is not run.  The kernel branch, taken when bt has a zero
     eigenvalue, projects Bh onto ker(bt) by its zero mask in V_b
     coordinates, P = V_b diag(zero) V_b* Bh, and takes Qw, w = P (x) Bg
     (x) Bg c, through the same :meth:`_LegOps.q_factored` with leg 2 read
@@ -541,11 +668,16 @@ def _window_residual(rep: Representation, C: np.ndarray, margin: int | None = No
     comms = []
     kern = 0.0
     sscale = 0.0
-    for c in C:
+    per_sample, assembly = _route_costs(ops.d, ops.n, Bh.shape[1], r, len(C), ops.b_a is not None)
+    chain = reads is not None and per_sample <= assembly
+    if reads is not None and not chain:
+        ratios, scales = reads.window_ratios(C)
+        comms, sscale = ratios.tolist(), max(scales.tolist(), default=0.0)
+    for c in C if chain or kernel else ():
         nv = float(np.linalg.norm(c))
         if nv < 1e-12:
             continue
-        if reads is not None:
+        if chain:
             qsv, sqv = reads.terms(c)
             comms.append(float(np.linalg.norm(qsv - sqv)) / nv)
             sscale = max(sscale, reads.s_norm(c) / nv)

@@ -93,6 +93,31 @@ def test_corep_passes_on_every_draw(tmp_path, seed):
     assert run(["--seed", str(seed), "--out", str(out), "corep", "--M-list", "4,6"]) == 0
 
 
+def test_corep_envelope_only_at_its_pinned_config(tmp_path, monkeypatch):
+    # the corep_residual envelopes were pinned at q = 0.5, the default
+    # margin and 32 samples: at q = 0.7 and margin 2 the M = 6 residual is
+    # 0.045, against 1.5 x 7.9e-3, and the run is not held to it; a
+    # Schrodinger residual above 1.5 x the envelope still fails the pinned
+    # configuration, and only that one
+    import dataclasses
+
+    import qazb.cli
+
+    out = str(tmp_path / "r.json")
+    assert run(["--q", "0.7", "--margin", "2", "--out", out, "corep", "--M-list", "6"]) == 0
+    envelope = qazb.cli.load_pinned()["corep_residual"]["6"]
+    corep_residual = qazb.cli.corep_residual
+
+    def inflated(rep, **kwargs):
+        report = corep_residual(rep, **kwargs)
+        return report if rep.h_dim == 1 else dataclasses.replace(report, residual=1.51 * envelope)
+
+    monkeypatch.setattr(qazb.cli, "corep_residual", inflated)
+    assert run(["--out", out, "corep", "--M-list", "6"]) == 1
+    for args in (["--q", "0.7"], ["--margin", "1"], ["--samples", "16"]):
+        assert run(args + ["--out", out, "corep", "--M-list", "6"]) == 0
+
+
 @pytest.mark.parametrize(
     "args, names",
     [

@@ -627,6 +627,92 @@ def test_residual_through_fused_q_matches_literal_legs(case):
         assert comm > 1e-4
 
 
+# the THIN_CASES ids whose commutation branch takes the assembled window
+# matrix over 32 samples: every width-2 window (r = 4 columns a grid leg)
+ASSEMBLED_CASES = ["schrodinger-4", "schrodinger-6", "conjugated-4",
+                   "schrodinger-4-margin1", "schrodinger-6-margin2", "schrodinger-8-margin3"]
+
+
+def test_route_rule_assembles_width_two_windows():
+    # the flop rule sends the width-2 windows at M = 4, 6, 8 to the
+    # assembled window matrix and every other THIN_CASES id (margin 0,
+    # schrodinger-8-margin2 and the seeded d = 8 pair, all wider) to the
+    # per-sample chain; it sees the sample count, so one sample, for which
+    # the assembly costs more than one pass of the chain, takes the chain
+    from qazb.corep import _LegOps, _route_costs, _window_bases
+
+    for case in THIN_CASES:
+        g, pair, margin = thin_case(case)
+        rep = build_rep(pair, g)
+        ops = _LegOps(rep)
+        Bh, Bg = _window_bases(rep, margin)
+        r_h, r = Bh.shape[1], Bg.shape[1]
+        chain, assembly = _route_costs(ops.d, ops.n, r_h, r, 32, ops.b_a is not None)
+        assert (assembly < chain) == (case in ASSEMBLED_CASES) == (r == 4), case
+        chain, assembly = _route_costs(ops.d, ops.n, r_h, r, 1, ops.b_a is not None)
+        assert chain < assembly, case
+
+
+@pytest.mark.parametrize("case", ASSEMBLED_CASES + ["trivial+schrodinger-8-margin3"])
+def test_assembled_route_matches_chain(monkeypatch, case):
+    # the assembled window matrix against the per-sample chain on the same
+    # 32 samples, one of them all zero, which both skip; the last id has a
+    # kernel (taken by the chain on both routes) and r_h = 5 window
+    # columns on H against r = 4 on a grid leg
+    import qazb.corep
+    from qazb.corep import _CommutatorReads, _window_bases, _window_residual
+
+    if case.startswith("trivial"):
+        g, margin = grid(0.5, 8), 3
+        pair = random_regular_pair([("trivial", g.point(1, 0)), ("schrodinger", 4)], g)
+    else:
+        g, pair, margin = thin_case(case)
+    rep = build_rep(pair, g)
+    Bh, Bg = _window_bases(rep, margin)
+    shape = (32, Bh.shape[1], Bg.shape[1], Bg.shape[1])
+    rng = np.random.default_rng(5)
+    C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    C[7] = 0.0
+    calls = []
+    window_ratios = _CommutatorReads.window_ratios
+
+    def counted(self, C):
+        calls.append(len(C))
+        return window_ratios(self, C)
+
+    monkeypatch.setattr(_CommutatorReads, "window_ratios", counted)
+    assembled = _window_residual(rep, C, margin)
+    monkeypatch.setattr(qazb.corep, "_route_costs", lambda *args: (0, 1))   # the chain
+    chain = _window_residual(rep, C, margin)
+    assert calls == [32]
+    assert assembled.samples == chain.samples == 32
+    assert assembled.kernel_identity == chain.kernel_identity
+    for field in ("commutation", "residual"):
+        want = getattr(chain, field)
+        assert want > 1e-4 and abs(getattr(assembled, field) - want) <= 1e-13 * want, field
+
+
+def test_assembled_route_stays_thin():
+    # on the M = 6 Schrodinger representation (width 2) the commutation
+    # branch takes the assembled window matrix: of the arrays made from the
+    # samples C (S of r_h r^2 coordinates) none has more than r r_h r
+    # entries a sample, the size of L C
+    from qazb.corep import _window_bases, _window_residual
+
+    g = grid(0.5, 6)
+    rep = build_rep(schrodinger_pair(g), g)
+    Bh, Bg = _window_bases(rep, None)
+    r_h, r = Bh.shape[1], Bg.shape[1]
+    Recorded, shapes = recording_type()
+    rng = np.random.default_rng(1)
+    shape = (32, r_h, r, r)
+    C = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).view(Recorded)
+    report = _window_residual(rep, C)
+    assert report.commutation > 0.0 and report.kernel_identity == 0.0
+    assert (r * r_h * r, 32) in shapes   # L C
+    assert max(np.prod(s) for s in shapes) <= r * r_h * r * 32
+
+
 def recording_type():
     """An ndarray subclass Recorded and the list of the shapes of every
     array made from a Recorded one: products, views, elementwise results
@@ -645,13 +731,14 @@ def recording_type():
 
 
 def test_commutation_branch_stays_thin():
-    # on the M = 6 Schrodinger representation no array made from a sample
-    # (from its window coordinates c) has more than d n 2r entries (r the
-    # columns of the window basis), so none has the n^2 r^2 entries of an
-    # operator on the window of the two grid legs
+    # on the M = 8 Schrodinger representation (width 4, where the
+    # commutation branch takes the per-sample chain) no array made from a
+    # sample (from its window coordinates c) has more than d n 2r entries
+    # (r the columns of the window basis), so none has the n^2 r^2
+    # entries of an operator on the window of the two grid legs
     from qazb.corep import _window_bases, _window_residual
 
-    g = grid(0.5, 6)
+    g = grid(0.5, 8)
     rep = build_rep(schrodinger_pair(g), g)
     Bh, Bg = _window_bases(rep, None)
     d, n, r = rep.h_dim, g.size, Bg.shape[1]
@@ -666,12 +753,13 @@ def test_commutation_branch_stays_thin():
 
 
 def test_window_draw_stays_thin(monkeypatch):
-    # the seeded draw of a Schrodinger M = 6 residual is samples r_h r^2
-    # complex window coordinates, and off the kernel branch (bt has no
-    # kernel here) no array made from them has the size of a (d, n, n) tensor
+    # the seeded draw of a Schrodinger M = 8 residual (width 4: the
+    # per-sample chain) is samples r_h r^2 complex window coordinates, and
+    # off the kernel branch (bt has no kernel here) no array made from them
+    # has the size of a (d, n, n) tensor
     from qazb.corep import _window_bases
 
-    g = grid(0.5, 6)
+    g = grid(0.5, 8)
     rep = build_rep(schrodinger_pair(g), g)
     d, n = rep.h_dim, g.size
     Bh, Bg = _window_bases(rep, None)
@@ -820,6 +908,15 @@ def test_corep_refused_beyond_physical_memory(monkeypatch, capsys):
     out, err = capsys.readouterr()
     need = 32 * 32 * 4 ** 3 + 208 * 36 * 36 * 4 + 144 * 36 * 4 ** 2   # M = 6 at margin 2 (r = 4): 1226752
     assert out == "" and f"needs {need} bytes for its residual samples" in err and f"{10 ** 6} bytes" in err
+    # a width-2 window at M = 6 over 32 samples takes the assembled window
+    # matrix and is held to its count too: 16 bytes for each of 4 samples
+    # r^3 + 4 d n r + 3 d n r^2 + 4 d r^4 + 2 r^6 complex numbers; one
+    # sample takes the chain and is held to the chain's count alone
+    monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 2 * 10 ** 6)
+    need = 16 * (4 * 32 * 4 ** 3 + 4 * 36 * 36 * 4 + 3 * 36 * 36 * 16 + 4 * 36 * 4 ** 4 + 2 * 4 ** 6)   # 2179072
+    with pytest.raises(ParameterError, match=f"needs {need} bytes for its assembled window matrix.* {2 * 10 ** 6} bytes"):
+        check_memory(36, 36, 4, 32)
+    check_memory(36, 36, 4, 1)
 
 
 @pytest.mark.parametrize(

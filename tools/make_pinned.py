@@ -18,7 +18,8 @@ dense copy on every exp-identity and verify-pair field, eigh versus
 schur for self-adjoint spectra, the candidate table versus the
 per-candidate families for the separation certificate, the window reads
 of Q S' and S' Q and the scale ||S'v|| that the corepresentation residual
-takes through the factors of Q versus the dense U, V and coproduct
+takes through the factors of Q, per sample and through its assembled
+window matrix, versus the dense U, V and coproduct
 applied leg by leg, the unitarity certificate of a built representation
 versus its dense defect, the corepresentation residual on
 the full-tensor draw that `corep_residual` was recorded on versus its
@@ -251,7 +252,9 @@ def check_corep_routes(rep, margin: int) -> None:
     """The factored route of corep_residual against the dense U, V =
     chi_kron and coproduct Delta(b), each applied to a full (d, n, n)
     tensor, on one window sample v = Bh (x) Bg (x) Bg c: the window reads
-    of Q(S'v) and S'(Qv) and the scale ||S'v||, to 1e-13 relative; and
+    of Q(S'v) and S'(Qv) and the scale ||S'v||, by the per-sample chain
+    and by the assembled window matrix L and scale matrix N, to 1e-13
+    relative; and
     the unitarity certificate of build_rep against the dense ||U* U - 1||_2,
     which it must not undercut."""
     g = rep.grid
@@ -291,10 +294,13 @@ def check_corep_routes(rep, margin: int) -> None:
     v = on_h(Bh, Bg @ c @ Bg.T)
     sv = dense_s(v)
     qsv, sqv = reads.terms(c)
+    want_qsv, want_sqv = coords(dense_q(sv)), coords(dense_s(dense_q(v)))
     checks = [
-        ("Q(S'v)", qsv.reshape(r, r_h, r), coords(dense_q(sv))),
-        ("S'(Qv)", sqv.reshape(r, r_h, r), coords(dense_s(dense_q(v)))),
+        ("Q(S'v)", qsv.reshape(r, r_h, r), want_qsv),
+        ("S'(Qv)", sqv.reshape(r, r_h, r), want_sqv),
         ("||S'v||", np.array(reads.s_norm(c)), np.array(np.linalg.norm(sv))),
+        ("L c", (reads.window_matrix() @ c.ravel()).reshape(r, r_h, r), want_qsv - want_sqv),
+        ("||N c||", np.array(np.linalg.norm(reads.scale_matrix() @ c.ravel())), np.array(np.linalg.norm(sv))),
     ]
     for name, got, want in checks:
         dist = np.linalg.norm(got - want) / np.linalg.norm(want)
