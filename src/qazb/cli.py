@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,6 +32,7 @@ from .q2pair import (
     ExpIdentityReport,
     Q2Pair,
     check_margin,
+    corep_margin,
     default_margin,
     exp_identity_residual,
     random_regular_pair,
@@ -63,10 +65,11 @@ class RunConfig:
     out_path: str | None = None
     format: str = "json"
 
-    def resolved_margin(self, M: int | None = None) -> int:
-        """The window margin at grid order M; an empty window is refused."""
+    def resolved_margin(self, M: int | None = None, rule: Callable[[int], int] = default_margin) -> int:
+        """The window margin at grid order M (`rule(M)` unless --margin is
+        given); an empty window is refused."""
         m = self.M if M is None else M
-        return check_margin(m, default_margin(m) if self.margin is None else self.margin)
+        return check_margin(m, rule(m) if self.margin is None else self.margin)
 
     def validate(self) -> None:
         if not (0.0 < self.q < 1.0):
@@ -224,17 +227,17 @@ def cmd_corep(config: RunConfig, m_list: list[int]) -> int:
     against physical memory before any is run (the Schrodinger pair has
     dim H = n = M^2, and its window on H is the grid window).  The pinned
     envelope gates a grid order only at the configuration it was pinned
-    at (its q, the default margin and 32 samples)."""
+    at (its q, corep's default margin and 32 samples)."""
     pinned = load_pinned()
     envelopes = pinned.get("corep_residual", {}) if config.q == pinned.get("q") and config.samples == 32 else {}
     for M in m_list:
-        check_memory(M * M, M * M, (M - 2 * config.resolved_margin(M)) ** 2, config.samples)
+        check_memory(M * M, M * M, (M - 2 * config.resolved_margin(M, corep_margin)) ** 2, config.samples)
     rows = []
     passed = True
     block_residuals = []
     for M in m_list:
         g = grid(config.q, M)
-        margin = config.resolved_margin(M)
+        margin = config.resolved_margin(M, corep_margin)
         with blas.for_dim(g.size):
             classical = random_regular_pair([("trivial", g.point(1, 0))], g)
             rep0 = build_rep(classical, g)
@@ -249,7 +252,7 @@ def cmd_corep(config: RunConfig, m_list: list[int]) -> int:
                      "residual": r1.residual, "unitarity_defect": rep1.unitarity_defect})
         block_residuals.append(r1.residual)
         envelope = envelopes.get(str(M))
-        if envelope is not None and margin == default_margin(M):
+        if envelope is not None and margin == corep_margin(M):
             passed = passed and r1.residual <= 1.5 * envelope
     passed = passed and all(
         block_residuals[i + 1] < block_residuals[i] for i in range(len(block_residuals) - 1)
@@ -312,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-M", "--grid-size", type=int, default=8, dest="M",
                         help="grid order per axis (even)")
     parser.add_argument("--margin", type=int, default=None,
-                        help="interior window margin (default: ceil(M/4))")
+                        help="interior window margin (default: ceil(M/4); corep: min(ceil((M+2)/4), M/2-1))")
     parser.add_argument("--tol", type=float, default=1e-10, help="relative verification tolerance, in (0, 1)")
     parser.add_argument("--seed", type=int, default=1, help="seed for sampled residuals")
     parser.add_argument("--samples", type=int, default=32, help="sampled vectors per residual")

@@ -49,8 +49,8 @@ input factors, and the change back, W_1 and the read on H into output
 factors.  So a window sample enters Q from its window coordinates and
 leaves it read on the window (or on the whole leg 2, on ker(bt)), and of
 the products on the full width of a tensor only F_1 and the change from
-V_b to V_a coordinates are left.  Where it costs fewer multiply-adds (the
-narrow windows), those two products are not taken per sample at all:
+V_b to V_a coordinates are left.  Where it fits memory and costs fewer
+multiply-adds (the narrow windows), they are not taken per sample at all:
 everything of Q after W_2 is folded into read functionals once, and the
 map from a sample's window coordinates to its commutator read is
 assembled into one matrix that takes every sample in one product.
@@ -81,7 +81,7 @@ from .opalg import (
     lattice_values,
     operator_norm,
 )
-from .q2pair import Q2Pair, check_margin, default_margin, interior_window
+from .q2pair import Q2Pair, check_margin, corep_margin, interior_window
 from .qexp import QExpParams, fq_grid, invert_fq_family
 
 __all__ = [
@@ -136,69 +136,69 @@ def refuse_dense_u(dim: int, subject: str) -> None:
     refuse_beyond_memory(16 * DENSE_U_COPIES * dim * dim, subject, f"{DENSE_U_COPIES} dense U-sized arrays")
 
 
-def _route_costs(d: int, n: int, r_h: int, r: int, samples: int, change: bool = True) -> tuple[int, int]:
-    """Complex multiply-adds of the commutation branch of a corep residual
-    on H of dimension d and n grid points, with r_h window columns on H
-    and r on each grid leg, over `samples` samples, by its two routes:
-    (per-sample chain, assembled window matrix).  `change` is whether Q
-    changes from V_b to V_a coordinates on H (False when both bases are
-    the identity).
+def _routes(d: int, n: int, r_h: int, r: int, samples: int) -> dict[str, tuple[int, int]]:
+    """(complex multiply-adds, working-set bytes) of the commutation branch
+    of a corep residual on H of dimension d and n grid points, with r_h
+    window columns on H and r on each grid leg, over `samples` samples,
+    by its two routes, "chain" (per sample) and "assembly" (the window
+    matrix L).
 
     The chain takes Q(S'v) (leg 2 of width 2r in, r out) and Qv (r in, 2r
     out) per sample: the leg-1 entries (3n x r on r_h r columns), the
-    entry factors, the folds, the change, F_1, the exit factors, the
-    window reads on leg 1 and the scale ||S'v|| from its triangular
-    factors.  The assembly builds three read functionals (r r_h x d n:
-    F_1 and the change), contracts them with the entry factors and leg-1
-    entries (four maps, d x r r_h x r_h r over n) and with the folds (one
-    product over 4d), builds the scale matrix N (a QR of r^2 columns and a
-    Kronecker product), and takes L C and N C."""
-    h = d if change else 0
-    chain = (6 * n * r * r * r_h + 6 * n * d * r * r_h + 4 * d * n * r * r + 3 * d * n * r * (h + n)
+    entry factors, the folds, the change from V_b to V_a coordinates on H,
+    F_1, the exit factors, the window reads on leg 1 and the scale ||S'v||
+    from its triangular factors.  The assembly builds three read
+    functionals (r r_h x d n: F_1 and the change), contracts them with the
+    entry factors and leg-1 entries (four maps, d x r r_h x r_h r over n)
+    and with the folds (one product over 4d), and takes L C; its scale is
+    counted as the build of a square r_h r^2 matrix (a QR of r^2 columns
+    and a Kronecker product) and one product with it a sample, more than
+    the triangular products it takes.
+
+    Bytes, at max(r_h, r) columns for r: both routes hold the samples and
+    the four per-position factor stacks of Q, n d r complex numbers each.
+    The chain adds the samples' temporaries and per sample tensors of at
+    most d n 2r complex numbers and thinner ones (the folds, d r^2, and
+    the leg-1 entries, n r^2): at most 13 d n r + 9 d r^2 with the stacks
+    for d = n.  The assembly adds three times the samples (temporaries and
+    images), 3 d n r^2 for two read functionals or one and its change or
+    entry products, 4 d r^4 for the four maps ahead of the fold, and 2 r^6
+    for L and its reordered copy.  The kernel branch reads Q on the whole
+    grid leg, (n, d, n) tensors, but in `corep` only the classical pair,
+    of d = 1, takes it, below the Schrodinger pair's working set."""
+    chain = (6 * n * r * r * r_h + 6 * n * d * r * r_h + 4 * d * n * r * r + 3 * d * n * r * (d + n)
              + r_h * r_h * r * r + 12 * r_h * r ** 3)
     rows = r * r_h * r
-    assembly = (3 * r * r_h * d * n * (n + h) + 4 * d * n * rows * r_h + 4 * d * rows * rows
+    assembly = (3 * r * r_h * d * n * (n + d) + 4 * d * n * rows * r_h + 4 * d * rows * rows
                 + 4 * r ** 6 + rows * rows + 2 * rows * rows * samples)
-    return samples * chain, assembly
+    w = max(r_h, r)
+    chain_bytes = 32 * samples * w ** 3 + 208 * d * n * w + 144 * d * w * w
+    assembly_bytes = 16 * (4 * samples * w ** 3 + 4 * d * n * w + 3 * d * n * w * w + 4 * d * w ** 4 + 2 * w ** 6)
+    return {"chain": (samples * chain, chain_bytes), "assembly": (assembly, assembly_bytes)}
 
 
-def check_memory(d: int, n: int, r: int, samples: int) -> None:
-    """Refuse a corep run on H of dimension d and n grid points, with r
-    window columns on each grid leg and at most r on H, whose working set
-    exceeds physical memory.  Only the residual is counted: `build_rep`
-    holds (n, d) values and d x d or n x n bases and their products, and
-    no (n, d, d) block.  The residual holds the window coordinates of its
-    samples, samples r^3 complex numbers drawn with as many again in
-    temporaries, the four per-position factor stacks of Q, n d r complex
-    numbers each, and per sample tensors of at most d n 2r complex numbers
-    and thinner ones (the fold matrices, d r^2, and the leg-1 entries,
-    n r^2): with the stacks at most 13 d n r + 9 d r^2 complex numbers for
-    d = n (tracemalloc peak less the samples, for the Schrodinger pair at
-    M = 4-12 and margins 1-3: 11.7-17.8 times d n r, against 13 + 9 r / n
-    by this count).  Its kernel branch reads Q on the whole grid leg,
-    (n, d, n) tensors, but only a pair with a kernel takes it: in `corep`
-    the classical pair, of d = 1, whose working set stays below the
-    Schrodinger pair's.
+def check_memory(d: int, n: int, r: int, samples: int, r_h: int | None = None) -> str:
+    """The route a corep residual on H of dimension d and n grid points,
+    with r window columns on each grid leg and r_h (default r) on H, over
+    `samples` samples, takes: of the :func:`_routes` whose working set fits
+    physical memory, the one with fewer multiply-adds, the chain on a tie.
+    When neither fits, ParameterError names the smaller working set.  Only
+    the residual is counted: `build_rep` holds (n, d) values and d x d or
+    n x n bases and their products, and no (n, d, d) block.
 
-    Every run is held to that count.  A run whose commutation branch
-    :func:`_route_costs` sends to the assembled window matrix (with r_h =
-    r) is also held to that route's count: the samples with their kept
-    copy and their images under L and N, 4 samples r^3 complex numbers;
-    the factor stacks, 4 d n r; two read functionals or one and its
-    change of basis or its entry products, 3 d n r^2 with the other
-    arrays of the build; the four maps ahead of the fold, 4 d r^4; and L
-    with its reordered copy, 2 r^6.  The tracemalloc peaks of the whole
-    residual on the Schrodinger pair, 32 samples, against each route's
-    count: the chain 0.85-0.87 of it at width 2 (M = 4-16) and 0.73-0.77
-    at width 4 (M = 6, 8); the assembly 0.83-0.95 at width 2 and 0.97 at
-    width 4 (M = 6, forced: the rule takes the chain there).  At width 2
-    the assembly's peak is 1.1-2.3 times the chain's count."""
-    subject = f"corep with d = {d} on {n} grid points"
-    refuse_beyond_memory(32 * samples * r ** 3 + 208 * d * n * r + 144 * d * r * r, subject, "residual samples")
-    chain, assembly = _route_costs(d, n, r, r, samples)
-    if assembly < chain:
-        refuse_beyond_memory(16 * (4 * samples * r ** 3 + 4 * d * n * r + 3 * d * n * r * r + 4 * d * r ** 4 + 2 * r ** 6),
-                             subject, "assembled window matrix")
+    The tracemalloc peaks of the whole residual on the Schrodinger pair,
+    32 samples, against each route's count: the chain 0.87-0.89 of it at
+    width 2 (M = 4-16) and 0.72-0.79 at width 4 (M = 6-10); the assembly
+    0.85-0.94 at width 2 and 0.97 at width 4 (M = 6, forced).  At width 2
+    the assembly's peak is 1.1-2.2 times the chain's count."""
+    routes = _routes(d, n, r if r_h is None else r_h, r, samples)
+    have = _physical_memory()
+    fits = [name for name, (_, need) in routes.items() if need <= have]
+    if not fits:
+        name = min(routes, key=lambda k: routes[k][1])
+        refuse_beyond_memory(routes[name][1], f"corep with d = {d} on {n} grid points",
+                             f"residual samples on the {name} route")
+    return min(fits, key=lambda k: routes[k][0])
 
 
 @dataclass(frozen=True)
@@ -469,18 +469,16 @@ class _CommutatorReads:
     by the window (Bg* for Q(S'v), [Bg* a | Bg* b] for Qv).  The scale
     ||S'x|| is that of (Rh (x) (R1a (x) R2a + R1b (x) R2b)) c, with the
     triangular factors Rh of bt Bh, [R1a | R1b] of [a Bg | b Bg] and
-    [R2a | R2b] of [b Bg | Bg], so S'x is never formed.
+    [R2a | R2b] of [b Bg | Bg], so S'x is never formed (`s_norms`).
 
-    `terms` and `s_norm` take one sample at a time (the per-sample
-    chain).  `window_matrix` and `scale_matrix` assemble the same maps
-    once, as matrices on the r_h r^2 coordinates of a sample: everything
-    of Q after its fold W_2 is fixed, so it is folded into three read
-    functionals, (r r_h) x (d n) each (Ts read by Bg* for Q(S'v), Tv read
-    by the halves Bg* a and Bg* b of the leg-1 read for Qv), which are
-    contracted with the input factors, the leg-1 entries and the folds
-    into L = L_{Q(S'v)} - L_{S'(Qv)}, (r r_h r) x (r_h r r); N carries
-    the scale.  `window_ratios` then takes every sample by one product
-    with each.
+    `norms` takes the samples by one of two routes.  The per-sample chain
+    is `terms`, one sample at a time.  The assembled route is
+    `window_matrix`: everything of Q after its fold W_2 is fixed, so it is
+    folded into three read functionals, (r r_h) x (d n) each (Ts read by
+    Bg* for Q(S'v), Tv read by the halves Bg* a and Bg* b of the leg-1
+    read for Qv), which are contracted with the input factors, the leg-1
+    entries and the folds into L = L_{Q(S'v)} - L_{S'(Qv)}, (r r_h r) x
+    (r_h r r), which takes every sample in one product.
     """
 
     def __init__(self, ops: _LegOps, Bh: np.ndarray, Bg: np.ndarray):
@@ -517,11 +515,14 @@ class _CommutatorReads:
         qv = ops.q_factored(y, self.Rv, self.Kv, self.Tv)
         return qsv, self.leg1 @ np.concatenate([qv[..., :r], qv[..., r:]]).reshape(2 * n, -1)
 
-    def s_norm(self, c: np.ndarray) -> float:
-        """||S'x|| for the sample x of coordinates c."""
+    def s_norms(self, X: np.ndarray) -> np.ndarray:
+        """||S'x|| for the samples x of coordinates X (k, r_h, r, r), the
+        norm of R1a t R2a^T + R1b t R2b^T (t = Rh x) per sample, the products
+        taken a quarter of the samples at a time, so none outgrows X much."""
         (R1a, R1b), (R2a, R2b) = self.R1, self.R2
-        t = (self.Rh @ c.reshape(c.shape[0], -1)).reshape(-1, self.r, self.r)
-        return float(np.linalg.norm(R1a @ t @ R2a.T + R1b @ t @ R2b.T))
+        T = np.matmul(self.Rh, X.reshape(len(X), X.shape[1], -1)).reshape(len(X), -1, self.r, self.r)
+        return np.array([np.linalg.norm(a) for t in np.array_split(T, min(4, len(T)))
+                         for a in R1a @ t @ R2a.T + R1b @ t @ R2b.T])
 
     def _through_fold(self, read: np.ndarray, T: np.ndarray, R: np.ndarray,
                       entries: tuple[np.ndarray, ...], out: np.ndarray) -> None:
@@ -566,22 +567,16 @@ class _CommutatorReads:
         L = D.reshape(4 * d, -1).T @ K.reshape(4 * d, -1)
         return L.reshape(r, r_h, r_h, r, r, r).transpose(0, 1, 5, 2, 3, 4).reshape(r * r_h * r, -1)
 
-    def scale_matrix(self) -> np.ndarray:
-        """N (r_h r r square) with ||N c|| = ||S'x|| for the sample x of
-        coordinates c: Rh (x) R, R the triangular factor of
-        R1a (x) R2a + R1b (x) R2b, so that N has no more rows than L."""
-        (R1a, R1b), (R2a, R2b) = self.R1, self.R2
-        return np.kron(self.Rh, np.linalg.qr(np.kron(R1a, R2a) + np.kron(R1b, R2b), mode="r"))
-
-    def window_ratios(self, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """||L c|| / ||c|| and ||N c|| / ||c|| over the samples c of C
-        with ||c|| >= 1e-12, one product each."""
-        X = C.reshape(len(C), -1)
-        nv = np.linalg.norm(X, axis=1)
-        kept = nv >= 1e-12
-        X, nv = X[kept].T, nv[kept]
-        return (np.linalg.norm(self.window_matrix() @ X, axis=0) / nv,
-                np.linalg.norm(self.scale_matrix() @ X, axis=0) / nv)
+    def norms(self, C: np.ndarray, kept: np.ndarray, assemble: bool) -> tuple[np.ndarray, np.ndarray]:
+        """||B*[Q, S']Bc|| and ||S'Bc|| for the samples c = C[i], i in
+        `kept`: by one product L C of the window matrix with the whole
+        draw when `assemble`, else per sample by `terms`, each sample a
+        view of C."""
+        if assemble:
+            LC = self.window_matrix() @ C.reshape(len(C), -1).T
+            return np.linalg.norm(LC, axis=0)[kept], self.s_norms(C)[kept]
+        return (np.array([np.linalg.norm(np.subtract(*self.terms(C[i]))) for i in kept]),
+                np.array([self.s_norms(C[i:i + 1])[0] for i in kept]))
 
 
 @dataclass(frozen=True)
@@ -606,7 +601,7 @@ def corep_residual(
     (= bt (x) Delta b re-expressed legwise), which is witnessed by the
     commutator [Q, S'] on interior vectors, plus Q = 1 on ker(bt) legs.
     The window is the pair's basis Bh on H times the grid window basis Bg
-    (at `default_margin(M)` unless `margin` is given) on both grid legs.
+    (at `corep_margin(M)` unless `margin` is given) on both grid legs.
     A margin that leaves Bg no columns is refused with ParameterError: every
     sample would be 0, and a residual of 0 would check nothing.
 
@@ -627,7 +622,7 @@ def corep_residual(
 def _window_bases(rep: Representation, margin: int | None) -> tuple[np.ndarray, np.ndarray]:
     """The window bases Bh on H and Bg on a grid leg of a corep residual."""
     g = rep.grid
-    Bg = interior_window(g, check_margin(g.M, default_margin(g.M) if margin is None else margin))
+    Bg = interior_window(g, check_margin(g.M, corep_margin(g.M) if margin is None else margin))
     return _generating_pair(rep).window_or_identity(), Bg
 
 
@@ -635,62 +630,52 @@ def _window_residual(rep: Representation, C: np.ndarray, margin: int | None = No
     """The corep residual over the samples Bh (x) Bg (x) Bg c, c in C
     (samples, r_h, r, r) window coordinates; see :func:`corep_residual`.
 
-    The commutator is read on the window only, through
-    :class:`_CommutatorReads`, by one of two routes, whichever costs fewer
-    complex multiply-adds by :func:`_route_costs` for the shapes d, n,
-    r_h, r and the number of samples (the narrow windows, r = 4 columns a
-    grid leg, take the assembly at 32 samples; see its crossover table in
-    CHANGES.md).  On the per-sample chain a sample enters Q in its window
-    coordinates and leaves it read on the window, so no array wider than
-    d n 2r is made per sample (r the columns of Bg) and S'x is never
-    formed.  On the assembled route the window matrix L and the scale
-    matrix N are built once and the samples C (less those with ||c|| <
-    1e-12, which both routes skip) are taken by L C and N C, so no array
+    ||c|| is taken once per sample; the samples with ||c|| < 1e-12 are
+    skipped on every branch, and C is not copied.  The witness is max
+    ||B*[Q, S']Bc|| / ||c|| over max ||S'Bc|| / ||c||, both read on the
+    window by :meth:`_CommutatorReads.norms` on the route that
+    :func:`check_memory` picks: on the chain no array wider than d n 2r
+    is made per sample (r the columns of Bg), and on the assembly none
     made from C has more than r r_h r entries a sample.  When bt is 0 on
     every eigenvector, S' = 0 and the commutation branch, which would
-    read 0, is not run.  The kernel branch, taken when bt has a zero
-    eigenvalue, projects Bh onto ker(bt) by its zero mask in V_b
-    coordinates, P = V_b diag(zero) V_b* Bh, and takes Qw, w = P (x) Bg
-    (x) Bg c, through the same :meth:`_LegOps.q_factored` with leg 2 read
-    on its n positions and H in the standard basis.
+    read 0, is not run; the kernel branch is :func:`_kernel_identity`.
     """
     ops = _LegOps(rep)
     Bh, Bg = _window_bases(rep, margin)
-    n, r = ops.n, Bg.shape[1]
+    nv = np.array([np.linalg.norm(c) for c in C])
+    kept = np.flatnonzero(nv >= 1e-12)
     zero = rep.pair.Y.lattice(ops.g.q)[2]   # ker(bt): the zero mask in V_b coordinates
-    reads = None if zero.all() else _CommutatorReads(ops, Bh, Bg)   # else S' = 0
-    kernel = bool(zero.any())
-    if kernel:
-        Vb = np.eye(ops.d) if ops.Vb is None else ops.Vb
-        P = Vb @ (zero[:, None] * (Vb.conj().T @ Bh))
-        FBg, Rk, Kk, Tk = ops.Fh @ Bg, ops.entry(P), ops.fold(Bg), ops.exit(Vb)
+    comm = 0.0
+    if not zero.all() and len(kept):   # else S' = 0, or no sample
+        assemble = check_memory(ops.d, ops.n, Bg.shape[1], len(C), Bh.shape[1]) == "assembly"
+        comms, scales = _CommutatorReads(ops, Bh, Bg).norms(C, kept, assemble)
+        sscale = float(np.max(scales / nv[kept]))
+        comm = float(np.max(comms / nv[kept])) / sscale if sscale > 1e-300 else 0.0
+    kern = _kernel_identity(ops, Bh, Bg, zero, C, kept, nv) if zero.any() else 0.0
+    return CorepReport(residual=max(comm, kern), commutation=comm, kernel_identity=kern, samples=len(C))
 
-    comms = []
+
+def _kernel_identity(ops: _LegOps, Bh: np.ndarray, Bg: np.ndarray, zero: np.ndarray,
+                     C: np.ndarray, kept: np.ndarray, nv: np.ndarray) -> float:
+    """max ||(Q - 1)w|| / ||w|| over the samples c = C[i], i in `kept` (of
+    norms nv), projected onto ker(bt) by its mask `zero` in V_b
+    coordinates: w = P (x) Bg (x) Bg c, P = V_b diag(zero) V_b* Bh, and Qw
+    through :meth:`_LegOps.q_factored`, leg 2 read on its n positions and
+    H in the standard basis; a w below 1e-12 ||c|| is skipped."""
+    n, r = ops.n, Bg.shape[1]
+    Vb = np.eye(ops.d) if ops.Vb is None else ops.Vb
+    P = Vb @ (zero[:, None] * (Vb.conj().T @ Bh))
+    FBg, Rk, Kk, Tk = ops.Fh @ Bg, ops.entry(P), ops.fold(Bg), ops.exit(Vb)
     kern = 0.0
-    sscale = 0.0
-    per_sample, assembly = _route_costs(ops.d, ops.n, Bh.shape[1], r, len(C), ops.b_a is not None)
-    chain = reads is not None and per_sample <= assembly
-    if reads is not None and not chain:
-        ratios, scales = reads.window_ratios(C)
-        comms, sscale = ratios.tolist(), max(scales.tolist(), default=0.0)
-    for c in C if chain or kernel else ():
-        nv = float(np.linalg.norm(c))
-        if nv < 1e-12:
-            continue
-        if chain:
-            qsv, sqv = reads.terms(c)
-            comms.append(float(np.linalg.norm(qsv - sqv)) / nv)
-            sscale = max(sscale, reads.s_norm(c) / nv)
-        if not kernel:
-            continue
+    for i in kept:
+        c = C[i]
         wc = _on_h(P, c)   # w with H in the standard basis, both grid legs in coordinates Bg
         nw = float(np.linalg.norm(wc))
-        if nw > 1e-12 * nv:
+        if nw > 1e-12 * nv[i]:
             y = (FBg @ c.transpose(1, 0, 2).reshape(r, -1)).reshape(n, -1, r)
             w = (Bg @ wc.transpose(1, 0, 2).reshape(r, -1)).reshape(n, ops.d, r) @ Bg.T   # leg 1 first
             kern = max(kern, float(np.linalg.norm(ops.q_factored(y, Rk, Kk, Tk) - w)) / nw)
-    comm = max(comms) / sscale if comms and sscale > 1e-300 else 0.0
-    return CorepReport(residual=max(comm, kern), commutation=comm, kernel_identity=kern, samples=len(C))
+    return kern
 
 
 def g_family(rep: Representation) -> np.ndarray:

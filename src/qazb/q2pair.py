@@ -100,6 +100,7 @@ __all__ = [
     "Q2Report",
     "ExpIdentityReport",
     "default_margin",
+    "corep_margin",
     "check_margin",
     "closure_sum",
     "interior_window",
@@ -121,6 +122,15 @@ def default_margin(M: int) -> int:
     """The window margin ceil(M/4), which balances window size against
     wrap suppression."""
     return -(-M // 4)
+
+
+def corep_margin(M: int) -> int:
+    """The window margin of a corep residual, min(ceil((M + 2)/4), M/2 - 1),
+    and 1 at M = 2, which every margin refuses.  The witness reads S' =
+    bt (x) a (x) b + bt (x) b (x) I, whose modulus exponents add across
+    the legs, so its window leaves the wrap only at m >= (M + 2)/4, one
+    step past ceil(M/4) when 4 | M; the cap keeps a window of width 2."""
+    return max(1, min(-(-(M + 2) // 4), M // 2 - 1))
 
 
 def check_margin(M: int, margin: int) -> int:

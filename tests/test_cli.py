@@ -93,6 +93,17 @@ def test_corep_passes_on_every_draw(tmp_path, seed):
     assert run(["--seed", str(seed), "--out", str(out), "corep", "--M-list", "4,6"]) == 0
 
 
+def test_corep_default_margin_leaves_the_wrap(tmp_path):
+    # corep's default margin, min(ceil((M + 2)/4), M/2 - 1): M = 4 and 6
+    # keep margins 1 and 2, and M = 8 takes 3, where ceil(M/4) = 2 left
+    # its window on the wrap (residual 0.130 against 0.0066 at M = 6,
+    # failing the strict decrease)
+    out = tmp_path / "r.json"
+    assert run(["--out", str(out), "corep", "--M-list", "4,6,8"]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [row["margin"] for row in rows] == [1, 1, 2, 2, 3, 3]
+
+
 def test_corep_envelope_only_at_its_pinned_config(tmp_path, monkeypatch):
     # the corep_residual envelopes were pinned at q = 0.5, the default
     # margin and 32 samples: at q = 0.7 and margin 2 the M = 6 residual is
@@ -138,6 +149,7 @@ def test_corep_envelope_only_at_its_pinned_config(tmp_path, monkeypatch):
         pytest.param(["--margin", "2", "corep", "--M-list", "4"], "margin", id="corep-empty-window"),
         pytest.param(["-M", "4", "--margin", "2", "verify-pair"], "margin", id="verify-pair-empty-window"),
         pytest.param(["-M", "2", "verify-pair"], "margin", id="verify-pair-M2-default-margin"),
+        pytest.param(["corep", "--M-list", "2"], "margin", id="corep-M2-default-margin"),
         pytest.param(["--margin", "4", "exp-identity", "--M-list", "8"], "margin", id="exp-identity-empty-window"),
         pytest.param(["exp-identity", "--M-list", "0"], "grid order M", id="exp-identity-M-list-0"),
         pytest.param(["exp-identity", "--M-list", "-8"], "grid order M", id="exp-identity-M-list-negative"),

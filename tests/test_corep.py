@@ -483,7 +483,7 @@ def test_s_norm_matches_dense_coproduct(case):
         want = (pair.Y.entries @ v.reshape(d, n * n)) @ delta_b.T
         assert np.linalg.norm(literal_s(pair, g, v).reshape(d, n * n) - want) < 1e-13 * np.linalg.norm(want)
         if c is not None:
-            assert abs(reads.s_norm(c) - np.linalg.norm(want)) < 1e-13 * np.linalg.norm(want)
+            assert abs(reads.s_norms(c[None])[0] - np.linalg.norm(want)) < 1e-13 * np.linalg.norm(want)
 
 
 def literal_q(ops, v):
@@ -558,7 +558,7 @@ def test_window_reads_match_literal_legs(case):
     checks = [
         (qsv.reshape(r, r_h, r), coords(literal_q(ops, sv))),
         (sqv.reshape(r, r_h, r), coords(literal_s(pair, g, literal_q(ops, v)))),
-        (np.array(reads.s_norm(c)), np.array(np.linalg.norm(sv))),
+        (reads.s_norms(c[None])[0], np.array(np.linalg.norm(sv))),
     ]
     for got, want in checks:
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
@@ -570,12 +570,12 @@ def literal_residual(rep, samples, seed, margin=None):
     leg, over the same seeded window coordinates, each embedded in a full
     tensor: the oracle of the thin route."""
     from qazb.corep import _LegOps
-    from qazb.q2pair import default_margin, interior_window
+    from qazb.q2pair import corep_margin, interior_window
 
     ops = _LegOps(rep)
     pair, g = rep.pair, rep.grid
     d, n = rep.h_dim, g.size
-    Bg = interior_window(g, default_margin(g.M) if margin is None else margin)
+    Bg = interior_window(g, corep_margin(g.M) if margin is None else margin)
     Bh = pair.window_or_identity()
 
     def on_h(A, v):
@@ -634,12 +634,13 @@ ASSEMBLED_CASES = ["schrodinger-4", "schrodinger-6", "conjugated-4",
 
 
 def test_route_rule_assembles_width_two_windows():
-    # the flop rule sends the width-2 windows at M = 4, 6, 8 to the
-    # assembled window matrix and every other THIN_CASES id (margin 0,
-    # schrodinger-8-margin2 and the seeded d = 8 pair, all wider) to the
-    # per-sample chain; it sees the sample count, so one sample, for which
-    # the assembly costs more than one pass of the chain, takes the chain
-    from qazb.corep import _LegOps, _route_costs, _window_bases
+    # by multiply-adds the route table sends the width-2 windows at M = 4,
+    # 6, 8 to the assembled window matrix and every other THIN_CASES id
+    # (margin 0, schrodinger-8-margin2 and the seeded d = 8 pair, all
+    # wider) to the per-sample chain; it sees the sample count, so one
+    # sample, for which the assembly costs more than one pass of the
+    # chain, takes the chain
+    from qazb.corep import _LegOps, _routes, _window_bases
 
     for case in THIN_CASES:
         g, pair, margin = thin_case(case)
@@ -647,9 +648,9 @@ def test_route_rule_assembles_width_two_windows():
         ops = _LegOps(rep)
         Bh, Bg = _window_bases(rep, margin)
         r_h, r = Bh.shape[1], Bg.shape[1]
-        chain, assembly = _route_costs(ops.d, ops.n, r_h, r, 32, ops.b_a is not None)
+        (chain, _), (assembly, _) = _routes(ops.d, ops.n, r_h, r, 32).values()
         assert (assembly < chain) == (case in ASSEMBLED_CASES) == (r == 4), case
-        chain, assembly = _route_costs(ops.d, ops.n, r_h, r, 1, ops.b_a is not None)
+        (chain, _), (assembly, _) = _routes(ops.d, ops.n, r_h, r, 1).values()
         assert chain < assembly, case
 
 
@@ -674,15 +675,16 @@ def test_assembled_route_matches_chain(monkeypatch, case):
     C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     C[7] = 0.0
     calls = []
-    window_ratios = _CommutatorReads.window_ratios
+    norms = _CommutatorReads.norms
 
-    def counted(self, C):
-        calls.append(len(C))
-        return window_ratios(self, C)
+    def counted(self, C, kept, assemble):   # the samples taken by the window matrix
+        if assemble:
+            calls.append(len(C))
+        return norms(self, C, kept, assemble)
 
-    monkeypatch.setattr(_CommutatorReads, "window_ratios", counted)
+    monkeypatch.setattr(_CommutatorReads, "norms", counted)
     assembled = _window_residual(rep, C, margin)
-    monkeypatch.setattr(qazb.corep, "_route_costs", lambda *args: (0, 1))   # the chain
+    monkeypatch.setattr(qazb.corep, "_routes", lambda *args: {"chain": (0, 0), "assembly": (1, 0)})
     chain = _window_residual(rep, C, margin)
     assert calls == [32]
     assert assembled.samples == chain.samples == 32
@@ -731,8 +733,8 @@ def recording_type():
 
 
 def test_commutation_branch_stays_thin():
-    # on the M = 8 Schrodinger representation (width 4, where the
-    # commutation branch takes the per-sample chain) no array made from a
+    # on the M = 8 Schrodinger representation at margin 2 (width 4, where
+    # the commutation branch takes the per-sample chain) no array made from a
     # sample (from its window coordinates c) has more than d n 2r entries
     # (r the columns of the window basis), so none has the n^2 r^2
     # entries of an operator on the window of the two grid legs
@@ -740,21 +742,21 @@ def test_commutation_branch_stays_thin():
 
     g = grid(0.5, 8)
     rep = build_rep(schrodinger_pair(g), g)
-    Bh, Bg = _window_bases(rep, None)
+    Bh, Bg = _window_bases(rep, 2)
     d, n, r = rep.h_dim, g.size, Bg.shape[1]
     Recorded, shapes = recording_type()
     rng = np.random.default_rng(1)
     shape = (4, Bh.shape[1], r, r)
     C = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).view(Recorded)
-    report = _window_residual(rep, C)
+    report = _window_residual(rep, C, 2)
     assert report.commutation > 0.0 and report.kernel_identity == 0.0
     assert (n, d, 2 * r) in shapes   # Q(S'v) entered on H, leg 2 in [b Bg | Bg]
     assert max(np.prod(s) for s in shapes) <= d * n * 2 * r < n * n * r * r
 
 
 def test_window_draw_stays_thin(monkeypatch):
-    # the seeded draw of a Schrodinger M = 8 residual (width 4: the
-    # per-sample chain) is samples r_h r^2 complex window coordinates, and
+    # the seeded draw of a Schrodinger M = 8 residual at margin 2 (width 4:
+    # the per-sample chain) is samples r_h r^2 complex window coordinates, and
     # off the kernel branch (bt has no kernel here) no array made from them
     # has the size of a (d, n, n) tensor
     from qazb.corep import _window_bases
@@ -762,7 +764,7 @@ def test_window_draw_stays_thin(monkeypatch):
     g = grid(0.5, 8)
     rep = build_rep(schrodinger_pair(g), g)
     d, n = rep.h_dim, g.size
-    Bh, Bg = _window_bases(rep, None)
+    Bh, Bg = _window_bases(rep, 2)
     r_h, r = Bh.shape[1], Bg.shape[1]
     assert not rep.pair.Y.lattice(g.q)[2].any()
     draws = []
@@ -778,7 +780,7 @@ def test_window_draw_stays_thin(monkeypatch):
             return self.rng.standard_normal(size).view(Recorded)
 
     monkeypatch.setattr(np.random, "default_rng", RecordingRng)
-    report = corep_residual(rep, samples=8, seed=1)
+    report = corep_residual(rep, samples=8, seed=1, margin=2)
     assert draws == [(8, r_h, r, r)] * 2   # real and imaginary parts
     assert report.commutation > 0.0 and report.kernel_identity == 0.0
     assert len(shapes) > 100 and max(np.prod(s) for s in shapes) < d * n * n
@@ -908,15 +910,60 @@ def test_corep_refused_beyond_physical_memory(monkeypatch, capsys):
     out, err = capsys.readouterr()
     need = 32 * 32 * 4 ** 3 + 208 * 36 * 36 * 4 + 144 * 36 * 4 ** 2   # M = 6 at margin 2 (r = 4): 1226752
     assert out == "" and f"needs {need} bytes for its residual samples" in err and f"{10 ** 6} bytes" in err
-    # a width-2 window at M = 6 over 32 samples takes the assembled window
-    # matrix and is held to its count too: 16 bytes for each of 4 samples
-    # r^3 + 4 d n r + 3 d n r^2 + 4 d r^4 + 2 r^6 complex numbers; one
-    # sample takes the chain and is held to the chain's count alone
+    # a width-2 window at M = 6 over 32 samples has fewer multiply-adds on
+    # the assembled window matrix, whose 16 bytes for each of 4 samples
+    # r^3 + 4 d n r + 3 d n r^2 + 4 d r^4 + 2 r^6 complex numbers (2179072)
+    # fit only the larger memory; below it the chain (1226752) is taken,
+    # and one sample takes the chain either way
     monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 2 * 10 ** 6)
-    need = 16 * (4 * 32 * 4 ** 3 + 4 * 36 * 36 * 4 + 3 * 36 * 36 * 16 + 4 * 36 * 4 ** 4 + 2 * 4 ** 6)   # 2179072
-    with pytest.raises(ParameterError, match=f"needs {need} bytes for its assembled window matrix.* {2 * 10 ** 6} bytes"):
-        check_memory(36, 36, 4, 32)
-    check_memory(36, 36, 4, 1)
+    assert check_memory(36, 36, 4, 32) == check_memory(36, 36, 4, 1) == "chain"
+    need = 16 * (4 * 32 * 4 ** 3 + 4 * 36 * 36 * 4 + 3 * 36 * 36 * 16 + 4 * 36 * 4 ** 4 + 2 * 4 ** 6)
+    monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: need)
+    assert check_memory(36, 36, 4, 32) == "assembly" and check_memory(36, 36, 4, 1) == "chain"
+
+
+def test_route_is_picked_among_routes_that_fit(monkeypatch):
+    # M = 26 at margin 11 (width 4, r = 16 a grid leg, d = n = 676): the
+    # assembled window matrix has fewer multiply-adds but needs more than
+    # an 8408645632-byte machine has, so the run takes the chain, which
+    # fits; below the chain's count too it is refused, naming the chain's
+    # count, the smaller of the two
+    import qazb.corep
+    from qazb.corep import _routes, check_memory
+
+    (chain, chain_bytes), (assembly, assembly_bytes) = _routes(676, 676, 16, 16, 32).values()
+    assert assembly < chain and (chain_bytes, assembly_bytes) == (1549930496, 9463873536)
+    monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 8408645632)
+    assert check_memory(676, 676, 16, 32) == "chain"
+    monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 15 * 10 ** 8)
+    with pytest.raises(ParameterError, match=f"needs 1549930496 bytes for its residual samples on the chain route.* {15 * 10 ** 8} bytes"):
+        check_memory(676, 676, 16, 32)
+
+
+def test_chain_takes_samples_as_views_of_the_draw(monkeypatch):
+    # on the per-sample chain (M = 8, margin 2: width 4) every sample the
+    # commutator reads receive is a view of the draw C, and a sample with
+    # ||c|| < 1e-12 is skipped
+    from qazb.corep import _CommutatorReads, _window_bases, _window_residual
+
+    g = grid(0.5, 8)
+    rep = build_rep(schrodinger_pair(g), g)
+    Bh, Bg = _window_bases(rep, 2)
+    shape = (4, Bh.shape[1], Bg.shape[1], Bg.shape[1])
+    rng = np.random.default_rng(1)
+    C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    C[2] = 0.0
+    seen = []
+    terms = _CommutatorReads.terms
+
+    def recorded(self, c):
+        seen.append(c)
+        return terms(self, c)
+
+    monkeypatch.setattr(_CommutatorReads, "terms", recorded)
+    report = _window_residual(rep, C, 2)
+    assert report.commutation > 0.0 and len(seen) == 3
+    assert all(np.shares_memory(c, C) and np.any(c) for c in seen)
 
 
 @pytest.mark.parametrize(

@@ -78,6 +78,17 @@ def test_interior_window_matches_dense_projector(M, margin):
     assert np.abs(B @ B.conj().T - dense_window(g, margin)).max() < 1e-13
 
 
+def test_corep_margin_rule():
+    # min(ceil((M + 2)/4), M/2 - 1): ceil(M/4) when M = 2 mod 4, one more
+    # when 4 | M, capped at a window of width 2, and 1 at M = 2, where
+    # every margin leaves no window
+    from qazb.q2pair import corep_margin, default_margin
+
+    M = np.arange(2, 30, 2)
+    assert [corep_margin(m) for m in M] == [1, 1, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8]
+    assert all(corep_margin(m) == default_margin(m) + (m % 4 == 0) for m in M[2:])
+
+
 def test_windowed_norm_equals_projector_sandwich():
     g = grid(0.5, 8)
     B = interior_window(g, 2)
