@@ -360,17 +360,23 @@ def dense_coproduct(g):
     return np.kron(a, a), np.kron(a, b) + np.kron(b, np.eye(g.size))
 
 
-CASES = ["schrodinger-4", "schrodinger-6", "seeded-d8-8", "conjugated-4"]
+CASES = ["schrodinger-4", "schrodinger-6", "seeded-d8-8", "conjugated-4", "swapped-4", "xx-4"]
 
 
 def case_pair(case):
     """The grid and pair of a CASES id: the Schrodinger pair at M, a
-    seeded d = 8 pair at M = 8, or the Schrodinger pair at M = 4
-    conjugated by a seeded unitary (so that at has no identity basis)."""
+    seeded d = 8 pair at M = 8, the Schrodinger pair at M = 4 conjugated
+    by a seeded unitary (so that at has no identity basis), or the two
+    failing pairs of `verify-pair` at M, whose bt has the identity basis:
+    "swapped" (bt = X, at = Y) and "xx" (bt = at = X)."""
     kind, *rest = case.split("-")
     if kind == "schrodinger":
         g = grid(0.5, int(rest[0]))
         return g, schrodinger_pair(g)
+    if kind in ("swapped", "xx"):
+        g = grid(0.5, int(rest[0]))
+        base = schrodinger_pair(g)
+        return g, Q2Pair(Y=base.X, X=base.X if kind == "xx" else base.Y, grid=g, window=base.window)
     if kind == "conjugated":
         g = grid(0.5, int(rest[0]))
         rng = np.random.default_rng(8)
@@ -629,7 +635,7 @@ def test_residual_through_fused_q_matches_literal_legs(case):
 
 # the THIN_CASES ids whose commutation branch takes the assembled window
 # matrix over 32 samples: every width-2 window (r = 4 columns a grid leg)
-ASSEMBLED_CASES = ["schrodinger-4", "schrodinger-6", "conjugated-4",
+ASSEMBLED_CASES = ["schrodinger-4", "schrodinger-6", "conjugated-4", "swapped-4", "xx-4",
                    "schrodinger-4-margin1", "schrodinger-6-margin2", "schrodinger-8-margin3"]
 
 
