@@ -6,7 +6,8 @@ timestamps, and are serialised with sorted keys, so identical configs
 produce byte-identical output.  Exit codes: 0 all checks passed, 1 a check
 failed, 2 invalid usage (including a --tol outside (0, 1), a negative
 --seed, an --M-list that is empty, not integers, not even grid orders
->= 2 or not strictly increasing, a margin that leaves no interior
+>= 2 or not strictly increasing, a --q whose largest grid modulus
+q^(-M/2) is beyond the double range, a margin that leaves no interior
 window, a roundtrip with no trials or no dimension, and a run too large
 for physical memory) or I/O failure.
 """

@@ -233,7 +233,7 @@ class Representation:
         refuse_dense_u(self.dim, f"a representation of dimension {self.dim}")
         d, n = self.h_dim, self.grid.size
         # the (n, d, d) stacks W_g = V_b diag(w_g) V_b* and Z_a = V_a diag(z_a) V_a*
-        W, B = eigen_stack(self.pair.Y.eig()[0], self.fq_values), eigen_stack(self.pair.X.eig()[0], self.chi_values)
+        W, B = eigen_stack(self.pair.Y.basis, self.fq_values), eigen_stack(self.pair.X.basis, self.chi_values)
         V = _conjugate_by_fourier(B, self.grid).reshape(d, n, d * n).transpose(1, 0, 2)
         U = (W @ V).transpose(1, 0, 2).reshape(d * n, d * n)
         U.setflags(write=False)
@@ -270,13 +270,13 @@ def _max_norm(stack: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(stack, 2, axis=(-2, -1))))
 
 
-def _basis_defect(V: np.ndarray | None) -> float:
-    """||V* V - 1||_F of a square basis V from one product (0.0 for the
-    identity basis, None); it bounds ||V* V - 1||_2 = ||V V* - 1||_2."""
-    return 0.0 if V is None else float(np.linalg.norm(V.conj().T @ V - np.eye(len(V))))
+def _basis_defect(V: np.ndarray) -> float:
+    """||V* V - 1||_F of a square basis V from one product (exactly 0.0 for
+    an exact identity); it bounds ||V* V - 1||_2 = ||V V* - 1||_2."""
+    return float(np.linalg.norm(V.conj().T @ V - np.eye(len(V))))
 
 
-def _factor_defect(V: np.ndarray | None, vals: np.ndarray) -> float:
+def _factor_defect(V: np.ndarray, vals: np.ndarray) -> float:
     """A bound on max ||A* A - 1||_2 over the blocks A = V diag(v) V*, v a
     row of `vals`: with e = ||V* V - 1|| and h = max | |v|^2 - 1 |,
     A* A - 1 = (V V* - 1) + V (|v|^2 - 1) V* + V v-bar (V* V - 1) v V*,
@@ -325,16 +325,6 @@ def _on_h(A: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (A @ v.reshape(A.shape[1], -1)).reshape(A.shape[:1] + v.shape[1:])
 
 
-def _change(src: np.ndarray | None, dst: np.ndarray | None) -> np.ndarray | None:
-    """dst* src: coordinates in the basis src to coordinates in dst (None
-    for the identity basis, and for no change)."""
-    if dst is None:
-        return src
-    if src is None:
-        return dst.conj().T
-    return dst.conj().T @ src
-
-
 class _LegOps:
     """Actions on H (x) grid (x) grid tensors (d, n, m) in eigen-coordinates.
 
@@ -344,8 +334,9 @@ class _LegOps:
     between the standard basis and the eigenbases V_a, V_b on H) and an
     elementwise multiply by the values z, z-bar or w on H and one grid
     leg.  F commutes with every change of basis on H, so a leg changes
-    basis only where the next multiply needs it, and an identity basis is
-    never multiplied by.
+    basis only where the next multiply needs it.  It holds V_a, V_b, V_a*
+    and the changes V_b* V_a and V_a* V_b between them, and the pair's bt
+    `Y`, which it applies and never reads as a matrix.
 
     `q_factored` takes Q on a tensor held in thin coordinates on every
     leg (a basis P on H, G (n x m) on grid leg 2, and leg 1 entered
@@ -360,11 +351,11 @@ class _LegOps:
         self.n = self.g.size
         self.F = self.g.fourier
         self.Fh = self.F.conj()   # F* (F is symmetric)
-        Va, self.Vb = rep.pair.X.basis, rep.pair.Y.basis
-        # changes of coordinates on H: standard (std), eigenbasis of at (a) and of bt (b)
-        self.std_a, self.a_std = _change(None, Va), _change(Va, None)
-        self.a_b, self.b_a = _change(Va, self.Vb), _change(self.Vb, Va)
-        self.b_std = _change(self.Vb, None)
+        self.Y = rep.pair.Y
+        self.Va, self.Vb = rep.pair.X.basis, self.Y.basis
+        self.Vah = self.Va.conj().T
+        # changes of coordinates on H between the eigenbases of at (a) and of bt (b)
+        self.a_b, self.b_a = self.Vb.conj().T @ self.Va, self.Vah @ self.Vb
         self.chi, self.fq = rep.chi_values.T, rep.fq_values.T   # (d, n)
         # the values on H and grid leg 1 or 2 of a (d, n, n) tensor
         z = self.chi
@@ -372,7 +363,6 @@ class _LegOps:
         self.zc = {1: z.conj()[:, :, None], 2: z.conj()[:, None, :]}
         self.w = {1: self.fq[:, :, None], 2: self.fq[:, None, :]}
         self.bvals = self.g.values
-        self.bt = rep.pair.Y.entries
 
     def _on_grid(self, F: np.ndarray, v: np.ndarray, leg: int) -> np.ndarray:
         """F on grid leg `leg` (1 or 2) of a tensor (F symmetric on leg 2);
@@ -381,21 +371,17 @@ class _LegOps:
             return np.matmul(F, v)
         return (v.reshape(-1, self.n) @ F).reshape(v.shape)
 
-    def _h(self, T: np.ndarray | None, v: np.ndarray) -> np.ndarray:
-        """A change of basis T on H (None: none, and `v` itself)."""
-        return v if T is None else _on_h(T, v)
-
     def _literal_leg(self, v: np.ndarray, leg: int, u: bool) -> np.ndarray:
         """The literal leg W F Z F* (U, when `u`) or F Z* F* (V*) on H and
         grid leg `leg`."""
-        x = self._h(self.std_a, self._on_grid(self.Fh, v, leg))
+        x = _on_h(self.Vah, self._on_grid(self.Fh, v, leg))
         if not u:
             x *= self.zc[leg]
-            return self._on_grid(self.F, self._h(self.a_std, x), leg)
+            return self._on_grid(self.F, _on_h(self.Va, x), leg)
         x *= self.z[leg]
-        x = self._h(self.a_b, self._on_grid(self.F, x, leg))
+        x = _on_h(self.a_b, self._on_grid(self.F, x, leg))
         x *= self.w[leg]
-        return self._h(self.b_std, x)
+        return _on_h(self.Vb, x)
 
     def u12(self, v: np.ndarray) -> np.ndarray:
         return self._literal_leg(v, 1, True)
@@ -420,15 +406,14 @@ class _LegOps:
         """The input factors R[g] = V_b* V_a diag(z-bar_g) V_a* P (n, d, p)
         on H, one per grid position g of leg 1 after F_1*: Z_1* and the
         change to the V_b coordinates of W_2 on the thin basis P (d x p)."""
-        R = self.chi.conj().T[:, :, None] * self._h(self.std_a, P)
-        return R if self.a_b is None else np.matmul(self.a_b, R)
+        R = self.chi.conj().T[:, :, None] * _on_h(self.Vah, P)
+        return np.matmul(self.a_b, R)
 
     def exit(self, H: np.ndarray) -> np.ndarray:
         """The output factors T[g] = H diag(w_g) V_b* V_a (n, d', d) on H,
         one per grid position g of leg 1: the change to V_b coordinates,
         W_1 and the read H (d' x d, from V_b coordinates)."""
-        T = H * self.fq.T[:, None, :]
-        return T if self.a_b is None else T @ self.a_b
+        return (H * self.fq.T[:, None, :]) @ self.a_b
 
     def q_factored(self, y: np.ndarray, R: np.ndarray, K: np.ndarray, T: np.ndarray) -> np.ndarray:
         """Q = U_12 U_13 (V_12 V_13)* on P (x) B (x) G c, read by H_out on H
@@ -449,7 +434,7 @@ class _LegOps:
         width left are the change from V_b to V_a coordinates on H and F_1.
         """
         x = np.matmul(np.matmul(R, y).transpose(1, 0, 2), K)   # W_2 . Z_1* F_1*, (d, n, p)
-        x = self._h(self.b_a, x)
+        x = _on_h(self.b_a, x)
         x *= self.z[1]                                          # Z_1
         x = self.F @ x.transpose(1, 0, 2).reshape(self.n, -1)   # F_1, leg 1 first
         return np.matmul(T, x.reshape(self.n, self.d, -1))      # W_1, and the read of H
@@ -462,7 +447,8 @@ class _CommutatorReads:
     A sample enters Q through :meth:`_LegOps.q_factored`: leg 1 through
     F* Bg for v and F* a Bg, F* b Bg for the two terms of S'v (F* a =
     b F*), one (3n x r) product per sample, and H through the input
-    factors of P = Bh for v and P = bt Bh for S'v; leg 2 stays in
+    factors of P = Bh for v and P = bt Bh for S'v (bt Bh and bt* Bh are
+    the pair's `apply` and `apply_adjoint` of Bh); leg 2 stays in
     coordinates Bg for v and [b Bg | Bg] for S'v.  Q(S'v) is read on leg
     2 by Bg* and on H by Bh*, Qv on leg 2 by [b-bar Bg | Bg]* and on H by
     Bh* bt, the projections of the two terms of S'(Qv), and both on leg 1
@@ -486,13 +472,13 @@ class _CommutatorReads:
         b = ops.bvals[:, None]
         FBg = ops.Fh @ Bg
         self.E = np.vstack([FBg, b * FBg, ops.Fh @ (b * Bg)])   # F* [Bg; a Bg; b Bg]
-        btBh = ops.bt @ Bh
+        btBh = ops.Y.apply(Bh)
         Gs = np.hstack([b * Bg, Bg])                            # leg 2 of S'v
         self.Rv, self.Rs = ops.entry(Bh), ops.entry(btBh)
         self.Kv = ops.fold(Bg, np.hstack([b.conj() * Bg, Bg]))  # Qv, read by both terms of S'
         self.Ks = ops.fold(Gs, Bg)                              # Q(S'v), read on the window
-        self.Tv = ops.exit(_change(ops.Vb, ops.bt.conj().T @ Bh))   # Bh* bt V_b
-        self.Ts = ops.exit(_change(ops.Vb, Bh))                     # Bh* V_b
+        self.Tv = ops.exit(ops.Y.apply_adjoint(Bh).conj().T @ ops.Vb)   # Bh* bt V_b
+        self.Ts = ops.exit(Bh.conj().T @ ops.Vb)                        # Bh* V_b
         self.Bgh = Bg.conj().T
         self.leg1 = np.hstack([(FBg.conj().T * ops.bvals) @ ops.Fh, self.Bgh * ops.bvals])   # [Bg* a | Bg* b]
         self.Rh = np.linalg.qr(btBh, mode="r")
@@ -521,8 +507,8 @@ class _CommutatorReads:
         taken a quarter of the samples at a time, so none outgrows X much."""
         (R1a, R1b), (R2a, R2b) = self.R1, self.R2
         T = np.matmul(self.Rh, X.reshape(len(X), X.shape[1], -1)).reshape(len(X), -1, self.r, self.r)
-        return np.array([np.linalg.norm(a) for t in np.array_split(T, min(4, len(T)))
-                         for a in R1a @ t @ R2a.T + R1b @ t @ R2b.T])
+        return np.concatenate([np.linalg.norm((R1a @ t @ R2a.T + R1b @ t @ R2b.T).reshape(len(t), -1), axis=1)
+                               for t in np.array_split(T, min(4, len(T)))])
 
     def _through_fold(self, read: np.ndarray, T: np.ndarray, R: np.ndarray,
                       entries: tuple[np.ndarray, ...], out: np.ndarray) -> None:
@@ -540,8 +526,7 @@ class _CommutatorReads:
         A = (G.T @ ops.F).reshape(d, -1, n)   # F_1
         del G
         A *= ops.chi[:, None, :]              # Z_1
-        if ops.b_a is not None:
-            A = (ops.b_a.T @ A.reshape(d, -1)).reshape(A.shape)
+        A = (ops.b_a.T @ A.reshape(d, -1)).reshape(A.shape)
         R = R.transpose(1, 0, 2)[..., None]   # (d, n, r_h, 1)
         for o, E in zip(out, entries):
             np.matmul(A, (R * E[:, None, :]).reshape(d, n, -1), out=o)
@@ -642,7 +627,7 @@ def _window_residual(rep: Representation, C: np.ndarray, margin: int | None = No
     """
     ops = _LegOps(rep)
     Bh, Bg = _window_bases(rep, margin)
-    nv = np.array([np.linalg.norm(c) for c in C])
+    nv = np.linalg.norm(C.reshape(len(C), -1), axis=1)
     kept = np.flatnonzero(nv >= 1e-12)
     zero = rep.pair.Y.lattice(ops.g.q)[2]   # ker(bt): the zero mask in V_b coordinates
     comm = 0.0
@@ -662,8 +647,7 @@ def _kernel_identity(ops: _LegOps, Bh: np.ndarray, Bg: np.ndarray, zero: np.ndar
     coordinates: w = P (x) Bg (x) Bg c, P = V_b diag(zero) V_b* Bh, and Qw
     through :meth:`_LegOps.q_factored`, leg 2 read on its n positions and
     H in the standard basis; a w below 1e-12 ||c|| is skipped."""
-    n, r = ops.n, Bg.shape[1]
-    Vb = np.eye(ops.d) if ops.Vb is None else ops.Vb
+    n, r, Vb = ops.n, Bg.shape[1], ops.Vb
     P = Vb @ (zero[:, None] * (Vb.conj().T @ Bh))
     FBg, Rk, Kk, Tk = ops.Fh @ Bg, ops.entry(P), ops.fold(Bg), ops.exit(Vb)
     kern = 0.0

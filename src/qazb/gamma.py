@@ -245,13 +245,20 @@ class GammaGrid:
     Index (k, j) in Z_M x Z_M carries the point q^{c(k)} e^{2 pi i j / M}.
     Flat indexing is k-major: flat = k * M + j.  The Fourier unitary F_M
     has the cross-coupled kernel e^{2 pi i (j l + j' k) / M} / M (phase
-    index pairs with the other point's modulus index).
+    index pairs with the other point's modulus index).  A (q, M) whose
+    largest modulus q^(-M/2) is not a finite double is refused with
+    ParameterError.
     """
 
     def __init__(self, q: float, M: int):
         if not (0.0 < q < 1.0):
             raise ParameterError(f"q must lie in (0, 1), got {q}")
         check_grid_order(M)
+        try:
+            float(q) ** -(M // 2)   # the largest grid modulus
+        except OverflowError:
+            raise ParameterError(f"q={q} and M={M} give a largest grid modulus q^(-M/2) "
+                                 "beyond the double range") from None
         if not (0.1 <= q <= 0.9) :
             warnings.warn(
                 f"q={q} outside [0.1, 0.9]: q^(M/2) spans a wide dynamic range "

@@ -10,9 +10,9 @@ versions are exactly normal, so every matrix carries a normality defect
   lattice data (modulus index n, phase theta as a grid angle, zero mask).
   It is certified, not trusted: on first read the matrix computes
   r = ||T V - V diag(lam)||_F / max|lam| and eps = ||V* V - 1||_F (one
-  matmul each, none for an identity basis; Frobenius norms bounding the
-  2-norms) and raises DomainError when either exceeds SPECTRUM_RTOL.
-  No Schur form, snap or SVD is taken.  The certificate is a backward error: (V, lam) is the
+  matmul each; Frobenius norms bounding the 2-norms) and raises
+  DomainError when either exceeds SPECTRUM_RTOL.  No Schur form, snap or
+  SVD is taken.  The certificate is a backward error: (V, lam) is the
   exact eigensystem of a matrix within r ||T||_2 of T.  It is relative to
   the norm, not to each eigenvalue: an eigenpair is resolved only to
   SPECTRUM_RTOL ||T||, so eigenpairs with |lam| below that are not
@@ -48,8 +48,9 @@ zero).  :func:`lattice_values` returns the values f;
 stack of such matrices in one batched product); an operator's
 `spectral_apply` applies values to the columns of an n x r block B as
 V (f * (V* B)), without forming the n x n matrix, so values computed
-once serve any number of applications.  A supplied identity basis is never multiplied
-by: :attr:`NormalMatrix.basis` is None for it.  Diagnostics such as
+once serve any number of applications.  The eigenbasis V is always a
+matrix, the identity included (:attr:`NormalOperator.basis`), and
+multiplying by an exact identity is exact.  Diagnostics such as
 :func:`gamma_distance` always report the unsnapped values.
 
 The operators of the grid model whose structure is known in closed form
@@ -135,11 +136,6 @@ class Eigensystem:
             raise DimensionError(f"eigensystem of {d} eigenvalues needs a {d} x {d} basis and "
                                  f"{d} lattice entries, got V {self.V.shape}")
 
-    @functools.cached_property
-    def identity_basis(self) -> bool:
-        """V is exactly the identity: T is diagonal in the standard basis."""
-        return np.count_nonzero(self.V) == len(self.lam) and bool(np.all(self.V.diagonal() == 1))
-
     @classmethod
     def zero_operator(cls, dim: int) -> "Eigensystem":
         """The eigensystem of the zero matrix: V = 1, every eigenvalue 0."""
@@ -183,7 +179,7 @@ class NormalOperator:
     docstring): `apply(B)` = T B, `apply_adjoint(B)` = T* B and
     `spectral_apply(vals, B)` = V (vals * (V* B)) on n x c blocks, and
     `norm2` and `normality_defect`, from which the relative defect and the
-    degraded flag follow here."""
+    degraded flag follow here, as does the eigenbasis `basis` of `eig`."""
 
     @property
     def relative_defect(self) -> float:
@@ -199,6 +195,11 @@ class NormalOperator:
     def degraded(self) -> bool:
         """True when functional calculus on this operator is untrustworthy."""
         return self.normality_defect > self.defect_threshold
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The eigenbasis V of :meth:`eig`, a d x d matrix."""
+        return self.eig()[0]
 
 
 class NormalMatrix(NormalOperator):
@@ -290,11 +291,8 @@ class NormalMatrix(NormalOperator):
     def _certify(self) -> float:
         V, lam = self._eig
         scale = float(np.max(np.abs(lam), initial=0.0))
-        if self._supplied.identity_basis:   # T V = T and V* V = 1 exactly
-            res, ortho = float(np.linalg.norm(self._m - np.diag(lam))), 0.0
-        else:
-            res = float(np.linalg.norm(self._m @ V - V * lam))
-            ortho = float(np.linalg.norm(V.conj().T @ V - np.eye(self.dim)))
+        res = float(np.linalg.norm(self._m @ V - V * lam))
+        ortho = float(np.linalg.norm(V.conj().T @ V - np.eye(self.dim)))
         r = res / scale if scale > 0.0 else (0.0 if res == 0.0 else np.inf)
         if r > SPECTRUM_RTOL or ortho > SPECTRUM_RTOL:
             raise DomainError(
@@ -344,19 +342,9 @@ class NormalMatrix(NormalOperator):
         return self._m.conj().T @ B
 
     def spectral_apply(self, vals: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """V (vals * (V* B)), in O(n^2 r) for r columns; a supplied identity
-        basis is not multiplied by."""
+        """V (vals * (V* B)), in O(n^2 r) for r columns."""
         V = self.basis
-        if V is None:
-            return vals[:, None] * B
         return V @ (vals[:, None] * (V.conj().T @ B))
-
-    @property
-    def basis(self) -> np.ndarray | None:
-        """The eigenbasis V of :meth:`eig`, or None when it is a supplied
-        identity basis: T is then diagonal, and V is never multiplied by."""
-        V = self.eig()[0]
-        return None if self._supplied is not None and self._supplied.identity_basis else V
 
     def __repr__(self) -> str:
         return f"NormalMatrix(dim={self.dim}, defect={self.normality_defect:.3e})"
@@ -424,6 +412,8 @@ class GridOperator(NormalOperator):
         return _supplied_lattice(self.eigenvalues, *data, self.norm2, q)
 
     def spectral_apply(self, vals: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """V (vals * (V* B)) by a value multiply, between two M-point FFTs
+        for the Fourier kind; V is not built."""
         if self.kind != "fourier":
             return vals[:, None] * B
         g = self.grid
@@ -453,10 +443,6 @@ class GridOperator(NormalOperator):
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         return self.eigensystem.V, self.eigensystem.lam
-
-    @property
-    def basis(self) -> np.ndarray | None:
-        return self.eigensystem.V if self.kind == "fourier" else None
 
 
 def _as_normal(T) -> NormalOperator:

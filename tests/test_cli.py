@@ -155,6 +155,11 @@ def test_corep_envelope_only_at_its_pinned_config(tmp_path, monkeypatch):
         pytest.param(["exp-identity", "--M-list", "-8"], "grid order M", id="exp-identity-M-list-negative"),
         pytest.param(["exp-identity", "--M-list", "5"], "grid order M", id="exp-identity-M-list-odd"),
         pytest.param(["corep", "--M-list", "0"], "grid order M", id="corep-M-list-0"),
+        pytest.param(["--q", "1e-300", "fq-table"], "q=1e-300 and M=8", id="fq-table-modulus-overflow"),
+        pytest.param(["--q", "1e-80", "fq-table"], "q=1e-80 and M=8", id="fq-table-modulus-overflow-M8"),
+        pytest.param(["--q", "1e-300", "corep", "--M-list", "4"], "q=1e-300 and M=4", id="corep-modulus-overflow"),
+        pytest.param(["--q", "1e-20", "-M", "64", "verify-pair"], "q=1e-20 and M=64",
+                     id="verify-pair-modulus-overflow"),
     ],
 )
 def test_invalid_q_is_usage_error(tmp_path, capsys, args, names):

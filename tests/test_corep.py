@@ -401,7 +401,7 @@ def on_h(A, v):
 def standard_read(ops):
     """The read of H in the standard basis from V_b coordinates (the
     `exit` argument of a Q that ends in the standard basis)."""
-    return np.eye(ops.d) if ops.b_std is None else ops.b_std
+    return ops.Vb
 
 
 def dense_leg(A, v, leg, adjoint=False):
@@ -813,6 +813,27 @@ def test_all_kernel_pair_skips_commutation(monkeypatch):
     assert calls == [("q_factored", g.size)] * 8
 
 
+@pytest.mark.parametrize("case", ["schrodinger-4", "swapped-4", "conjugated-4"])
+def test_corep_reads_no_dense_pair_member(monkeypatch, case):
+    # corep takes its pair through the bases and applications of the
+    # members: with their dense entries unreadable, the residual on the
+    # Schrodinger pair (bt applied by FFTs), the swapped one (bt on the
+    # identity basis) and a conjugated one matches the one taken with them
+    from qazb.opalg import GridOperator
+
+    g, pair = case_pair(case)
+    want = corep_residual(build_rep(pair, g), samples=4)
+
+    def refuse(self):
+        raise AssertionError("a pair member's entries were read")
+
+    g, pair = case_pair(case)
+    for cls in (GridOperator, NormalMatrix):
+        monkeypatch.setattr(cls, "entries", property(refuse))
+    got = corep_residual(build_rep(pair, g), samples=4)
+    assert got == want and got.residual > 1e-4
+
+
 CERT_CASES = CASES + ["classical", "two-trivial"]
 
 
@@ -1022,7 +1043,7 @@ def test_kernel_projection_matches_dense_projector(monkeypatch, case):
         g = grid(0.5, 8)
         pair = random_regular_pair([("trivial", g.point(1, 0)), ("schrodinger", 4)], g)
     Vb, zero = pair.Y.eig()[0], pair.Y.lattice(g.q)[2]
-    assert zero.any() and not zero.all() and pair.Y.basis is not None
+    assert zero.any() and not zero.all() and not np.array_equal(pair.Y.basis, np.eye(pair.dim))
     Pker = (Vb * zero) @ Vb.conj().T
     inputs = []
     q_factored = _LegOps.q_factored

@@ -144,6 +144,17 @@ def test_grid_q_guard_warns():
         grid(0.05, 4)
 
 
+def test_grid_refuses_moduli_beyond_doubles():
+    # the largest grid modulus q^(-M/2) must be a finite double: 1e280 at
+    # q = 1e-70, M = 8 is built (with the dynamic-range warning), 1e320 at
+    # q = 1e-80 is refused, and so are 1e600 and 1e640
+    with pytest.warns(UserWarning, match="dynamic range"):
+        assert np.all(np.isfinite(grid(1e-70, 8).values))
+    for q, M in ((1e-80, 8), (1e-300, 4), (1e-20, 64)):
+        with pytest.raises(ParameterError, match=f"q={q} and M={M} "):
+            grid(q, M)
+
+
 def test_grid_pairing_matches_chi_exactly_m4():
     g = grid(0.5, 4)
     for i1 in itertools.product(range(4), repeat=2):

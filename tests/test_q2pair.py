@@ -324,11 +324,10 @@ def test_permuted_basis_is_refused():
 
 
 def test_identity_basis_with_wrong_eigenvalues_is_refused():
-    # the identity basis skips the certificate's products, not its check
+    # an identity basis is certified like any other
     g = grid(0.5, 4)
     k, theta = g.lattice
     es = Eigensystem(np.eye(g.size), g.values[::-1], k[::-1], theta[::-1])
-    assert es.identity_basis
     wrong = NormalMatrix(np.diag(g.values), es)
     with pytest.raises(DomainError, match="does not describe"):
         wrong.eig()
@@ -576,11 +575,11 @@ def test_dense_views_equal_the_dense_formulas():
     Fh = g.fourier.conj().T
     assert np.array_equal(pair.X.entries, np.diag(g.values))
     assert np.array_equal(pair.Y.entries, (Fh * g.values) @ g.fourier)
-    assert pair.X.basis is None and np.array_equal(pair.Y.basis, Fh)
-    assert np.array_equal(pair.Y.eig()[1], g.values) and pair.X.eigensystem.identity_basis
+    assert np.array_equal(pair.X.basis, np.eye(g.size)) and np.array_equal(pair.Y.basis, Fh)
+    assert np.array_equal(pair.Y.eig()[1], g.values)
     zero = GridOperator(g, "zero")
     assert np.array_equal(zero.entries, np.zeros((g.size, g.size)))
-    assert zero.basis is None and zero.is_zero and np.all(zero.eigensystem.zero)
+    assert np.array_equal(zero.basis, np.eye(g.size)) and zero.is_zero and np.all(zero.eigensystem.zero)
     with pytest.raises(ParameterError):
         GridOperator(g, "diagonal")
 
