@@ -827,7 +827,6 @@ def test_corep_reads_no_dense_pair_member(monkeypatch, case):
     def refuse(self):
         raise AssertionError("a pair member's entries were read")
 
-    g, pair = case_pair(case)
     for cls in (GridOperator, NormalMatrix):
         monkeypatch.setattr(cls, "entries", property(refuse))
     got = corep_residual(build_rep(pair, g), samples=4)
