@@ -280,8 +280,14 @@ def check_corep_routes(rep, margin: int) -> None:
     b, a = grid_operators(g)
     delta_b = np.kron(a, b) + np.kron(b, np.eye(n))
 
+    # bt from its eigen-data, V (lam * (V* v)): for the Schrodinger bt this is
+    # F* (x (F v)) with the dense F, as accurate as the FFT route the residual
+    # takes, where a product with the materialised entries is not
+    Vy, lam = rep.pair.Y.eig()
+
     def dense_s(v):
-        return ((rep.pair.Y.entries @ v.reshape(d, n * n)) @ delta_b.T).reshape(d, n, n)
+        w = Vy @ (lam[:, None] * (Vy.conj().T @ v.reshape(d, n * n)))
+        return (w @ delta_b.T).reshape(d, n, n)
 
     Bh, Bg = _window_bases(rep, margin)
     r_h, r = Bh.shape[1], Bg.shape[1]
