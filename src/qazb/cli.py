@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -307,6 +308,7 @@ def cmd_verify_pair(config: RunConfig, which: str) -> int:
     return emit_report("verify-pair", config, report.rows(), report.passed)
 
 
+@functools.cache   # built once per process: argparse parsers can be reused
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qazb",

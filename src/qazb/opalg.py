@@ -32,9 +32,11 @@ versions are exactly normal, so every matrix carries a normality defect
   T T* - T* T with N N* = N* N leaves 4 ||N|| ||E|| + ||E||^2.
   A supplied eigensystem that fails its certificate keeps the dense
   commutator norm as its defect.
-* computed: the complex Schur form, whose unitary factor is accepted as
-  an eigenvector basis and whose strictly upper-triangular part is
-  discarded.  For defects below the threshold 1e-6 * ||T||^2 (the
+* computed: the complex Schur form (scipy's, with scipy.linalg imported
+  on the first Schur form taken, so that a run whose every matrix has a
+  supplied eigensystem never loads scipy), whose unitary factor is
+  accepted as an eigenvector basis and whose strictly upper-triangular
+  part is discarded.  For defects below the threshold 1e-6 * ||T||^2 (the
   commutator scale) this agrees with the spectral theorem to roundoff;
   above it the computation still completes but the matrix is flagged
   degraded, and callers treat the flag as a failed check.
@@ -76,7 +78,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionError, DomainError, KernelConditionError, ParameterError
 from .gamma import GammaGrid, GammaPoint, snap_spectrum
@@ -105,6 +106,22 @@ def operator_norm(a: np.ndarray) -> float:
     if not a.any():
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+def block_diag(*blocks) -> np.ndarray:
+    """The block-diagonal matrix of the blocks, in order, zero off them and
+    in their common dtype; a block may be a scalar, a row or empty, such as
+    the (4, 0) window of a 2-point sub-grid.  The semantics are those of
+    scipy.linalg.block_diag for matrix blocks, an empty call included (a
+    (1, 0) array)."""
+    mats = [np.atleast_2d(np.asarray(b)) for b in blocks] or [np.zeros((1, 0))]
+    rows, cols = np.sum([m.shape for m in mats], axis=0)
+    out = np.zeros((rows, cols), dtype=np.result_type(*mats))
+    r = c = 0
+    for m in mats:
+        out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
 
 
 def _frozen(a, dtype) -> np.ndarray:
@@ -149,7 +166,7 @@ class Eigensystem:
     def direct_sum(systems) -> "Eigensystem":
         """The eigensystem of the block-diagonal sum, blocks in order."""
         return Eigensystem(
-            scipy.linalg.block_diag(*(s.V for s in systems)),
+            block_diag(*(s.V for s in systems)),
             *(np.concatenate([getattr(s, f) for s in systems]) for f in ("lam", "n", "theta", "zero")),
         )
 
@@ -277,11 +294,15 @@ class NormalMatrix(NormalOperator):
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigensystem (V, lam), V unitary: the supplied one, certified on
-        first read, or the Schur factor and the Schur diagonal."""
+        first read, or the Schur factor and the Schur diagonal.  The Schur
+        form is scipy's, and scipy.linalg is imported on the first one
+        taken, so only a matrix without a supplied eigensystem loads it."""
         if self._eig is None:
             if self.dim == 0:
                 self._eig = (np.zeros((0, 0), complex), np.zeros(0, complex))
             else:
+                import scipy.linalg   # a third of a second; most runs never need it
+
                 S, V = scipy.linalg.schur(self._m, output="complex")
                 self._eig = (_frozen(V, complex), _frozen(np.diag(S), complex))
         elif self._supplied is not None and self._certificate is None:

@@ -86,12 +86,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import DimensionError, DomainError, ParameterError
 from .gamma import GammaGrid, GammaPoint, snap_spectrum
 from .opalg import (DEFAULT_DEFECT_RTOL, SPECTRUM_RTOL, Eigensystem, GridOperator, NormalMatrix, NormalOperator,
-                    _as_normal, chi_values, lattice_values, operator_norm)
+                    _as_normal, block_diag, chi_values, lattice_values, operator_norm)
 from .qexp import QExpParams, fq_eigenvalues
 
 __all__ = [

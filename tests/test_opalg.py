@@ -9,6 +9,7 @@ from qazb.gamma import grid, make_point
 from qazb.opalg import (
     Eigensystem,
     NormalMatrix,
+    block_diag,
     chi_op,
     chi_values,
     gamma_distance,
@@ -44,6 +45,23 @@ def random_lattice_matrix(dim, seed, q=0.5):
 def lattice_z(q):
     """The lattice_calculus map of the identity function z -> z."""
     return lambda n, theta, zero: np.where(zero, 0.0, q ** n.astype(float) * np.exp(1j * theta))
+
+
+@pytest.mark.parametrize("blocks", [
+    [np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[5.0]])],
+    [np.array([[1.0, 2.0]]), np.array([[1j], [2 - 1j]])],
+    [np.eye(3), [[0.25 + 0.5j]], np.zeros((1, 1))],
+    [np.eye(2, dtype=complex), np.zeros((4, 0), complex), np.eye(1, dtype=complex)],
+    [np.zeros((4, 0)), np.zeros((4, 0))],
+    [np.ones((1, 1), int), np.ones((2, 2), np.float32)],
+    [],
+], ids=["real", "real-complex", "list-block", "empty-window", "only-empty", "mixed-dtype", "no-block"])
+def test_block_diag_matches_scipy(blocks):
+    import scipy.linalg
+
+    got, want = block_diag(*blocks), scipy.linalg.block_diag(*blocks)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 def test_eig_normal_diagonal_input():
