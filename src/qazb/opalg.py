@@ -109,12 +109,11 @@ def operator_norm(a: np.ndarray) -> float:
 
 
 def block_diag(*blocks) -> np.ndarray:
-    """The block-diagonal matrix of the blocks, in order, zero off them and
-    in their common dtype; a block may be a scalar, a row or empty, such as
-    the (4, 0) window of a 2-point sub-grid.  The semantics are those of
-    scipy.linalg.block_diag for matrix blocks, an empty call included (a
-    (1, 0) array)."""
-    mats = [np.atleast_2d(np.asarray(b)) for b in blocks] or [np.zeros((1, 0))]
+    """The block-diagonal matrix of one or more blocks, in order, zero off
+    them and in their common dtype; a block may be a scalar, a row or
+    empty, such as the (4, 0) window of a 2-point sub-grid.  The semantics
+    are those of scipy.linalg.block_diag for matrix blocks."""
+    mats = [np.atleast_2d(np.asarray(b)) for b in blocks]
     rows, cols = np.sum([m.shape for m in mats], axis=0)
     out = np.zeros((rows, cols), dtype=np.result_type(*mats))
     r = c = 0

@@ -54,8 +54,7 @@ def lattice_z(q):
     [np.eye(2, dtype=complex), np.zeros((4, 0), complex), np.eye(1, dtype=complex)],
     [np.zeros((4, 0)), np.zeros((4, 0))],
     [np.ones((1, 1), int), np.ones((2, 2), np.float32)],
-    [],
-], ids=["real", "real-complex", "list-block", "empty-window", "only-empty", "mixed-dtype", "no-block"])
+], ids=["real", "real-complex", "list-block", "empty-window", "only-empty", "mixed-dtype"])
 def test_block_diag_matches_scipy(blocks):
     import scipy.linalg
 
