@@ -42,7 +42,7 @@ from .q2pair import (
     seeded_block_specs,
     verify_q2,
 )
-from .corep import (build_rep, check_memory, corep_residual, extract_pair, refuse_beyond_memory,
+from .corep import (build_rep, check_corep_memory, corep_residual, extract_pair, refuse_beyond_memory,
                     refuse_dense_u)
 from .qexp import QExpParams, fq
 
@@ -225,15 +225,16 @@ def cmd_exp_identity(config: RunConfig, m_list: list[int]) -> int:
 
 def cmd_corep(config: RunConfig, m_list: list[int]) -> int:
     """Corepresentation residuals: classical (bt = 0) pairs and the full
-    Schrodinger-block pair per grid size.  Every grid order is checked
-    against physical memory before any is run (the Schrodinger pair has
-    dim H = n = M^2, and its window on H is the grid window).  The pinned
+    Schrodinger-block pair per grid size, both residuals gathered in the
+    mixed basis.  Every grid order is checked against physical memory
+    before any is run, by the gathered residual's working set, so no route
+    depends on the memory free.  The pinned
     envelope gates a grid order only at the configuration it was pinned
     at (its q, corep's default margin and 32 samples)."""
     pinned = load_pinned()
     envelopes = pinned.get("corep_residual", {}) if config.q == pinned.get("q") and config.samples == 32 else {}
     for M in m_list:
-        check_memory(M * M, M * M, (M - 2 * config.resolved_margin(M, corep_margin)) ** 2, config.samples)
+        check_corep_memory(M, config.resolved_margin(M, corep_margin), config.samples)
     rows = []
     passed = True
     block_residuals = []

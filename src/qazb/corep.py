@@ -81,7 +81,8 @@ from .opalg import (
     lattice_values,
     operator_norm,
 )
-from .q2pair import Q2Pair, check_margin, corep_margin, interior_window
+from .q2pair import (InteriorWindow, Q2Pair, _fq_orbit_table, _model_window, check_margin, corep_margin,
+                     interior_window)
 from .qexp import QExpParams, fq_grid, invert_fq_family
 
 __all__ = [
@@ -91,6 +92,7 @@ __all__ = [
     "grid_operators",
     "build_rep",
     "check_memory",
+    "check_corep_memory",
     "refuse_beyond_memory",
     "refuse_dense_u",
     "corep_residual",
@@ -109,18 +111,40 @@ def as_pair_on_h(pair) -> Q2Pair:
     return pair
 
 
+def _available_memory() -> int | None:
+    """MemAvailable of /proc/meminfo in bytes, or None where it cannot be read."""
+    try:
+        with open("/proc/meminfo") as fh:
+            for line in fh:
+                name, _, value = line.partition(":")
+                if name == "MemAvailable":
+                    return int(value.split()[0]) * 1024   # given in kB
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
+
+
+def _memory_figure() -> str:
+    """Which figure :func:`_physical_memory` reads, for a refusal message."""
+    return "available (MemAvailable)" if _available_memory() is not None else "in total (MemAvailable unreadable)"
+
+
 def _physical_memory() -> int:
-    """Bytes of physical memory of the machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """Bytes of physical memory a run may take: the memory available
+    (MemAvailable), or the machine's total where that cannot be read."""
+    have = _available_memory()
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") if have is None else have
 
 
 def refuse_beyond_memory(need: int, subject: str, what: str) -> None:
     """Refuse a working set of `need` bytes (the `what` of `subject`) that
-    exceeds physical memory, with ParameterError naming both byte counts."""
+    exceeds :func:`_physical_memory`, with ParameterError naming both byte
+    counts and the figure read."""
     have = _physical_memory()
     if need > have:
         raise ParameterError(
-            f"{subject} needs {need} bytes for its {what}, more than the {have} bytes of physical memory"
+            f"{subject} needs {need} bytes for its {what}, "
+            f"more than the {have} bytes of physical memory {_memory_figure()}"
         )
 
 
@@ -199,6 +223,28 @@ def check_memory(d: int, n: int, r: int, samples: int, r_h: int | None = None) -
         refuse_beyond_memory(routes[name][1], f"corep with d = {d} on {n} grid points",
                              f"residual samples on the {name} route")
     return min(fits, key=lambda k: routes[k][0])
+
+
+def check_corep_memory(M: int, margin: int, samples: int) -> None:
+    """Refuse the two grid rows of `corep` (the classical pair and the
+    Schrodinger pair, both gathered) at grid order M and window margin
+    `margin` over `samples` samples when their residual's working set
+    exceeds :func:`_physical_memory`; no route is picked.  With w = M - 2
+    margin and r_tot = w^6 window points, the Schrodinger row holds the
+    draw and its images, 128 bytes a sample and window point, the
+    nonzeros of L, 32 bytes for each of at most w^2 a window point, and
+    the F_q table, 48 M^3 bytes; the classical row holds Q - 1 on leg 1
+    and on the window's k values of leg 2, 64 bytes a sample and entry of
+    M^3 w.  As in :func:`check_memory`, only the residual is counted.
+
+    The tracemalloc peaks of the residual, 32 samples, against the count:
+    0.31-0.79 for the Schrodinger row and 0.50-0.85 for the classical one
+    (M = 4-40, widths 2-8), past about 1 MB that numpy allocates once, on
+    a process's first residual."""
+    w = M - 2 * margin
+    r_tot = w ** 6
+    need = max(128 * samples * r_tot + 32 * r_tot * w * w + 48 * M ** 3, 64 * samples * M ** 3 * w)
+    refuse_beyond_memory(need, f"corep on {M * M} grid points", f"gathered residual samples (window width {w})")
 
 
 @dataclass(frozen=True)
@@ -564,6 +610,141 @@ class _CommutatorReads:
                 np.array([self.s_norms(C[i:i + 1])[0] for i in kept]))
 
 
+# the shifts of the two terms of S' on a point (K, L, k1, l1, k2, l2) of the mixed basis
+S_SHIFTS = (np.array([1, 0, -1, 0, 0, -1]), np.array([1, 0, 0, -1, 0, 0]))
+
+
+class _GatheredWindow:
+    """The commutation witness of the grid Schrodinger pair, gathered on
+    its window in the mixed basis (K, L, k1, l1, k2, l2) = e_K (x) phi_L on
+    H (bt = Y, at = X) and e_k (x) phi_l on each grid leg (see
+    :class:`~qazb.q2pair.InteriorWindow`), where every factor of Q and of
+    S' is an index map or an orbit circulant (indices mod M):
+
+        a = F b F*                   (k, l) -> (k - 1, l)     x_{-l}
+        V = chi(at (x) 1, 1 (x) a)   (K, L, k, l) -> (K, L - c(-l), k - c(K), l)
+        W = F_q(bt (x) b)            circulant on the orbits of (K, l), the
+                                     table of :func:`~qazb.q2pair._fq_orbit_table`
+        bt (x) a (x) b               p -> x_L x_{-l1} x_{k2} (p + s_1)
+        bt (x) b (x) 1               p -> x_L x_{k1} (p + s_2)
+
+    with s_1, s_2 the `S_SHIFTS`.  So Q = W_12 V_12 W_13 V_12* and S' keep
+    L, k2, K + l1 + l2 and k1 - l2 (a class), and between points of one
+    class, with L' = L + c(-l1_b),
+
+        <a, Q b> = table[L', k2, l2_a - l2_b] table[L, k1_a, l1_a - l1_b].
+
+    A window row rho meets only the window columns sigma of its class, one
+    for each slot (K, l2) of sigma in the window's K and l values, and its
+    entry of L = B* [Q, S'] B,
+
+        sum_j c_j(sigma) <rho, Q (sigma + s_j)> - c_j(rho) <rho - s_j, Q sigma>,
+
+    is six entries of the table.  L is kept as its nonzeros, slot by slot:
+    `slots` holds (rows, cols, vals) per slot, each row at most once in a
+    slot, rows and columns in the layout (H, leg 1, leg 2) of the
+    coordinates c.  Nothing is read from a dense basis or an n-row array.
+    """
+
+    def __init__(self, table: np.ndarray, wh: InteriorWindow, wg: InteriorWindow):
+        M = self.M = wg.grid.M
+        self.c, self.x, self.r = np.asarray(wg.grid.c), wg.x, wg.r
+        self.pos_h = np.full((M, M), -1)
+        self.pos_h[wh.k, wh.l] = np.arange(wh.r)
+        self.pos_g = np.full((M, M), -1)
+        self.pos_g[wg.k, wg.l] = np.arange(wg.r)
+        jh, j1, j2 = (a.ravel() for a in np.meshgrid(np.arange(wh.r), np.arange(wg.r), np.arange(wg.r),
+                                                       indexing="ij"))
+        self.points = (wh.k[jh], wh.l[jh], wg.k[j1], wg.l[j1], wg.k[j2], wg.l[j2])
+        self.slots = [self._slot(table, u, v) for u in wh.inner for v in wg.inner]
+
+    def index(self, K, L, k1, l1, k2, l2) -> np.ndarray:
+        """The window index of each point (layout of c), -1 off the window."""
+        M = self.M
+        h, p1, p2 = self.pos_h[K % M, L % M], self.pos_g[k1 % M, l1 % M], self.pos_g[k2 % M, l2 % M]
+        return np.where((h >= 0) & (p1 >= 0) & (p2 >= 0), (h * self.r + p1) * self.r + p2, -1)
+
+    def _slot(self, table: np.ndarray, u: int, v: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) of L in the columns sigma of slot (K, l2) =
+        (u, v): per row rho, the sigma of its class there, if in the window."""
+        M, c, x = self.M, self.c, self.x
+        K, L, k1, l1, k2, l2 = self.points
+        col = self.index(u, L, k1 - l2 + v, K + l1 + l2 - u - v, k2, v)
+        rows = np.flatnonzero(col >= 0)
+        K, L, k1, l1, k2, l2 = (a[rows] for a in self.points)
+        s_k1, s_l1 = (k1 - l2 + v) % M, (K + l1 + l2 - u - v) % M
+        dl1, dl2 = (l1 - s_l1) % M, (l2 - v) % M
+        Lb, Lb1 = (L + c[-s_l1 % M]) % M, (L + c[(1 - s_l1) % M]) % M   # L' of sigma + s_1 and of sigma + s_2
+        vals = x[L] * (x[k2] * table[Lb, k2, (dl2 + 1) % M]
+                       * (x[-s_l1 % M] * table[L, k1, dl1] - x[-l1 % M] * table[L, (k1 + 1) % M, dl1])
+                       + table[L, k1, (dl1 + 1) % M] * (x[s_k1] * table[Lb1, k2, dl2] - x[k1] * table[Lb, k2, dl2]))
+        return rows, col[rows], vals
+
+    def dense(self) -> np.ndarray:
+        """L as a dense (r_tot x r_tot) matrix, rows and columns in the layout of c."""
+        n = len(self.points[0])
+        L = np.zeros((n, n), dtype=self.slots[0][2].dtype)
+        for rows, cols, vals in self.slots:
+            L[rows, cols] = vals
+        return L
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """L X for X (r_tot, samples): one pass over the slots, each on
+        every sample."""
+        LX = np.zeros_like(X)
+        for rows, cols, vals in self.slots:
+            LX[rows] += vals[:, None] * X[cols]
+        return LX
+
+    def s_norms(self, X: np.ndarray) -> np.ndarray:
+        """||S'x|| for the samples x of coordinates X (r_tot, samples): the
+        two terms of S' send a window point to distinct points, and sigma +
+        s_1 is sigma' + s_2 exactly for sigma' = sigma + s_1 - s_2, so the
+        image of x is the two terms summed on those coinciding points."""
+        K, L, k1, l1, k2, l2 = p = self.points
+        x, M = self.x, self.M
+        c1, c2 = (x[L] * x[-l1 % M] * x[k2])[:, None], (x[L] * x[k1])[:, None]
+        d = S_SHIFTS[0] - S_SHIFTS[1]
+        partner = self.index(*(a + s for a, s in zip(p, d)))   # sigma'
+        lone = self.index(*(a - s for a, s in zip(p, d))) < 0   # the sigma' of no sigma
+        image = c1 * X + np.where(partner[:, None] >= 0, c2[partner] * X[partner], 0.0)
+        return np.sqrt(np.sum(np.abs(image) ** 2, axis=0) + np.sum(np.abs(c2[lone] * X[lone]) ** 2, axis=0))
+
+
+def _classical_kernel(rep: Representation, wg: InteriorWindow, C: np.ndarray,
+                      kept: np.ndarray, nv: np.ndarray) -> float:
+    """max ||(Q - 1)w|| / ||w|| over the samples w = 1 (x) Bg (x) Bg c, c =
+    C[i, 0], i in `kept` (of norms nv), for a pair on H = C with bt = 0,
+    read on the whole of both grid legs, from the computed values w_g =
+    F_q(0) (`fq_values`) and z_g (`chi_values`), never their moduli.
+
+    On H = C, Q = W_1 F_1 Z_1 W_2 Z_1* F_1* is (W F D F*) (x) W, W =
+    diag(w) and D = diag(z z-bar) in the position basis.  In the mixed
+    basis a diagonal diag(u) is circulant along the phase axis, (k, l) ->
+    (k, l') with u-hat_k[l' - l], u-hat_k the M-point inverse transform of
+    u along j; and F is (k, l) -> (l, -k).  So W F D F* sends (k1, l1) to
+    (m, l1') with d-hat_{-l1}[m - k1] w-hat_m[l1' - l1], and W keeps k2.
+    Q - 1 on the window is taken for all samples in two products, on rows
+    (m, l1') of leg 1 and (k2, l2') of leg 2, k2 in the window's k values
+    (Q - 1 is 0 on the others).  The window basis on H, a unit scalar,
+    leaves the ratio unchanged."""
+    if not len(kept):
+        return 0.0
+    M, k, l, inner = wg.grid.M, wg.k, wg.l, wg.inner
+    w_hat = np.fft.ifft(rep.fq_values[:, 0].reshape(M, M), axis=1)
+    z = rep.chi_values[:, 0].reshape(M, M)
+    d_hat = np.fft.ifft((z * z.conj()).real, axis=1)
+    m, lp = np.arange(M)[:, None, None], np.arange(M)[:, None]
+    leg1 = d_hat[-l % M, (m - k) % M] * w_hat[m, (lp - l) % M]    # (m, l1', column)
+    leg2 = (inner[:, None, None] == k) * w_hat[k, (lp - l) % M]    # (k2 of the window, l2', column)
+    X = C[kept, 0]
+    Y = leg1.reshape(M * M, -1) @ (X @ leg2.reshape(-1, wg.r).T)         # (samples, (m, l1'), (k2, l2'))
+    rows1 = k * M + l
+    rows2 = np.searchsorted(inner, k) * M + l
+    Y[:, rows1[:, None], rows2] -= X
+    return float(np.max(np.linalg.norm(Y.reshape(len(X), -1), axis=1) / nv[kept]))
+
+
 @dataclass(frozen=True)
 class CorepReport:
     """Sampled witness of (id (x) Delta) U = U_12 U_13."""
@@ -597,45 +778,118 @@ def corep_residual(
     projected onto the window, and no full (d, n, n) tensor is drawn.  The
     residual over C is :func:`_window_residual`.
     """
-    Bh, Bg = _window_bases(rep, margin)
-    shape = (samples, Bh.shape[1], Bg.shape[1], Bg.shape[1])
+    Bh, Bg = windows = _residual_windows(rep, margin)
+    r_h, r = (w.r if isinstance(w, InteriorWindow) else w.shape[1] for w in windows)
+    shape = (samples, r_h, r, r)
     rng = np.random.default_rng(seed)
     C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return _window_residual(rep, C, margin)
+    return _window_residual(rep, C, margin, windows)
+
+
+def _grid_margin(rep: Representation, margin: int | None) -> int:
+    """The window margin of a grid leg: `corep_margin(M)` unless given, an
+    empty window refused."""
+    M = rep.grid.M
+    return check_margin(M, corep_margin(M) if margin is None else margin)
 
 
 def _window_bases(rep: Representation, margin: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The window bases Bh on H and Bg on a grid leg of a corep residual."""
-    g = rep.grid
-    Bg = interior_window(g, check_margin(g.M, corep_margin(g.M) if margin is None else margin))
-    return _generating_pair(rep).window_or_identity(), Bg
+    """The dense window bases Bh on H and Bg on a grid leg of a corep
+    residual, as the window-column route takes them."""
+    return _generating_pair(rep).window_or_identity(), interior_window(rep.grid, _grid_margin(rep, margin))
 
 
-def _window_residual(rep: Representation, C: np.ndarray, margin: int | None = None) -> CorepReport:
+def _gathers(rep: Representation) -> bool:
+    """Whether the residual of `rep` is gathered in the mixed basis: for
+    the grid Schrodinger pair on its interior window (the pair of
+    `_model_window` with bt the Fourier member, built on the pair's own
+    grid), and for a pair on H = C with bt = 0 (the classical pair)."""
+    pair = _generating_pair(rep)
+    if _model_window(pair) is not None and not pair.Y.is_zero:
+        return rep.grid is pair.grid
+    return pair.dim == 1 and bool(pair.Y.lattice(rep.grid.q)[2].all())
+
+
+def _residual_windows(rep: Representation, margin: int | None) -> tuple:
+    """The windows (on H, on a grid leg) of a corep residual, built once:
+    the grid window as its index set (:class:`InteriorWindow`) where the
+    residual is gathered, with the pair's index set on H for the
+    Schrodinger pair and its 1 x 1 basis for the classical one; else the
+    dense bases of :func:`_window_bases`."""
+    pair = _generating_pair(rep)
+    wg = InteriorWindow(rep.grid, _grid_margin(rep, margin))
+    if not _gathers(rep):
+        return pair.window_or_identity(), wg.basis
+    return (pair.window if pair.dim > 1 else pair.window_or_identity()), wg
+
+
+def _window_residual(rep: Representation, C: np.ndarray, margin: int | None = None,
+                     windows: tuple | None = None) -> CorepReport:
     """The corep residual over the samples Bh (x) Bg (x) Bg c, c in C
-    (samples, r_h, r, r) window coordinates; see :func:`corep_residual`.
+    (samples, r_h, r, r) window coordinates, on the `windows` of
+    :func:`_residual_windows` (built from `margin` when not given); see
+    :func:`corep_residual`.
 
-    ||c|| is taken once per sample; the samples with ||c|| < 1e-12 are
-    skipped on every branch, and C is not copied.  The witness is max
-    ||B*[Q, S']Bc|| / ||c|| over max ||S'Bc|| / ||c||, both read on the
-    window by :meth:`_CommutatorReads.norms` on the route that
-    :func:`check_memory` picks: on the chain no array wider than d n 2r
-    is made per sample (r the columns of Bg), and on the assembly none
-    made from C has more than r r_h r entries a sample.  When bt is 0 on
-    every eigenvector, S' = 0 and the commutation branch, which would
-    read 0, is not run; the kernel branch is :func:`_kernel_identity`.
-    """
-    ops = _LegOps(rep)
-    Bh, Bg = _window_bases(rep, margin)
+    ||c|| is taken once per sample, and the samples with ||c|| < 1e-12 are
+    skipped on every branch.  The witness is max ||B*[Q, S']Bc|| / ||c||
+    over max ||S'Bc|| / ||c||, plus the kernel branch on ker(bt).  A grid
+    window given as its index set is gathered (:func:`_gathered_residual`);
+    dense bases take the window columns (:func:`_column_residual`)."""
+    Bh, Bg = _residual_windows(rep, margin) if windows is None else windows
+    if isinstance(Bg, InteriorWindow):
+        return _gathered_residual(rep, C, Bh, Bg)
+    return _column_residual(rep, C, Bh, Bg)
+
+
+def _sample_norms(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """||c|| of each sample of C and the indices of those kept (>= 1e-12)."""
     nv = np.linalg.norm(C.reshape(len(C), -1), axis=1)
-    kept = np.flatnonzero(nv >= 1e-12)
+    return nv, np.flatnonzero(nv >= 1e-12)
+
+
+def _commutation(comms: np.ndarray, scales: np.ndarray, nv: np.ndarray) -> float:
+    """max ||B*[Q, S']Bc|| / ||c|| over max ||S'Bc|| / ||c||, 0 when S'
+    vanishes on the samples."""
+    sscale = float(np.max(scales / nv))
+    return float(np.max(comms / nv)) / sscale if sscale > 1e-300 else 0.0
+
+
+def _gathered_residual(rep: Representation, C: np.ndarray, Bh, wg: InteriorWindow) -> CorepReport:
+    """The residual of :func:`_window_residual` gathered in the mixed
+    basis: for the Schrodinger pair (Bh its index set) the commutation
+    branch by the band of :class:`_GatheredWindow` on the whole draw, with
+    no n-row array; for the classical pair (bt = 0, so S' = 0) the kernel
+    branch by :func:`_classical_kernel`."""
+    nv, kept = _sample_norms(C)
+    if not isinstance(Bh, InteriorWindow):
+        kern = _classical_kernel(rep, wg, C, kept, nv)
+        return CorepReport(residual=kern, commutation=0.0, kernel_identity=kern, samples=len(C))
+    comm = 0.0
+    if len(kept):
+        gathered = _GatheredWindow(_fq_orbit_table(rep.fq_values, rep.grid.M), Bh, wg)
+        X = C.reshape(len(C), -1).T.copy()   # (r_tot, samples), contiguous
+        comms = np.linalg.norm(gathered.apply(X), axis=0)[kept]
+        comm = _commutation(comms, gathered.s_norms(X)[kept], nv[kept])
+    return CorepReport(residual=comm, commutation=comm, kernel_identity=0.0, samples=len(C))
+
+
+def _column_residual(rep: Representation, C: np.ndarray, Bh: np.ndarray, Bg: np.ndarray) -> CorepReport:
+    """The residual of :func:`_window_residual` on the dense window bases
+    Bh and Bg, for any pair; C is not copied.  The commutation branch is
+    read on the window by :meth:`_CommutatorReads.norms` on the route that
+    :func:`check_memory` picks: on the chain no array wider than d n 2r is
+    made per sample (r the columns of Bg), and on the assembly none made
+    from C has more than r r_h r entries a sample.  When bt is 0 on every
+    eigenvector, S' = 0 and the commutation branch, which would read 0, is
+    not run; the kernel branch is :func:`_kernel_identity`."""
+    ops = _LegOps(rep)
+    nv, kept = _sample_norms(C)
     zero = rep.pair.Y.lattice(ops.g.q)[2]   # ker(bt): the zero mask in V_b coordinates
     comm = 0.0
     if not zero.all() and len(kept):   # else S' = 0, or no sample
         assemble = check_memory(ops.d, ops.n, Bg.shape[1], len(C), Bh.shape[1]) == "assembly"
         comms, scales = _CommutatorReads(ops, Bh, Bg).norms(C, kept, assemble)
-        sscale = float(np.max(scales / nv[kept]))
-        comm = float(np.max(comms / nv[kept])) / sscale if sscale > 1e-300 else 0.0
+        comm = _commutation(comms, scales, nv[kept])
     kern = _kernel_identity(ops, Bh, Bg, zero, C, kept, nv) if zero.any() else 0.0
     return CorepReport(residual=max(comm, kern), commutation=comm, kernel_identity=kern, samples=len(C))
 

@@ -650,6 +650,26 @@ def _fq_products(f: np.ndarray, M: int):
     return stated, swapped, fq_x
 
 
+def _fq_orbit_table(w: np.ndarray, M: int) -> np.ndarray:
+    """The matrix elements of F_q(Y (x) X) in the mixed basis of two grid
+    spaces of order M, the two-leg analogue of :func:`_fq_products`, from
+    its computed values w (n, n): rows the positions (k, j) of the X leg,
+    columns the eigenvectors (L, m) of Y = F* X F (eigenvalue the grid
+    value of (L, m)), as `build_rep` holds them for the Schrodinger bt.
+
+    Y (x) X sends (K, L) (x) (k, l) to x_L x_k (K + 1, L) (x) (k, l - 1):
+    a cyclic shift along the orbit of M points with L, k and K + l fixed,
+    of constant weight x_L x_k.  So F_q of it is circulant on each orbit:
+
+        <(K', L) (x) (k, l'), F_q(Y (x) X) (K, L) (x) (k, l)> = c[L, k, K - K']
+
+    for K' + l' = K + l (mod M), and 0 off the orbit, with c[L, k] the
+    M-point inverse transform along m of w[(k, 0), (L, m)] = F_q(q^(c(L) +
+    c(k)) e^(2 pi i m / M)).  One transform per pair of moduli (L, k): the
+    table c (M, M, M), indices mod M."""
+    return np.fft.ifft(w.reshape(M, M, M, M)[:, 0], axis=2).transpose(1, 0, 2)
+
+
 def _closed_form_witnesses(pair: Q2Pair, w: InteriorWindow, S: NormalOperator, params: QExpParams):
     """The quantities of :func:`_column_witnesses` for the grid Schrodinger
     pair on its interior window `w`, with no grid transform and no n-row

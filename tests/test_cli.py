@@ -229,13 +229,13 @@ def test_refused_up_front_beyond_physical_memory(monkeypatch, capsys, args, stag
         (["exp-identity", "--M-list", "8,12"], False),
         (["verify-pair"], False),
         (["verify-pair", "--pair", "xx"], True),
-        (["corep", "--M-list", "4"], True),
+        (["corep", "--M-list", "4"], False),
     ],
 )
 def test_dense_window_basis_is_built_only_where_read(monkeypatch, tmp_path, args, reads):
     # the closed-form routes of the Schrodinger pair and its Y = 0 control
-    # never build the n x r window basis; the window-column route of the
-    # xx pair and corep's window bases read it
+    # never build the n x r window basis, nor do corep's gathered rows; the
+    # window-column route of the xx pair reads it
     from qazb.q2pair import InteriorWindow
 
     built = []

@@ -674,9 +674,10 @@ def test_assembled_route_matches_chain(monkeypatch, case):
     # the assembled window matrix against the per-sample chain on the same
     # 32 samples, one of them all zero, which both skip; the last id has a
     # kernel (taken by the chain on both routes) and r_h = 5 window
-    # columns on H against r = 4 on a grid leg
+    # columns on H against r = 4 on a grid leg.  Both are the window-column
+    # route; on the Schrodinger ids the gathered residual matches them too
     import qazb.corep
-    from qazb.corep import _CommutatorReads, _window_bases, _window_residual
+    from qazb.corep import _CommutatorReads, _column_residual, _window_bases, _window_residual
 
     if case.startswith("trivial"):
         g, margin = grid(0.5, 8), 3
@@ -698,23 +699,29 @@ def test_assembled_route_matches_chain(monkeypatch, case):
         return norms(self, C, kept, assemble)
 
     monkeypatch.setattr(_CommutatorReads, "norms", counted)
-    assembled = _window_residual(rep, C, margin)
+    assembled = _column_residual(rep, C, Bh, Bg)
     monkeypatch.setattr(qazb.corep, "_routes", lambda *args: {"chain": (0, 0), "assembly": (1, 0)})
-    chain = _window_residual(rep, C, margin)
+    chain = _column_residual(rep, C, Bh, Bg)
     assert calls == [32]
     assert assembled.samples == chain.samples == 32
     assert assembled.kernel_identity == chain.kernel_identity
     for field in ("commutation", "residual"):
         want = getattr(chain, field)
         assert want > 1e-4 and abs(getattr(assembled, field) - want) <= 1e-13 * want, field
+    if case.startswith("schrodinger"):
+        gathered = _window_residual(rep, C, margin)
+        assert calls == [32] and gathered.kernel_identity == 0.0 and gathered.samples == 32
+        for field in ("commutation", "residual"):
+            assert abs(getattr(gathered, field) - getattr(chain, field)) <= 1e-12 * getattr(chain, field), field
 
 
 def test_assembled_route_stays_thin():
     # on the M = 6 Schrodinger representation (width 2) the commutation
-    # branch takes the assembled window matrix: of the arrays made from the
+    # branch of the window-column route takes the assembled window matrix:
+    # of the arrays made from the
     # samples C (S of r_h r^2 coordinates) none has more than r r_h r
     # entries a sample, the size of L C
-    from qazb.corep import _window_bases, _window_residual
+    from qazb.corep import _column_residual, _window_bases
 
     g = grid(0.5, 6)
     rep = build_rep(schrodinger_pair(g), g)
@@ -724,7 +731,7 @@ def test_assembled_route_stays_thin():
     rng = np.random.default_rng(1)
     shape = (32, r_h, r, r)
     C = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).view(Recorded)
-    report = _window_residual(rep, C)
+    report = _column_residual(rep, C, Bh, Bg)
     assert report.commutation > 0.0 and report.kernel_identity == 0.0
     assert (r * r_h * r, 32) in shapes   # L C
     assert max(np.prod(s) for s in shapes) <= r * r_h * r * 32
@@ -749,11 +756,12 @@ def recording_type():
 
 def test_commutation_branch_stays_thin():
     # on the M = 8 Schrodinger representation at margin 2 (width 4, where
-    # the commutation branch takes the per-sample chain) no array made from a
+    # the commutation branch of the window-column route takes the
+    # per-sample chain) no array made from a
     # sample (from its window coordinates c) has more than d n 2r entries
     # (r the columns of the window basis), so none has the n^2 r^2
     # entries of an operator on the window of the two grid legs
-    from qazb.corep import _window_bases, _window_residual
+    from qazb.corep import _column_residual, _window_bases
 
     g = grid(0.5, 8)
     rep = build_rep(schrodinger_pair(g), g)
@@ -763,17 +771,18 @@ def test_commutation_branch_stays_thin():
     rng = np.random.default_rng(1)
     shape = (4, Bh.shape[1], r, r)
     C = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).view(Recorded)
-    report = _window_residual(rep, C, 2)
+    report = _column_residual(rep, C, Bh, Bg)
     assert report.commutation > 0.0 and report.kernel_identity == 0.0
     assert (n, d, 2 * r) in shapes   # Q(S'v) entered on H, leg 2 in [b Bg | Bg]
     assert max(np.prod(s) for s in shapes) <= d * n * 2 * r < n * n * r * r
 
 
 def test_window_draw_stays_thin(monkeypatch):
-    # the seeded draw of a Schrodinger M = 8 residual at margin 2 (width 4:
-    # the per-sample chain) is samples r_h r^2 complex window coordinates, and
-    # off the kernel branch (bt has no kernel here) no array made from them
-    # has the size of a (d, n, n) tensor
+    # the seeded draw of a Schrodinger M = 8 residual at margin 2 (width 4,
+    # gathered) is samples r_h r^2 complex window coordinates, which the
+    # band of L takes as one (r_h r^2, samples) array, and off the kernel
+    # branch (bt has no kernel here) no array made from them has the size
+    # of a (d, n, n) tensor
     from qazb.corep import _window_bases
 
     g = grid(0.5, 8)
@@ -798,14 +807,16 @@ def test_window_draw_stays_thin(monkeypatch):
     report = corep_residual(rep, samples=8, seed=1, margin=2)
     assert draws == [(8, r_h, r, r)] * 2   # real and imaginary parts
     assert report.commutation > 0.0 and report.kernel_identity == 0.0
-    assert len(shapes) > 100 and max(np.prod(s) for s in shapes) < d * n * n
+    assert (r_h * r * r, 8) in shapes and max(np.prod(s) for s in shapes) < d * n * n
 
 
 def test_all_kernel_pair_skips_commutation(monkeypatch):
     # bt = 0: S' = 0 on every sample, so the commutation is 0.0 without a
-    # read of Q(S'v) or Qv; the kernel branch runs its one Q per sample,
-    # read on the whole leg 2 (K of n columns, from r window coordinates)
-    from qazb.corep import _CommutatorReads, _LegOps
+    # read of Q(S'v) or Qv.  On the window-column route the kernel branch
+    # runs its one Q per sample, read on the whole leg 2 (K of n columns,
+    # from r window coordinates); the classical pair's residual is gathered,
+    # with no such read, and matches it to 1e-15 on the same draw
+    from qazb.corep import _column_residual, _CommutatorReads, _LegOps, _window_bases
 
     g = grid(0.5, 4)
     rep = build_rep(random_regular_pair([("trivial", g.point(1, 0))], g), g)
@@ -817,9 +828,16 @@ def test_all_kernel_pair_skips_commutation(monkeypatch):
 
         monkeypatch.setattr(cls, name, recording)
     report = corep_residual(rep, samples=8, seed=2)
-    assert report.commutation == 0.0
-    assert report.residual == report.kernel_identity > 0.0
+    assert calls == []
+    assert report.commutation == 0.0 and report.residual == report.kernel_identity
+    Bh, Bg = _window_bases(rep, None)
+    rng = np.random.default_rng(2)
+    shape = (8, 1, Bg.shape[1], Bg.shape[1])
+    column = _column_residual(rep, rng.standard_normal(shape) + 1j * rng.standard_normal(shape), Bh, Bg)
+    assert column.commutation == 0.0
+    assert column.residual == column.kernel_identity > 0.0
     assert calls == [("q_factored", g.size)] * 8
+    assert abs(report.kernel_identity - column.kernel_identity) <= 1e-15
 
 
 @pytest.mark.parametrize("case", ["schrodinger-4", "swapped-4", "conjugated-4"])
@@ -925,14 +943,14 @@ def test_dense_u_refused_beyond_physical_memory(monkeypatch):
 
 
 def test_corep_refused_beyond_physical_memory(monkeypatch, capsys):
-    # for the residual 32 bytes a window coordinate of the samples (the
+    # on the window-column route, for the residual 32 bytes a window coordinate of the samples (the
     # draw and its temporaries), 208 an entry of a (d, n, r) tensor (the
     # four factor stacks of Q and nine more per sample) and 144 one of a
     # (d, r, r) tensor; the build holds no (n, d, d) block and is not
     # counted; the CLI checks every grid order before it runs one
     import qazb.corep
     from qazb.cli import main
-    from qazb.corep import check_memory
+    from qazb.corep import check_corep_memory, check_memory
 
     monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 2048)
     with pytest.raises(ParameterError, match=f"needs {32 * 32 * 4 ** 3 + 208 * 16 * 4 + 144 * 16} bytes for its residual samples.* 2048 bytes"):
@@ -941,10 +959,17 @@ def test_corep_refused_beyond_physical_memory(monkeypatch, capsys):
     check_memory(16, 16, 4, 32)
     with pytest.raises(ParameterError, match=f"needs {32 * 32 * 16 ** 3 + 208 * 16 * 16 * 16 + 144 * 16 * 16 * 16} bytes for its residual"):
         check_memory(16, 16, 16, 32)   # M = 4 at margin 0
+    # the CLI's grid rows take the gathered residual and check its working
+    # set (check_corep_memory), never the route pick: at M = 6, margin 2
+    # (width 2), 32 samples, the classical row's 64 bytes a sample and entry
+    # of M^3 w (884736) is the larger; M = 4 (273408) fits 5 * 10^5 bytes
+    # and M = 6 does not, so nothing is run
+    monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 5 * 10 ** 5)
+    check_corep_memory(4, 1, 32)
     assert main(["corep", "--M-list", "4,6"]) == 2
     out, err = capsys.readouterr()
-    need = 32 * 32 * 4 ** 3 + 208 * 36 * 36 * 4 + 144 * 36 * 4 ** 2   # M = 6 at margin 2 (r = 4): 1226752
-    assert out == "" and f"needs {need} bytes for its residual samples" in err and f"{10 ** 6} bytes" in err
+    need = 64 * 32 * 6 ** 3 * 2
+    assert out == "" and f"needs {need} bytes for its gathered residual samples" in err and f"{5 * 10 ** 5} bytes" in err
     # a width-2 window at M = 6 over 32 samples has fewer multiply-adds on
     # the assembled window matrix, whose 16 bytes for each of 4 samples
     # r^3 + 4 d n r + 3 d n r^2 + 4 d r^4 + 2 r^6 complex numbers (2179072)
@@ -955,6 +980,35 @@ def test_corep_refused_beyond_physical_memory(monkeypatch, capsys):
     need = 16 * (4 * 32 * 4 ** 3 + 4 * 36 * 36 * 4 + 3 * 36 * 36 * 16 + 4 * 36 * 4 ** 4 + 2 * 4 ** 6)
     monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: need)
     assert check_memory(36, 36, 4, 32) == "assembly" and check_memory(36, 36, 4, 1) == "chain"
+
+    def not_picked(*args):
+        raise AssertionError("a grid row consulted the route pick")
+
+    monkeypatch.setattr(qazb.corep, "check_memory", not_picked)
+    assert main(["corep", "--M-list", "4,6"]) == 0
+
+
+def test_memory_figure_is_the_available_memory(monkeypatch):
+    # the route pick and every refusal read MemAvailable, and the machine's
+    # total only where /proc/meminfo cannot be read; the refusal names the
+    # figure it read
+    import qazb.corep
+    from qazb.corep import _physical_memory, refuse_beyond_memory
+
+    total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    with open("/proc/meminfo") as fh:
+        assert any(line.startswith("MemAvailable:") for line in fh)
+    assert 0 < _physical_memory() <= total
+    with pytest.raises(ParameterError, match=r"than the \d+ bytes of physical memory available \(MemAvailable\)"):
+        refuse_beyond_memory(total + 1, "a run", "arrays")
+
+    def unreadable(*args, **kwargs):
+        raise OSError("no /proc")
+
+    monkeypatch.setattr(qazb.corep, "open", unreadable, raising=False)
+    assert _physical_memory() == total
+    with pytest.raises(ParameterError, match=rf"than the {total} bytes of physical memory in total"):
+        refuse_beyond_memory(total + 1, "a run", "arrays")
 
 
 def test_route_is_picked_among_routes_that_fit(monkeypatch):
@@ -976,10 +1030,11 @@ def test_route_is_picked_among_routes_that_fit(monkeypatch):
 
 
 def test_chain_takes_samples_as_views_of_the_draw(monkeypatch):
-    # on the per-sample chain (M = 8, margin 2: width 4) every sample the
+    # on the per-sample chain of the window-column route (M = 8, margin 2:
+    # width 4) every sample the
     # commutator reads receive is a view of the draw C, and a sample with
     # ||c|| < 1e-12 is skipped
-    from qazb.corep import _CommutatorReads, _window_bases, _window_residual
+    from qazb.corep import _column_residual, _CommutatorReads, _window_bases
 
     g = grid(0.5, 8)
     rep = build_rep(schrodinger_pair(g), g)
@@ -996,7 +1051,7 @@ def test_chain_takes_samples_as_views_of_the_draw(monkeypatch):
         return terms(self, c)
 
     monkeypatch.setattr(_CommutatorReads, "terms", recorded)
-    report = _window_residual(rep, C, 2)
+    report = _column_residual(rep, C, Bh, Bg)
     assert report.commutation > 0.0 and len(seen) == 3
     assert all(np.shares_memory(c, C) and np.any(c) for c in seen)
 
