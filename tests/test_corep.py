@@ -13,6 +13,7 @@ from qazb.qexp import invert_fq_family
 from qazb.q2pair import (
     Q2Pair,
     conjugate_pair,
+    corep_margin,
     grid_generators,
     random_regular_pair,
     schrodinger_pair,
@@ -1141,3 +1142,137 @@ def test_corep_residual_refuses_empty_window():
     rep = build_rep(schrodinger_pair(g), g)
     with pytest.raises(ParameterError, match="margin 2 leaves no interior window at M=4"):
         corep_residual(rep, margin=2)
+
+
+def gathered_window(rep, margin=None, table=None):
+    """The gathered band of L on the windows of a corep residual, from the
+    F_q table of the representation unless `table` is given."""
+    from qazb.corep import _GatheredWindow, _residual_windows
+    from qazb.q2pair import _fq_orbit_table
+
+    wh, wg = _residual_windows(rep, margin)
+    return _GatheredWindow(_fq_orbit_table(rep.fq_values, rep.grid.M) if table is None else table, wh, wg)
+
+
+def extended_table(rep):
+    """The F_q orbit table of `_fq_orbit_table` from the same computed
+    values, by an M-point inverse DFT in extended precision."""
+    M = rep.grid.M
+    f = rep.fq_values.reshape(M, M, M, M)[:, 0].astype(np.clongdouble)
+    m = np.arange(M)
+    angle = 2 * np.arccos(np.longdouble(-1)) * (np.outer(m, m) % M) / M
+    return ((f @ (np.cos(angle) + 1j * np.sin(angle))) / M).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("M", [4, 6, 8])
+def test_gathered_window_matrix_matches_assembly(q, M):
+    # the band of L gathered from the F_q table against the assembled window
+    # matrix (rows reordered to the layout of c), both against the gather in
+    # extended precision from the same F_q values: the gathered L is within
+    # 1e-12 (Frobenius, relative) of both, or of the assembly within twice
+    # the assembly's own roundoff where that is larger (3.1e-12 at q = 0.3,
+    # M = 8, whose L is 1.5e-3 against O(1) terms)
+    from qazb.corep import _CommutatorReads, _LegOps, _window_bases
+
+    g = grid(q, M)
+    rep = build_rep(schrodinger_pair(g, margin=corep_margin(M)), g)
+    Bh, Bg = _window_bases(rep, None)
+    r_h, r = Bh.shape[1], Bg.shape[1]
+    assembled = _CommutatorReads(_LegOps(rep), Bh, Bg).window_matrix()
+    assembled = assembled.reshape(r, r_h, r, -1).transpose(1, 0, 2, 3).reshape(r_h * r * r, -1)
+    gathered = gathered_window(rep).dense()
+    exact = gathered_window(rep, table=extended_table(rep)).dense()
+
+    def dist(A, B):
+        return float(np.linalg.norm((A - B).astype(complex)) / np.linalg.norm(B.astype(complex)))
+
+    assert gathered.shape == (r_h * r * r,) * 2 and np.count_nonzero(gathered) > r_h * r * r
+    assert dist(gathered, exact) <= 1e-12
+    assert dist(gathered, assembled) <= max(1e-12, 2 * dist(assembled, exact))
+
+
+def test_gathered_residual_matches_chain_at_width_four():
+    # M = 10 at margin 3 (width 4, r_h = r = 16): the gathered residual and
+    # the per-sample chain of the window-column route on the same draw
+    from qazb.corep import _column_residual, _window_bases, _window_residual
+
+    g = grid(0.5, 10)
+    rep = build_rep(schrodinger_pair(g, margin=3), g)
+    Bh, Bg = _window_bases(rep, 3)
+    rng = np.random.default_rng(4)
+    shape = (8, Bh.shape[1], Bg.shape[1], Bg.shape[1])
+    C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    chain = _column_residual(rep, C, Bh, Bg)
+    gathered = _window_residual(rep, C, 3)
+    assert gathered.kernel_identity == chain.kernel_identity == 0.0
+    assert chain.residual > 1e-4 and abs(gathered.residual - chain.residual) <= 1e-12 * chain.residual
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("M", [4, 6, 8, 12])
+def test_classical_gather_matches_kernel_identity(q, M):
+    # the classical pair (H = C, bt = 0): Q - 1 on ker bt (x) window read on
+    # both whole grid legs from the computed F_q(0) and chi values, against
+    # the window-column route's per-sample kernel branch on the same draw,
+    # one sample of which is 0 and skipped by both
+    from qazb.corep import _column_residual, _window_bases, _window_residual
+
+    g = grid(q, M)
+    rep = build_rep(random_regular_pair([("trivial", g.point(1, 0))], g), g)
+    Bh, Bg = _window_bases(rep, None)
+    rng = np.random.default_rng(M)
+    shape = (8, 1, Bg.shape[1], Bg.shape[1])
+    C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    C[3] = 0.0
+    column = _column_residual(rep, C, Bh, Bg)
+    gathered = _window_residual(rep, C)
+    assert gathered.commutation == column.commutation == 0.0 and gathered.samples == 8
+    assert gathered.residual == gathered.kernel_identity < 1e-15
+    assert abs(gathered.kernel_identity - column.kernel_identity) <= 1e-15
+
+
+def test_gathered_route_makes_no_n_row_array():
+    # at width 2 (M = 24, margin 11: n = d = 576 and 64 window points) the
+    # tracemalloc peak of the gathered Schrodinger residual, 32 samples,
+    # stays below one complex array of n rows over the window's points,
+    # where the window-column route holds (n, d, r) tensors
+    import tracemalloc
+
+    g = grid(0.5, 24)
+    rep = build_rep(schrodinger_pair(g, margin=11), g)
+    corep_residual(rep, margin=11)   # numpy's one-time allocations
+    tracemalloc.start()
+    try:
+        report = corep_residual(rep, margin=11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.commutation > 0.0
+    assert peak < 16 * g.size * 64
+
+
+def test_gathered_route_reads_no_dense_view(monkeypatch):
+    # once the representation is built, the gathered residuals of the
+    # Schrodinger and the classical pair read no dense Fourier matrix, no
+    # window basis of a grid leg, no dense member of the pair and no
+    # eigenbasis of a grid member: of the pair only bt's zero mask, and the
+    # F_q and chi values build_rep holds
+    from qazb.gamma import GammaGrid
+    from qazb.opalg import GridOperator
+    from qazb.q2pair import InteriorWindow
+
+    g = grid(0.5, 6)
+    reps = [build_rep(schrodinger_pair(g), g), build_rep(random_regular_pair([("trivial", g.point(1, 0))], g), g)]
+    want = [corep_residual(rep, samples=4) for rep in reps]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense view was read")
+
+    monkeypatch.setattr(GammaGrid, "fourier", property(refuse))
+    monkeypatch.setattr(InteriorWindow, "basis", property(refuse))
+    for name in ("entries", "eigensystem", "basis"):
+        monkeypatch.setattr(GridOperator, name, property(refuse))
+    monkeypatch.setattr(GridOperator, "eig", refuse)
+    monkeypatch.setattr(NormalMatrix, "entries", property(refuse))
+    assert [corep_residual(rep, samples=4) for rep in reps] == want
