@@ -19,7 +19,8 @@ schur for self-adjoint spectra, the candidate table versus the
 per-candidate families for the separation certificate, the window reads
 of Q S' and S' Q and the scale ||S'v|| that the corepresentation residual
 takes through the factors of Q, per sample and through its assembled
-window matrix, versus the dense U, V and coproduct
+window matrix, and its window matrix gathered in the mixed basis, versus
+the dense U, V and coproduct
 applied leg by leg, the unitarity certificate of a built representation
 versus its dense defect, the corepresentation residual on
 the full-tensor draw that `corep_residual` was recorded on versus its
@@ -40,7 +41,9 @@ warnings.filterwarnings("ignore")
 
 from qazb.corep import (
     _CommutatorReads,
+    _GatheredWindow,
     _LegOps,
+    _residual_windows,
     _window_bases,
     _window_residual,
     build_rep,
@@ -54,6 +57,7 @@ from qazb.opalg import SPECTRUM_RTOL, GridOperator, NormalMatrix, chi_op, operat
 from qazb.q2pair import (
     Image,
     Q2Pair,
+    _fq_orbit_table,
     _phase_modes,
     corep_margin,
     default_margin,
@@ -254,8 +258,9 @@ def check_corep_routes(rep, margin: int) -> None:
     chi_kron and coproduct Delta(b), each applied to a full (d, n, n)
     tensor, on one window sample v = Bh (x) Bg (x) Bg c: the window reads
     of Q(S'v) and S'(Qv), by the per-sample chain and by the assembled
-    window matrix L, and the scale ||S'v|| from the triangular factors, to
-    1e-13 relative; and
+    window matrix L, the scale ||S'v|| from the triangular factors, and
+    L c from the band of L gathered in the mixed basis, to 1e-13 relative;
+    and
     the unitarity certificate of build_rep against the dense ||U* U - 1||_2,
     which it must not undercut."""
     g = rep.grid
@@ -296,6 +301,7 @@ def check_corep_routes(rep, margin: int) -> None:
         return (Bg.conj().T @ on_h(Bh.conj().T, v) @ Bg.conj()).transpose(1, 0, 2)
 
     reads = _CommutatorReads(_LegOps(rep), Bh, Bg)
+    gathered = _GatheredWindow(_fq_orbit_table(rep.fq_values, g.M), *_residual_windows(rep, margin))
     rng = np.random.default_rng(0)
     c = rng.standard_normal((r_h, r, r)) + 1j * rng.standard_normal((r_h, r, r))
     v = on_h(Bh, Bg @ c @ Bg.T)
@@ -307,6 +313,7 @@ def check_corep_routes(rep, margin: int) -> None:
         ("S'(Qv)", sqv.reshape(r, r_h, r), want_sqv),
         ("||S'v||", reads.s_norms(c[None])[0], np.array(np.linalg.norm(sv))),
         ("L c", (reads.window_matrix() @ c.ravel()).reshape(r, r_h, r), want_qsv - want_sqv),
+        ("gathered L c", gathered.apply(c.reshape(-1, 1)).reshape(r_h, r, r).transpose(1, 0, 2), want_qsv - want_sqv),
     ]
     for name, got, want in checks:
         dist = np.linalg.norm(got - want) / np.linalg.norm(want)
