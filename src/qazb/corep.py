@@ -54,6 +54,21 @@ multiply-adds (the narrow windows), they are not taken per sample at all:
 everything of Q after W_2 is folded into read functionals once, and the
 map from a sample's window coordinates to its commutator read is
 assembled into one matrix that takes every sample in one product.
+
+The two rows of the `corep` command are gathered instead, from the values
+`build_rep` holds and no dense basis.  For the grid Schrodinger pair, in
+the mixed basis e_k (x) phi_l of H and of both grid legs (see
+:class:`~qazb.q2pair.InteriorWindow`), V is an index map and W is
+circulant on orbits of M points, read off one table of M^3 entries
+(:func:`~qazb.q2pair._fq_orbit_table`), and each term of S' is an index
+map.  So Q and S' keep four index sums, and B* [Q, S'] B is a band of at
+most (K values) x (l values) of the window entries a row, each six
+entries of the table (:class:`_GatheredWindow`), which takes the whole
+draw with no n-row array.  For the classical pair (H = C, bt = 0), Q - 1
+on the window is read from the computed F_q(0) and chi values in two
+products (:func:`_classical_kernel`).  Every other pair (seeded,
+conjugated, the failing `swapped` and `xx`) takes the window columns as
+above, and the chain and the assembly are the oracles of the gathers.
 """
 
 from __future__ import annotations
@@ -188,8 +203,8 @@ def _routes(d: int, n: int, r_h: int, r: int, samples: int) -> dict[str, tuple[i
     images), 3 d n r^2 for two read functionals or one and its change or
     entry products, 4 d r^4 for the four maps ahead of the fold, and 2 r^6
     for L and its reordered copy.  The kernel branch reads Q on the whole
-    grid leg, (n, d, n) tensors, but in `corep` only the classical pair,
-    of d = 1, takes it, below the Schrodinger pair's working set."""
+    grid leg, (n, d, n) tensors.  No row of the `corep` command takes
+    either route: both are gathered (see :func:`check_corep_memory`)."""
     chain = (6 * n * r * r * r_h + 6 * n * d * r * r_h + 4 * d * n * r * r + 3 * d * n * r * (d + n)
              + r_h * r_h * r * r + 12 * r_h * r ** 3)
     rows = r * r_h * r
@@ -610,10 +625,6 @@ class _CommutatorReads:
                 np.array([self.s_norms(C[i:i + 1])[0] for i in kept]))
 
 
-# the shifts of the two terms of S' on a point (K, L, k1, l1, k2, l2) of the mixed basis
-S_SHIFTS = (np.array([1, 0, -1, 0, 0, -1]), np.array([1, 0, 0, -1, 0, 0]))
-
-
 class _GatheredWindow:
     """The commutation witness of the grid Schrodinger pair, gathered on
     its window in the mixed basis (K, L, k1, l1, k2, l2) = e_K (x) phi_L on
@@ -628,7 +639,8 @@ class _GatheredWindow:
         bt (x) a (x) b               p -> x_L x_{-l1} x_{k2} (p + s_1)
         bt (x) b (x) 1               p -> x_L x_{k1} (p + s_2)
 
-    with s_1, s_2 the `S_SHIFTS`.  So Q = W_12 V_12 W_13 V_12* and S' keep
+    with s_1 = (1, 0, -1, 0, 0, -1) and s_2 = (1, 0, 0, -1, 0, 0) (the
+    `SHIFTS`).  So Q = W_12 V_12 W_13 V_12* and S' keep
     L, k2, K + l1 + l2 and k1 - l2 (a class), and between points of one
     class, with L' = L + c(-l1_b),
 
@@ -645,6 +657,8 @@ class _GatheredWindow:
     slot, rows and columns in the layout (H, leg 1, leg 2) of the
     coordinates c.  Nothing is read from a dense basis or an n-row array.
     """
+
+    SHIFTS = (np.array([1, 0, -1, 0, 0, -1]), np.array([1, 0, 0, -1, 0, 0]))
 
     def __init__(self, table: np.ndarray, wh: InteriorWindow, wg: InteriorWindow):
         M = self.M = wg.grid.M
@@ -704,7 +718,7 @@ class _GatheredWindow:
         K, L, k1, l1, k2, l2 = p = self.points
         x, M = self.x, self.M
         c1, c2 = (x[L] * x[-l1 % M] * x[k2])[:, None], (x[L] * x[k1])[:, None]
-        d = S_SHIFTS[0] - S_SHIFTS[1]
+        d = self.SHIFTS[0] - self.SHIFTS[1]
         partner = self.index(*(a + s for a, s in zip(p, d)))   # sigma'
         lone = self.index(*(a - s for a, s in zip(p, d))) < 0   # the sigma' of no sigma
         image = c1 * X + np.where(partner[:, None] >= 0, c2[partner] * X[partner], 0.0)
@@ -776,7 +790,8 @@ def corep_residual(
     of Bh and Bg.  As Bh and Bg are orthonormal, Bh (x) Bg (x) Bg c has the
     distribution of a standard complex Gaussian on H (x) grid (x) grid
     projected onto the window, and no full (d, n, n) tensor is drawn.  The
-    residual over C is :func:`_window_residual`.
+    windows are built once (:func:`_residual_windows`), and the residual
+    over C on them is :func:`_window_residual`.
     """
     Bh, Bg = windows = _residual_windows(rep, margin)
     r_h, r = (w.r if isinstance(w, InteriorWindow) else w.shape[1] for w in windows)
@@ -799,28 +814,22 @@ def _window_bases(rep: Representation, margin: int | None) -> tuple[np.ndarray, 
     return _generating_pair(rep).window_or_identity(), interior_window(rep.grid, _grid_margin(rep, margin))
 
 
-def _gathers(rep: Representation) -> bool:
-    """Whether the residual of `rep` is gathered in the mixed basis: for
-    the grid Schrodinger pair on its interior window (the pair of
-    `_model_window` with bt the Fourier member, built on the pair's own
-    grid), and for a pair on H = C with bt = 0 (the classical pair)."""
-    pair = _generating_pair(rep)
-    if _model_window(pair) is not None and not pair.Y.is_zero:
-        return rep.grid is pair.grid
-    return pair.dim == 1 and bool(pair.Y.lattice(rep.grid.q)[2].all())
-
-
 def _residual_windows(rep: Representation, margin: int | None) -> tuple:
-    """The windows (on H, on a grid leg) of a corep residual, built once:
-    the grid window as its index set (:class:`InteriorWindow`) where the
-    residual is gathered, with the pair's index set on H for the
-    Schrodinger pair and its 1 x 1 basis for the classical one; else the
-    dense bases of :func:`_window_bases`."""
+    """The windows (on H, on a grid leg) of a corep residual, built once.
+    The residual is gathered in the mixed basis, with the grid window as
+    its index set (:class:`InteriorWindow`), for the grid Schrodinger pair
+    (the pair of `_model_window` with bt the Fourier member, built on the
+    pair's own grid; its window on H is an index set too) and for a pair
+    on H = C with bt = 0 (the classical pair; its 1 x 1 basis on H).  Every
+    other pair takes the dense bases of :func:`_window_bases`."""
     pair = _generating_pair(rep)
     wg = InteriorWindow(rep.grid, _grid_margin(rep, margin))
-    if not _gathers(rep):
-        return pair.window_or_identity(), wg.basis
-    return (pair.window if pair.dim > 1 else pair.window_or_identity()), wg
+    if _model_window(pair) is not None and not pair.Y.is_zero and rep.grid is pair.grid:
+        return pair.window, wg
+    Bh = pair.window_or_identity()
+    if pair.dim == 1 and pair.Y.lattice(rep.grid.q)[2].all():
+        return Bh, wg
+    return Bh, wg.basis
 
 
 def _window_residual(rep: Representation, C: np.ndarray, margin: int | None = None,
