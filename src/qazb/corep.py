@@ -694,14 +694,6 @@ class _GatheredWindow:
                        + table[L, k1, (dl1 + 1) % M] * (x[s_k1] * table[Lb1, k2, dl2] - x[k1] * table[Lb, k2, dl2]))
         return rows, col[rows], vals
 
-    def dense(self) -> np.ndarray:
-        """L as a dense (r_tot x r_tot) matrix, rows and columns in the layout of c."""
-        n = len(self.points[0])
-        L = np.zeros((n, n), dtype=self.slots[0][2].dtype)
-        for rows, cols, vals in self.slots:
-            L[rows, cols] = vals
-        return L
-
     def apply(self, X: np.ndarray) -> np.ndarray:
         """L X for X (r_tot, samples): one pass over the slots, each on
         every sample."""

@@ -1144,14 +1144,20 @@ def test_corep_residual_refuses_empty_window():
         corep_residual(rep, margin=2)
 
 
-def gathered_window(rep, margin=None, table=None):
-    """The gathered band of L on the windows of a corep residual, from the
-    F_q table of the representation unless `table` is given."""
+def gathered_l(rep, margin=None, table=None):
+    """The gathered L on the windows of a corep residual as a dense matrix
+    (rows and columns in the layout of c) from its slots, from the F_q
+    table of the representation unless `table` is given."""
     from qazb.corep import _GatheredWindow, _residual_windows
     from qazb.q2pair import _fq_orbit_table
 
     wh, wg = _residual_windows(rep, margin)
-    return _GatheredWindow(_fq_orbit_table(rep.fq_values, rep.grid.M) if table is None else table, wh, wg)
+    gathered = _GatheredWindow(_fq_orbit_table(rep.fq_values, rep.grid.M) if table is None else table, wh, wg)
+    n = len(gathered.points[0])
+    L = np.zeros((n, n), dtype=gathered.slots[0][2].dtype)
+    for rows, cols, vals in gathered.slots:
+        L[rows, cols] = vals
+    return L
 
 
 def extended_table(rep):
@@ -1181,8 +1187,8 @@ def test_gathered_window_matrix_matches_assembly(q, M):
     r_h, r = Bh.shape[1], Bg.shape[1]
     assembled = _CommutatorReads(_LegOps(rep), Bh, Bg).window_matrix()
     assembled = assembled.reshape(r, r_h, r, -1).transpose(1, 0, 2, 3).reshape(r_h * r * r, -1)
-    gathered = gathered_window(rep).dense()
-    exact = gathered_window(rep, table=extended_table(rep)).dense()
+    gathered = gathered_l(rep)
+    exact = gathered_l(rep, table=extended_table(rep))
 
     def dist(A, B):
         return float(np.linalg.norm((A - B).astype(complex)) / np.linalg.norm(B.astype(complex)))
