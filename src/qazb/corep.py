@@ -49,11 +49,7 @@ input factors, and the change back, W_1 and the read on H into output
 factors.  So a window sample enters Q from its window coordinates and
 leaves it read on the window (or on the whole leg 2, on ker(bt)), and of
 the products on the full width of a tensor only F_1 and the change from
-V_b to V_a coordinates are left.  Where it fits memory and costs fewer
-multiply-adds (the narrow windows), they are not taken per sample at all:
-everything of Q after W_2 is folded into read functionals once, and the
-map from a sample's window coordinates to its commutator read is
-assembled into one matrix that takes every sample in one product.
+V_b to V_a coordinates are left, taken one sample at a time.
 
 The two rows of the `corep` command are gathered instead, from the values
 `build_rep` holds and no dense basis.  For the grid Schrodinger pair, in
@@ -68,7 +64,7 @@ draw with no n-row array.  For the classical pair (H = C, bt = 0), Q - 1
 on the window is read from the computed F_q(0) and chi values in two
 products (:func:`_classical_kernel`).  Every other pair (seeded,
 conjugated, the failing `swapped` and `xx`) takes the window columns as
-above, and the chain and the assembly are the oracles of the gathers.
+above, and that per-sample chain is the oracle of the gathers.
 """
 
 from __future__ import annotations
@@ -175,76 +171,37 @@ def refuse_dense_u(dim: int, subject: str) -> None:
     refuse_beyond_memory(16 * DENSE_U_COPIES * dim * dim, subject, f"{DENSE_U_COPIES} dense U-sized arrays")
 
 
-def _routes(d: int, n: int, r_h: int, r: int, samples: int) -> dict[str, tuple[int, int]]:
-    """(complex multiply-adds, working-set bytes) of the commutation branch
-    of a corep residual on H of dimension d and n grid points, with r_h
-    window columns on H and r on each grid leg, over `samples` samples,
-    by its two routes, "chain" (per sample) and "assembly" (the window
-    matrix L).
+def check_memory(d: int, n: int, r: int, samples: int, r_h: int) -> None:
+    """Refuse a corep residual on the window columns (the per-sample
+    chain of :class:`_CommutatorReads`) on H of dimension d and n grid
+    points, with r window columns on each grid leg and r_h on H, over
+    `samples` samples, when its working set exceeds :func:`_physical_memory`;
+    ParameterError names the byte count.  Only the residual is counted:
+    `build_rep` holds (n, d) values and d x d or n x n bases and their
+    products, and no (n, d, d) block.
 
-    The chain takes Q(S'v) (leg 2 of width 2r in, r out) and Qv (r in, 2r
-    out) per sample: the leg-1 entries (3n x r on r_h r columns), the
-    entry factors, the folds, the change from V_b to V_a coordinates on H,
-    F_1, the exit factors, the window reads on leg 1 and the scale ||S'v||
-    from its triangular factors.  The assembly builds three read
-    functionals (r r_h x d n: F_1 and the change), contracts them with the
-    entry factors and leg-1 entries (four maps, d x r r_h x r_h r over n)
-    and with the folds (one product over 4d), and takes L C; its scale is
-    counted as the build of a square r_h r^2 matrix (a QR of r^2 columns
-    and a Kronecker product) and one product with it a sample, more than
-    the triangular products it takes.
-
-    Bytes, at max(r_h, r) columns for r: both routes hold the samples and
-    the four per-position factor stacks of Q, n d r complex numbers each.
-    The chain adds the samples' temporaries and per sample tensors of at
-    most d n 2r complex numbers and thinner ones (the folds, d r^2, and
-    the leg-1 entries, n r^2): at most 13 d n r + 9 d r^2 with the stacks
-    for d = n.  The assembly adds three times the samples (temporaries and
-    images), 3 d n r^2 for two read functionals or one and its change or
-    entry products, 4 d r^4 for the four maps ahead of the fold, and 2 r^6
-    for L and its reordered copy.  The kernel branch reads Q on the whole
-    grid leg, (n, d, n) tensors.  No row of the `corep` command takes
-    either route: both are gathered (see :func:`check_corep_memory`)."""
-    chain = (6 * n * r * r * r_h + 6 * n * d * r * r_h + 4 * d * n * r * r + 3 * d * n * r * (d + n)
-             + r_h * r_h * r * r + 12 * r_h * r ** 3)
-    rows = r * r_h * r
-    assembly = (3 * r * r_h * d * n * (n + d) + 4 * d * n * rows * r_h + 4 * d * rows * rows
-                + 4 * r ** 6 + rows * rows + 2 * rows * rows * samples)
-    w = max(r_h, r)
-    chain_bytes = 32 * samples * w ** 3 + 208 * d * n * w + 144 * d * w * w
-    assembly_bytes = 16 * (4 * samples * w ** 3 + 4 * d * n * w + 3 * d * n * w * w + 4 * d * w ** 4 + 2 * w ** 6)
-    return {"chain": (samples * chain, chain_bytes), "assembly": (assembly, assembly_bytes)}
-
-
-def check_memory(d: int, n: int, r: int, samples: int, r_h: int | None = None) -> str:
-    """The route a corep residual on H of dimension d and n grid points,
-    with r window columns on each grid leg and r_h (default r) on H, over
-    `samples` samples, takes: of the :func:`_routes` whose working set fits
-    physical memory, the one with fewer multiply-adds, the chain on a tie.
-    When neither fits, ParameterError names the smaller working set.  Only
-    the residual is counted: `build_rep` holds (n, d) values and d x d or
-    n x n bases and their products, and no (n, d, d) block.
+    Bytes, at w = max(r_h, r) columns for r: the samples and their
+    temporaries, 32 a window coordinate; the four per-position factor
+    stacks of Q, n d w complex numbers each, and per sample tensors of at
+    most d n 2w complex numbers and thinner ones (the folds, d w^2, and
+    the leg-1 entries, n w^2): at most 13 d n w + 9 d w^2 with the stacks
+    for d = n.  The kernel branch reads Q on the whole grid leg, (n, d, n)
+    tensors.  No row of the `corep` command takes this route: both are
+    gathered (see :func:`check_corep_memory`).
 
     The tracemalloc peaks of the whole residual on the Schrodinger pair,
-    32 samples, against each route's count: the chain 0.87-0.89 of it at
-    width 2 (M = 4-16) and 0.72-0.79 at width 4 (M = 6-10); the assembly
-    0.85-0.94 at width 2 and 0.97 at width 4 (M = 6, forced).  At width 2
-    the assembly's peak is 1.1-2.2 times the chain's count."""
-    routes = _routes(d, n, r if r_h is None else r_h, r, samples)
-    have = _physical_memory()
-    fits = [name for name, (_, need) in routes.items() if need <= have]
-    if not fits:
-        name = min(routes, key=lambda k: routes[k][1])
-        refuse_beyond_memory(routes[name][1], f"corep with d = {d} on {n} grid points",
-                             f"residual samples on the {name} route")
-    return min(fits, key=lambda k: routes[k][0])
+    32 samples, against the count: 0.87-0.89 of it at width 2 (M = 4-16)
+    and 0.72-0.79 at width 4 (M = 6-10)."""
+    w = max(r_h, r)
+    refuse_beyond_memory(32 * samples * w ** 3 + 208 * d * n * w + 144 * d * w * w,
+                         f"corep with d = {d} on {n} grid points", "residual samples on the chain route")
 
 
 def check_corep_memory(M: int, margin: int, samples: int) -> None:
     """Refuse the two grid rows of `corep` (the classical pair and the
     Schrodinger pair, both gathered) at grid order M and window margin
     `margin` over `samples` samples when their residual's working set
-    exceeds :func:`_physical_memory`; no route is picked.  With w = M - 2
+    exceeds :func:`_physical_memory`.  With w = M - 2
     margin and r_tot = w^6 window points, the Schrodinger row holds the
     draw and its images, 128 bytes a sample and window point, the
     nonzeros of L, 32 bytes for each of at most w^2 a window point, and
@@ -518,14 +475,9 @@ class _CommutatorReads:
     triangular factors Rh of bt Bh, [R1a | R1b] of [a Bg | b Bg] and
     [R2a | R2b] of [b Bg | Bg], so S'x is never formed (`s_norms`).
 
-    `norms` takes the samples by one of two routes.  The per-sample chain
-    is `terms`, one sample at a time.  The assembled route is
-    `window_matrix`: everything of Q after its fold W_2 is fixed, so it is
-    folded into three read functionals, (r r_h) x (d n) each (Ts read by
-    Bg* for Q(S'v), Tv read by the halves Bg* a and Bg* b of the leg-1
-    read for Qv), which are contracted with the input factors, the leg-1
-    entries and the folds into L = L_{Q(S'v)} - L_{S'(Qv)}, (r r_h r) x
-    (r_h r r), which takes every sample in one product.
+    `norms` takes the samples one at a time through `terms`; the chain is
+    the only route of the seeded, conjugated, `swapped` and `xx` pairs,
+    and the oracle of the gathered rows of :class:`_GatheredWindow`.
     """
 
     def __init__(self, ops: _LegOps, Bh: np.ndarray, Bg: np.ndarray):
@@ -564,63 +516,14 @@ class _CommutatorReads:
 
     def s_norms(self, X: np.ndarray) -> np.ndarray:
         """||S'x|| for the samples x of coordinates X (k, r_h, r, r), the
-        norm of R1a t R2a^T + R1b t R2b^T (t = Rh x) per sample, the products
-        taken a quarter of the samples at a time, so none outgrows X much."""
+        norm of R1a t R2a^T + R1b t R2b^T (t = Rh x) per sample."""
         (R1a, R1b), (R2a, R2b) = self.R1, self.R2
         T = np.matmul(self.Rh, X.reshape(len(X), X.shape[1], -1)).reshape(len(X), -1, self.r, self.r)
-        return np.concatenate([np.linalg.norm((R1a @ t @ R2a.T + R1b @ t @ R2b.T).reshape(len(t), -1), axis=1)
-                               for t in np.array_split(T, min(4, len(T)))])
+        return np.linalg.norm((R1a @ T @ R2a.T + R1b @ T @ R2b.T).reshape(len(T), -1), axis=1)
 
-    def _through_fold(self, read: np.ndarray, T: np.ndarray, R: np.ndarray,
-                      entries: tuple[np.ndarray, ...], out: np.ndarray) -> None:
-        """Q from the leg-1 and H coordinates of a sample to its fold W_2,
-        read after it on leg 1 by `read` (r x n) and on H by the exit
-        factors T: one (d, r r_h, r_h r) map per leg-1 entry E (n x r) in
-        `entries`, written to `out`, over the V_b index h of W_2, rows (leg
-        1, H) of the read and columns (H, leg 1) of the sample.
-
-        The read functional A (d, r r_h, n), everything of Q after W_2 (the
-        change from V_b to V_a coordinates, Z_1, F_1, T and `read`), is
-        built once and contracted per h with the input factors R and E."""
-        ops, d, n = self.ops, self.ops.d, self.n
-        G = (T.transpose(0, 2, 1)[:, :, None, :] * read.T[:, None, :, None]).reshape(n, -1)   # T[g, k, h] read[i, g]
-        A = (G.T @ ops.F).reshape(d, -1, n)   # F_1
-        del G
-        A *= ops.chi[:, None, :]              # Z_1
-        A = (ops.b_a.T @ A.reshape(d, -1)).reshape(A.shape)
-        R = R.transpose(1, 0, 2)[..., None]   # (d, n, r_h, 1)
-        for o, E in zip(out, entries):
-            np.matmul(A, (R * E[:, None, :]).reshape(d, n, -1), out=o)
-
-    def window_matrix(self) -> np.ndarray:
-        """L = L_{Q(S'v)} - L_{S'(Qv)}: the (r r_h r) x (r_h r r) matrix
-        taking the coordinates c of a sample to the difference of its two
-        `terms`, rows in their layout (leg 1, H, leg 2).
-
-        Q(S'v) is read by Bg* after the fold Ks, from its two leg-1
-        entries F* a Bg and F* b Bg; Qv by the halves Bg* a and Bg* b of
-        `leg1` after the two halves of Kv, from F* Bg.  The four maps of
-        :meth:`_through_fold` are contracted with their folds over h in one
-        product."""
-        r, d = self.r, self.ops.d
-        r_h = self.Rv.shape[2]
-        Ev, Ea, Eb = np.split(self.E, 3)
-        D = np.empty((4, d, r * r_h, r_h * r), dtype=complex)
-        self._through_fold(self.Bgh, self.Ts, self.Rs, (Ea, Eb), D[:2])
-        for out, read in zip(D[2:], np.hsplit(self.leg1, 2)):
-            self._through_fold(read, self.Tv, self.Rv, (Ev,), out[None])
-        K = np.concatenate([self.Ks[:, :r], self.Ks[:, r:], -self.Kv[..., :r], -self.Kv[..., r:]])
-        L = D.reshape(4 * d, -1).T @ K.reshape(4 * d, -1)
-        return L.reshape(r, r_h, r_h, r, r, r).transpose(0, 1, 5, 2, 3, 4).reshape(r * r_h * r, -1)
-
-    def norms(self, C: np.ndarray, kept: np.ndarray, assemble: bool) -> tuple[np.ndarray, np.ndarray]:
+    def norms(self, C: np.ndarray, kept: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """||B*[Q, S']Bc|| and ||S'Bc|| for the samples c = C[i], i in
-        `kept`: by one product L C of the window matrix with the whole
-        draw when `assemble`, else per sample by `terms`, each sample a
-        view of C."""
-        if assemble:
-            LC = self.window_matrix() @ C.reshape(len(C), -1).T
-            return np.linalg.norm(LC, axis=0)[kept], self.s_norms(C)[kept]
+        `kept`, per sample by `terms`, each sample a view of C."""
         return (np.array([np.linalg.norm(np.subtract(*self.terms(C[i]))) for i in kept]),
                 np.array([self.s_norms(C[i:i + 1])[0] for i in kept]))
 
@@ -876,20 +779,19 @@ def _gathered_residual(rep: Representation, C: np.ndarray, Bh, wg: InteriorWindo
 
 def _column_residual(rep: Representation, C: np.ndarray, Bh: np.ndarray, Bg: np.ndarray) -> CorepReport:
     """The residual of :func:`_window_residual` on the dense window bases
-    Bh and Bg, for any pair; C is not copied.  The commutation branch is
-    read on the window by :meth:`_CommutatorReads.norms` on the route that
-    :func:`check_memory` picks: on the chain no array wider than d n 2r is
-    made per sample (r the columns of Bg), and on the assembly none made
-    from C has more than r r_h r entries a sample.  When bt is 0 on every
-    eigenvector, S' = 0 and the commutation branch, which would read 0, is
-    not run; the kernel branch is :func:`_kernel_identity`."""
+    Bh and Bg, for any pair; C is not copied.  The working set is checked
+    by :func:`check_memory`, and the commutation branch is read on the
+    window by the per-sample chain of :meth:`_CommutatorReads.norms`, which
+    makes no array wider than d n 2r a sample (r the columns of Bg).  When
+    bt is 0 on every eigenvector, S' = 0 and the commutation branch, which
+    would read 0, is not run; the kernel branch is :func:`_kernel_identity`."""
     ops = _LegOps(rep)
     nv, kept = _sample_norms(C)
     zero = rep.pair.Y.lattice(ops.g.q)[2]   # ker(bt): the zero mask in V_b coordinates
     comm = 0.0
     if not zero.all() and len(kept):   # else S' = 0, or no sample
-        assemble = check_memory(ops.d, ops.n, Bg.shape[1], len(C), Bh.shape[1]) == "assembly"
-        comms, scales = _CommutatorReads(ops, Bh, Bg).norms(C, kept, assemble)
+        check_memory(ops.d, ops.n, Bg.shape[1], len(C), Bh.shape[1])
+        comms, scales = _CommutatorReads(ops, Bh, Bg).norms(C, kept)
         comm = _commutation(comms, scales, nv[kept])
     kern = _kernel_identity(ops, Bh, Bg, zero, C, kept, nv) if zero.any() else 0.0
     return CorepReport(residual=max(comm, kern), commutation=comm, kernel_identity=kern, samples=len(C))

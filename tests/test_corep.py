@@ -643,101 +643,6 @@ def test_residual_through_fused_q_matches_literal_legs(case):
         assert comm > 1e-4
 
 
-# the THIN_CASES ids whose commutation branch takes the assembled window
-# matrix over 32 samples: every width-2 window (r = 4 columns a grid leg)
-ASSEMBLED_CASES = ["schrodinger-4", "schrodinger-6", "conjugated-4", "swapped-4", "xx-4",
-                   "schrodinger-4-margin1", "schrodinger-6-margin2", "schrodinger-8-margin3"]
-
-
-def test_route_rule_assembles_width_two_windows():
-    # by multiply-adds the route table sends the width-2 windows at M = 4,
-    # 6, 8 to the assembled window matrix and every other THIN_CASES id
-    # (margin 0, schrodinger-8-margin2 and the seeded d = 8 pair, all
-    # wider) to the per-sample chain; it sees the sample count, so one
-    # sample, for which the assembly costs more than one pass of the
-    # chain, takes the chain
-    from qazb.corep import _LegOps, _routes, _window_bases
-
-    for case in THIN_CASES:
-        g, pair, margin = thin_case(case)
-        rep = build_rep(pair, g)
-        ops = _LegOps(rep)
-        Bh, Bg = _window_bases(rep, margin)
-        r_h, r = Bh.shape[1], Bg.shape[1]
-        (chain, _), (assembly, _) = _routes(ops.d, ops.n, r_h, r, 32).values()
-        assert (assembly < chain) == (case in ASSEMBLED_CASES) == (r == 4), case
-        (chain, _), (assembly, _) = _routes(ops.d, ops.n, r_h, r, 1).values()
-        assert chain < assembly, case
-
-
-@pytest.mark.parametrize("case", ASSEMBLED_CASES + ["trivial+schrodinger-8-margin3"])
-def test_assembled_route_matches_chain(monkeypatch, case):
-    # the assembled window matrix against the per-sample chain on the same
-    # 32 samples, one of them all zero, which both skip; the last id has a
-    # kernel (taken by the chain on both routes) and r_h = 5 window
-    # columns on H against r = 4 on a grid leg.  Both are the window-column
-    # route; on the Schrodinger ids the gathered residual matches them too
-    import qazb.corep
-    from qazb.corep import _CommutatorReads, _column_residual, _window_bases, _window_residual
-
-    if case.startswith("trivial"):
-        g, margin = grid(0.5, 8), 3
-        pair = random_regular_pair([("trivial", g.point(1, 0)), ("schrodinger", 4)], g)
-    else:
-        g, pair, margin = thin_case(case)
-    rep = build_rep(pair, g)
-    Bh, Bg = _window_bases(rep, margin)
-    shape = (32, Bh.shape[1], Bg.shape[1], Bg.shape[1])
-    rng = np.random.default_rng(5)
-    C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    C[7] = 0.0
-    calls = []
-    norms = _CommutatorReads.norms
-
-    def counted(self, C, kept, assemble):   # the samples taken by the window matrix
-        if assemble:
-            calls.append(len(C))
-        return norms(self, C, kept, assemble)
-
-    monkeypatch.setattr(_CommutatorReads, "norms", counted)
-    assembled = _column_residual(rep, C, Bh, Bg)
-    monkeypatch.setattr(qazb.corep, "_routes", lambda *args: {"chain": (0, 0), "assembly": (1, 0)})
-    chain = _column_residual(rep, C, Bh, Bg)
-    assert calls == [32]
-    assert assembled.samples == chain.samples == 32
-    assert assembled.kernel_identity == chain.kernel_identity
-    for field in ("commutation", "residual"):
-        want = getattr(chain, field)
-        assert want > 1e-4 and abs(getattr(assembled, field) - want) <= 1e-13 * want, field
-    if case.startswith("schrodinger"):
-        gathered = _window_residual(rep, C, margin)
-        assert calls == [32] and gathered.kernel_identity == 0.0 and gathered.samples == 32
-        for field in ("commutation", "residual"):
-            assert abs(getattr(gathered, field) - getattr(chain, field)) <= 1e-12 * getattr(chain, field), field
-
-
-def test_assembled_route_stays_thin():
-    # on the M = 6 Schrodinger representation (width 2) the commutation
-    # branch of the window-column route takes the assembled window matrix:
-    # of the arrays made from the
-    # samples C (S of r_h r^2 coordinates) none has more than r r_h r
-    # entries a sample, the size of L C
-    from qazb.corep import _column_residual, _window_bases
-
-    g = grid(0.5, 6)
-    rep = build_rep(schrodinger_pair(g), g)
-    Bh, Bg = _window_bases(rep, None)
-    r_h, r = Bh.shape[1], Bg.shape[1]
-    Recorded, shapes = recording_type()
-    rng = np.random.default_rng(1)
-    shape = (32, r_h, r, r)
-    C = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).view(Recorded)
-    report = _column_residual(rep, C, Bh, Bg)
-    assert report.commutation > 0.0 and report.kernel_identity == 0.0
-    assert (r * r_h * r, 32) in shapes   # L C
-    assert max(np.prod(s) for s in shapes) <= r * r_h * r * 32
-
-
 def recording_type():
     """An ndarray subclass Recorded and the list of the shapes of every
     array made from a Recorded one: products, views, elementwise results
@@ -756,10 +661,9 @@ def recording_type():
 
 
 def test_commutation_branch_stays_thin():
-    # on the M = 8 Schrodinger representation at margin 2 (width 4, where
-    # the commutation branch of the window-column route takes the
-    # per-sample chain) no array made from a
-    # sample (from its window coordinates c) has more than d n 2r entries
+    # on the M = 8 Schrodinger representation at margin 2 (width 4) the
+    # per-sample chain of the window-column route makes no array from a
+    # sample (from its window coordinates c) with more than d n 2r entries
     # (r the columns of the window basis), so none has the n^2 r^2
     # entries of an operator on the window of the two grid legs
     from qazb.corep import _column_residual, _window_bases
@@ -955,13 +859,20 @@ def test_corep_refused_beyond_physical_memory(monkeypatch, capsys):
 
     monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 2048)
     with pytest.raises(ParameterError, match=f"needs {32 * 32 * 4 ** 3 + 208 * 16 * 4 + 144 * 16} bytes for its residual samples.* 2048 bytes"):
-        check_memory(1, 16, 4, 32)
+        check_memory(1, 16, 4, 32, 4)
     monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 10 ** 6)   # M = 4 fits, M = 6 not
-    check_memory(16, 16, 4, 32)
+    check_memory(16, 16, 4, 32, 4)
     with pytest.raises(ParameterError, match=f"needs {32 * 32 * 16 ** 3 + 208 * 16 * 16 * 16 + 144 * 16 * 16 * 16} bytes for its residual"):
-        check_memory(16, 16, 16, 32)   # M = 4 at margin 0
+        check_memory(16, 16, 16, 32, 16)   # M = 4 at margin 0
+    # M = 26 at margin 11 (width 4, r = 16 a grid leg, d = n = 676) fits
+    # 1.6 * 10^9 bytes and is refused below them, naming the chain's count
+    monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 16 * 10 ** 8)
+    check_memory(676, 676, 16, 32, 16)
+    monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 15 * 10 ** 8)
+    with pytest.raises(ParameterError, match=f"needs 1549930496 bytes for its residual samples on the chain route.* {15 * 10 ** 8} bytes"):
+        check_memory(676, 676, 16, 32, 16)
     # the CLI's grid rows take the gathered residual and check its working
-    # set (check_corep_memory), never the route pick: at M = 6, margin 2
+    # set (check_corep_memory), never check_memory: at M = 6, margin 2
     # (width 2), 32 samples, the classical row's 64 bytes a sample and entry
     # of M^3 w (884736) is the larger; M = 4 (273408) fits 5 * 10^5 bytes
     # and M = 6 does not, so nothing is run
@@ -971,26 +882,17 @@ def test_corep_refused_beyond_physical_memory(monkeypatch, capsys):
     out, err = capsys.readouterr()
     need = 64 * 32 * 6 ** 3 * 2
     assert out == "" and f"needs {need} bytes for its gathered residual samples" in err and f"{5 * 10 ** 5} bytes" in err
-    # a width-2 window at M = 6 over 32 samples has fewer multiply-adds on
-    # the assembled window matrix, whose 16 bytes for each of 4 samples
-    # r^3 + 4 d n r + 3 d n r^2 + 4 d r^4 + 2 r^6 complex numbers (2179072)
-    # fit only the larger memory; below it the chain (1226752) is taken,
-    # and one sample takes the chain either way
     monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 2 * 10 ** 6)
-    assert check_memory(36, 36, 4, 32) == check_memory(36, 36, 4, 1) == "chain"
-    need = 16 * (4 * 32 * 4 ** 3 + 4 * 36 * 36 * 4 + 3 * 36 * 36 * 16 + 4 * 36 * 4 ** 4 + 2 * 4 ** 6)
-    monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: need)
-    assert check_memory(36, 36, 4, 32) == "assembly" and check_memory(36, 36, 4, 1) == "chain"
 
-    def not_picked(*args):
-        raise AssertionError("a grid row consulted the route pick")
+    def not_consulted(*args):
+        raise AssertionError("a grid row consulted check_memory")
 
-    monkeypatch.setattr(qazb.corep, "check_memory", not_picked)
+    monkeypatch.setattr(qazb.corep, "check_memory", not_consulted)
     assert main(["corep", "--M-list", "4,6"]) == 0
 
 
 def test_memory_figure_is_the_available_memory(monkeypatch):
-    # the route pick and every refusal read MemAvailable, and the machine's
+    # every refusal reads MemAvailable, and the machine's
     # total only where /proc/meminfo cannot be read; the refusal names the
     # figure it read
     import qazb.corep
@@ -1010,24 +912,6 @@ def test_memory_figure_is_the_available_memory(monkeypatch):
     assert _physical_memory() == total
     with pytest.raises(ParameterError, match=rf"than the {total} bytes of physical memory in total"):
         refuse_beyond_memory(total + 1, "a run", "arrays")
-
-
-def test_route_is_picked_among_routes_that_fit(monkeypatch):
-    # M = 26 at margin 11 (width 4, r = 16 a grid leg, d = n = 676): the
-    # assembled window matrix has fewer multiply-adds but needs more than
-    # an 8408645632-byte machine has, so the run takes the chain, which
-    # fits; below the chain's count too it is refused, naming the chain's
-    # count, the smaller of the two
-    import qazb.corep
-    from qazb.corep import _routes, check_memory
-
-    (chain, chain_bytes), (assembly, assembly_bytes) = _routes(676, 676, 16, 16, 32).values()
-    assert assembly < chain and (chain_bytes, assembly_bytes) == (1549930496, 9463873536)
-    monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 8408645632)
-    assert check_memory(676, 676, 16, 32) == "chain"
-    monkeypatch.setattr(qazb.corep, "_physical_memory", lambda: 15 * 10 ** 8)
-    with pytest.raises(ParameterError, match=f"needs 1549930496 bytes for its residual samples on the chain route.* {15 * 10 ** 8} bytes"):
-        check_memory(676, 676, 16, 32)
 
 
 def test_chain_takes_samples_as_views_of_the_draw(monkeypatch):
@@ -1172,21 +1056,25 @@ def extended_table(rep):
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
 @pytest.mark.parametrize("M", [4, 6, 8])
-def test_gathered_window_matrix_matches_assembly(q, M):
-    # the band of L gathered from the F_q table against the assembled window
-    # matrix (rows reordered to the layout of c), both against the gather in
-    # extended precision from the same F_q values: the gathered L is within
-    # 1e-12 (Frobenius, relative) of both, or of the assembly within twice
-    # the assembly's own roundoff where that is larger (3.1e-12 at q = 0.3,
-    # M = 8, whose L is 1.5e-3 against O(1) terms)
+def test_gathered_l_matches_chain(q, M):
+    # the band of L gathered from the F_q table against L built column by
+    # column from the per-sample chain on unit coordinates (rows reordered
+    # to the layout of c), both against the gather in extended precision
+    # from the same F_q values: the gathered L is within 1e-12 (Frobenius,
+    # relative) of both, or of the chain's L within twice the chain's own
+    # roundoff where that is larger (3.3e-12 at q = 0.3, M = 8, whose L is
+    # 1.5e-3 against O(1) terms)
     from qazb.corep import _CommutatorReads, _LegOps, _window_bases
 
     g = grid(q, M)
     rep = build_rep(schrodinger_pair(g, margin=corep_margin(M)), g)
     Bh, Bg = _window_bases(rep, None)
     r_h, r = Bh.shape[1], Bg.shape[1]
-    assembled = _CommutatorReads(_LegOps(rep), Bh, Bg).window_matrix()
-    assembled = assembled.reshape(r, r_h, r, -1).transpose(1, 0, 2, 3).reshape(r_h * r * r, -1)
+    reads = _CommutatorReads(_LegOps(rep), Bh, Bg)
+    chain = np.empty((r_h * r * r,) * 2, dtype=complex)
+    for j, e in enumerate(np.eye(r_h * r * r)):
+        qsv, sqv = reads.terms(e.reshape(r_h, r, r).astype(complex))
+        chain[:, j] = (qsv - sqv).reshape(r, r_h, r).transpose(1, 0, 2).ravel()
     gathered = gathered_l(rep)
     exact = gathered_l(rep, table=extended_table(rep))
 
@@ -1195,24 +1083,36 @@ def test_gathered_window_matrix_matches_assembly(q, M):
 
     assert gathered.shape == (r_h * r * r,) * 2 and np.count_nonzero(gathered) > r_h * r * r
     assert dist(gathered, exact) <= 1e-12
-    assert dist(gathered, assembled) <= max(1e-12, 2 * dist(assembled, exact))
+    assert dist(gathered, chain) <= max(1e-12, 2 * dist(chain, exact))
 
 
-def test_gathered_residual_matches_chain_at_width_four():
-    # M = 10 at margin 3 (width 4, r_h = r = 16): the gathered residual and
-    # the per-sample chain of the window-column route on the same draw
+# the Schrodinger THIN_CASES ids of width 2 (r = 4 columns a grid leg) and
+# M = 10 at margin 3 (width 4, r_h = r = 16)
+GATHERED_CASES = ["schrodinger-4", "schrodinger-6", "schrodinger-4-margin1", "schrodinger-6-margin2",
+                  "schrodinger-8-margin3", "schrodinger-10-margin3"]
+
+
+@pytest.mark.parametrize("case", GATHERED_CASES)
+def test_gathered_residual_matches_chain(case):
+    # the gathered residual against the per-sample chain of the
+    # window-column route on the same 32 samples, one of them all zero,
+    # which both skip
     from qazb.corep import _column_residual, _window_bases, _window_residual
 
-    g = grid(0.5, 10)
-    rep = build_rep(schrodinger_pair(g, margin=3), g)
-    Bh, Bg = _window_bases(rep, 3)
-    rng = np.random.default_rng(4)
-    shape = (8, Bh.shape[1], Bg.shape[1], Bg.shape[1])
+    g, pair, margin = thin_case(case)
+    rep = build_rep(pair, g)
+    Bh, Bg = _window_bases(rep, margin)
+    shape = (32, Bh.shape[1], Bg.shape[1], Bg.shape[1])
+    rng = np.random.default_rng(5)
     C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    C[7] = 0.0
     chain = _column_residual(rep, C, Bh, Bg)
-    gathered = _window_residual(rep, C, 3)
+    gathered = _window_residual(rep, C, margin)
+    assert gathered.samples == chain.samples == 32
     assert gathered.kernel_identity == chain.kernel_identity == 0.0
-    assert chain.residual > 1e-4 and abs(gathered.residual - chain.residual) <= 1e-12 * chain.residual
+    for field in ("commutation", "residual"):
+        want = getattr(chain, field)
+        assert want > 1e-4 and abs(getattr(gathered, field) - want) <= 1e-12 * want, field
 
 
 @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])

@@ -18,9 +18,8 @@ dense copy on every exp-identity and verify-pair field, eigh versus
 schur for self-adjoint spectra, the candidate table versus the
 per-candidate families for the separation certificate, the window reads
 of Q S' and S' Q and the scale ||S'v|| that the corepresentation residual
-takes through the factors of Q, per sample and through its assembled
-window matrix, and its window matrix gathered in the mixed basis, versus
-the dense U, V and coproduct
+takes through the factors of Q per sample, and its window matrix
+gathered in the mixed basis, versus the dense U, V and coproduct
 applied leg by leg, the unitarity certificate of a built representation
 versus its dense defect, the corepresentation residual on
 the full-tensor draw that `corep_residual` was recorded on versus its
@@ -257,12 +256,11 @@ def check_corep_routes(rep, margin: int) -> None:
     """The factored route of corep_residual against the dense U, V =
     chi_kron and coproduct Delta(b), each applied to a full (d, n, n)
     tensor, on one window sample v = Bh (x) Bg (x) Bg c: the window reads
-    of Q(S'v) and S'(Qv), by the per-sample chain and by the assembled
-    window matrix L, the scale ||S'v|| from the triangular factors, and
-    L c from the band of L gathered in the mixed basis, to 1e-13 relative;
-    and
-    the unitarity certificate of build_rep against the dense ||U* U - 1||_2,
-    which it must not undercut."""
+    of Q(S'v) and S'(Qv) by the per-sample chain, the scale ||S'v|| from
+    the triangular factors, and L c from the band of the window matrix L
+    gathered in the mixed basis, to 1e-13 relative; and the unitarity
+    certificate of build_rep against the dense ||U* U - 1||_2, which it
+    must not undercut."""
     g = rep.grid
     d, n = rep.h_dim, g.size
     dense = operator_norm(rep.U.conj().T @ rep.U - np.eye(rep.dim))
@@ -312,7 +310,6 @@ def check_corep_routes(rep, margin: int) -> None:
         ("Q(S'v)", qsv.reshape(r, r_h, r), want_qsv),
         ("S'(Qv)", sqv.reshape(r, r_h, r), want_sqv),
         ("||S'v||", reads.s_norms(c[None])[0], np.array(np.linalg.norm(sv))),
-        ("L c", (reads.window_matrix() @ c.ravel()).reshape(r, r_h, r), want_qsv - want_sqv),
         ("gathered L c", gathered.apply(c.reshape(-1, 1)).reshape(r_h, r, r).transpose(1, 0, 2), want_qsv - want_sqv),
     ]
     for name, got, want in checks:
