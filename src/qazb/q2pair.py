@@ -29,9 +29,10 @@ closed-form entries.  F_q(X) is block diagonal there, with circulant
 blocks read off one M-point transform of its values along the phase
 axis, so every matrix element of the F_q products is a product of two
 entries of that table, and each exponential-identity witness is an
-r x r gather.  So neither `verify_q2` nor the exponential-identity
-witnesses of the pair and of its Y = 0 control (S = X, F_q(Y) = 1)
-transform the grid or hold an n-row array.
+r x r matrix gathered on the separable (w, w, w, w) grid of the window,
+r = w^2, by table reads of w^3 entries.  So neither `verify_q2` nor the
+exponential-identity witnesses of the pair and of its Y = 0 control
+(S = X, F_q(Y) = 1) transform the grid or hold an n-row array.
 
 The model pair is diagonal in closed form: X has eigenbasis 1 and Y has
 eigenbasis F*, both with the grid values and their exact lattice data
@@ -80,6 +81,7 @@ window.  Any other sum (conjugated pairs, direct sums) is a dense
 
 from __future__ import annotations
 
+import copy
 import functools
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -91,7 +93,7 @@ from .errors import DimensionError, DomainError, ParameterError
 from .gamma import GammaGrid, GammaPoint, snap_spectrum
 from .opalg import (DEFAULT_DEFECT_RTOL, SPECTRUM_RTOL, Eigensystem, GridOperator, NormalMatrix, NormalOperator,
                     _as_normal, block_diag, chi_values, lattice_values, operator_norm)
-from .qexp import QExpParams, fq_eigenvalues
+from .qexp import QExpParams, fq_eigenvalues, fq_lattice
 
 __all__ = [
     "InteriorWindow",
@@ -182,8 +184,11 @@ class InteriorWindow:
     terms of a Weyl row are index maps with coefficients, a tuple of
     :class:`Image` terms per operator (two for S), computed with no grid
     transform and no n x r array; F enters through the matrix elements of
-    the F_q products (:func:`_fq_products`).  `commutator` gathers the compression B* U (S B) - (S* B)* (U B) of an
-    operator U given by its matrix elements in the mixed basis.  The class
+    the F_q products (:func:`_fq_products`).  The window is a product set,
+    `inner` x `inner`: `axes` holds it as two axes, on which each image is
+    an index map of one axis, and `commutator` gathers the compression
+    B* U (S B) - (S* B)* (U B) of an operator U given by its matrix
+    elements in the mixed basis from these separable images.  The class
     blocks of S = X + Y restricted to the window give the singular values
     of S B and the windowed defect.
     """
@@ -200,7 +205,17 @@ class InteriorWindow:
 
     @property
     def r(self) -> int:
-        return len(self.k)
+        return self.inner.size ** 2
+
+    @functools.cached_property
+    def axes(self) -> "InteriorWindow":
+        """This window with `k` and `l` the (w, 1) and (1, w) axes of its
+        product set in place of the flat columns, w = len(`inner`): its images
+        are the same index maps, each index and coefficient an array over
+        one axis, broadcast over the (w, w) grid of columns."""
+        view = copy.copy(self)
+        view.k, view.l = self.inner[:, None], self.inner[None, :]
+        return view
 
     @functools.cached_property
     def basis(self) -> np.ndarray:
@@ -248,10 +263,20 @@ class InteriorWindow:
         """B* U (S B) - (S* B)* (U B) (r x r) for an operator U given by its
         matrix elements U(a, b, k, l) = <e_a (x) phi_b, U e_k (x) phi_l>
         (broadcasting index arrays) and the images `SB`, `SsB` of S B and
-        S* B: one gather over the r x r index grid per image term."""
-        k, l = self.k[:, None], self.l[:, None]
-        return (sum(t.coef * U(k, l, t.k, t.l) for t in SB)
-                - sum(t.coef.conj()[:, None] * U(t.k[:, None], t.l[:, None], self.k, self.l) for t in SsB))
+        S* B on the separable columns (:attr:`axes`).
+
+        Entry (i, j) is read on the (w, w, w, w) grid of (a_i, b_i, k_j,
+        l_j): each image term shifts one index of a column and scales it
+        by a coefficient of one index, and each table factor of U reads
+        three of the four indices, so every gather is a w^3 array
+        broadcast to the grid, and no r x r index array is made.  The
+        terms are summed in the order of the flat r x r gather, and every
+        entry is bit-equal to it."""
+        rows, cols = (slice(None), slice(None), None, None), (None, None)
+        a, b, k, l = self.axes.k[rows], self.axes.l[rows], self.axes.k[cols], self.axes.l[cols]
+        out = (sum(t.coef[cols] * U(a, b, t.k[cols], t.l[cols]) for t in SB)
+               - sum(t.coef.conj()[rows] * U(t.k[rows], t.l[rows], k, l) for t in SsB))
+        return out.reshape(self.r, self.r)
 
     @functools.cached_property
     def _class_mask(self) -> np.ndarray:
@@ -675,14 +700,20 @@ def _closed_form_witnesses(pair: Q2Pair, w: InteriorWindow, S: NormalOperator, p
     pair on its interior window `w`, with no grid transform and no n-row
     array.  Each witness B* U (S B) - (S* B)* (U B) is gathered from the
     matrix elements of U in the mixed basis (:func:`_fq_products`, one
-    M-point transform per grid order) at the closed-form images of S B and
-    S* B (:meth:`InteriorWindow.commutator`); sigma(S B) is
-    :func:`_sum_moduli`, and the windowed defect comes from the class
-    blocks of S.  For the Y = 0 control (S = X, F_q(Y) = 1) both products
-    are F_q(X), and the windowed defect of the diagonal X is 0."""
-    stated, swapped, fq_x = _fq_products(fq_eigenvalues(pair.X, params, pair.grid.M), pair.grid.M)
+    M-point transform per grid order of the F_q values of X, which as the
+    grid's position operator has the grid's lattice data) at the
+    closed-form images of S B and S* B on the separable window columns
+    (:attr:`InteriorWindow.axes`, :meth:`InteriorWindow.commutator`: w^3
+    gathers broadcast to the (w, w, w, w) grid, no r x r index array);
+    sigma(S B) is :func:`_sum_moduli`, and the windowed defect comes from
+    the class blocks of S.  For the Y = 0 control (S = X, F_q(Y) = 1)
+    both products are F_q(X), gathered the same way, and the windowed
+    defect of the diagonal X is 0."""
+    g = pair.grid
+    stated, swapped, fq_x = _fq_products(fq_lattice(*g.lattice, params), g.M)
     control = pair.Y.is_zero
-    SB, SsB = (w.position(), w.position(adjoint=True)) if control else (w.sum(), w.sum(adjoint=True))
+    images = w.axes.position if control else w.axes.sum
+    SB, SsB = images(), images(adjoint=True)
     sigma = _sum_moduli(pair, S, w)
     scale = float(sigma.max(initial=0.0))
 

@@ -51,6 +51,12 @@ __all__ = [
 
 
 MAX_TERMS = 512   # hard cap on the number of product factors
+# Most arguments per (K, block) factor array of fq_lattice.  Measured on a
+# 2-core x86-64 box at q = 0.5 (K = 27-30) against the factor-by-factor loop,
+# best of 7: 256 was fastest or within 10% of the fastest of 128-2048 at 64 to
+# 65536 arguments, and took 0.09 ms against 0.30 ms at 64, 0.24 against 0.40
+# at 400, 0.64 against 0.69 at 1296, and 7-18% longer from 4096 on.
+FQ_BLOCK = 256
 
 
 class ConditioningWarning(UserWarning):
@@ -104,6 +110,12 @@ def fq_lattice(
     Angles must already be reduced to [0, 2 pi) (singularity is tested by
     float equality theta == pi).  Only the modulus is constrained to the
     lattice; the angle is free since Gamma-bar contains full circles.
+
+    The K truncation factors (1 + q^(2k) conj(z)) / (1 + q^(2k) z) of the
+    active arguments z are one (K, block) array per block of at most
+    FQ_BLOCK of them, multiplied along the factor axis; the smallest
+    |1 + q^(2k) z| of the same arrays is the conditioning check.  Each
+    value is bit-equal to the product taken factor by factor.
     """
     n = np.atleast_1d(np.asarray(n))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -124,14 +136,24 @@ def fq_lattice(
     na, ta = n[active], theta[active]
     za = p.q ** na.astype(float) * (np.cos(ta) + 1j * np.sin(ta))
     K = _truncation_length(na, np.sin(ta), p)
-    f = np.ones(za.shape, dtype=complex)
-    zc = np.conj(za)
+    # q^(2k) as Python floats: numpy's power may differ in the last bit
+    w = np.array([p.q ** (2 * k) for k in range(K)], dtype=complex)[:, None]
+    f = np.empty(za.shape, dtype=complex)
     worst = np.inf
-    for k in range(K):
-        w = p.q ** (2 * k)
-        den = 1.0 + w * za
-        worst = min(worst, float(np.min(np.abs(den))))
-        f *= (1.0 + w * zc) / den
+    # equal blocks: a block of one would reduce by numpy's scalar loop, which
+    # rounds a complex product otherwise than its array loop; only a lone
+    # active argument takes that loop, as it always has
+    blocks = -(-za.size // FQ_BLOCK)
+    for b in range(blocks):
+        part = slice(b * za.size // blocks, (b + 1) * za.size // blocks)
+        z = za[part]
+        den = w * z
+        den += 1.0
+        worst = min(worst, float(np.abs(den).min()))
+        num = w * np.conj(z)
+        num += 1.0
+        num /= den
+        np.prod(num, axis=0, out=f[part])
     if worst < 1e-6:
         warnings.warn(
             f"a product factor denominator reached |1 + q^(2k) z| = {worst:.3e}; "
@@ -154,15 +176,43 @@ def fq(point: GammaPoint, p: QExpParams) -> complex:
 def fq_grid(g: GammaGrid, p: QExpParams):
     """The lattice-calculus map from the lattice data (n, theta, zero) of
     a stack of beta, and their turn fractions `frac` as
-    :meth:`GammaGrid.times` takes them, to F_q(beta * gamma) in one
-    :func:`fq_lattice` call: grid points gamma on the first axis."""
+    :meth:`GammaGrid.times` takes them, to F_q(beta * gamma): grid points
+    gamma on the first axis.
+
+    The products repeat (the M^4 of a grid pair take (2M - 1) M distinct
+    values), so one :func:`fq_lattice` call evaluates the distinct lattice
+    data (k, theta, zero) and the values are spread back.  The keys are
+    exact, k an integer and theta a turn fraction or the same float; the
+    truncation length is a maximum over the same set of points; and an
+    active product comes with the M moduli of the grid, so the distinct set
+    never leaves an argument alone that had company.  Each value is
+    bit-equal to evaluating every product."""
 
     def f(n, theta, zero, frac=None):
         k, theta = g.times(n, theta, frac)
-        zero = np.broadcast_to(zero, k.shape)
-        return fq_lattice(k.ravel(), theta.ravel(), p, zero=zero.ravel()).reshape(k.shape)
+        keys = (k.ravel(), theta.ravel(), np.broadcast_to(zero, k.shape).ravel())
+        first, inverse = _distinct(keys)
+        kd, td, zd = (a[first] for a in keys)
+        return fq_lattice(kd, td, p, zero=zd)[inverse].reshape(k.shape)
 
     return f
+
+
+def _distinct(keys: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of the distinct lattice data (k, theta, zero) in
+    `keys`: entry i has the data of entry first[inverse[i]], and `first`
+    holds each distinct datum once, or a few times where two data share
+    the float sort key 8 k + theta (theta < 8), which is one argsort where
+    a sort on the three keys costs two."""
+    order = np.argsort(keys[0] * 8.0 + keys[1])
+    step = np.zeros(order.size, dtype=bool)
+    step[:1] = True
+    for a in keys:
+        s = a[order]
+        step[1:] |= s[1:] != s[:-1]
+    inverse = np.empty(order.size, dtype=int)
+    inverse[order] = np.cumsum(step) - 1
+    return order[step], inverse
 
 
 def fq_family(beta: GammaPoint, g: GammaGrid, p: QExpParams) -> np.ndarray:

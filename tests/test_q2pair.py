@@ -871,6 +871,74 @@ def test_gathered_fq_products_match_dense_products(q, M):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
 
 
+def flat_commutator(w, U, SB, SsB):
+    """B* U (S B) - (S* B)* (U B) gathered over the r x r index grid of the
+    flat window columns, from the flat images of S B and S* B, as
+    InteriorWindow.commutator did before it read the separable grid: the
+    reference it must equal bitwise."""
+    k, l = w.k[:, None], w.l[:, None]
+    return (sum(t.coef * U(k, l, t.k, t.l) for t in SB)
+            - sum(t.coef.conj()[:, None] * U(t.k[:, None], t.l[:, None], w.k, w.l) for t in SsB))
+
+
+@pytest.mark.parametrize("q, M", [(q, M) for q in (0.3, 0.5, 0.7) for M in range(8, 25, 4)], ids=lambda v: str(v))
+def test_separable_gathers_equal_the_flat_gathers(q, M):
+    # the stated and swapped witnesses (images of S = X + Y) and the Y = 0
+    # control (F_q(X), images of X) at every margin, bitwise
+    g = grid(q, M)
+    stated, swapped, fq_x = _fq_products(fq_eigenvalues(schrodinger_pair(g).X, QExpParams(q), M), M)
+    for margin in range(M // 2):
+        w = schrodinger_pair(g, margin=margin).window
+        for U, image in ((stated, "sum"), (swapped, "sum"), (fq_x, "position")):
+            flat, separable = getattr(w, image), getattr(w.axes, image)
+            got = w.commutator(U, separable(), separable(adjoint=True))
+            assert got.shape == (w.r, w.r)
+            assert np.array_equal(got, flat_commutator(w, U, flat(), flat(adjoint=True))), (margin, image)
+
+
+@pytest.mark.parametrize("q", [0.5, 0.7])
+def test_closed_form_witnesses_make_no_r_squared_index_array(monkeypatch, q):
+    # at M = 48 (r = 576): each read of the F_q products allocates its
+    # r x r complex result and w^3-sized factors, traced by tracemalloc,
+    # where an r x r integer index array alone would add 8 r^2 bytes; the
+    # flat gather passes the bound by more than that
+    import tracemalloc
+
+    import qazb.q2pair
+
+    g = grid(q, 48)
+    pair = schrodinger_pair(g)
+    w = pair.window
+    r2 = w.r ** 2
+    bound = 16 * r2 + 4 * r2
+    peaks = []
+
+    def traced(U):
+        def read(*idx):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = U(*idx)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+        return read
+
+    products = qazb.q2pair._fq_products
+    monkeypatch.setattr(qazb.q2pair, "_fq_products", lambda f, M: tuple(traced(U) for U in products(f, M)))
+    control = Q2Pair(Y=GridOperator(g, "zero"), X=pair.X, grid=g, window=w)
+    tracemalloc.start()
+    try:
+        exp_identity_residual(pair)
+        exp_identity_residual(control)
+        assert len(peaks) == 2 * 4 + 2   # four image terms per product, two for the control
+        assert max(peaks) <= bound, (max(peaks), r2)
+        peaks.clear()
+        stated = products(fq_eigenvalues(pair.X, QExpParams(q), 48), 48)[0]
+        flat_commutator(w, traced(stated), w.sum(), w.sum(adjoint=True))
+        assert min(peaks) > bound + 8 * r2
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("q, M", [(q, M) for q in (0.3, 0.5, 0.7) for M in range(8, 25, 4)], ids=lambda v: str(v))
 def test_closed_form_control_matches_the_column_route(q, M):
     # the Y = 0 control of exp-identity on its interior window (S = X,

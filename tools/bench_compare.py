@@ -1,7 +1,10 @@
 """Compare the benchmark of the working tree against a git revision.
 
-Exports the revision (default HEAD) with ``git archive`` into a temporary
-directory outside the repository, then runs ``perfbench/run.py --trace 0``
+Exports both sides into sibling directories of one temporary directory
+outside the repository: the revision (default HEAD) with ``git archive``,
+and the working tree as the files git tracks (``git ls-files``, new files
+once added), read from the checkout.  Neither side runs in the checkout,
+so both run from alike directories.  Then runs ``perfbench/run.py --trace 0``
 of each side on every workload gated in ``BENCHMARK.json`` for its
 ``run_seconds``, in PAIRS pairs: both sides of a pair get the same fresh
 seed (FIRST_SEED, FIRST_SEED + 1, ...), and the side that runs first
@@ -23,6 +26,7 @@ import io
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,6 +48,18 @@ def export_revision(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
     return commit
+
+
+def export_working_tree(dest: Path) -> None:
+    """Write the working-tree copy of every file git tracks into `dest`
+    (a tracked file deleted from the working tree is left out)."""
+    names = subprocess.run(["git", "ls-files", "-z"], cwd=ROOT, capture_output=True,
+                           check=True).stdout.decode().split("\0")
+    for name in filter(None, names):
+        src = ROOT / name
+        if src.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -86,10 +102,10 @@ def main(argv: list[str] | None = None) -> int:
               "machine": {"cpus": len(os.sched_getaffinity(0)), "platform": platform.platform(),
                           "python": platform.python_version()},
               "workloads": {}}
-    with tempfile.TemporaryDirectory(prefix="qazb-base-") as tmp:
-        base = Path(tmp)
-        result["base_commit"] = export_revision(args.base, base)
-        sides = {"base": base, "new": ROOT}
+    with tempfile.TemporaryDirectory(prefix="qazb-bench-") as tmp:
+        sides = {"base": Path(tmp) / "base", "new": Path(tmp) / "new"}
+        result["base_commit"] = export_revision(args.base, sides["base"])
+        export_working_tree(sides["new"])
         for workload in (w["name"] for w in spec["workloads"]):
             runs: dict[str, list[dict]] = {"base": [], "new": []}
             seeds, first = [], []
